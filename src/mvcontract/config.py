@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .model import AS_PRINTED, LqParams, P2_DRIFT_MODES
+from .montecarlo import DEFAULT_CHUNK_SIZE
 
 ENV_PREFIX = "MVCONTRACT_"
 
@@ -42,7 +43,7 @@ class RunConfig:
     blow_up_bound: float = 1e8
     residual_tol: float = 1e-3
     feasibility_tol: float = 1e-3
-    chunk_size: int = 65536
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     coeffs_csv: Optional[str] = None
     weak_effort: float = 1.0
     weak_cashflow: float = 0.5
@@ -71,7 +72,8 @@ def _parse_points(text: str, key: str) -> Tuple[float, ...]:
         if count == 1:
             return (start,)
         step = (stop - start) / (count - 1)
-        return tuple(start + i * step for i in range(count))
+        # start + (count - 1) * step can miss stop by an ulp; pin it exactly
+        return tuple(start + i * step for i in range(count - 1)) + (stop,)
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:

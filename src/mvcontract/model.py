@@ -21,7 +21,8 @@ constraint bounds the agent's cost by W0 and the variance of terminal output
 by R0.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -69,6 +70,10 @@ class LqParams:
     R0: float = 0.06
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.alpha <= 0:

@@ -12,18 +12,22 @@ Estimates are sample means with standard errors; Var(x(T)) uses the
 unbiased sample estimator with a delta-method standard error from the
 fourth central moment.
 
-Paths are processed in chunks drawn directly from the counter-based noise
-stream, so every per-path value is bit-identical no matter how the path
-range is split across chunks or workers; the final reductions run over
-fully assembled per-path arrays in a fixed order.
+Paths are processed in blocks of ``chunk_size`` paths (default
+``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
+CPU caches), drawn directly from the counter-based noise stream and run on
+a thread pool with one worker per CPU the process may use.  Every per-path
+value is bit-identical no matter how the path range is split into blocks or
+how many workers run them; the final reductions run on the calling thread
+over fully assembled per-path arrays in a fixed order.
 """
 
+import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AS_PRINTED, MIN_LAMBDA_P, LqParams, check_mode, terminal_costs
+from .model import AS_PRINTED, LqParams, cashflow_weights, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
 from .noise import sample_noise_block
 from .riccati import (
@@ -32,10 +36,10 @@ from .riccati import (
     integrate_means,
     integrate_riccati,
 )
-from .errors import DegenerateMultiplierError, SimulationDivergedError
+from .errors import SimulationDivergedError
 from .timegrid import make_grid
 
-DEFAULT_CHUNK_SIZE = 65536
+DEFAULT_CHUNK_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,109 @@ def _variance_and_se(values: np.ndarray):
     return var, se
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _node_scalars(field: ClosedLoopField) -> List[List[float]]:
+    """Per-node scalars of the closed-loop step, in the order ``_step_block`` reads them.
+
+    Each row is (A11, B11, A21 m_x, B21 m_R, A12, B12, A22 m_x, B22 m_R,
+    A13, B13, A23 m_x, B23 m_R) at a left-endpoint node; the products are the
+    ones ``ClosedLoopField._controls`` forms, so the bits are the same.
+    """
+    n = field.sol.grid.n_steps
+    mx = field.means.m_x[:n]
+    mR = field.means.m_R[:n]
+
+    def col(name):
+        return field.sol.column(name)[:n]
+
+    cols = []
+    for i in "123":
+        cols += [col("A1" + i), col("B1" + i), col("A2" + i) * mx, col("B2" + i) * mR]
+    return np.column_stack(cols).tolist()
+
+
+def _step_block(field, nodes, dW, ja, jp, x) -> Optional[Tuple[int, int]]:
+    """Step one block of paths through every node of the grid.
+
+    ``dW`` holds the block's increments, one row per path.  The running cost
+    integrals accumulate into ``ja`` and ``jp`` and the state ends in ``x``
+    (views of the caller's output arrays).  Every update is an ``out=`` ufunc
+    in the operation order of ``ClosedLoopField._controls`` and
+    ``drift_terms``, so each output bit matches the reference step.  Returns
+    None, or (step, path index within the block) of the first non-finite state.
+    """
+    params = field.params
+    a, b, dt = params.a, params.b, field.sol.grid.dt
+    c1, c2 = cashflow_weights(b, field.sol.p2_drift_mode)
+    lam_P = field.sol.multipliers.lam_P
+    bb = b * b
+    lam_E_bb = field.sol.multipliers.lam_E * b * b
+    half_dt = 0.5 * dt
+    # one contiguous row of sigma dW per step
+    sigma_dW = np.multiply(dW.T, params.sigma, order="C")
+    m = x.size
+    R = np.zeros(m)
+    p, P1, P2, s, e, t = (np.empty(m) for _ in range(6))
+    finite = np.empty(m, dtype=bool)
+    x[...] = 0.0
+    ja[...] = 0.0
+    jp[...] = 0.0
+    for k, (A11, B11, A21mx, B21mR,
+            A12, B12, A22mx, B22mR,
+            A13, B13, A23mx, B23mR) in enumerate(nodes):
+        for out, A, B, am, bm in ((p, A11, B11, A21mx, B21mR),
+                                  (P1, A12, B12, A22mx, B22mR),
+                                  (P2, A13, B13, A23mx, B23mR)):
+            np.multiply(x, A, out=out)
+            np.multiply(R, B, out=t)
+            out += t
+            out += am
+            out += bm
+        # s = (c1 P1 + c2 P2) / lambda_P,  e = b p + s
+        np.multiply(P1, c1, out=s)
+        np.multiply(P2, c2, out=t)
+        s += t
+        s /= lam_P
+        np.multiply(p, b, out=e)
+        e += s
+        # running costs (s - e)^2 dt / 2 and s^2 dt / 2
+        np.subtract(s, e, out=t)
+        np.square(t, out=t)
+        t *= half_dt
+        ja += t
+        np.square(s, out=t)
+        t *= half_dt
+        jp += t
+        # fx = a x + b^2 p + b s, into e
+        np.multiply(x, a, out=e)
+        np.multiply(p, bb, out=t)
+        e += t
+        np.multiply(s, b, out=t)
+        e += t
+        # fR = a R - b^2 (P1 + P2) + lambda_E b^2 p, into s
+        P1 += P2
+        P1 *= bb
+        np.multiply(R, a, out=s)
+        s -= P1
+        np.multiply(p, lam_E_bb, out=t)
+        s += t
+        e *= dt
+        x += e
+        x += sigma_dW[k]
+        s *= dt
+        R += s
+        if not np.isfinite(x, out=finite).all() or not np.isfinite(R, out=finite).all():
+            bad = np.argwhere(~(np.isfinite(x) & np.isfinite(R)))[0][0]
+            return k + 1, int(bad)
+    return None
+
+
 def simulate_costs(
     field: ClosedLoopField,
     n_paths: int,
@@ -82,39 +189,46 @@ def simulate_costs(
     """Per-path cost integrals and terminal state under the closed loop.
 
     Returns arrays (ja_integral, jp_integral, x_T) of length n_paths.  The
-    dynamics are stepped without retaining full trajectories, chunked over
-    the path range; chunking cannot change any output bit.
+    dynamics are stepped without retaining full trajectories, in blocks of
+    ``chunk_size`` paths run on a thread pool sized from the CPU affinity;
+    neither the block size nor the worker count can change any output bit.
+    A divergence is reported at the earliest step any path goes non-finite,
+    on the lowest such path, which is also independent of the blocking.
     """
     grid = field.sol.grid
-    params = field.params
-    dt = grid.dt
     if chunk_size is None:
         chunk_size = n_paths
     ja_int = np.empty(n_paths)
     jp_int = np.empty(n_paths)
     x_T = np.empty(n_paths)
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
+    nodes = _node_scalars(field)
+    blocks = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
+    # numpy's floating-point error state is per thread; carry the caller's
+    errstate = np.geterr()
+
+    def run(lo, hi):
         noise = sample_noise_block(grid, n_paths, seed, lo, hi)
-        dW = noise.increments
-        m = hi - lo
-        x = np.zeros(m)
-        R = np.zeros(m)
-        ja = np.zeros(m)
-        jp = np.zeros(m)
-        for k in range(grid.n_steps):
-            p, P1, P2, s, e = field.controls_at_index(k, x, R)
-            ja += (s - e) ** 2 * (0.5 * dt)
-            jp += s**2 * (0.5 * dt)
-            fx, fR = field.drift_terms(p, P1, P2, s, x, R)
-            x = x + fx * dt + params.sigma * dW[:, k]
-            R = R + fR * dt
-            if not np.all(np.isfinite(x)) or not np.all(np.isfinite(R)):
-                bad = np.argwhere(~(np.isfinite(x) & np.isfinite(R)))[0][0]
-                raise SimulationDivergedError(path=lo + int(bad), step=k + 1)
-        ja_int[lo:hi] = ja
-        jp_int[lo:hi] = jp
-        x_T[lo:hi] = x
+        with np.errstate(**errstate):
+            bad = _step_block(field, nodes, noise.increments,
+                              ja_int[lo:hi], jp_int[lo:hi], x_T[lo:hi])
+        return None if bad is None else (bad[0], lo + bad[1])
+
+    workers = min(_cpu_count(), len(blocks))
+    if workers == 1:
+        results = [run(lo, hi) for lo, hi in blocks]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(run, lo, hi) for lo, hi in blocks]
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    diverged = [r for r in results if r is not None]
+    if diverged:
+        step, path = min(diverged)
+        raise SimulationDivergedError(path=path, step=step)
     return ja_int, jp_int, x_T
 
 
@@ -134,10 +248,6 @@ def evaluate_contract(
     same inputs reproduce every estimate bit-exactly.
     """
     check_mode(p2_drift_mode)
-    if mult.lam_P < MIN_LAMBDA_P:
-        raise DegenerateMultiplierError(
-            f"lambda_P = {mult.lam_P:g} is below the floor {MIN_LAMBDA_P:g}"
-        )
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2 to form standard errors")
     grid = make_grid(params.T, n_steps)

@@ -76,10 +76,22 @@ def _raw_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:
     return raw[skip:]
 
 
-def _gaussian_draws(seed: int, n: int, offset: int = 0) -> np.ndarray:
+def _gaussian_draws(seed: int, n: int, offset: int, scale: float) -> np.ndarray:
+    """Standard Gaussian draws times ``scale``, mapped in place.
+
+    The same operations as ``ndtri(((raw >> 11) + 0.5) * 2**-53) * scale``,
+    so the bits are the same, but done in place on the raw words and on one
+    float array instead of through a temporary per operation.
+    """
     raw = _raw_stream(seed, n, offset)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    del raw
+    u += 0.5
+    u *= 2.0**-53
+    ndtri(u, out=u)
+    u *= scale
+    return u
 
 
 def _check_seed(seed: int) -> int:
@@ -111,8 +123,8 @@ def sample_noise_block(
         )
     n_block = path_stop - path_start
     n_steps = grid.n_steps
-    z = _gaussian_draws(seed, n_block * n_steps, offset=path_start * n_steps)
-    increments = z.reshape(n_block, n_steps) * np.sqrt(grid.dt)
+    z = _gaussian_draws(seed, n_block * n_steps, path_start * n_steps, np.sqrt(grid.dt))
+    increments = z.reshape(n_block, n_steps)
     return NoiseEnsemble(
         grid=grid,
         seed=seed,

@@ -37,8 +37,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import RiccatiBlowUpError
-from .model import AS_PRINTED, LqParams, cashflow_weights, check_mode
+from .errors import DegenerateMultiplierError, RiccatiBlowUpError
+from .model import AS_PRINTED, MIN_LAMBDA_P, LqParams, cashflow_weights, check_mode
 from .multipliers import MultiplierTriple
 from .sde import PathEnsemble
 from .timegrid import TimeGrid
@@ -217,8 +217,10 @@ def integrate_riccati(
     a genuine finite-time blow-up and must fail loudly rather than clip.
     """
     check_mode(p2_drift_mode)
-    if mult.lam_P < 0:
-        raise ValueError("lambda_P must be nonnegative")
+    if mult.lam_P < MIN_LAMBDA_P:
+        raise DegenerateMultiplierError(
+            f"lambda_P = {mult.lam_P:g} is below the floor {MIN_LAMBDA_P:g}"
+        )
     coeffs = np.empty((grid.n_points, 12))
     y = terminal_conditions(params, mult)
     coeffs[-1] = y

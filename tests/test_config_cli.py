@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,14 @@ def test_point_list_syntaxes():
     assert config.lam_P_points[-1] == pytest.approx(0.9)
     with pytest.raises(ConfigError):
         parse_config_text("lambda_P = 0.1:0.9")
+
+
+def test_range_endpoint_is_exact():
+    # start + (count - 1) * step overshoots stop by an ulp for these ranges
+    config = parse_config_text("case = ii\nlambda_P = 0.1:1.0:8")
+    assert len(config.lam_P_points) == 8 and config.lam_P_points[-1] == 1.0
+    config = parse_config_text("case = iv\ntheta = 0:1.5707963267948966:26")
+    assert len(config.theta_points) == 26 and config.theta_points[-1] == math.pi / 2
 
 
 def test_theta_points_validated():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,11 @@ def test_params_validation():
         LqParams(a=1, b=1, sigma=1, alpha=0.2, beta=1, T=0.0)
     with pytest.raises(ValueError):
         LqParams(a=1, b=1, sigma=1, alpha=0.2, beta=1, T=0.03, R0=-1)
+
+
+def test_params_must_be_finite():
+    finite = dict(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03, W0=-0.005, R0=0.06)
+    for key in finite:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=key):
+                LqParams(**{**finite, key: bad})

@@ -1,14 +1,18 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from mvcontract import (
     AS_PRINTED,
+    COEFF_NAMES,
     ETA_EQUALS_X,
     DegenerateMultiplierError,
     RiccatiBlowUpError,
+    RiccatiSolution,
+    SimulationDivergedError,
     closed_loop_field,
     convergence_study,
     evaluate_contract,
@@ -18,6 +22,7 @@ from mvcontract import (
     make_grid,
     sample_noise,
 )
+from mvcontract import montecarlo
 from mvcontract.montecarlo import simulate_costs
 
 
@@ -167,3 +172,46 @@ def test_prefix_paths_are_nested(ref_params, corner_triple):
     large = simulate_costs(field, 1_000, seed=37)
     for s_arr, l_arr in zip(small, large):
         assert np.array_equal(s_arr, l_arr[:500])
+
+
+def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
+    # hand-built coefficients: a spike in A11 at node 1 overflows only the
+    # path with the largest first increment, one at node 4 overflows every
+    # path; each chunking must report that path at step 2, even when the
+    # lowest chunk diverges only later
+    params = dataclasses.replace(ref_params, sigma=100.0)
+    n_paths, seed = 3_000, 3
+    grid = make_grid(params.T, 8)
+    x1 = params.sigma * sample_noise(grid, n_paths, seed).increments[:, 0]
+    order = np.argsort(np.abs(x1))
+    first, second = np.abs(x1[order[-1]]), np.abs(x1[order[-2]])
+    coeffs = np.zeros((grid.n_points, 12))
+    a11 = COEFF_NAMES.index("A11")
+    coeffs[1, a11] = np.finfo(float).max / np.sqrt(first * second)
+    coeffs[4, a11] = np.finfo(float).max
+    sol = RiccatiSolution(grid, params, corner_triple, coeffs, ETA_EQUALS_X)
+    field = closed_loop_field(params, sol, integrate_means(sol))
+    target = int(order[-1])
+    assert target >= 1_000
+    for chunk_size in (None, 1_000, 777):
+        with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
+            simulate_costs(field, n_paths, seed, chunk_size=chunk_size)
+        assert (excinfo.value.path, excinfo.value.step) == (target, 2)
+
+
+def test_oversubscribed_pool_is_bit_identical(ref_params, corner_triple, monkeypatch):
+    # more workers than cores and a short switch interval interleave the
+    # workers' writes into the shared output arrays as much as possible
+    grid = make_grid(ref_params.T, 16)
+    sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
+    field = closed_loop_field(ref_params, sol, integrate_means(sol))
+    inline = simulate_costs(field, 3_000, seed=41, chunk_size=None)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = simulate_costs(field, 3_000, seed=41, chunk_size=97)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(inline, pooled):
+        assert np.array_equal(a, b)

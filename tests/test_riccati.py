@@ -9,7 +9,9 @@ from mvcontract import (
     AS_PRINTED,
     ETA_EQUALS_X,
     COEFF_NAMES,
+    DegenerateMultiplierError,
     LqParams,
+    MultiplierTriple,
     RiccatiBlowUpError,
     RiccatiSolution,
     ansatz_residual,
@@ -167,6 +169,17 @@ def test_strong_feedback_blow_up_raises(ref_params, corner_triple):
     with pytest.raises(RiccatiBlowUpError) as excinfo, np.errstate(all="ignore"):
         integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED)
     assert 0.0 <= excinfo.value.t < ref_params.T
+
+
+def test_degenerate_lambda_P_rejected_before_integration(ref_params):
+    # at lambda_P = 0 the cash-flow map divides by zero; that must surface as
+    # a degenerate multiplier, not as a blow-up of the coefficient system
+    grid = make_grid(ref_params.T, 64)
+    unit = MultiplierTriple(lam_P=0.0, lam_E=-1.0 / math.sqrt(2.0),
+                            lam_V=-1.0 / math.sqrt(2.0))
+    for mult in (unit, from_case("ii", 0.0), dataclasses.replace(unit, lam_P=1e-7)):
+        with pytest.raises(DegenerateMultiplierError), np.errstate(all="ignore"):
+            integrate_riccati(ref_params, mult, grid, ETA_EQUALS_X)
 
 
 def test_blow_up_bound_configurable(ref_params, corner_triple):
