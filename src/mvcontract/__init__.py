@@ -29,7 +29,7 @@ from .model import (
     principal_hamiltonian,
     terminal_costs,
 )
-from .montecarlo import ContractEvaluation, convergence_study, evaluate_contract
+from .montecarlo import ContractEvaluation, closed_loop_paths, evaluate_contract
 from .multipliers import (
     FeasibilityVerdict,
     MultiplierTriple,
@@ -90,7 +90,8 @@ __all__ = [
     "ansatz_residual",
     "classify_feasibility",
     "closed_loop_field",
-    "convergence_study",
+    "closed_loop_paths",
+    "euler_maruyama",
     "evaluate_contract",
     "explicit_R",
     "from_case",

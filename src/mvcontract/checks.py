@@ -23,7 +23,7 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import evaluate_contract
+from .montecarlo import closed_loop_paths, evaluate_contract
 from .multipliers import sweep_grid
 from .noise import sample_noise
 from .riccati import (
@@ -65,32 +65,31 @@ def _grid_argmax(fn: Callable[[np.ndarray], np.ndarray], center: float, half_wid
     return float(grid[np.argmax(fn(grid))])
 
 
+def _solve(config: RunConfig, n_steps: int) -> RiccatiSolution:
+    grid = make_grid(config.params.T, n_steps)
+    return integrate_riccati(
+        config.params, _first_triple(config), grid, config.p2_drift_mode,
+        config.blow_up_bound,
+    )
+
+
 def check_terminal_conditions(config: RunConfig) -> CheckResult:
     name = "terminal_conditions"
-    mult = _first_triple(config)
-    grid = make_grid(config.params.T, config.n_steps)
     try:
-        sol = integrate_riccati(
-            config.params, mult, grid, config.p2_drift_mode, config.blow_up_bound
-        )
+        sol = _solve(config, config.n_steps)
     except RiccatiBlowUpError as exc:
         return _result(name, False, f"coefficient system blew up: {exc}")
-    expected = terminal_conditions(config.params, mult)
+    expected = terminal_conditions(config.params, sol.multipliers)
     err = np.max(np.abs(sol.terminal_values - expected) / np.maximum(np.abs(expected), 1.0))
     return _result(name, err <= 1e-14, f"max_rel_err={err:.3e} tol=1e-14")
 
 
-def _simulate_closed_loop(config: RunConfig, n_steps: int, n_paths: int):
-    mult = _first_triple(config)
-    grid = make_grid(config.params.T, n_steps)
-    sol = integrate_riccati(
-        config.params, mult, grid, config.p2_drift_mode, config.blow_up_bound
-    )
+def _simulate_closed_loop(config: RunConfig, sol: RiccatiSolution, n_paths: int):
+    """Means and closed-loop paths of a solution, on the config's seed."""
     means = integrate_means(sol)
-    field = closed_loop_field(config.params, sol, means)
-    noise = sample_noise(grid, n_paths, config.seed)
-    paths = euler_maruyama(field.drift, field.diffusion, field.init, noise, field.labels)
-    return sol, means, paths
+    field = closed_loop_field(sol.params, sol, means)
+    noise = sample_noise(sol.grid, n_paths, config.seed)
+    return means, closed_loop_paths(field, noise)
 
 
 def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = None) -> CheckResult:
@@ -99,12 +98,8 @@ def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = N
     n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
     try:
         if sol is None:
-            sol, means, paths = _simulate_closed_loop(config, RESIDUAL_CHECK_STEPS, n_paths)
-        else:
-            means = integrate_means(sol)
-            field = closed_loop_field(sol.params, sol, means)
-            noise = sample_noise(sol.grid, n_paths, config.seed)
-            paths = euler_maruyama(field.drift, field.diffusion, field.init, noise, field.labels)
+            sol = _solve(config, RESIDUAL_CHECK_STEPS)
+        means, paths = _simulate_closed_loop(config, sol, n_paths)
         report = ansatz_residual(sol, paths, means)
     except RiccatiBlowUpError as exc:
         return _result(name, False, f"coefficient system blew up: {exc}")
@@ -208,7 +203,7 @@ def check_mean_trajectory(config: RunConfig) -> CheckResult:
     name = "mean_trajectory"
     n_paths = min(config.n_paths, 20_000)
     try:
-        sol, means, paths = _simulate_closed_loop(config, config.n_steps, n_paths)
+        means, paths = _simulate_closed_loop(config, _solve(config, config.n_steps), n_paths)
     except RiccatiBlowUpError as exc:
         return _result(name, False, f"coefficient system blew up: {exc}")
     x = paths.component("x")
@@ -226,7 +221,8 @@ def check_explicit_r(config: RunConfig) -> CheckResult:
     name = "explicit_R_consistency"
     n_paths = min(config.n_paths, 5_000)
     try:
-        sol, means, paths = _simulate_closed_loop(config, config.n_steps, n_paths)
+        sol = _solve(config, config.n_steps)
+        _, paths = _simulate_closed_loop(config, sol, n_paths)
     except RiccatiBlowUpError as exc:
         return _result(name, False, f"coefficient system blew up: {exc}")
     x = paths.component("x")

@@ -173,6 +173,17 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if config.chunk_size < 1:
         raise ConfigError(f"chunk_size must be >= 1, got {config.chunk_size}")
+    for key in ("blow_up_bound", "residual_tol"):
+        value = getattr(config, key)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(config.feasibility_tol) and config.feasibility_tol >= 0.0):
+        raise ConfigError(
+            f"feasibility_tol must be finite and >= 0, got {config.feasibility_tol!r}"
+        )
+    for key in ("weak_effort", "weak_cashflow"):
+        if not math.isfinite(getattr(config, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(config, key)!r}")
     from .model import MIN_LAMBDA_P
 
     for lp in config.lam_P_points:

@@ -19,17 +19,21 @@ a thread pool with one worker per CPU the process may use.  Every per-path
 value is bit-identical no matter how the path range is split into blocks or
 how many workers run them; the final reductions run on the calling thread
 over fully assembled per-path arrays in a fixed order.
+
+``closed_loop_paths`` runs the same block step over a given noise ensemble
+and keeps (x, R) at every node; the checks read their closed-loop paths from
+it, so one stepper serves both the Monte-Carlo evaluation and the oracles.
 """
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .model import AS_PRINTED, LqParams, cashflow_weights, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
-from .noise import sample_noise_block
+from .noise import NoiseEnsemble, sample_noise_block
 from .riccati import (
     ClosedLoopField,
     closed_loop_field,
@@ -37,6 +41,7 @@ from .riccati import (
     integrate_riccati,
 )
 from .errors import SimulationDivergedError
+from .sde import PathEnsemble
 from .timegrid import make_grid
 
 DEFAULT_CHUNK_SIZE = 16384
@@ -104,15 +109,17 @@ def _node_scalars(field: ClosedLoopField) -> List[List[float]]:
     return np.column_stack(cols).tolist()
 
 
-def _step_block(field, nodes, dW, ja, jp, x) -> Optional[Tuple[int, int]]:
+def _step_block(field, nodes, dW, ja, jp, x, states=None) -> Optional[Tuple[int, int]]:
     """Step one block of paths through every node of the grid.
 
     ``dW`` holds the block's increments, one row per path.  The running cost
     integrals accumulate into ``ja`` and ``jp`` and the state ends in ``x``
-    (views of the caller's output arrays).  Every update is an ``out=`` ufunc
-    in the operation order of ``ClosedLoopField._controls`` and
-    ``drift_terms``, so each output bit matches the reference step.  Returns
-    None, or (step, path index within the block) of the first non-finite state.
+    (views of the caller's output arrays); ``states``, if given, with shape
+    (paths, n_points, 2), receives (x, R) at every node.  Every update is an
+    ``out=`` ufunc in the operation order of ``ClosedLoopField._controls``
+    and ``drift_terms``, so each output bit matches the reference step.
+    Returns None, or (step, path index within the block) of the first
+    non-finite state.
     """
     params = field.params
     a, b, dt = params.a, params.b, field.sol.grid.dt
@@ -130,6 +137,8 @@ def _step_block(field, nodes, dW, ja, jp, x) -> Optional[Tuple[int, int]]:
     x[...] = 0.0
     ja[...] = 0.0
     jp[...] = 0.0
+    if states is not None:
+        states[:, 0] = 0.0
     for k, (A11, B11, A21mx, B21mR,
             A12, B12, A22mx, B22mR,
             A13, B13, A23mx, B23mR) in enumerate(nodes):
@@ -174,6 +183,9 @@ def _step_block(field, nodes, dW, ja, jp, x) -> Optional[Tuple[int, int]]:
         x += sigma_dW[k]
         s *= dt
         R += s
+        if states is not None:
+            states[:, k + 1, 0] = x
+            states[:, k + 1, 1] = R
         if not np.isfinite(x, out=finite).all() or not np.isfinite(R, out=finite).all():
             bad = np.argwhere(~(np.isfinite(x) & np.isfinite(R)))[0][0]
             return k + 1, int(bad)
@@ -232,6 +244,31 @@ def simulate_costs(
     return ja_int, jp_int, x_T
 
 
+def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsemble:
+    """Closed-loop (x, R) trajectories driven by the given noise ensemble.
+
+    The paths are stepped inline, as one block, by the kernel behind
+    ``simulate_costs``, so x(T) carries the same bits as its ``x_T`` for the
+    same increments.  The result keeps ``noise`` for ``ansatz_residual``.
+
+    Raises
+    ------
+    SimulationDivergedError
+        At the earliest step any path goes non-finite, on the lowest such path.
+    """
+    grid = field.sol.grid
+    if noise.grid != grid:
+        raise ValueError("noise and closed-loop field live on different grids")
+    n = noise.n_paths
+    states = np.empty((n, grid.n_points, 2))
+    ja, jp, x_T = np.empty((3, n))
+    bad = _step_block(field, _node_scalars(field), noise.increments,
+                      ja, jp, x_T, states)
+    if bad is not None:
+        raise SimulationDivergedError(path=bad[1], step=bad[0])
+    return PathEnsemble(grid=grid, states=states, labels=("x", "R"), noise=noise)
+
+
 def evaluate_contract(
     params: LqParams,
     mult: MultiplierTriple,
@@ -278,41 +315,3 @@ def evaluate_contract(
         params=params,
         p2_drift_mode=p2_drift_mode,
     )
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    n_paths: int
-    n_steps: int
-    evaluation: ContractEvaluation
-
-
-def convergence_study(
-    params: LqParams,
-    mult: MultiplierTriple,
-    n_paths_list: Sequence[int],
-    n_steps_list: Sequence[int],
-    seed: int,
-    p2_drift_mode: str = AS_PRINTED,
-) -> List[StudyRow]:
-    """Evaluate over the (n_paths, n_steps) grid, n_steps-major ordering.
-
-    With a shared seed the first N paths of a larger run coincide with a
-    smaller run's paths (counter-based draws), so rows differ only by the
-    added paths or the refined step; useful for eyeballing 1/sqrt(N) error
-    decay and step-bias stabilization.
-    """
-    n_paths_list = list(n_paths_list)
-    n_steps_list = list(n_steps_list)
-    if not n_paths_list or not n_steps_list:
-        raise ValueError("n_paths_list and n_steps_list must be non-empty")
-    if sorted(n_paths_list) != n_paths_list or sorted(n_steps_list) != n_steps_list:
-        raise ValueError("study lists must be increasing")
-    rows = []
-    for n_steps in n_steps_list:
-        for n_paths in n_paths_list:
-            ev = evaluate_contract(
-                params, mult, n_paths, n_steps, seed, p2_drift_mode
-            )
-            rows.append(StudyRow(n_paths=n_paths, n_steps=n_steps, evaluation=ev))
-    return rows

@@ -141,63 +141,9 @@ class RiccatiSolution:
     def column(self, name: str) -> np.ndarray:
         return self.coeffs[:, _IDX[name]]
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name in _IDX:
-            return self.coeffs[:, _IDX[name]]
-        raise AttributeError(name)
-
     @property
     def terminal_values(self) -> np.ndarray:
         return self.coeffs[-1]
-
-    def coeffs_at(self, t: float) -> np.ndarray:
-        """All twelve coefficients at time t via piecewise-linear interpolation."""
-        return _interp_rows(self.grid, self.coeffs, t)
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint values and their noise loadings at one (t, x, R) point.
-
-    Matching the dW terms of the reconstructed processes forces the
-    loadings pointwise: q = A11 sigma, Q1 = A12 sigma, Q2 = A13 sigma.
-    """
-
-    p: np.ndarray
-    P1: np.ndarray
-    P2: np.ndarray
-    q: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
-
-
-def adjoint_state(
-    sol: "RiccatiSolution", t: float, x, R, m_x: float = 0.0, m_R: float = 0.0
-) -> AdjointState:
-    """Evaluate the adjoint representation at a time and state."""
-    row = sol.coeffs_at(t)
-    (A11, A21, B11, B21,
-     A12, A22, B12, B22,
-     A13, A23, B13, B23) = row
-    sigma = sol.params.sigma
-    return AdjointState(
-        p=A11 * x + B11 * R + A21 * m_x + B21 * m_R,
-        P1=A12 * x + B12 * R + A22 * m_x + B22 * m_R,
-        P2=A13 * x + B13 * R + A23 * m_x + B23 * m_R,
-        q=A11 * sigma + 0.0 * np.asarray(x),
-        Q1=A12 * sigma + 0.0 * np.asarray(x),
-        Q2=A13 * sigma + 0.0 * np.asarray(x),
-    )
-
-
-def _interp_rows(grid: TimeGrid, rows: np.ndarray, t: float) -> np.ndarray:
-    dt = grid.dt
-    pos = min(max(t / dt, 0.0), float(grid.n_steps))
-    k = min(int(pos), grid.n_steps - 1)
-    w = pos - k
-    if w == 0.0:
-        return rows[k]
-    return (1.0 - w) * rows[k] + w * rows[k + 1]
 
 
 def integrate_riccati(
@@ -263,21 +209,11 @@ def mean_matrix(sol: RiccatiSolution, coeff_row: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeanTrajectories:
-    """Deterministic means E[x], E[R] and the derived control/adjoint means."""
+    """Deterministic means E[x], E[R] on the grid."""
 
     grid: TimeGrid
     m_x: np.ndarray
     m_R: np.ndarray
-    m_p: np.ndarray
-    m_P1: np.ndarray
-    m_P2: np.ndarray
-    m_s: np.ndarray
-    m_e: np.ndarray
-
-    def at(self, t: float) -> np.ndarray:
-        """(E[x](t), E[R](t)) via piecewise-linear interpolation."""
-        rows = np.column_stack([self.m_x, self.m_R])
-        return _interp_rows(self.grid, rows, t)
 
 
 def integrate_means(sol: RiccatiSolution) -> MeanTrajectories:
@@ -307,34 +243,21 @@ def integrate_means(sol: RiccatiSolution) -> MeanTrajectories:
         k4 = M1 @ (y + h * k3)
         m[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    m_x, m_R = m[:, 0], m[:, 1]
-    c = sol.coeffs
-    m_p = (c[:, _IDX["A11"]] + c[:, _IDX["A21"]]) * m_x + (c[:, _IDX["B11"]] + c[:, _IDX["B21"]]) * m_R
-    m_P1 = (c[:, _IDX["A12"]] + c[:, _IDX["A22"]]) * m_x + (c[:, _IDX["B12"]] + c[:, _IDX["B22"]]) * m_R
-    m_P2 = (c[:, _IDX["A13"]] + c[:, _IDX["A23"]]) * m_x + (c[:, _IDX["B13"]] + c[:, _IDX["B23"]]) * m_R
-    c1, c2 = cashflow_weights(sol.params.b, sol.p2_drift_mode)
-    m_s = (c1 * m_P1 + c2 * m_P2) / sol.multipliers.lam_P
-    m_e = sol.params.b * m_p + m_s
-    return MeanTrajectories(
-        grid=grid, m_x=m_x, m_R=m_R, m_p=m_p, m_P1=m_P1, m_P2=m_P2, m_s=m_s, m_e=m_e
-    )
+    return MeanTrajectories(grid=grid, m_x=m[:, 0], m_R=m[:, 1])
 
 
 @dataclass(frozen=True)
 class ClosedLoopField:
-    """Drift and diffusion of (x, R) with the optimal controls substituted.
+    """The closed loop of (x, R) with the optimal controls substituted.
 
     The x-component diffuses with constant sigma; the R-component carries no
-    noise.  Between grid nodes the coefficients and means are interpolated
-    linearly, consistent with the first-order forward scheme.
+    noise.  Controls and drifts are read at grid nodes, with the coefficient
+    row and means of the node; ``montecarlo`` steps the paths.
     """
 
     params: LqParams
     sol: RiccatiSolution
     means: MeanTrajectories
-
-    labels = ("x", "R")
-    init = (0.0, 0.0)
 
     def controls_at_index(self, k: int, x: np.ndarray, R: np.ndarray):
         """Adjoint values and controls (p, P1, P2, s_bar, e_bar) at node k."""
@@ -362,19 +285,6 @@ class ClosedLoopField:
         fx = a * x + b * b * p + b * s
         fR = a * R - b * b * (P1 + P2) + lam_E * b * b * p
         return fx, fR
-
-    def drift(self, X: np.ndarray, t: float) -> np.ndarray:
-        row = self.sol.coeffs_at(t)
-        mx, mR = self.means.at(t)
-        x, R = X[:, 0], X[:, 1]
-        p, P1, P2, s, _ = self._controls(row, mx, mR, x, R)
-        fx, fR = self.drift_terms(p, P1, P2, s, x, R)
-        return np.column_stack([fx, fR])
-
-    def diffusion(self, X: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(X)
-        out[:, 0] = self.params.sigma
-        return out
 
 
 def closed_loop_field(

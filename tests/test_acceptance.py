@@ -25,6 +25,7 @@ from mvcontract import (
     agent_hamiltonian,
     ansatz_residual,
     closed_loop_field,
+    closed_loop_paths,
     euler_maruyama,
     evaluate_contract,
     from_case,
@@ -107,8 +108,7 @@ def test_criterion_2_residual_oracle_and_refinement():
         sol = integrate_riccati(params, mult, noise.grid, ETA_EQUALS_X)
         means = integrate_means(sol)
         field = closed_loop_field(params, sol, means)
-        paths = euler_maruyama(field.drift, field.diffusion, field.init, noise,
-                               field.labels)
+        paths = closed_loop_paths(field, noise)
         maxima.append(ansatz_residual(sol, paths, means).max_residual)
     ratios = [maxima[i] / maxima[i + 1] for i in range(3)]
     ok = maxima[0] <= 1e-3 and all(r >= 1.7 for r in ratios)

@@ -109,6 +109,20 @@ def test_lambda_floor_validated():
         parse_config_text("case = ii\nlambda_P = 0.0")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("blow_up_bound", "-1"), ("blow_up_bound", "0"), ("blow_up_bound", "nan"),
+    ("blow_up_bound", "inf"), ("residual_tol", "0"), ("residual_tol", "nan"),
+    ("feasibility_tol", "-5"), ("feasibility_tol", "nan"), ("feasibility_tol", "inf"),
+    ("weak_effort", "nan"), ("weak_cashflow", "inf"),
+])
+def test_bad_run_control_floats_rejected(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"{key} = {value}")
+    cfg = _write_fig_config(tmp_path, out_dir=str(tmp_path / "out"), **{key: value})
+    assert main(["riccati", "--config", cfg]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_apply_overrides():
     config = default_config()
     out = apply_overrides(config, {"seed": "99", "n_paths": "123", "case": "ii"})

@@ -14,7 +14,7 @@ from mvcontract import (
     RiccatiSolution,
     SimulationDivergedError,
     closed_loop_field,
-    convergence_study,
+    closed_loop_paths,
     evaluate_contract,
     from_case,
     integrate_means,
@@ -56,27 +56,40 @@ def test_chunking_never_changes_results(ref_params, corner_triple):
 
 def test_agent_integral_identity(ref_params, corner_triple):
     # along the optimal pair, s - e = -b p, so the agent's running cost is
-    # b^2 p^2 / 2 pathwise; recompute it that way from the same noise
+    # b^2 p^2 / 2 pathwise; recompute it that way from the same noise.  The
+    # reference loop also pins the one stepper: closed_loop_paths and
+    # simulate_costs must reproduce its (x, R) bit for bit at every node.
     n_paths, n_steps, seed = 2_000, 32, 17
     grid = make_grid(ref_params.T, n_steps)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
     means = integrate_means(sol)
     field = closed_loop_field(ref_params, sol, means)
     ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed, chunk_size=None)
+    noise = sample_noise(grid, n_paths, seed)
+    paths = closed_loop_paths(field, noise)
 
-    dW = sample_noise(grid, n_paths, seed).increments
+    dW = noise.increments
     x = np.zeros(n_paths)
     R = np.zeros(n_paths)
     ja_alt = np.zeros(n_paths)
     b = ref_params.b
     for k in range(n_steps):
+        assert np.array_equal(paths.component("x")[:, k], x)
+        assert np.array_equal(paths.component("R")[:, k], R)
         p, P1, P2, s, e = field.controls_at_index(k, x, R)
         ja_alt += (b * p) ** 2 * (0.5 * grid.dt)
         fx, fR = field.drift_terms(p, P1, P2, s, x, R)
         x = x + fx * grid.dt + ref_params.sigma * dW[:, k]
         R = R + fR * grid.dt
+    assert np.array_equal(paths.component("x")[:, -1], x)
+    assert np.array_equal(paths.component("R")[:, -1], R)
+    assert paths.labels == ("x", "R") and paths.noise is noise
     np.testing.assert_allclose(ja_int, ja_alt, rtol=1e-8, atol=1e-18)
     assert np.array_equal(x, x_T)
+    _, _, x_T_chunked = simulate_costs(field, n_paths, seed, chunk_size=777)
+    assert np.array_equal(x, x_T_chunked)
+    with pytest.raises(ValueError):
+        closed_loop_paths(field, sample_noise(make_grid(ref_params.T, 16), 10, seed))
 
 
 def test_variance_estimator_matches_two_pass(ref_params, corner_triple):
@@ -144,25 +157,6 @@ def test_blow_up_propagates(ref_params, corner_triple):
                           p2_drift_mode=AS_PRINTED)
 
 
-def test_convergence_study_shapes(ref_params, corner_triple):
-    rows = convergence_study(ref_params, corner_triple, [500], [16], seed=31,
-                             p2_drift_mode=ETA_EQUALS_X)
-    assert len(rows) == 1
-    rows = convergence_study(ref_params, corner_triple, [500, 1_000], [16, 32],
-                             seed=31, p2_drift_mode=ETA_EQUALS_X)
-    assert len(rows) == 4
-    assert [(r.n_steps, r.n_paths) for r in rows] == [
-        (16, 500), (16, 1_000), (32, 500), (32, 1_000)
-    ]
-
-
-def test_convergence_study_validates_lists(ref_params, corner_triple):
-    with pytest.raises(ValueError):
-        convergence_study(ref_params, corner_triple, [], [16], seed=1)
-    with pytest.raises(ValueError):
-        convergence_study(ref_params, corner_triple, [1_000, 500], [16], seed=1)
-
-
 def test_prefix_paths_are_nested(ref_params, corner_triple):
     # counter-based draws: the first N paths of a 2N-path run are the N-path run
     grid = make_grid(ref_params.T, 16)
@@ -177,8 +171,8 @@ def test_prefix_paths_are_nested(ref_params, corner_triple):
 def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
     # hand-built coefficients: a spike in A11 at node 1 overflows only the
     # path with the largest first increment, one at node 4 overflows every
-    # path; each chunking must report that path at step 2, even when the
-    # lowest chunk diverges only later
+    # path; each chunking, and closed_loop_paths, must report that path at
+    # step 2, even when the lowest chunk diverges only later
     params = dataclasses.replace(ref_params, sigma=100.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
@@ -193,9 +187,12 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
     field = closed_loop_field(params, sol, integrate_means(sol))
     target = int(order[-1])
     assert target >= 1_000
-    for chunk_size in (None, 1_000, 777):
+    runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
+            for cs in (None, 1_000, 777)]
+    runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
+    for run in runs:
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
-            simulate_costs(field, n_paths, seed, chunk_size=chunk_size)
+            run()
         assert (excinfo.value.path, excinfo.value.step) == (target, 2)
 
 

@@ -16,7 +16,7 @@ from mvcontract import (
     RiccatiSolution,
     ansatz_residual,
     closed_loop_field,
-    euler_maruyama,
+    closed_loop_paths,
     explicit_R,
     from_case,
     integrate_means,
@@ -25,7 +25,7 @@ from mvcontract import (
     sample_noise,
     terminal_conditions,
 )
-from mvcontract.riccati import adjoint_state, coefficient_rhs, mean_matrix
+from mvcontract.riccati import coefficient_rhs, mean_matrix
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}
 
@@ -56,8 +56,7 @@ def _simulate(params, mult, n_steps, n_paths, seed, mode):
     means = integrate_means(sol)
     field = closed_loop_field(params, sol, means)
     noise = sample_noise(grid, n_paths, seed)
-    paths = euler_maruyama(field.drift, field.diffusion, field.init, noise, field.labels)
-    return sol, means, paths
+    return sol, means, closed_loop_paths(field, noise)
 
 
 def test_terminal_conditions_exact(ref_params, corner_triple):
@@ -194,8 +193,6 @@ def test_means_vanish_for_zero_initial_state(ref_params, corner_triple):
     means = integrate_means(sol)
     assert np.all(means.m_x == 0.0)
     assert np.all(means.m_R == 0.0)
-    assert np.all(means.m_s == 0.0)
-    assert np.all(means.m_e == 0.0)
 
 
 def test_zeroed_coefficients_give_zero_mean_dynamics(ref_params, corner_triple):
@@ -236,18 +233,6 @@ def test_mean_matrix_decouples_without_mean_blocks(ref_params, corner_triple):
     np.testing.assert_allclose(mean_matrix(sol, row), expected, rtol=1e-14)
 
 
-def test_closed_loop_diffusion_structure(ref_params, corner_triple):
-    # output diffuses with constant sigma; the R component carries no noise
-    grid = make_grid(ref_params.T, 16)
-    sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    field = closed_loop_field(ref_params, sol, integrate_means(sol))
-    X = np.random.default_rng(0).normal(size=(7, 2))
-    for t in (0.0, 0.013, ref_params.T):
-        diff = field.diffusion(X, t)
-        assert np.all(diff[:, 0] == ref_params.sigma)
-        assert np.all(diff[:, 1] == 0.0)
-
-
 def test_closed_loop_terminal_controls(ref_params):
     # at the horizon with lambda_V = 0 and (x, R) = (1, 0) the adjoint values
     # reduce to their terminal weights
@@ -271,10 +256,11 @@ def test_zero_effort_gain_decouples_output(ref_params, corner_triple):
     sol = integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X)
     field = closed_loop_field(params, sol, integrate_means(sol))
     rng = np.random.default_rng(1)
-    X = rng.normal(size=(20, 2))
-    for t in (0.0, 0.01):
-        drift = field.drift(X, t)
-        np.testing.assert_allclose(drift[:, 0], params.a * X[:, 0], rtol=1e-14)
+    x, R = rng.normal(size=(2, 20))
+    for k in (0, 5, grid.n_steps):
+        p, P1, P2, s, _ = field.controls_at_index(k, x, R)
+        fx, _ = field.drift_terms(p, P1, P2, s, x, R)
+        np.testing.assert_allclose(fx, params.a * x, rtol=1e-14)
 
 
 def test_simulated_mean_matches_integrated_mean(ref_params, corner_triple):
@@ -331,29 +317,6 @@ def test_residual_validates_inputs(ref_params, corner_triple):
     stripped = dataclasses.replace(paths, noise=None)
     with pytest.raises(ValueError):
         ansatz_residual(sol, stripped)
-
-
-def test_adjoint_loadings_match_coefficients(ref_params, corner_triple):
-    grid = make_grid(ref_params.T, 32)
-    sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    t = grid.points[10]
-    state = adjoint_state(sol, t, x=0.3, R=-0.2)
-    assert state.q == sol.column("A11")[10] * ref_params.sigma
-    assert state.Q1 == sol.column("A12")[10] * ref_params.sigma
-    assert state.Q2 == sol.column("A13")[10] * ref_params.sigma
-    assert state.p == sol.column("A11")[10] * 0.3 + sol.column("B11")[10] * (-0.2)
-
-
-def test_coefficient_interpolation():
-    params = LqParams(a=1, b=1, sigma=1, alpha=0.2, beta=1, T=0.03)
-    mult = from_case("ii", 0.5)
-    grid = make_grid(params.T, 16)
-    sol = integrate_riccati(params, mult, grid, ETA_EQUALS_X)
-    assert np.array_equal(sol.coeffs_at(grid.points[5]), sol.coeffs[5])
-    mid = 0.5 * (grid.points[5] + grid.points[6])
-    np.testing.assert_allclose(
-        sol.coeffs_at(mid), 0.5 * (sol.coeffs[5] + sol.coeffs[6]), rtol=1e-12
-    )
 
 
 def _constant_coefficient_solution(decay, forcing, T=0.03, n_steps=256):
