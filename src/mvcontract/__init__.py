@@ -41,13 +41,10 @@ from .noise import NoiseEnsemble, sample_noise, sample_noise_block
 from .riccati import (
     COEFF_NAMES,
     ClosedLoopField,
-    MeanTrajectories,
     ResidualReport,
     RiccatiSolution,
     ansatz_residual,
-    closed_loop_field,
     explicit_R,
-    integrate_means,
     integrate_riccati,
     terminal_conditions,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "FeasibilityVerdict",
     "FocReport",
     "LqParams",
-    "MeanTrajectories",
     "MultiplierTriple",
     "NoiseEnsemble",
     "PathEnsemble",
@@ -89,14 +85,12 @@ __all__ = [
     "agent_hamiltonian",
     "ansatz_residual",
     "classify_feasibility",
-    "closed_loop_field",
     "closed_loop_paths",
     "euler_maruyama",
     "evaluate_contract",
     "explicit_R",
     "from_case",
     "hidden_action_foc_check",
-    "integrate_means",
     "integrate_riccati",
     "make_grid",
     "optimal_cashflow",

@@ -27,20 +27,21 @@ from .montecarlo import closed_loop_paths, evaluate_contract
 from .multipliers import sweep_grid
 from .noise import sample_noise
 from .riccati import (
+    ClosedLoopField,
     RiccatiSolution,
     ansatz_residual,
-    closed_loop_field,
     explicit_R,
-    integrate_means,
     integrate_riccati,
     terminal_conditions,
 )
-from .sde import euler_maruyama
+from .sde import PathEnsemble, euler_maruyama
 from .timegrid import make_grid
 from .weak import hidden_action_foc_check, reweighted_expectation, simulate_density
 
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
+MEAN_CHECK_MAX_PATHS = 20_000
+EXPLICIT_R_MAX_PATHS = 5_000
 
 
 @dataclass(frozen=True)
@@ -73,23 +74,16 @@ def _solve(config: RunConfig, n_steps: int) -> RiccatiSolution:
     )
 
 
-def check_terminal_conditions(config: RunConfig) -> CheckResult:
-    name = "terminal_conditions"
-    try:
-        sol = _solve(config, config.n_steps)
-    except RiccatiBlowUpError as exc:
-        return _result(name, False, f"coefficient system blew up: {exc}")
-    expected = terminal_conditions(config.params, sol.multipliers)
+def check_terminal_conditions(sol: RiccatiSolution) -> CheckResult:
+    expected = terminal_conditions(sol.params, sol.multipliers)
     err = np.max(np.abs(sol.terminal_values - expected) / np.maximum(np.abs(expected), 1.0))
-    return _result(name, err <= 1e-14, f"max_rel_err={err:.3e} tol=1e-14")
+    return _result("terminal_conditions", err <= 1e-14, f"max_rel_err={err:.3e} tol=1e-14")
 
 
-def _simulate_closed_loop(config: RunConfig, sol: RiccatiSolution, n_paths: int):
-    """Means and closed-loop paths of a solution, on the config's seed."""
-    means = integrate_means(sol)
-    field = closed_loop_field(sol.params, sol, means)
+def _simulate_closed_loop(config: RunConfig, sol: RiccatiSolution, n_paths: int) -> PathEnsemble:
+    """Closed-loop paths of a solution, on the config's seed."""
     noise = sample_noise(sol.grid, n_paths, config.seed)
-    return means, closed_loop_paths(field, noise)
+    return closed_loop_paths(ClosedLoopField(sol), noise)
 
 
 def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = None) -> CheckResult:
@@ -99,10 +93,9 @@ def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = N
     try:
         if sol is None:
             sol = _solve(config, RESIDUAL_CHECK_STEPS)
-        means, paths = _simulate_closed_loop(config, sol, n_paths)
-        report = ansatz_residual(sol, paths, means)
+        report = ansatz_residual(sol, _simulate_closed_loop(config, sol, n_paths))
     except RiccatiBlowUpError as exc:
-        return _result(name, False, f"coefficient system blew up: {exc}")
+        return _result(name, False, str(exc))
     ok = report.max_residual <= config.residual_tol
     return _result(
         name, ok,
@@ -199,34 +192,27 @@ def check_b0_variance(config: RunConfig) -> CheckResult:
     )
 
 
-def check_mean_trajectory(config: RunConfig) -> CheckResult:
+def check_mean_trajectory(paths: PathEnsemble) -> CheckResult:
+    """The MC mean of x against its exact value: E[x] = 0 at every node."""
     name = "mean_trajectory"
-    n_paths = min(config.n_paths, 20_000)
-    try:
-        means, paths = _simulate_closed_loop(config, _solve(config, config.n_steps), n_paths)
-    except RiccatiBlowUpError as exc:
-        return _result(name, False, f"coefficient system blew up: {exc}")
     x = paths.component("x")
     mc_mean = x.mean(axis=0)
-    mc_se = x.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    gaps = np.abs(mc_mean - means.m_x)
+    mc_se = x.std(axis=0, ddof=1) / math.sqrt(paths.n_paths)
+    gaps = np.abs(mc_mean)
     # node 0 is pinned exactly; later nodes get a 3-standard-error band
     ok = gaps[0] == 0.0 and np.all(gaps[1:] <= 3.0 * mc_se[1:])
     worst = float(np.max(gaps[1:] / np.maximum(mc_se[1:], 1e-300)))
     return _result(name, ok, f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}")
 
 
-def check_explicit_r(config: RunConfig) -> CheckResult:
-    """Two independent integrators of the R-equation must track each other."""
+def check_explicit_r(sol: RiccatiSolution, paths: PathEnsemble) -> CheckResult:
+    """Two independent integrators of the R-equation must track each other.
+
+    Reads the first ``EXPLICIT_R_MAX_PATHS`` paths of the ensemble.
+    """
     name = "explicit_R_consistency"
-    n_paths = min(config.n_paths, 5_000)
-    try:
-        sol = _solve(config, config.n_steps)
-        _, paths = _simulate_closed_loop(config, sol, n_paths)
-    except RiccatiBlowUpError as exc:
-        return _result(name, False, f"coefficient system blew up: {exc}")
-    x = paths.component("x")
-    r_euler = paths.component("R")
+    x = paths.component("x")[:EXPLICIT_R_MAX_PATHS]
+    r_euler = paths.component("R")[:EXPLICIT_R_MAX_PATHS]
     r_quad = explicit_R(sol, x)
     diff = float(np.abs(r_quad - r_euler).max())
     # both schemes are first order; their gap scales with dt times the
@@ -240,17 +226,34 @@ def check_explicit_r(config: RunConfig) -> CheckResult:
 
 
 def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = None) -> List[CheckResult]:
-    """The full oracle suite behind ``mvcontract check``."""
+    """The full oracle suite behind ``mvcontract check``.
+
+    The terminal-condition, mean-trajectory and explicit-R checks share one
+    ``n_steps`` solve and one closed-loop path set; if the solve blows up,
+    all three fail with its message.
+    """
+    try:
+        sol = _solve(config, config.n_steps)
+        paths = _simulate_closed_loop(config, sol, min(config.n_paths, MEAN_CHECK_MAX_PATHS))
+    except RiccatiBlowUpError as exc:
+        terminal, mean, explicit = (
+            _result(name, False, str(exc))
+            for name in ("terminal_conditions", "mean_trajectory", "explicit_R_consistency")
+        )
+    else:
+        terminal = check_terminal_conditions(sol)
+        mean = check_mean_trajectory(paths)
+        explicit = check_explicit_r(sol, paths)
     results = [
-        check_terminal_conditions(config),
+        terminal,
         check_riccati_residual(config),
         check_argmax_agent(config),
         check_argmax_principal(config, AS_PRINTED),
         check_argmax_principal(config, ETA_EQUALS_X),
         check_density_martingale(config),
         check_b0_variance(config),
-        check_mean_trajectory(config),
-        check_explicit_r(config),
+        mean,
+        explicit,
     ]
     if coeff_sol is not None:
         results.extend(check_coefficient_file(config, coeff_sol))
@@ -307,7 +310,7 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     weak_est, weak_se = reweighted_expectation(x_T, gamma_T)
     analytic = params.b * e0 * params.T
 
-    strong_noise = sample_noise(grid, n_paths, config.seed + 1)
+    strong_noise = sample_noise(grid, n_paths, (config.seed + 1) % 2**64)
     strong = euler_maruyama(
         lambda X, t: params.b * e0, lambda X, t: params.sigma, 0.0, strong_noise
     )

@@ -42,7 +42,7 @@ from .errors import (
 from .model import LqParams
 from .montecarlo import evaluate_contract
 from .multipliers import MultiplierTriple, classify_feasibility, sweep_grid
-from .riccati import COEFF_NAMES, RiccatiSolution, integrate_means, integrate_riccati
+from .riccati import COEFF_NAMES, RiccatiSolution, integrate_riccati
 from .timegrid import make_grid
 
 EXIT_OK = 0
@@ -85,8 +85,12 @@ def _mult_meta(mult: MultiplierTriple) -> str:
     )
 
 
-def write_riccati_csv(path: str, sol: RiccatiSolution, means) -> None:
-    header = "t," + ",".join(COEFF_NAMES) + ",m_x,m_R"
+#: riccati.csv columns; the means m_x, m_R vanish identically and are written as 0.0.
+RICCATI_COLUMNS = ("t",) + COEFF_NAMES + ("m_x", "m_R")
+
+
+def write_riccati_csv(path: str, sol: RiccatiSolution) -> None:
+    header = ",".join(RICCATI_COLUMNS)
     meta = (
         f"# {_params_meta(sol.params)} {_mult_meta(sol.multipliers)} "
         f"p2_drift_mode={sol.p2_drift_mode}"
@@ -98,7 +102,7 @@ def write_riccati_csv(path: str, sol: RiccatiSolution, means) -> None:
         for k in range(sol.grid.n_points):
             row = [_fmt(times[k])]
             row += [_fmt(v) for v in sol.coeffs[k]]
-            row += [_fmt(means.m_x[k]), _fmt(means.m_R[k])]
+            row += ["0.0", "0.0"]
             fh.write(",".join(row) + "\n")
 
 
@@ -126,13 +130,38 @@ def load_riccati_csv(path: str) -> RiccatiSolution:
         mode = meta["p2_drift_mode"]
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad metadata line: {exc}") from None
-    expected_header = "t," + ",".join(COEFF_NAMES) + ",m_x,m_R"
-    if lines[1] != expected_header:
+    if lines[1] != ",".join(RICCATI_COLUMNS):
         raise ConfigError(f"{path}: unexpected header {lines[1]!r}")
-    data = np.array([
-        [float(v) for v in ln.split(",")] for ln in lines[2:] if ln
-    ])
-    grid = make_grid(params.T, data.shape[0] - 1)
+    rows, line_nos = [], []
+    for line_no, ln in enumerate(lines[2:], start=3):
+        if not ln:
+            continue
+        fields = ln.split(",")
+        if len(fields) != len(RICCATI_COLUMNS):
+            raise ConfigError(f"{path}, line {line_no}: {len(fields)} fields, "
+                              f"expected {len(RICCATI_COLUMNS)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {line_no}: {exc}") from None
+        line_nos.append(line_no)
+    if len(rows) < 3:
+        raise ConfigError(f"{path}: {len(rows)} coefficient rows, a grid needs at least 3")
+    data = np.array(rows)
+    column = np.array(RICCATI_COLUMNS)
+
+    def reject(mask, what):
+        if mask.any():
+            k, j = np.argwhere(mask)[0]
+            raise ConfigError(f"{path}, line {line_nos[k]}: "
+                              f"{column[j]} = {float(data[k, j])!r} {what}")
+
+    reject(~np.isfinite(data), "is not finite")
+    reject((data != 0.0) & np.isin(column, ("m_x", "m_R")),
+           "is not 0; the means vanish identically")
+    grid = make_grid(params.T, len(rows) - 1)
+    reject((data != grid.points[:, None]) & (column == "t"),
+           f"is not the node of the {grid.n_steps}-step grid on [0, {params.T!r}]")
     return RiccatiSolution(
         grid=grid, params=params, multipliers=mult,
         coeffs=data[:, 1:13].copy(), p2_drift_mode=mode,
@@ -152,10 +181,9 @@ def cmd_riccati(config: RunConfig) -> int:
     sol = integrate_riccati(
         config.params, mult, grid, config.p2_drift_mode, config.blow_up_bound
     )
-    means = integrate_means(sol)
     os.makedirs(config.out_dir, exist_ok=True)
     out_path = os.path.join(config.out_dir, "riccati.csv")
-    write_riccati_csv(out_path, sol, means)
+    write_riccati_csv(out_path, sol)
     print(f"wrote {out_path} ({grid.n_points} rows, {_mult_meta(mult)})")
     return EXIT_OK
 

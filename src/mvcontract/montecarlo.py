@@ -1,8 +1,9 @@
 """Monte-Carlo evaluation of contract costs and terminal-output variance.
 
 For a multiplier triple the pipeline is: integrate the backward coefficient
-system, solve the averaged dynamics, assemble the closed-loop field, and
-run the Euler scheme over seeded Brownian increments.  Per path,
+system, assemble the closed-loop field, and run the Euler scheme over
+seeded Brownian increments.  The means E[x], E[R] vanish identically, so
+the step reads only the state blocks of the coefficients.  Per path,
 
     J_A-path = sum_k (s_k - e_k)^2 / 2 * dt - alpha x_T^2 / 2,
     J_P-path = sum_k  s_k^2        / 2 * dt - beta  x_T^2 / 2,
@@ -34,12 +35,7 @@ import numpy as np
 from .model import AS_PRINTED, LqParams, cashflow_weights, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
 from .noise import NoiseEnsemble, sample_noise_block
-from .riccati import (
-    ClosedLoopField,
-    closed_loop_field,
-    integrate_means,
-    integrate_riccati,
-)
+from .riccati import ClosedLoopField, integrate_riccati
 from .errors import SimulationDivergedError
 from .sde import PathEnsemble
 from .timegrid import make_grid
@@ -92,20 +88,10 @@ def _cpu_count() -> int:
 def _node_scalars(field: ClosedLoopField) -> List[List[float]]:
     """Per-node scalars of the closed-loop step, in the order ``_step_block`` reads them.
 
-    Each row is (A11, B11, A21 m_x, B21 m_R, A12, B12, A22 m_x, B22 m_R,
-    A13, B13, A23 m_x, B23 m_R) at a left-endpoint node; the products are the
-    ones ``ClosedLoopField._controls`` forms, so the bits are the same.
+    Each row is (A11, B11, A12, B12, A13, B13) at a left-endpoint node.
     """
     n = field.sol.grid.n_steps
-    mx = field.means.m_x[:n]
-    mR = field.means.m_R[:n]
-
-    def col(name):
-        return field.sol.column(name)[:n]
-
-    cols = []
-    for i in "123":
-        cols += [col("A1" + i), col("B1" + i), col("A2" + i) * mx, col("B2" + i) * mR]
+    cols = [field.sol.column(name)[:n] for name in ("A11", "B11", "A12", "B12", "A13", "B13")]
     return np.column_stack(cols).tolist()
 
 
@@ -116,7 +102,7 @@ def _step_block(field, nodes, dW, ja, jp, x, states=None) -> Optional[Tuple[int,
     integrals accumulate into ``ja`` and ``jp`` and the state ends in ``x``
     (views of the caller's output arrays); ``states``, if given, with shape
     (paths, n_points, 2), receives (x, R) at every node.  Every update is an
-    ``out=`` ufunc in the operation order of ``ClosedLoopField._controls``
+    ``out=`` ufunc in the operation order of ``ClosedLoopField.controls_at_index``
     and ``drift_terms``, so each output bit matches the reference step.
     Returns None, or (step, path index within the block) of the first
     non-finite state.
@@ -139,17 +125,11 @@ def _step_block(field, nodes, dW, ja, jp, x, states=None) -> Optional[Tuple[int,
     jp[...] = 0.0
     if states is not None:
         states[:, 0] = 0.0
-    for k, (A11, B11, A21mx, B21mR,
-            A12, B12, A22mx, B22mR,
-            A13, B13, A23mx, B23mR) in enumerate(nodes):
-        for out, A, B, am, bm in ((p, A11, B11, A21mx, B21mR),
-                                  (P1, A12, B12, A22mx, B22mR),
-                                  (P2, A13, B13, A23mx, B23mR)):
+    for k, (A11, B11, A12, B12, A13, B13) in enumerate(nodes):
+        for out, A, B in ((p, A11, B11), (P1, A12, B12), (P2, A13, B13)):
             np.multiply(x, A, out=out)
             np.multiply(R, B, out=t)
             out += t
-            out += am
-            out += bm
         # s = (c1 P1 + c2 P2) / lambda_P,  e = b p + s
         np.multiply(P1, c1, out=s)
         np.multiply(P2, c2, out=t)
@@ -290,8 +270,7 @@ def evaluate_contract(
     grid = make_grid(params.T, n_steps)
     kwargs = {} if blow_up_bound is None else {"blow_up_bound": blow_up_bound}
     sol = integrate_riccati(params, mult, grid, p2_drift_mode, **kwargs)
-    means = integrate_means(sol)
-    field = closed_loop_field(params, sol, means)
+    field = ClosedLoopField(sol)
     ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed, chunk_size)
 
     agent_term, principal_term = terminal_costs(x_T, params.alpha, params.beta)

@@ -20,16 +20,15 @@ import pytest
 from mvcontract import (
     AS_PRINTED,
     ETA_EQUALS_X,
+    ClosedLoopField,
     LqParams,
     RiccatiBlowUpError,
     agent_hamiltonian,
     ansatz_residual,
-    closed_loop_field,
     closed_loop_paths,
     euler_maruyama,
     evaluate_contract,
     from_case,
-    integrate_means,
     integrate_riccati,
     make_grid,
     optimal_cashflow,
@@ -106,10 +105,8 @@ def test_criterion_2_residual_oracle_and_refinement():
     for n_steps in levels:
         noise = fine_noise.coarsened(levels[-1] // n_steps)
         sol = integrate_riccati(params, mult, noise.grid, ETA_EQUALS_X)
-        means = integrate_means(sol)
-        field = closed_loop_field(params, sol, means)
-        paths = closed_loop_paths(field, noise)
-        maxima.append(ansatz_residual(sol, paths, means).max_residual)
+        paths = closed_loop_paths(ClosedLoopField(sol), noise)
+        maxima.append(ansatz_residual(sol, paths).max_residual)
     ratios = [maxima[i] / maxima[i + 1] for i in range(3)]
     ok = maxima[0] <= 1e-3 and all(r >= 1.7 for r in ratios)
     detail = (f"max_residual@256={maxima[0]:.2e} tol=1e-3, "

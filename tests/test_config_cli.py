@@ -265,12 +265,67 @@ def test_cmd_check_reports_failed_invariant(tmp_path, capsys):
     assert "FAIL file_riccati_residual" in captured.out
 
 
+@pytest.mark.parametrize("column, corrupt, message", [
+    (3, lambda v: "nan", "B11 = nan is not finite"),
+    (0, lambda v: repr(float(v) + 1e-3), "is not the node"),
+    (14, lambda v: "1e-300", "m_R = 1e-300 is not 0"),
+    (None, None, "14 fields, expected 15"),
+], ids=["non_finite", "off_grid_t", "nonzero_mean", "field_count"])
+def test_cmd_check_rejects_bad_coefficient_table(tmp_path, capsys, column, corrupt, message):
+    cfg = _write_fig_config(tmp_path, out_dir=str(tmp_path / "out"))
+    assert main(["riccati", "--config", cfg]) == EXIT_OK
+    csv_path = tmp_path / "out" / "riccati.csv"
+    lines = csv_path.read_text().splitlines()
+    row = lines[7].split(",")  # file line 8
+    if column is None:
+        row.pop()
+    else:
+        row[column] = corrupt(row[column])
+    lines[7] = ",".join(row)
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--coeffs", str(csv_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {csv_path}, line 8: " in err
+    assert message in err
+
+
+def test_load_riccati_csv_needs_a_grid(tmp_path):
+    cfg = _write_fig_config(tmp_path, out_dir=str(tmp_path / "out"))
+    assert main(["riccati", "--config", cfg]) == EXIT_OK
+    csv_path = tmp_path / "out" / "riccati.csv"
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join(lines[:4]) + "\n\n")
+    with pytest.raises(ConfigError, match="2 coefficient rows"):
+        load_riccati_csv(str(csv_path))
+
+
+def test_cmd_check_blow_up_fails_the_coefficient_checks(capsys):
+    # the as_printed corner blows up: the checks that need the coefficient
+    # solution fail, naming the blow-up once each; the others still run
+    with np.errstate(all="ignore"):
+        rc = main(["check", "--p2-mode", "as_printed", "--paths", "4000"])
+    assert rc == EXIT_ORACLE
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith(("PASS ", "FAIL "))]
+    failed = {ln.split()[1].rstrip(":"): ln for ln in lines if ln.startswith("FAIL ")}
+    assert set(failed) == {"terminal_conditions", "riccati_residual",
+                           "mean_trajectory", "explicit_R_consistency"}
+    assert all(ln.count("blew up") == 1 for ln in failed.values())
+    assert sum(ln.startswith("PASS ") for ln in lines) == 5
+
+
 def test_cmd_weakcheck(tmp_path, capsys):
     cfg = _write_fig_config(tmp_path, n_paths=20000)
     assert main(["weakcheck", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS martingale_mean" in out
     assert "PASS weak_strong_agreement" in out
+
+
+def test_cmd_weakcheck_largest_seed():
+    # the strong ensemble's seed wraps to 0 instead of leaving the 64-bit range
+    assert main(["weakcheck", "--seed", str(2**64 - 1), "--paths", "2000"]) == EXIT_OK
 
 
 def test_cmd_weakcheck_zero_effort_density_is_unit(tmp_path, capsys):

@@ -9,15 +9,14 @@ from mvcontract import (
     AS_PRINTED,
     COEFF_NAMES,
     ETA_EQUALS_X,
+    ClosedLoopField,
     DegenerateMultiplierError,
     RiccatiBlowUpError,
     RiccatiSolution,
     SimulationDivergedError,
-    closed_loop_field,
     closed_loop_paths,
     evaluate_contract,
     from_case,
-    integrate_means,
     integrate_riccati,
     make_grid,
     sample_noise,
@@ -62,8 +61,7 @@ def test_agent_integral_identity(ref_params, corner_triple):
     n_paths, n_steps, seed = 2_000, 32, 17
     grid = make_grid(ref_params.T, n_steps)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    means = integrate_means(sol)
-    field = closed_loop_field(ref_params, sol, means)
+    field = ClosedLoopField(sol)
     ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed, chunk_size=None)
     noise = sample_noise(grid, n_paths, seed)
     paths = closed_loop_paths(field, noise)
@@ -98,7 +96,7 @@ def test_variance_estimator_matches_two_pass(ref_params, corner_triple):
                            p2_drift_mode=ETA_EQUALS_X)
     grid = make_grid(ref_params.T, n_steps)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    field = closed_loop_field(ref_params, sol, integrate_means(sol))
+    field = ClosedLoopField(sol)
     _, _, x_T = simulate_costs(field, n_paths, seed)
     assert ev.var_xt == np.var(x_T, ddof=1)
     assert ev.var_xt >= 0.0
@@ -158,14 +156,18 @@ def test_blow_up_propagates(ref_params, corner_triple):
 
 
 def test_prefix_paths_are_nested(ref_params, corner_triple):
-    # counter-based draws: the first N paths of a 2N-path run are the N-path run
+    # counter-based draws: the first N paths of a 2N-path run are the N-path
+    # run, for the cost integrals and for the recorded closed-loop paths
     grid = make_grid(ref_params.T, 16)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    field = closed_loop_field(ref_params, sol, integrate_means(sol))
+    field = ClosedLoopField(sol)
     small = simulate_costs(field, 500, seed=37)
     large = simulate_costs(field, 1_000, seed=37)
     for s_arr, l_arr in zip(small, large):
         assert np.array_equal(s_arr, l_arr[:500])
+    small = closed_loop_paths(field, sample_noise(grid, 500, seed=37))
+    large = closed_loop_paths(field, sample_noise(grid, 1_000, seed=37))
+    assert np.array_equal(small.states, large.states[:500])
 
 
 def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
@@ -184,7 +186,7 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
     coeffs[1, a11] = np.finfo(float).max / np.sqrt(first * second)
     coeffs[4, a11] = np.finfo(float).max
     sol = RiccatiSolution(grid, params, corner_triple, coeffs, ETA_EQUALS_X)
-    field = closed_loop_field(params, sol, integrate_means(sol))
+    field = ClosedLoopField(sol)
     target = int(order[-1])
     assert target >= 1_000
     runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
@@ -201,7 +203,7 @@ def test_oversubscribed_pool_is_bit_identical(ref_params, corner_triple, monkeyp
     # workers' writes into the shared output arrays as much as possible
     grid = make_grid(ref_params.T, 16)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    field = closed_loop_field(ref_params, sol, integrate_means(sol))
+    field = ClosedLoopField(sol)
     inline = simulate_costs(field, 3_000, seed=41, chunk_size=None)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     interval = sys.getswitchinterval()

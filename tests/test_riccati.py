@@ -9,23 +9,22 @@ from mvcontract import (
     AS_PRINTED,
     ETA_EQUALS_X,
     COEFF_NAMES,
+    ClosedLoopField,
     DegenerateMultiplierError,
     LqParams,
     MultiplierTriple,
     RiccatiBlowUpError,
     RiccatiSolution,
     ansatz_residual,
-    closed_loop_field,
     closed_loop_paths,
     explicit_R,
     from_case,
-    integrate_means,
     integrate_riccati,
     make_grid,
     sample_noise,
     terminal_conditions,
 )
-from mvcontract.riccati import coefficient_rhs, mean_matrix
+from mvcontract.riccati import coefficient_rhs
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}
 
@@ -53,10 +52,8 @@ def _random_instance(rng):
 def _simulate(params, mult, n_steps, n_paths, seed, mode):
     grid = make_grid(params.T, n_steps)
     sol = integrate_riccati(params, mult, grid, mode)
-    means = integrate_means(sol)
-    field = closed_loop_field(params, sol, means)
     noise = sample_noise(grid, n_paths, seed)
-    return sol, means, closed_loop_paths(field, noise)
+    return sol, closed_loop_paths(ClosedLoopField(sol), noise)
 
 
 def test_terminal_conditions_exact(ref_params, corner_triple):
@@ -187,59 +184,13 @@ def test_blow_up_bound_configurable(ref_params, corner_triple):
         integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X, blow_up_bound=1.0)
 
 
-def test_means_vanish_for_zero_initial_state(ref_params, corner_triple):
-    grid = make_grid(ref_params.T, 64)
-    sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
-    means = integrate_means(sol)
-    assert np.all(means.m_x == 0.0)
-    assert np.all(means.m_R == 0.0)
-
-
-def test_zeroed_coefficients_give_zero_mean_dynamics(ref_params, corner_triple):
-    grid = make_grid(ref_params.T, 8)
-    zero_sol = RiccatiSolution(
-        grid=grid, params=ref_params, multipliers=corner_triple,
-        coeffs=np.zeros((grid.n_points, 12)), p2_drift_mode=ETA_EQUALS_X,
-    )
-    means = integrate_means(zero_sol)
-    assert np.all(means.m_x == 0.0) and np.all(means.m_R == 0.0)
-    # with all coefficients zero the mean matrix reduces to the bare drift
-    M = mean_matrix(zero_sol, zero_sol.coeffs[0])
-    np.testing.assert_allclose(M, [[ref_params.a, 0.0], [0.0, ref_params.a]])
-
-
-def test_mean_matrix_decouples_without_mean_blocks(ref_params, corner_triple):
-    # when the mean-block coefficients vanish the averaged dynamics use the
-    # state-block coefficients alone
-    grid = make_grid(ref_params.T, 8)
-    rng = np.random.default_rng(3)
-    row = np.zeros(12)
-    for name in ("A11", "B11", "A12", "B12", "A13", "B13"):
-        row[IDX[name]] = rng.normal()
-    sol = RiccatiSolution(
-        grid=grid, params=ref_params, multipliers=corner_triple,
-        coeffs=np.tile(row, (grid.n_points, 1)), p2_drift_mode=ETA_EQUALS_X,
-    )
-    a, b = ref_params.a, ref_params.b
-    lam_P, lam_E = corner_triple.lam_P, corner_triple.lam_E
-    c1, c2 = b, b
-    Sx = (c1 * row[IDX["A12"]] + c2 * row[IDX["A13"]]) / lam_P
-    SR = (c1 * row[IDX["B12"]] + c2 * row[IDX["B13"]]) / lam_P
-    expected = np.array([
-        [a + b * b * row[IDX["A11"]] + b * Sx, b * b * row[IDX["B11"]] + b * SR],
-        [b * b * (lam_E * row[IDX["A11"]] - row[IDX["A12"]] - row[IDX["A13"]]),
-         a + b * b * (lam_E * row[IDX["B11"]] - row[IDX["B12"]] - row[IDX["B13"]])],
-    ])
-    np.testing.assert_allclose(mean_matrix(sol, row), expected, rtol=1e-14)
-
-
 def test_closed_loop_terminal_controls(ref_params):
     # at the horizon with lambda_V = 0 and (x, R) = (1, 0) the adjoint values
     # reduce to their terminal weights
     mult = from_case("v", 0.3)
     grid = make_grid(ref_params.T, 16)
     sol = integrate_riccati(ref_params, mult, grid, ETA_EQUALS_X)
-    field = closed_loop_field(ref_params, sol, integrate_means(sol))
+    field = ClosedLoopField(sol)
     x = np.array([1.0])
     R = np.array([0.0])
     p, P1, P2, s, e = field.controls_at_index(grid.n_steps, x, R)
@@ -254,7 +205,7 @@ def test_zero_effort_gain_decouples_output(ref_params, corner_triple):
     params = dc.replace(ref_params, b=0.0)
     grid = make_grid(params.T, 16)
     sol = integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X)
-    field = closed_loop_field(params, sol, integrate_means(sol))
+    field = ClosedLoopField(sol)
     rng = np.random.default_rng(1)
     x, R = rng.normal(size=(2, 20))
     for k in (0, 5, grid.n_steps):
@@ -265,24 +216,26 @@ def test_zero_effort_gain_decouples_output(ref_params, corner_triple):
 
 def test_simulated_mean_matches_integrated_mean(ref_params, corner_triple):
     n_paths = 20_000
-    sol, means, paths = _simulate(ref_params, corner_triple, 64, n_paths, 31, ETA_EQUALS_X)
+    # x(0) = R(0) = 0 and the averaged closed loop is linear and homogeneous,
+    # so the exact mean is E[x] = 0 at every node
+    _, paths = _simulate(ref_params, corner_triple, 64, n_paths, 31, ETA_EQUALS_X)
     x = paths.component("x")
     mc_mean = x.mean(axis=0)
     mc_se = x.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    assert mc_mean[0] == means.m_x[0] == 0.0
-    assert np.all(np.abs(mc_mean[1:] - means.m_x[1:]) <= 3 * mc_se[1:])
+    assert mc_mean[0] == 0.0
+    assert np.all(np.abs(mc_mean[1:]) <= 3 * mc_se[1:])
 
 
 def test_residual_small_for_consistent_solution(ref_params, corner_triple):
-    sol, means, paths = _simulate(ref_params, corner_triple, 256, 2_000, 17, ETA_EQUALS_X)
-    report = ansatz_residual(sol, paths, means)
+    sol, paths = _simulate(ref_params, corner_triple, 256, 2_000, 17, ETA_EQUALS_X)
+    report = ansatz_residual(sol, paths)
     assert report.max_residual <= 1e-3
     assert set(report.components) == {"p", "P1", "P2"}
     assert all(c.mean_abs <= c.max_abs for c in report.components.values())
 
 
 def test_residual_flags_zeroed_solution(ref_params, corner_triple):
-    sol, means, paths = _simulate(ref_params, corner_triple, 128, 500, 19, ETA_EQUALS_X)
+    sol, paths = _simulate(ref_params, corner_triple, 128, 500, 19, ETA_EQUALS_X)
     broken = RiccatiSolution(
         grid=sol.grid, params=ref_params, multipliers=corner_triple,
         coeffs=np.tile(sol.terminal_values, (sol.grid.n_points, 1)),
@@ -296,7 +249,7 @@ def test_residual_does_not_vanish_for_perturbed_solution(ref_params, corner_trip
     # a 0.1 shift of one coefficient leaves an O(1) residual at every step size
     maxima = []
     for n_steps in (128, 256):
-        sol, means, paths = _simulate(ref_params, corner_triple, n_steps, 500, 23, ETA_EQUALS_X)
+        sol, paths = _simulate(ref_params, corner_triple, n_steps, 500, 23, ETA_EQUALS_X)
         coeffs = sol.coeffs.copy()
         coeffs[:, IDX["B12"]] += 0.1
         perturbed = RiccatiSolution(
@@ -309,7 +262,7 @@ def test_residual_does_not_vanish_for_perturbed_solution(ref_params, corner_trip
 
 
 def test_residual_validates_inputs(ref_params, corner_triple):
-    sol, means, paths = _simulate(ref_params, corner_triple, 16, 50, 29, ETA_EQUALS_X)
+    sol, paths = _simulate(ref_params, corner_triple, 16, 50, 29, ETA_EQUALS_X)
     other_grid = make_grid(ref_params.T, 32)
     other = integrate_riccati(ref_params, corner_triple, other_grid, ETA_EQUALS_X)
     with pytest.raises(ValueError):
@@ -350,7 +303,7 @@ def test_explicit_r_constant_coefficients_closed_form():
 
 
 def test_explicit_r_tracks_euler_integration(ref_params, corner_triple):
-    sol, means, paths = _simulate(ref_params, corner_triple, 64, 2_000, 37, ETA_EQUALS_X)
+    sol, paths = _simulate(ref_params, corner_triple, 64, 2_000, 37, ETA_EQUALS_X)
     x = paths.component("x")
     r_euler = paths.component("R")
     r_quad = explicit_R(sol, x)
@@ -364,7 +317,7 @@ def test_explicit_r_tracks_euler_integration(ref_params, corner_triple):
 
 
 def test_explicit_r_is_adapted_to_output_history(ref_params, corner_triple):
-    sol, means, paths = _simulate(ref_params, corner_triple, 64, 100, 41, ETA_EQUALS_X)
+    sol, paths = _simulate(ref_params, corner_triple, 64, 100, 41, ETA_EQUALS_X)
     x = paths.component("x").copy()
     cut = 40
     r_full = explicit_R(sol, x)
