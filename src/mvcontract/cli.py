@@ -95,15 +95,12 @@ def write_riccati_csv(path: str, sol: RiccatiSolution) -> None:
         f"# {_params_meta(sol.params)} {_mult_meta(sol.multipliers)} "
         f"p2_drift_mode={sol.p2_drift_mode}"
     )
-    times = sol.grid.points
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(meta + "\n")
         fh.write(header + "\n")
-        for k in range(sol.grid.n_points):
-            row = [_fmt(times[k])]
-            row += [_fmt(v) for v in sol.coeffs[k]]
-            row += ["0.0", "0.0"]
-            fh.write(",".join(row) + "\n")
+        # one row at a time: a whole-table tolist() would add ~2 MB of floats
+        for t, row in zip(sol.grid.points, sol.coeffs):
+            fh.write(",".join(map(repr, [float(t), *row.tolist()])) + ",0.0,0.0\n")
 
 
 def load_riccati_csv(path: str) -> RiccatiSolution:

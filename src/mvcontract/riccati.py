@@ -38,6 +38,7 @@ must converge to the drift prescribed by the backward equations as the step
 shrinks.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -72,15 +73,8 @@ def terminal_conditions(params: LqParams, mult: MultiplierTriple) -> np.ndarray:
     return y
 
 
-def coefficient_rhs(
-    y: np.ndarray, params: LqParams, mult: MultiplierTriple, mode: str = AS_PRINTED
-) -> np.ndarray:
-    """Forward-time derivative of the twelve coefficients (autonomous)."""
-    a, b = params.a, params.b
-    lam_P, lam_E = mult.lam_P, mult.lam_E
-    c1, c2 = cashflow_weights(b, mode)
-    b2 = b * b
-
+def _rhs(y, a, b, b2, lam_P, lam_E, c1, c2):
+    """Forward-time derivative of the twelve coefficients, on plain floats."""
     (A11, A21, B11, B21,
      A12, A22, B12, B22,
      A13, A23, B13, B23) = y
@@ -107,7 +101,7 @@ def coefficient_rhs(
     Mxx, MxR = Fxx + Fxmx, FxR + FxmR
     MRx, MRR = GRx + GRmx, GRR + GRmR
 
-    return np.array([
+    return (
         # p-block: drift of p must equal -a p
         -a * A11 - (A11 * Fxx + B11 * GRx),
         -a * A21 - (A11 * Fxmx + B11 * GRmx + A21 * Mxx + B21 * MRx),
@@ -123,7 +117,16 @@ def coefficient_rhs(
         -(A13 * Fxmx + B13 * GRmx + A23 * Mxx + B23 * MRx),
         -(A13 * FxR + B13 * GRR),
         -(A13 * FxmR + B13 * GRmR + A23 * MxR + B23 * MRR),
-    ])
+    )
+
+
+def coefficient_rhs(
+    y: np.ndarray, params: LqParams, mult: MultiplierTriple, mode: str = AS_PRINTED
+) -> np.ndarray:
+    """Forward-time derivative of the twelve coefficients: ``_rhs`` as an array."""
+    b, (c1, c2) = params.b, cashflow_weights(params.b, mode)
+    args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
+    return np.array(_rhs(np.asarray(y, float).tolist(), *args))
 
 
 @dataclass(frozen=True)
@@ -161,29 +164,37 @@ def integrate_riccati(
 ) -> RiccatiSolution:
     """Integrate the twelve coefficient ODEs backward from t = T to 0.
 
-    Classical fixed-step RK4 on the shared grid; the terminal node holds the
-    terminal conditions exactly.  Trajectories exceeding ``blow_up_bound`` in
-    magnitude (or turning non-finite) raise ``RiccatiBlowUpError`` carrying
-    the time at which the bound was crossed: for strongly self-reinforcing
-    cash-flow feedback (small lambda_P in ``as_printed`` mode) the system has
-    a genuine finite-time blow-up and must fail loudly rather than clip.
+    Classical fixed-step RK4 on the shared grid, on plain floats through the
+    formula of ``coefficient_rhs`` and bit-identical to its array form; the
+    terminal node holds the terminal conditions exactly.  Trajectories
+    exceeding ``blow_up_bound`` (> 0) in magnitude (or turning non-finite)
+    raise ``RiccatiBlowUpError`` carrying the time at which the bound was
+    crossed: for strongly self-reinforcing cash-flow feedback (small lambda_P
+    in ``as_printed`` mode) the system has a genuine finite-time blow-up and
+    must fail loudly rather than clip.
     """
     check_mode(p2_drift_mode)
+    if not blow_up_bound > 0.0:
+        raise ValueError(f"blow_up_bound must be positive, got {blow_up_bound!r}")
     if mult.lam_P < MIN_LAMBDA_P:
         raise DegenerateMultiplierError(
             f"lambda_P = {mult.lam_P:g} is below the floor {MIN_LAMBDA_P:g}"
         )
+    b, (c1, c2) = params.b, cashflow_weights(params.b, p2_drift_mode)
+    args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
     coeffs = np.empty((grid.n_points, 12))
-    y = terminal_conditions(params, mult)
-    coeffs[-1] = y
-    h = -grid.dt
+    coeffs[-1] = terminal_conditions(params, mult)
+    y, h = coeffs[-1].tolist(), -float(grid.dt)
+    h2, h6 = 0.5 * h, h / 6.0
     for k in range(grid.n_steps, 0, -1):
-        k1 = coefficient_rhs(y, params, mult, p2_drift_mode)
-        k2 = coefficient_rhs(y + 0.5 * h * k1, params, mult, p2_drift_mode)
-        k3 = coefficient_rhs(y + 0.5 * h * k2, params, mult, p2_drift_mode)
-        k4 = coefficient_rhs(y + h * k3, params, mult, p2_drift_mode)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > blow_up_bound:
+        k1 = _rhs(y, *args)
+        k2 = _rhs([u + h2 * d for u, d in zip(y, k1)], *args)
+        k3 = _rhs([u + h2 * d for u, d in zip(y, k2)], *args)
+        k4 = _rhs([u + h * d for u, d in zip(y, k3)], *args)
+        y = [u + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for u, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+        # isfinite first: max() over a NaN depends on order, abs(inf) > inf is false
+        if not all(map(math.isfinite, y)) or max(map(abs, y)) > blow_up_bound:
             raise RiccatiBlowUpError(t=grid.points[k - 1], bound=blow_up_bound)
         coeffs[k - 1] = y
     return RiccatiSolution(

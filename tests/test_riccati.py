@@ -184,6 +184,63 @@ def test_blow_up_bound_configurable(ref_params, corner_triple):
         integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X, blow_up_bound=1.0)
 
 
+def _array_rk4(params, mult, grid, mode, blow_up_bound):
+    # the array-form RK4 loop the solver must reproduce bit for bit
+    coeffs = np.empty((grid.n_points, 12))
+    y = terminal_conditions(params, mult)
+    coeffs[-1] = y
+    h = -grid.dt
+    for k in range(grid.n_steps, 0, -1):
+        k1 = coefficient_rhs(y, params, mult, mode)
+        k2 = coefficient_rhs(y + 0.5 * h * k1, params, mult, mode)
+        k3 = coefficient_rhs(y + 0.5 * h * k2, params, mult, mode)
+        k4 = coefficient_rhs(y + h * k3, params, mult, mode)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)) or np.abs(y).max() > blow_up_bound:
+            raise RiccatiBlowUpError(t=grid.points[k - 1], bound=blow_up_bound)
+        coeffs[k - 1] = y
+    return coeffs
+
+
+def test_rk4_bits_match_array_reference(ref_params, corner_triple):
+    points = [(0.1, 0.0), (0.3, 1.2), (0.5, 0.7), (0.9, math.pi / 2), (0.9, 0.0)]
+    for n_steps in (64, 256, 4096):
+        grid = make_grid(ref_params.T, n_steps)
+        for lam_P, theta in points if n_steps < 4096 else points[1:3]:
+            mult = from_case("iv", lam_P, theta)
+            for mode in (AS_PRINTED, ETA_EQUALS_X):
+                sol = integrate_riccati(ref_params, mult, grid, mode)
+                ref = _array_rk4(ref_params, mult, grid, mode, 1e8)
+                assert np.array_equal(sol.coeffs, ref), (n_steps, lam_P, theta, mode)
+    for n_steps in (64, 256):
+        grid = make_grid(ref_params.T, n_steps)
+        for bound in (1e8, math.inf):
+            with pytest.raises(RiccatiBlowUpError) as ref, np.errstate(all="ignore"):
+                _array_rk4(ref_params, corner_triple, grid, AS_PRINTED, bound)
+            with pytest.raises(RiccatiBlowUpError) as got:
+                integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED, bound)
+            assert got.value.t == ref.value.t
+
+
+def test_infinite_bound_still_fails_on_non_finite_coefficients(ref_params, corner_triple):
+    # with no magnitude bound the as_printed corner must still fail once a
+    # coefficient turns inf or NaN, later in backward time than at 1e8
+    grid = make_grid(ref_params.T, 256)
+    with pytest.raises(RiccatiBlowUpError) as bounded:
+        integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED)
+    with pytest.raises(RiccatiBlowUpError) as unbounded:
+        integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED,
+                          blow_up_bound=float("inf"))
+    assert 0.0 <= unbounded.value.t < bounded.value.t
+
+
+@pytest.mark.parametrize("bound", [float("nan"), 0.0, -1.0, -float("inf")])
+def test_bad_blow_up_bound_rejected(ref_params, corner_triple, bound):
+    grid = make_grid(ref_params.T, 64)
+    with pytest.raises(ValueError, match="blow_up_bound"):
+        integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X, blow_up_bound=bound)
+
+
 def test_closed_loop_terminal_controls(ref_params):
     # at the horizon with lambda_V = 0 and (x, R) = (1, 0) the adjoint values
     # reduce to their terminal weights
