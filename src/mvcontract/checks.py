@@ -4,6 +4,13 @@ Each check returns a CheckResult; the CLI prints one machine-readable line
 per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
 they are deterministic.
+
+The residual oracle and the density checks stream their path ensembles in
+blocks of about ``BLOCK_DRAWS`` noise draws through the Monte-Carlo block
+scheduler (``montecarlo.map_noise_blocks``) and keep only what they read:
+the largest residual of each block, or the terminal values of each path.
+Their peak memory therefore scales with workers x block, not with the path
+count, and every reported number is the one the whole ensemble gives.
 """
 
 import dataclasses
@@ -23,7 +30,7 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import closed_loop_paths, evaluate_contract
+from .montecarlo import closed_loop_paths, evaluate_contract, map_noise_blocks
 from .multipliers import sweep_grid
 from .noise import sample_noise
 from .riccati import (
@@ -42,6 +49,9 @@ RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
+#: Noise draws per path block of the streamed batteries: 4,096 paths at 64
+#: steps, 1,024 at 256, a few MB of working set per worker.
+BLOCK_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -80,27 +90,40 @@ def check_terminal_conditions(sol: RiccatiSolution) -> CheckResult:
     return _result("terminal_conditions", err <= 1e-14, f"max_rel_err={err:.3e} tol=1e-14")
 
 
-def _simulate_closed_loop(config: RunConfig, sol: RiccatiSolution, n_paths: int) -> PathEnsemble:
-    """Closed-loop paths of a solution, on the config's seed."""
-    noise = sample_noise(sol.grid, n_paths, config.seed)
-    return closed_loop_paths(ClosedLoopField(sol), noise)
+def _map_blocks(grid, n_paths: int, seed: int, run: Callable) -> list:
+    """``run(lo, hi, noise)`` over blocks of about ``BLOCK_DRAWS`` draws of a seed's paths."""
+    return map_noise_blocks(grid, n_paths, seed, max(1, BLOCK_DRAWS // grid.n_steps), run)
+
+
+def _max_residual(sol: RiccatiSolution, n_paths: int, seed: int) -> float:
+    """Largest ``ansatz_residual`` along the seed's closed-loop paths, in path blocks.
+
+    Every residual element depends on one path only, so the largest over the
+    blocks is the largest over the whole ensemble.
+    """
+    field = ClosedLoopField(sol)
+
+    def block_max(lo, hi, noise):
+        return ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual
+
+    return float(np.max(_map_blocks(sol.grid, n_paths, seed, block_max)))
 
 
 def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = None) -> CheckResult:
     """Drift-residual oracle; optionally checks an externally supplied solution."""
     name = "riccati_residual"
     n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
-    try:
-        if sol is None:
+    if sol is None:
+        try:
             sol = _solve(config, RESIDUAL_CHECK_STEPS)
-        report = ansatz_residual(sol, _simulate_closed_loop(config, sol, n_paths))
-    except RiccatiBlowUpError as exc:
-        return _result(name, False, str(exc))
-    ok = report.max_residual <= config.residual_tol
+        except RiccatiBlowUpError as exc:
+            return _result(name, False, str(exc))
+    max_residual = _max_residual(sol, n_paths, config.seed)
+    ok = max_residual <= config.residual_tol
     return _result(
         name, ok,
-        f"max_residual={report.max_residual:.3e} tol={config.residual_tol:g} "
-        f"n_steps={report.n_steps} n_paths={report.n_paths}",
+        f"max_residual={max_residual:.3e} tol={config.residual_tol:g} "
+        f"n_steps={sol.grid.n_steps} n_paths={n_paths}",
     )
 
 
@@ -154,18 +177,38 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
     return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
 
 
+def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
+    """Terminal values of dx = drift dt + sigma dW, x(0) = 0, and of its density.
+
+    Runs ``min(n_paths, 100_000)`` paths of the seed's stream in blocks, each
+    through ``euler_maruyama`` and, given ``theta``, ``simulate_density``, and
+    keeps per path only x_T and (Gamma_T, log Gamma_T).  Returns
+    ``(x_T, gamma_T, log_gamma_T)``, the last two None without ``theta``.
+    """
+    sigma = config.params.sigma
+    n_paths = min(config.n_paths, 100_000)
+    grid = make_grid(config.params.T, config.n_steps)
+    x_T = np.empty(n_paths)
+    gamma_T = log_gamma_T = None
+    if theta is not None:
+        gamma_T, log_gamma_T = np.empty(n_paths), np.empty(n_paths)
+
+    def run(lo, hi, noise):
+        x_paths = euler_maruyama(lambda X, t: drift, lambda X, t: sigma, 0.0, noise)
+        x_T[lo:hi] = x_paths.states[:, -1, 0]
+        if theta is not None:
+            density = simulate_density(lambda x, t: theta, noise, x_paths)
+            gamma_T[lo:hi] = density.terminal
+            log_gamma_T[lo:hi] = density.log_gamma[:, -1]
+
+    _map_blocks(grid, n_paths, seed, run)
+    return x_T, gamma_T, log_gamma_T
+
+
 def check_density_martingale(config: RunConfig) -> CheckResult:
     name = "density_martingale"
-    params = config.params
-    n_paths = min(config.n_paths, 100_000)
-    grid = make_grid(params.T, config.n_steps)
-    noise = sample_noise(grid, n_paths, config.seed)
-    x_paths = euler_maruyama(
-        lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise
-    )
-    theta = 1.0
-    density = simulate_density(lambda x, t: theta, noise, x_paths)
-    gamma_T = density.terminal
+    _, gamma_T, _ = _terminal_values(config, config.seed, drift=0.0, theta=1.0)
+    n_paths = gamma_T.size
     est, se = float(gamma_T.mean()), float(gamma_T.std(ddof=1) / math.sqrt(n_paths))
     ok = abs(est - 1.0) <= 3.0 * se
     return _result(name, ok, f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
@@ -234,7 +277,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     """
     try:
         sol = _solve(config, config.n_steps)
-        paths = _simulate_closed_loop(config, sol, min(config.n_paths, MEAN_CHECK_MAX_PATHS))
+        noise = sample_noise(sol.grid, min(config.n_paths, MEAN_CHECK_MAX_PATHS), config.seed)
+        paths = closed_loop_paths(ClosedLoopField(sol), noise)
     except RiccatiBlowUpError as exc:
         terminal, mean, explicit = (
             _result(name, False, str(exc))
@@ -273,13 +317,8 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     e0 = config.weak_effort
     s0 = config.weak_cashflow
     theta = params.b * e0 / params.sigma
-    n_paths = min(config.n_paths, 100_000)
-    grid = make_grid(params.T, config.n_steps)
-
-    noise = sample_noise(grid, n_paths, config.seed)
-    x_paths = euler_maruyama(lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise)
-    density = simulate_density(lambda x, t: theta, noise, x_paths)
-    gamma_T = density.terminal
+    x_T, gamma_T, log_vals = _terminal_values(config, config.seed, drift=0.0, theta=theta)
+    n_paths = x_T.size
     results = []
 
     results.append(_result(
@@ -297,7 +336,6 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     results.append(_result("martingale_mean", ok, detail))
 
     log_target = -0.5 * theta * theta * params.T
-    log_vals = density.log_gamma[:, -1]
     log_est = float(log_vals.mean())
     log_se = float(log_vals.std(ddof=1) / math.sqrt(n_paths)) if theta != 0.0 else 0.0
     ok = abs(log_est - log_target) <= 3.0 * log_se if theta != 0.0 else log_est == 0.0
@@ -306,15 +344,10 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         f"E[log Gamma_T]={log_est:.6e} target={log_target:.6e} band=3se",
     ))
 
-    x_T = x_paths.states[:, -1, 0]
     weak_est, weak_se = reweighted_expectation(x_T, gamma_T)
     analytic = params.b * e0 * params.T
 
-    strong_noise = sample_noise(grid, n_paths, (config.seed + 1) % 2**64)
-    strong = euler_maruyama(
-        lambda X, t: params.b * e0, lambda X, t: params.sigma, 0.0, strong_noise
-    )
-    s_T = strong.states[:, -1, 0]
+    s_T, _, _ = _terminal_values(config, (config.seed + 1) % 2**64, drift=params.b * e0)
     strong_est = float(s_T.mean())
     strong_se = float(s_T.std(ddof=1) / math.sqrt(n_paths))
 

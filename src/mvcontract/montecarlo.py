@@ -16,10 +16,11 @@ fourth central moment.
 Paths are processed in blocks of ``chunk_size`` paths (default
 ``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
 CPU caches), drawn directly from the counter-based noise stream and run on
-a thread pool with one worker per CPU the process may use.  Every per-path
-value is bit-identical no matter how the path range is split into blocks or
-how many workers run them; the final reductions run on the calling thread
-over fully assembled per-path arrays in a fixed order.
+a thread pool with one worker per CPU the process may use.  That scheduler,
+``map_noise_blocks``, also runs the path blocks of the check batteries.
+Every per-path value is bit-identical no matter how the path range is split
+into blocks or how many workers run them; the final reductions run on the
+calling thread over fully assembled per-path arrays in a fixed order.
 
 ``closed_loop_paths`` runs the same block step over a given noise ensemble
 and keeps (x, R) at every node; the checks read their closed-loop paths from
@@ -28,7 +29,7 @@ it, so one stepper serves both the Monte-Carlo evaluation and the oracles.
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -172,6 +173,49 @@ def _step_block(field, nodes, dW, ja, jp, x, states=None) -> Optional[Tuple[int,
     return None
 
 
+def map_noise_blocks(grid, n_paths: int, seed: int, block_paths: int, run: Callable) -> list:
+    """Run ``run(lo, hi, noise)`` on each block of ``block_paths`` paths of a noise stream.
+
+    Splits ``[0, n_paths)`` into blocks, draws each block's increments with
+    ``sample_noise_block`` and calls ``run`` under the caller's numpy error
+    state, on a thread pool of one worker per CPU the process may use (inline
+    for one).  Returns the results in block order.  A ``SimulationDivergedError``
+    from ``run``, with a path index within its block, is re-raised once every
+    block has run, at the earliest step and on the lowest such path over all
+    blocks, so it does not depend on the blocking either.
+    """
+    if block_paths < 1:
+        raise ValueError(f"chunk_size (paths per block) must be >= 1, got {block_paths}")
+    blocks = [(lo, min(lo + block_paths, n_paths)) for lo in range(0, n_paths, block_paths)]
+    # numpy's floating-point error state is per thread; carry the caller's
+    errstate = np.geterr()
+
+    def task(lo, hi):
+        noise = sample_noise_block(grid, n_paths, seed, lo, hi)
+        try:
+            with np.errstate(**errstate):
+                return run(lo, hi, noise)
+        except SimulationDivergedError as exc:
+            return SimulationDivergedError(path=lo + exc.path, step=exc.step, label=exc.label)
+
+    workers = min(_cpu_count(), len(blocks))
+    if workers <= 1:
+        results = [task(lo, hi) for lo, hi in blocks]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(task, lo, hi) for lo, hi in blocks]
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    diverged = [r for r in results if isinstance(r, SimulationDivergedError)]
+    if diverged:
+        raise min(diverged, key=lambda exc: (exc.step, exc.path))
+    return results
+
+
 def simulate_costs(
     field: ClosedLoopField,
     n_paths: int,
@@ -182,45 +226,25 @@ def simulate_costs(
 
     Returns arrays (ja_integral, jp_integral, x_T) of length n_paths.  The
     dynamics are stepped without retaining full trajectories, in blocks of
-    ``chunk_size`` paths run on a thread pool sized from the CPU affinity;
-    neither the block size nor the worker count can change any output bit.
-    A divergence is reported at the earliest step any path goes non-finite,
-    on the lowest such path, which is also independent of the blocking.
+    ``chunk_size`` paths run by ``map_noise_blocks``; neither the block size
+    nor the worker count can change any output bit.  A divergence is
+    reported at the earliest step any path goes non-finite, on the lowest
+    such path, which is also independent of the blocking.
     """
-    grid = field.sol.grid
     if chunk_size is None:
         chunk_size = n_paths
     ja_int = np.empty(n_paths)
     jp_int = np.empty(n_paths)
     x_T = np.empty(n_paths)
     nodes = _node_scalars(field)
-    blocks = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
-    # numpy's floating-point error state is per thread; carry the caller's
-    errstate = np.geterr()
 
-    def run(lo, hi):
-        noise = sample_noise_block(grid, n_paths, seed, lo, hi)
-        with np.errstate(**errstate):
-            bad = _step_block(field, nodes, noise.increments,
-                              ja_int[lo:hi], jp_int[lo:hi], x_T[lo:hi])
-        return None if bad is None else (bad[0], lo + bad[1])
+    def run(lo, hi, noise):
+        bad = _step_block(field, nodes, noise.increments,
+                          ja_int[lo:hi], jp_int[lo:hi], x_T[lo:hi])
+        if bad is not None:
+            raise SimulationDivergedError(path=bad[1], step=bad[0])
 
-    workers = min(_cpu_count(), len(blocks))
-    if workers == 1:
-        results = [run(lo, hi) for lo, hi in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(run, lo, hi) for lo, hi in blocks]
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
-    diverged = [r for r in results if r is not None]
-    if diverged:
-        step, path = min(diverged)
-        raise SimulationDivergedError(path=path, step=step)
+    map_noise_blocks(field.sol.grid, n_paths, seed, chunk_size, run)
     return ja_int, jp_int, x_T
 
 

@@ -1,0 +1,89 @@
+import dataclasses
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mvcontract import (
+    ClosedLoopField,
+    closed_loop_paths,
+    euler_maruyama,
+    integrate_riccati,
+    make_grid,
+    sample_noise,
+    simulate_density,
+)
+from mvcontract import checks, montecarlo
+from mvcontract.config import default_config
+from mvcontract.riccati import ansatz_residual
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
+    # the full-matrix path the density batteries used to take is the spec:
+    # one sample_noise call over the whole ensemble, then the public schemes.
+    # 10,001 paths at 64 steps are blocks of 4096, 4096 and a ragged 1809;
+    # 8 workers and a short switch interval interleave the workers' writes.
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    config = dataclasses.replace(default_config(), n_paths=10_001, seed=23, weak_effort=0.7)
+    params = config.params
+    n, seed = config.n_paths, config.seed
+    assert n // (checks.BLOCK_DRAWS // config.n_steps) >= 2
+    theta = params.b * config.weak_effort / params.sigma
+    drift = params.b * config.weak_effort
+    grid = make_grid(params.T, config.n_steps)
+
+    noise = sample_noise(grid, n, seed)
+    x_paths = euler_maruyama(lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise)
+    density = simulate_density(lambda x, t: theta, noise, x_paths)
+    strong = euler_maruyama(lambda X, t: drift, lambda X, t: params.sigma, 0.0,
+                            sample_noise(grid, n, seed + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if cpus > 1 else interval)
+    try:
+        x_T, gamma_T, log_gamma_T = checks._terminal_values(config, seed, drift=0.0, theta=theta)
+        s_T, no_gamma, no_log = checks._terminal_values(config, seed + 1, drift=drift)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(gamma_T, density.terminal)
+    assert np.array_equal(log_gamma_T, density.log_gamma[:, -1])
+    assert np.array_equal(x_T, x_paths.states[:, -1, 0])
+    assert np.array_equal(s_T, strong.states[:, -1, 0])
+    assert no_gamma is None and no_log is None
+
+    # 2,500 paths at 256 steps are blocks of 1024, 1024 and a ragged 452;
+    # on seed 38 the largest residual lies in the ragged block
+    sol = integrate_riccati(params, checks._first_triple(config),
+                            make_grid(params.T, checks.RESIDUAL_CHECK_STEPS),
+                            config.p2_drift_mode)
+    field = ClosedLoopField(sol)
+    full = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_500, 38)))
+    head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
+    assert head.max_residual < full.max_residual
+    assert checks._max_residual(sol, 2_500, 38) == full.max_residual
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
+
+
+@pytest.mark.parametrize("battery, limit_mb", [
+    (lambda config: checks.run_weak_battery(config), 64),
+    (lambda config: [checks.check_density_martingale(config)], 64),
+    (lambda config: [checks.check_riccati_residual(config)], 96),
+], ids=["run_weak_battery", "check_density_martingale", "check_riccati_residual"])
+def test_battery_memory_does_not_scale_with_paths(monkeypatch, battery, limit_mb):
+    # the default config runs 1e5 density paths and 10,000 residual paths;
+    # full path matrices of those took 198-302 MB of traced memory
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    results, peak_mb = _traced_peak_mb(lambda: battery(default_config()))
+    assert all(r.passed for r in results)
+    assert peak_mb < limit_mb

@@ -21,7 +21,8 @@ from mvcontract import (
     make_grid,
     sample_noise,
 )
-from mvcontract import montecarlo
+from mvcontract import checks, montecarlo
+from mvcontract.config import default_config
 from mvcontract.montecarlo import simulate_costs
 
 
@@ -51,6 +52,13 @@ def test_chunking_never_changes_results(ref_params, corner_triple):
         for cs in (None, 5_000, 1_000, 777, 1)
     ]
     assert all(e == evals[0] for e in evals[1:])
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5])
+def test_bad_chunk_size_rejected(ref_params, corner_triple, chunk_size):
+    with pytest.raises(ValueError, match="chunk_size"):
+        evaluate_contract(ref_params, corner_triple, 1_000, 16, seed=13,
+                          p2_drift_mode=ETA_EQUALS_X, chunk_size=chunk_size)
 
 
 def test_agent_integral_identity(ref_params, corner_triple):
@@ -170,11 +178,12 @@ def test_prefix_paths_are_nested(ref_params, corner_triple):
     assert np.array_equal(small.states, large.states[:500])
 
 
-def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
+def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, monkeypatch):
     # hand-built coefficients: a spike in A11 at node 1 overflows only the
     # path with the largest first increment, one at node 4 overflows every
-    # path; each chunking, and closed_loop_paths, must report that path at
-    # step 2, even when the lowest chunk diverges only later
+    # path; each chunking, closed_loop_paths and the residual check streamed
+    # in 777-path blocks must report that path at step 2, even when the
+    # lowest chunk diverges only later
     params = dataclasses.replace(ref_params, sigma=100.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
@@ -192,6 +201,9 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple):
     runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
             for cs in (None, 1_000, 777)]
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
+    monkeypatch.setattr(checks, "BLOCK_DRAWS", 777 * grid.n_steps)
+    config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
+    runs.append(lambda: checks.check_riccati_residual(config, sol))
     for run in runs:
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()
