@@ -171,6 +171,16 @@ EVAL_HEADER = (
 )
 
 
+def _out_path(config: RunConfig, name: str) -> str:
+    """Path of ``name`` in ``out_dir``, creating the directory if needed."""
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {config.out_dir!r} is not a usable directory: "
+                          f"{exc.strerror}") from None
+    return os.path.join(config.out_dir, name)
+
+
 def cmd_riccati(config: RunConfig) -> int:
     triples = sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)
     mult = triples[0]
@@ -178,8 +188,7 @@ def cmd_riccati(config: RunConfig) -> int:
     sol = integrate_riccati(
         config.params, mult, grid, config.p2_drift_mode, config.blow_up_bound
     )
-    os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, "riccati.csv")
+    out_path = _out_path(config, "riccati.csv")
     write_riccati_csv(out_path, sol)
     print(f"wrote {out_path} ({grid.n_points} rows, {_mult_meta(mult)})")
     return EXIT_OK
@@ -187,8 +196,7 @@ def cmd_riccati(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     triples = sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)
-    os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, "eval.csv")
+    out_path = _out_path(config, "eval.csv")
     meta = (
         f"# {_params_meta(config.params)} case={config.case_tag} "
         f"lambda_P_points={len(config.lam_P_points)} "

@@ -84,27 +84,28 @@ def _format_points(points) -> str:
     return ",".join(repr(float(p)) for p in points)
 
 
-_FLOAT_KEYS = {
-    "a", "b", "sigma", "alpha", "beta", "T", "W0", "R0",
-    "blow_up_bound", "residual_tol", "feasibility_tol",
-    "weak_effort", "weak_cashflow",
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(LqParams))
+
+#: config key -> (field, kind).  The LqParams fields keep their names; every
+#: other key names a RunConfig field.  A kind of tuple marks a point list.
+_KEYS = {
+    **{name: (name, float) for name in _PARAM_KEYS},
+    "case": ("case_tag", str),
+    "lambda_P": ("lam_P_points", tuple),
+    "theta": ("theta_points", tuple),
+    **{name: (name, int) for name in ("n_paths", "n_steps", "seed", "chunk_size")},
+    **{name: (name, str) for name in ("p2_drift_mode", "out_dir", "coeffs_csv")},
+    **{name: (name, float) for name in (
+        "blow_up_bound", "residual_tol", "feasibility_tol", "weak_effort", "weak_cashflow",
+    )},
 }
-_INT_KEYS = {"n_paths", "n_steps", "seed", "chunk_size"}
-_STR_KEYS = {"case", "p2_drift_mode", "out_dir", "coeffs_csv"}
-_POINT_KEYS = {"lambda_P", "theta"}
-ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _POINT_KEYS
 
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
+    kind = _KEYS[key][1]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _POINT_KEYS:
-            return _parse_points(raw, key)
-        return raw
+        return _parse_points(raw, key) if kind is tuple else kind(raw)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -112,54 +113,27 @@ def _coerce(key: str, raw: str):
 
 
 def _build(values: dict) -> RunConfig:
+    """The default config with ``values`` (config key -> parsed value) set."""
     base = default_config()
-    params_kwargs = {
-        f.name: getattr(base.params, f.name) for f in dataclasses.fields(LqParams)
-    }
-    for key in ("a", "b", "sigma", "alpha", "beta", "T", "W0", "R0"):
-        if key in values:
-            params_kwargs[key] = values[key]
+    given = {field: values[key] for key, (field, _) in _KEYS.items() if key in values}
     try:
-        params = LqParams(**params_kwargs)
+        params = dataclasses.replace(
+            base.params, **{name: given.pop(name) for name in _PARAM_KEYS if name in given}
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    given.setdefault("coeffs_csv", None)  # a coefficient file is never a default
+    config = dataclasses.replace(base, params=params, **given)
 
-    case_tag = values.get("case", base.case_tag)
-    if case_tag not in _CASE_CHOICES:
-        raise ConfigError(f"case must be one of {_CASE_CHOICES}, got {case_tag!r}")
-    mode = values.get("p2_drift_mode", base.p2_drift_mode)
-    if mode not in P2_DRIFT_MODES:
+    if config.case_tag not in _CASE_CHOICES:
+        raise ConfigError(f"case must be one of {_CASE_CHOICES}, got {config.case_tag!r}")
+    if config.p2_drift_mode not in P2_DRIFT_MODES:
         raise ConfigError(
-            f"p2_drift_mode must be one of {P2_DRIFT_MODES}, got {mode!r}"
+            f"p2_drift_mode must be one of {P2_DRIFT_MODES}, got {config.p2_drift_mode!r}"
         )
-
-    if "theta" in values:
-        theta_points: Optional[Tuple[float, ...]] = values["theta"]
-    elif case_tag in ("iii", "iv"):
-        theta_points = base.theta_points
-    else:
-        theta_points = None
-    if case_tag not in ("iii", "iv"):
-        theta_points = None
-
-    config = RunConfig(
-        params=params,
-        case_tag=case_tag,
-        lam_P_points=values.get("lambda_P", base.lam_P_points),
-        theta_points=theta_points,
-        n_paths=values.get("n_paths", base.n_paths),
-        n_steps=values.get("n_steps", base.n_steps),
-        seed=values.get("seed", base.seed),
-        p2_drift_mode=mode,
-        out_dir=values.get("out_dir", base.out_dir),
-        blow_up_bound=values.get("blow_up_bound", base.blow_up_bound),
-        residual_tol=values.get("residual_tol", base.residual_tol),
-        feasibility_tol=values.get("feasibility_tol", base.feasibility_tol),
-        chunk_size=values.get("chunk_size", base.chunk_size),
-        coeffs_csv=values.get("coeffs_csv", None),
-        weak_effort=values.get("weak_effort", base.weak_effort),
-        weak_cashflow=values.get("weak_cashflow", base.weak_cashflow),
-    )
+    # theta is read in cases iii and iv only, which default to the base points
+    if config.case_tag not in ("iii", "iv"):
+        config = dataclasses.replace(config, theta_points=None)
     _validate(config)
     return config
 
@@ -212,7 +186,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -276,27 +250,17 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     """Re-build a config with string overrides (flag or environment values)."""
     values = {}
     for key, raw in overrides.items():
-        if key not in ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown override key {key!r}")
         values[key] = _coerce(key, raw)
 
-    merged = {
-        "a": config.params.a, "b": config.params.b, "sigma": config.params.sigma,
-        "alpha": config.params.alpha, "beta": config.params.beta, "T": config.params.T,
-        "W0": config.params.W0, "R0": config.params.R0,
-        "case": config.case_tag, "lambda_P": config.lam_P_points,
-        "n_paths": config.n_paths, "n_steps": config.n_steps, "seed": config.seed,
-        "p2_drift_mode": config.p2_drift_mode, "out_dir": config.out_dir,
-        "blow_up_bound": config.blow_up_bound, "residual_tol": config.residual_tol,
-        "feasibility_tol": config.feasibility_tol, "chunk_size": config.chunk_size,
-        "weak_effort": config.weak_effort, "weak_cashflow": config.weak_cashflow,
+    current = {
+        key: getattr(config.params if key in _PARAM_KEYS else config, field)
+        for key, (field, _) in _KEYS.items()
     }
-    if config.theta_points is not None:
-        merged["theta"] = config.theta_points
-    if config.coeffs_csv is not None:
-        merged["coeffs_csv"] = config.coeffs_csv
-    merged.update(values)
-    return _build(merged)
+    # an unset theta or coeffs_csv stays unset, so _build's defaults apply
+    merged = {key: value for key, value in current.items() if value is not None}
+    return _build({**merged, **values})
 
 
 # flag-style spellings accepted alongside the config-key spellings
@@ -316,7 +280,7 @@ def env_overrides(environ=None) -> dict:
     for alias, key in _ENV_ALIASES.items():
         if ENV_PREFIX + alias in environ:
             found[key] = environ[ENV_PREFIX + alias]
-    for key in sorted(ALL_KEYS):
+    for key in sorted(_KEYS):
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
             found[key] = environ[env_key]

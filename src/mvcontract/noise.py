@@ -7,6 +7,11 @@ the Gaussian inverse CDF (``scipy.special.ndtri``), scaled by sqrt(dt).  Both
 maps are fully deterministic rational/integer arithmetic, so ensembles are
 bit-identical across runs, chunkings, worker counts and platforms.
 
+``scipy.special`` is imported on the first draw, not with this module: it
+is most of the package's import time, and ``riccati`` draws no noise.  The
+first call of ``ndtri`` rebinds the module name to scipy's ufunc, so every
+later block calls it directly; the noise spec above is unchanged.
+
 Because draws are addressed by counter, any contiguous block of paths can be
 produced without generating the rest of the stream (``sample_noise_block``),
 which keeps large Monte-Carlo runs memory-lean without changing a single bit.
@@ -15,7 +20,6 @@ which keeps large Monte-Carlo runs memory-lean without changing a single bit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .timegrid import TimeGrid
 
@@ -61,6 +65,23 @@ class NoiseEnsemble:
             increments=coarse,
             path_offset=self.path_offset,
         )
+
+
+def _first_ndtri(x, out=None):
+    """``scipy.special.ndtri``, imported on the first call.
+
+    Rebinds the module name ``ndtri`` to the ufunc, unless a wrapper has
+    replaced this function there meanwhile; a wrapper keeps calling it.
+    """
+    global ndtri
+    from scipy.special import ndtri as ufunc
+
+    if ndtri is _first_ndtri:
+        ndtri = ufunc
+    return ufunc(x, out=out)
+
+
+ndtri = _first_ndtri
 
 
 def _raw_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:

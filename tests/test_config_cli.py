@@ -189,6 +189,18 @@ def test_cmd_riccati_validation_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["riccati", "simulate"])
+@pytest.mark.parametrize("out", ["", "afile", "afile/sub"], ids=["empty", "file", "under_file"])
+def test_unusable_out_dir_is_a_config_error(tmp_path, capsys, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("not a directory\n")
+    cfg = _write_fig_config(tmp_path, n_paths=500)
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "out_dir" in err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
+
+
 def test_riccati_csv_round_trip(tmp_path):
     cfg = _write_fig_config(tmp_path, out_dir=str(tmp_path / "out"))
     main(["riccati", "--config", cfg])

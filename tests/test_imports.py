@@ -1,0 +1,95 @@
+"""Import boundary of the package and the bits of its noise.
+
+``scipy.special`` is imported on the first Gaussian draw, so importing the
+package, resolving a config and running ``riccati`` must not load scipy;
+each of those is checked in a fresh interpreter.  The draws themselves are
+pinned bit for bit to the noise spec, including a first draw made
+concurrently by two pool workers.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mvcontract
+from mvcontract import (
+    ETA_EQUALS_X,
+    ClosedLoopField,
+    LqParams,
+    from_case,
+    integrate_riccati,
+    make_grid,
+    sample_noise_block,
+)
+from mvcontract.montecarlo import simulate_costs
+
+SRC = str(Path(mvcontract.__file__).resolve().parents[1])
+
+
+def _run_fresh(script: str, *args: str) -> bytes:
+    """Run ``script`` in a new interpreter with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
+@pytest.mark.parametrize("statement", [
+    "import mvcontract",
+    "from mvcontract import cli",
+    "from mvcontract import cli; "
+    "assert cli.main(['riccati', '--steps', '64', '--out', sys.argv[1]]) == 0",
+], ids=["import", "import_cli", "riccati"])
+def test_scipy_is_not_loaded_without_a_draw(tmp_path, statement):
+    out = _run_fresh(f"import sys; {statement}; print('scipy' in sys.modules)", str(tmp_path))
+    assert out.split()[-1] == b"False"
+
+
+@pytest.mark.parametrize("n_steps, seed", [(16, 12345), (7, 2**64 - 1)])
+def test_noise_block_bits_match_the_spec(n_steps, seed):
+    from scipy.special import ndtri
+
+    grid = make_grid(0.03, n_steps)
+    n_paths = 300
+    raw = np.random.Philox(key=seed).random_raw(n_paths * n_steps)
+    spec = ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53) * np.sqrt(grid.dt)
+    spec = spec.reshape(n_paths, n_steps)
+    for lo, hi in [(0, n_paths), (37, 201), (299, 300)]:
+        block = sample_noise_block(grid, n_paths, seed, lo, hi)
+        assert np.array_equal(block.increments, spec[lo:hi])
+
+
+FIRST_DRAW_ON_A_POOL = """
+import sys
+import numpy as np
+from mvcontract import (ETA_EQUALS_X, ClosedLoopField, LqParams, from_case,
+                        integrate_riccati, make_grid, montecarlo, noise)
+
+assert "scipy" not in sys.modules
+montecarlo._cpu_count = lambda: 2
+params = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
+sol = integrate_riccati(params, from_case("iv", 0.1, 1.5707963267948966),
+                        make_grid(params.T, 16), ETA_EQUALS_X)
+sys.setswitchinterval(1e-6)
+ja, jp, x_T = montecarlo.simulate_costs(ClosedLoopField(sol), 3_000, 41, chunk_size=97)
+assert "scipy" in sys.modules and isinstance(noise.ndtri, np.ufunc)
+sys.stdout.buffer.write(ja.tobytes() + jp.tobytes() + x_T.tobytes())
+"""
+
+
+def test_first_draw_on_a_worker_pool_is_bit_identical():
+    pooled = _run_fresh(FIRST_DRAW_ON_A_POOL)
+    params = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
+    sol = integrate_riccati(params, from_case("iv", 0.1, 1.5707963267948966),
+                            make_grid(params.T, 16), ETA_EQUALS_X)
+    ja, jp, x_T = simulate_costs(ClosedLoopField(sol), 3_000, 41, chunk_size=None)
+    assert pooled == ja.tobytes() + jp.tobytes() + x_T.tobytes()
