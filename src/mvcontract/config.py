@@ -204,40 +204,23 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_to_text(config: RunConfig) -> str:
-    """Serialize to the file format; parsing the output reproduces the config."""
-    p = config.params
-    lines = [
-        "# model parameters",
-        f"a = {p.a!r}            # output drift coefficient (1/time)",
-        f"b = {p.b!r}            # effort gain (dimensionless)",
-        f"sigma = {p.sigma!r}        # output volatility",
-        f"alpha = {p.alpha!r}        # agent bonus factor",
-        f"beta = {p.beta!r}         # principal bonus factor",
-        f"T = {p.T!r}           # horizon (time units)",
-        f"W0 = {p.W0!r}          # participation bound on agent cost",
-        f"R0 = {p.R0!r}           # bound on Var(x(T))",
-        "# multiplier sweep",
-        f"case = {config.case_tag}",
-        f"lambda_P = {_format_points(config.lam_P_points)}",
-    ]
-    if config.theta_points is not None:
-        lines.append(f"theta = {_format_points(config.theta_points)}   # radians")
-    lines += [
-        "# run controls",
-        f"n_paths = {config.n_paths}",
-        f"n_steps = {config.n_steps}",
-        f"seed = {config.seed}",
-        f"p2_drift_mode = {config.p2_drift_mode}",
-        f"out_dir = {config.out_dir}",
-        f"blow_up_bound = {config.blow_up_bound!r}",
-        f"residual_tol = {config.residual_tol!r}",
-        f"feasibility_tol = {config.feasibility_tol!r}",
-        f"chunk_size = {config.chunk_size}",
-        f"weak_effort = {config.weak_effort!r}   # constant effort of the density-check instance",
-        f"weak_cashflow = {config.weak_cashflow!r}  # constant cash-flow of the density-check instance",
-    ]
-    if config.coeffs_csv is not None:
-        lines.append(f"coeffs_csv = {config.coeffs_csv}")
+    """Serialize to the file format; parsing the output reproduces the config.
+
+    A string value that could not be read back unchanged, one holding ``#``
+    or a line break or with surrounding whitespace, is a ``ConfigError``.
+    """
+    lines = []
+    for key, (field, kind) in _KEYS.items():
+        value = getattr(config.params if key in _PARAM_KEYS else config, field)
+        if value is None:  # an unset theta or coeffs_csv
+            continue
+        if kind is tuple:
+            value = _format_points(value)
+        elif kind is not str:
+            value = repr(value)
+        elif "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+            raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,9 @@
 """Monte-Carlo evaluation of contract costs and terminal-output variance.
 
 For a multiplier triple the pipeline is: integrate the backward coefficient
-system, assemble the closed-loop field, and run the Euler scheme over
-seeded Brownian increments.  The means E[x], E[R] vanish identically, so
-the step reads only the state blocks of the coefficients.  Per path,
+system, build the closed-loop rows (``ClosedLoopField``: per node, the
+loadings of the controls and drifts on (x, R)), and run the Euler scheme
+over seeded Brownian increments.  Per path,
 
     J_A-path = sum_k (s_k - e_k)^2 / 2 * dt - alpha x_T^2 / 2,
     J_P-path = sum_k  s_k^2        / 2 * dt - beta  x_T^2 / 2,
@@ -16,7 +16,11 @@ fourth central moment.
 Paths are processed in blocks of ``chunk_size`` paths (default
 ``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
 CPU caches), drawn directly from the counter-based noise stream and run on
-a thread pool with one worker per CPU the process may use.  That scheduler,
+a thread pool with one worker per CPU the process may use.  A block copies
+its ``sigma dW`` step-major in tiles of ``_TILE_PATHS`` paths, then makes
+21 ufunc passes and two sums per step over its (x, R) arrays; a
+16384-path x 64-step block steps in about 18 ms and draws its noise in
+about 46 ms (2 vCPUs, numpy 2.4.6, scipy 1.17.1).  That scheduler,
 ``map_noise_blocks``, also runs the path blocks of the check batteries.
 Every per-path value is bit-identical no matter how the path range is split
 into blocks or how many workers run them; the final reductions run on the
@@ -27,13 +31,14 @@ and keeps (x, R) at every node; the checks read their closed-loop paths from
 it, so one stepper serves both the Monte-Carlo evaluation and the oracles.
 """
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .model import AS_PRINTED, LqParams, cashflow_weights, check_mode, terminal_costs
+from .model import AS_PRINTED, LqParams, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
 from .noise import NoiseEnsemble, sample_noise_block
 from .riccati import ClosedLoopField, integrate_riccati
@@ -86,90 +91,70 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _node_scalars(field: ClosedLoopField) -> List[List[float]]:
-    """Per-node scalars of the closed-loop step, in the order ``_step_block`` reads them.
-
-    Each row is (A11, B11, A12, B12, A13, B13) at a left-endpoint node.
-    """
-    n = field.sol.grid.n_steps
-    cols = [field.sol.column(name)[:n] for name in ("A11", "B11", "A12", "B12", "A13", "B13")]
-    return np.column_stack(cols).tolist()
+#: Paths per tile of the step-major noise copy in ``_step_block``: a tile of
+#: both layouts (512 paths x 64 steps, 256 kB each) stays in cache while it is
+#: transposed, where a whole-block transpose misses on every strided read.
+_TILE_PATHS = 512
 
 
-def _step_block(field, nodes, dW, ja, jp, x, states=None) -> Optional[Tuple[int, int]]:
+def _step_block(field, dW, ja, jp, x, states=None) -> Optional[Tuple[int, int]]:
     """Step one block of paths through every node of the grid.
 
     ``dW`` holds the block's increments, one row per path.  The running cost
     integrals accumulate into ``ja`` and ``jp`` and the state ends in ``x``
     (views of the caller's output arrays); ``states``, if given, with shape
-    (paths, n_points, 2), receives (x, R) at every node.  Every update is an
-    ``out=`` ufunc in the operation order of ``ClosedLoopField.controls_at_index``
-    and ``drift_terms``, so each output bit matches the reference step.
-    Returns None, or (step, path index within the block) of the first
-    non-finite state.
+    (paths, n_points, 2), receives (x, R) at every node.  Each step reads one
+    row of ``field.rows``:
+
+        ja += (sqrt(dt/2) b p)^2,   jp += (sqrt(dt/2) s)^2,
+        x  += dt (Fxx x + FxR R) + sigma dW,   R += dt (GRx x + GRR R),
+
+    in ``out=`` ufuncs on a few work arrays, so every block of every caller
+    gets the same bits.  ``sigma dW`` is first copied step-major, in tiles of
+    ``_TILE_PATHS`` paths.  Returns None, or (step, path index within the
+    block) of the first non-finite state: a step whose state sums are finite
+    has no non-finite element, so only a non-finite sum is searched.
     """
-    params = field.params
-    a, b, dt = params.a, params.b, field.sol.grid.dt
-    c1, c2 = cashflow_weights(b, field.sol.p2_drift_mode)
-    lam_P = field.sol.multipliers.lam_P
-    bb = b * b
-    lam_E_bb = field.sol.multipliers.lam_E * b * b
-    half_dt = 0.5 * dt
-    # one contiguous row of sigma dW per step
-    sigma_dW = np.multiply(dW.T, params.sigma, order="C")
+    dt = field.sol.grid.dt
+    sigma = field.sol.params.sigma
     m = x.size
+    sigma_dW = np.empty((dW.shape[1], m))
+    for lo in range(0, m, _TILE_PATHS):
+        hi = lo + _TILE_PATHS
+        np.multiply(dW[lo:hi].T, sigma, out=sigma_dW[:, lo:hi])
     R = np.zeros(m)
-    p, P1, P2, s, e, t = (np.empty(m) for _ in range(6))
-    finite = np.empty(m, dtype=bool)
+    t, u, v = (np.empty(m) for _ in range(3))
     x[...] = 0.0
     ja[...] = 0.0
     jp[...] = 0.0
     if states is not None:
         states[:, 0] = 0.0
-    for k, (A11, B11, A12, B12, A13, B13) in enumerate(nodes):
-        for out, A, B in ((p, A11, B11), (P1, A12, B12), (P2, A13, B13)):
-            np.multiply(x, A, out=out)
-            np.multiply(R, B, out=t)
-            out += t
-        # s = (c1 P1 + c2 P2) / lambda_P,  e = b p + s
-        np.multiply(P1, c1, out=s)
-        np.multiply(P2, c2, out=t)
-        s += t
-        s /= lam_P
-        np.multiply(p, b, out=e)
-        e += s
-        # running costs (s - e)^2 dt / 2 and s^2 dt / 2
-        np.subtract(s, e, out=t)
-        np.square(t, out=t)
-        t *= half_dt
-        ja += t
-        np.square(s, out=t)
-        t *= half_dt
-        jp += t
-        # fx = a x + b^2 p + b s, into e
-        np.multiply(x, a, out=e)
-        np.multiply(p, bb, out=t)
-        e += t
-        np.multiply(s, b, out=t)
-        e += t
-        # fR = a R - b^2 (P1 + P2) + lambda_E b^2 p, into s
-        P1 += P2
-        P1 *= bb
-        np.multiply(R, a, out=s)
-        s -= P1
-        np.multiply(p, lam_E_bb, out=t)
-        s += t
-        e *= dt
-        x += e
+    for k, (bpx, bpR, sx, sR, fxx, fxR, gRx, gRR) in enumerate(field.rows):
+        for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
+            np.multiply(x, cx, out=t)
+            np.multiply(R, cR, out=u)
+            t += u
+            np.square(t, out=t)
+            acc += t
+        # the R-increment reads x before the x-step
+        np.multiply(x, gRx, out=v)
+        np.multiply(R, gRR, out=u)
+        v += u
+        v *= dt
+        np.multiply(x, fxx, out=t)
+        np.multiply(R, fxR, out=u)
+        t += u
+        t *= dt
+        x += t
         x += sigma_dW[k]
-        s *= dt
-        R += s
+        R += v
         if states is not None:
             states[:, k + 1, 0] = x
             states[:, k + 1, 1] = R
-        if not np.isfinite(x, out=finite).all() or not np.isfinite(R, out=finite).all():
-            bad = np.argwhere(~(np.isfinite(x) & np.isfinite(R)))[0][0]
-            return k + 1, int(bad)
+        if not (math.isfinite(x.sum()) and math.isfinite(R.sum())):
+            bad = ~(np.isfinite(x) & np.isfinite(R))
+            if bad.any():
+                return k + 1, int(bad.argmax())
     return None
 
 
@@ -236,11 +221,9 @@ def simulate_costs(
     ja_int = np.empty(n_paths)
     jp_int = np.empty(n_paths)
     x_T = np.empty(n_paths)
-    nodes = _node_scalars(field)
 
     def run(lo, hi, noise):
-        bad = _step_block(field, nodes, noise.increments,
-                          ja_int[lo:hi], jp_int[lo:hi], x_T[lo:hi])
+        bad = _step_block(field, noise.increments, ja_int[lo:hi], jp_int[lo:hi], x_T[lo:hi])
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
 
@@ -266,8 +249,7 @@ def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsem
     n = noise.n_paths
     states = np.empty((n, grid.n_points, 2))
     ja, jp, x_T = np.empty((3, n))
-    bad = _step_block(field, _node_scalars(field), noise.increments,
-                      ja, jp, x_T, states)
+    bad = _step_block(field, noise.increments, ja, jp, x_T, states)
     if bad is not None:
         raise SimulationDivergedError(path=bad[1], step=bad[0])
     return PathEnsemble(grid=grid, states=states, labels=("x", "R"), noise=noise)

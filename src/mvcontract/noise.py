@@ -101,14 +101,15 @@ def _gaussian_draws(seed: int, n: int, offset: int, scale: float) -> np.ndarray:
     """Standard Gaussian draws times ``scale``, mapped in place.
 
     The same operations as ``ndtri(((raw >> 11) + 0.5) * 2**-53) * scale``,
-    so the bits are the same, but done in place on the raw words and on one
-    float array instead of through a temporary per operation.
+    so the bits are the same, but in four passes without a temporary: the
+    shift in place on the raw words, the conversion to float and the
+    ``+ 0.5`` in one ufunc (the shifted words are below 2**53, so they
+    convert exactly), then the rest in place on that one float array.
     """
     raw = _raw_stream(seed, n, offset)
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
+    u = np.add(raw, 0.5, dtype=np.float64)
     del raw
-    u += 0.5
     u *= 2.0**-53
     ndtri(u, out=u)
     u *= scale

@@ -210,38 +210,42 @@ def integrate_riccati(
 class ClosedLoopField:
     """The closed loop of (x, R) with the optimal controls substituted.
 
-    The x-component diffuses with constant sigma; the R-component carries no
-    noise.  Controls and drifts are read at grid nodes from the coefficient
-    row of the node; ``montecarlo`` steps the paths.  The means E[x], E[R]
-    vanish identically, so only the state blocks (A1j, B1j) enter.
+    With the means vanishing, every control and drift at a node is linear in
+    (x, R), so the loop is one table of per-node rows, built once per solve
+    from the state blocks (A1j, B1j) of each left-endpoint node k < n_steps:
+
+        (sqrt(dt/2) b A11, sqrt(dt/2) b B11,   loadings of sqrt(dt/2) b p,
+         sqrt(dt/2) Sx,    sqrt(dt/2) SR,      loadings of sqrt(dt/2) s_bar,
+         Fxx, FxR,                             x-drift a x + b^2 p + b s_bar,
+         GRx, GRR)                             R-drift a R - b^2 (P1 + P2) + lambda_E b^2 p,
+
+    with s_bar = Sx x + SR R.  Along the optimal pair s - e = -b p, so the
+    agent's running cost (s - e)^2 dt / 2 is the square of the first pair's
+    combination.  ``montecarlo`` steps the paths on these rows.
     """
 
     sol: RiccatiSolution
+    rows: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def params(self) -> LqParams:
-        return self.sol.params
-
-    def controls_at_index(self, k: int, x: np.ndarray, R: np.ndarray):
-        """Adjoint values and controls (p, P1, P2, s_bar, e_bar) at node k."""
-        (A11, _, B11, _,
-         A12, _, B12, _,
-         A13, _, B13, _) = self.sol.coeffs[k]
-        p = A11 * x + B11 * R
-        P1 = A12 * x + B12 * R
-        P2 = A13 * x + B13 * R
-        c1, c2 = cashflow_weights(self.params.b, self.sol.p2_drift_mode)
-        s = (c1 * P1 + c2 * P2) / self.sol.multipliers.lam_P
-        e = self.params.b * p + s
-        return p, P1, P2, s, e
-
-    def drift_terms(self, p, P1, P2, s, x, R):
-        """(x-drift, R-drift) from precomputed adjoint values and cash-flow."""
-        a, b = self.params.a, self.params.b
-        lam_E = self.sol.multipliers.lam_E
-        fx = a * x + b * b * p + b * s
-        fR = a * R - b * b * (P1 + P2) + lam_E * b * b * p
-        return fx, fR
+    def __post_init__(self):
+        sol = self.sol
+        a, b = sol.params.a, sol.params.b
+        b2 = b * b
+        c1, c2 = cashflow_weights(b, sol.p2_drift_mode)
+        lam_P, lam_E = sol.multipliers.lam_P, sol.multipliers.lam_E
+        n = sol.grid.n_steps
+        A11, B11, A12, B12, A13, B13 = (
+            sol.column(name)[:n] for name in ("A11", "B11", "A12", "B12", "A13", "B13")
+        )
+        h = math.sqrt(0.5 * sol.grid.dt)
+        Sx = (c1 * A12 + c2 * A13) / lam_P
+        SR = (c1 * B12 + c2 * B13) / lam_P
+        rows = np.column_stack((
+            h * b * A11, h * b * B11, h * Sx, h * SR,
+            a + b2 * A11 + b * Sx, b2 * B11 + b * SR,
+            b2 * (lam_E * A11 - A12 - A13), a + b2 * (lam_E * B11 - B12 - B13),
+        ))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows.tolist())))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,26 @@ def test_config_round_trip(tmp_path):
 def test_default_config_round_trips():
     config = default_config()
     assert parse_config_text(config_to_text(config)) == config
+
+
+def test_config_text_round_trips_every_key():
+    # no theta in case v, a coefficient file, and string values with inner
+    # spaces and an equals sign
+    config = dataclasses.replace(
+        parse_config_text("case = v\nlambda_P = 0.2,0.7"),
+        out_dir="runs = 1 dir", coeffs_csv="my coeffs.csv", chunk_size=777,
+    )
+    assert config.theta_points is None
+    assert parse_config_text(config_to_text(config)) == config
+
+
+@pytest.mark.parametrize("out_dir", ["runs#1", " runs", "runs ", "a\nb", "a\rb"])
+def test_string_that_cannot_round_trip_is_a_config_error(out_dir):
+    # "#" would start a comment, a line break a new line, and surrounding
+    # whitespace is stripped on parsing: none reads back as written
+    config = dataclasses.replace(default_config(), out_dir=out_dir)
+    with pytest.raises(ConfigError, match="out_dir"):
+        config_to_text(config)
 
 
 def test_unknown_key_rejected():

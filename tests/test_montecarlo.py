@@ -11,6 +11,7 @@ from mvcontract import (
     ETA_EQUALS_X,
     ClosedLoopField,
     DegenerateMultiplierError,
+    NoiseEnsemble,
     RiccatiBlowUpError,
     RiccatiSolution,
     SimulationDivergedError,
@@ -61,11 +62,13 @@ def test_bad_chunk_size_rejected(ref_params, corner_triple, chunk_size):
                           p2_drift_mode=ETA_EQUALS_X, chunk_size=chunk_size)
 
 
-def test_agent_integral_identity(ref_params, corner_triple):
+def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row_closed_loop):
     # along the optimal pair, s - e = -b p, so the agent's running cost is
-    # b^2 p^2 / 2 pathwise; recompute it that way from the same noise.  The
-    # reference loop also pins the one stepper: closed_loop_paths and
-    # simulate_costs must reproduce its (x, R) bit for bit at every node.
+    # b^2 p^2 / 2 pathwise; recompute it that way from the raw coefficients
+    # and the same noise.  The field's rows must reproduce the raw-coefficient
+    # controls and drifts, and the reference loop, stepped on the rows, pins
+    # the one stepper: closed_loop_paths and simulate_costs must reproduce its
+    # (x, R) at every node and its cost integrals bit for bit.
     n_paths, n_steps, seed = 2_000, 32, 17
     grid = make_grid(ref_params.T, n_steps)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
@@ -78,22 +81,33 @@ def test_agent_integral_identity(ref_params, corner_triple):
     x = np.zeros(n_paths)
     R = np.zeros(n_paths)
     ja_alt = np.zeros(n_paths)
-    b = ref_params.b
+    ja_row = np.zeros(n_paths)
+    jp_row = np.zeros(n_paths)
+    b, dt = ref_params.b, grid.dt
+    h = math.sqrt(0.5 * dt)
     for k in range(n_steps):
         assert np.array_equal(paths.component("x")[:, k], x)
         assert np.array_equal(paths.component("R")[:, k], R)
-        p, P1, P2, s, e = field.controls_at_index(k, x, R)
-        ja_alt += (b * p) ** 2 * (0.5 * grid.dt)
-        fx, fR = field.drift_terms(p, P1, P2, s, x, R)
-        x = x + fx * grid.dt + ref_params.sigma * dW[:, k]
-        R = R + fR * grid.dt
+        p, P1, P2, s, fx, fR = raw_closed_loop(sol, k, x, R)
+        e = b * p + s
+        ja_alt += (b * p) ** 2 * (0.5 * dt)
+        np.testing.assert_allclose((s - e) ** 2 * (0.5 * dt), (b * p) ** 2 * (0.5 * dt),
+                                   rtol=1e-8, atol=1e-18)
+        bp_row, s_row, fx_row, fR_row = row_closed_loop(field, k, x, R)
+        for row, spec in ((bp_row, h * b * p), (s_row, h * s), (fx_row, fx), (fR_row, fR)):
+            np.testing.assert_allclose(row, spec, rtol=1e-12, atol=0)
+        ja_row += bp_row ** 2
+        jp_row += s_row ** 2
+        x = x + fx_row * dt + ref_params.sigma * dW[:, k]
+        R = R + fR_row * dt
     assert np.array_equal(paths.component("x")[:, -1], x)
     assert np.array_equal(paths.component("R")[:, -1], R)
     assert paths.labels == ("x", "R") and paths.noise is noise
     np.testing.assert_allclose(ja_int, ja_alt, rtol=1e-8, atol=1e-18)
+    assert np.array_equal(ja_int, ja_row) and np.array_equal(jp_int, jp_row)
     assert np.array_equal(x, x_T)
-    _, _, x_T_chunked = simulate_costs(field, n_paths, seed, chunk_size=777)
-    assert np.array_equal(x, x_T_chunked)
+    chunked = simulate_costs(field, n_paths, seed, chunk_size=777)
+    assert all(np.array_equal(got, want) for got, want in zip(chunked, (ja_row, jp_row, x)))
     with pytest.raises(ValueError):
         closed_loop_paths(field, sample_noise(make_grid(ref_params.T, 16), 10, seed))
 
@@ -208,6 +222,59 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()
         assert (excinfo.value.path, excinfo.value.step) == (target, 2)
+
+
+def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple):
+    # hand-built as_printed coefficients (b = 1, so s = (P1 + 2 P2) / lambda_P):
+    # A12 = -2 A13 at node 1 cancels every loading of x on the coefficients,
+    # so x stays finite, while the R-drift loading A13 overflows only the
+    # path with the largest first increment; R alone goes non-finite there,
+    # at step 2, and each chunking and closed_loop_paths must report it
+    params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
+    n_paths, seed = 3_000, 3
+    grid = make_grid(params.T, 8)
+    x1 = params.sigma * sample_noise(grid, n_paths, seed).increments[:, 0]
+    order = np.argsort(np.abs(x1))
+    first, second = np.abs(x1[order[-1]]), np.abs(x1[order[-2]])
+    assert first * second > 4.0
+    spike = np.finfo(float).max / np.sqrt(first * second)
+    coeffs = np.zeros((grid.n_points, 12))
+    coeffs[1, COEFF_NAMES.index("A12")] = -2.0 * spike
+    coeffs[1, COEFF_NAMES.index("A13")] = spike
+    sol = RiccatiSolution(grid, params, corner_triple, coeffs, AS_PRINTED)
+    field = ClosedLoopField(sol)
+    target = int(order[-1])
+    assert target >= 1_000
+    runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
+            for cs in (None, 777)]
+    runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
+    for run in runs:
+        with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
+            run()
+        assert (excinfo.value.path, excinfo.value.step) == (target, 2)
+
+
+def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_triple,
+                                                         monkeypatch):
+    # every path takes the same large increments: each state stays finite
+    # while its sum over the paths overflows, which is no divergence
+    params = dataclasses.replace(ref_params, sigma=5e307, b=0.0)
+    grid = make_grid(params.T, 2)
+    sol = integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X)
+    field = ClosedLoopField(sol)
+
+    def ones(grid, n_paths, seed, lo, hi):
+        return NoiseEnsemble(grid, seed, hi - lo, np.ones((hi - lo, grid.n_steps)), lo)
+
+    monkeypatch.setattr(montecarlo, "sample_noise_block", ones)
+    with np.errstate(over="ignore"):
+        paths = closed_loop_paths(field, ones(grid, 8, 0, 0, 8))
+        runs = [simulate_costs(field, 8, 0, chunk_size=cs) for cs in (None, 3)]
+        x = paths.component("x")
+        assert not math.isfinite(x[:, 1].sum()) and not math.isfinite(x[:, 2].sum())
+    assert np.isfinite(paths.states).all()
+    for _, _, x_T in runs:
+        assert np.array_equal(x_T, x[:, -1])
 
 
 def test_oversubscribed_pool_is_bit_identical(ref_params, corner_triple, monkeypatch):

@@ -241,23 +241,32 @@ def test_bad_blow_up_bound_rejected(ref_params, corner_triple, bound):
         integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X, blow_up_bound=bound)
 
 
-def test_closed_loop_terminal_controls(ref_params):
+def test_closed_loop_terminal_controls(ref_params, raw_closed_loop, row_closed_loop):
     # at the horizon with lambda_V = 0 and (x, R) = (1, 0) the adjoint values
-    # reduce to their terminal weights
+    # reduce to their terminal weights; the last row the stepper reads
+    # reproduces the raw-coefficient controls and drifts there
     mult = from_case("v", 0.3)
     grid = make_grid(ref_params.T, 16)
     sol = integrate_riccati(ref_params, mult, grid, ETA_EQUALS_X)
     field = ClosedLoopField(sol)
     x = np.array([1.0])
     R = np.array([0.0])
-    p, P1, P2, s, e = field.controls_at_index(grid.n_steps, x, R)
+    p, P1, P2, s, _, _ = raw_closed_loop(sol, grid.n_steps, x, R)
+    e = ref_params.b * p + s
     assert p[0] == ref_params.alpha
     assert P1[0] == ref_params.alpha * mult.lam_E + ref_params.beta * mult.lam_P
     assert P2[0] == 0.0
     assert e[0] == ref_params.b * p[0] + s[0]
+    k = grid.n_steps - 1
+    p, _, _, s, fx, fR = raw_closed_loop(sol, k, x, R)
+    h = math.sqrt(0.5 * grid.dt)
+    rows = row_closed_loop(field, k, x, R)
+    for row, spec in zip(rows, (h * ref_params.b * p, h * s, fx, fR)):
+        np.testing.assert_allclose(row, spec, rtol=1e-12, atol=0)
 
 
-def test_zero_effort_gain_decouples_output(ref_params, corner_triple):
+def test_zero_effort_gain_decouples_output(ref_params, corner_triple, raw_closed_loop,
+                                          row_closed_loop):
     import dataclasses as dc
     params = dc.replace(ref_params, b=0.0)
     grid = make_grid(params.T, 16)
@@ -266,8 +275,10 @@ def test_zero_effort_gain_decouples_output(ref_params, corner_triple):
     rng = np.random.default_rng(1)
     x, R = rng.normal(size=(2, 20))
     for k in (0, 5, grid.n_steps):
-        p, P1, P2, s, _ = field.controls_at_index(k, x, R)
-        fx, _ = field.drift_terms(p, P1, P2, s, x, R)
+        _, _, _, _, fx, _ = raw_closed_loop(sol, k, x, R)
+        np.testing.assert_allclose(fx, params.a * x, rtol=1e-14)
+    for k in (0, 5, grid.n_steps - 1):
+        _, _, fx, _ = row_closed_loop(field, k, x, R)
         np.testing.assert_allclose(fx, params.a * x, rtol=1e-14)
 
 
