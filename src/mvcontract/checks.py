@@ -6,11 +6,14 @@ Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
 they are deterministic.
 
 The residual oracle and the density checks stream their path ensembles in
-blocks of about ``BLOCK_DRAWS`` noise draws through the Monte-Carlo block
-scheduler (``montecarlo.map_noise_blocks``) and keep only what they read:
-the largest residual of each block, or the terminal values of each path.
-Their peak memory therefore scales with workers x block, not with the path
-count, and every reported number is the one the whole ensemble gives.
+blocks of about ``RESIDUAL_BLOCK_DRAWS`` and ``BLOCK_DRAWS`` noise draws
+through the Monte-Carlo block scheduler (``montecarlo.map_noise_blocks``)
+and keep only what they read: the largest residual of each block, or the
+terminal values of each path.  Their peak memory therefore scales with
+workers x block, not with the path count, and every reported number is the
+one the whole ensemble gives.  The density checks fold x_T and log Gamma_T
+directly, in the operation order of ``euler_maruyama`` and
+``simulate_density``, which stay the reference the tests pin them against.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .config import RunConfig
-from .errors import RiccatiBlowUpError
+from .errors import RiccatiBlowUpError, SimulationDivergedError
 from .model import (
     AS_PRINTED,
     ETA_EQUALS_X,
@@ -30,7 +33,7 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import closed_loop_paths, evaluate_contract, map_noise_blocks
+from .montecarlo import _step_major, closed_loop_paths, evaluate_contract, map_noise_blocks
 from .multipliers import sweep_grid
 from .noise import sample_noise
 from .riccati import (
@@ -41,17 +44,23 @@ from .riccati import (
     integrate_riccati,
     terminal_conditions,
 )
-from .sde import PathEnsemble, euler_maruyama
+from .sde import PathEnsemble
 from .timegrid import make_grid
-from .weak import hidden_action_foc_check, reweighted_expectation, simulate_density
+from .weak import hidden_action_foc_check, reweighted_expectation
 
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
-#: Noise draws per path block of the streamed batteries: 4,096 paths at 64
-#: steps, 1,024 at 256, a few MB of working set per worker.
+#: Noise draws per path block of the density batteries: 4,096 paths at 64
+#: steps, a few MB of working set per worker.
 BLOCK_DRAWS = 2**18
+#: Noise draws per path block of the residual oracle: 2,048 paths at 256
+#: steps, about 13 MB of noise and recorded states per worker.  Stepping a
+#: block costs some 20 numpy calls per step whatever its width, so wider
+#: blocks pay less dispatch per path; 4,096 paths ran faster still but
+#: raised the battery's peak memory.
+RESIDUAL_BLOCK_DRAWS = 2**19
 
 
 @dataclass(frozen=True)
@@ -90,9 +99,9 @@ def check_terminal_conditions(sol: RiccatiSolution) -> CheckResult:
     return _result("terminal_conditions", err <= 1e-14, f"max_rel_err={err:.3e} tol=1e-14")
 
 
-def _map_blocks(grid, n_paths: int, seed: int, run: Callable) -> list:
-    """``run(lo, hi, noise)`` over blocks of about ``BLOCK_DRAWS`` draws of a seed's paths."""
-    return map_noise_blocks(grid, n_paths, seed, max(1, BLOCK_DRAWS // grid.n_steps), run)
+def _map_blocks(grid, n_paths: int, seed: int, block_draws: int, run: Callable) -> list:
+    """``run(lo, hi, noise)`` over blocks of about ``block_draws`` draws of a seed's paths."""
+    return map_noise_blocks(grid, n_paths, seed, max(1, block_draws // grid.n_steps), run)
 
 
 def _max_residual(sol: RiccatiSolution, n_paths: int, seed: int) -> float:
@@ -106,7 +115,7 @@ def _max_residual(sol: RiccatiSolution, n_paths: int, seed: int) -> float:
     def block_max(lo, hi, noise):
         return ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual
 
-    return float(np.max(_map_blocks(sol.grid, n_paths, seed, block_max)))
+    return float(np.max(_map_blocks(sol.grid, n_paths, seed, RESIDUAL_BLOCK_DRAWS, block_max)))
 
 
 def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = None) -> CheckResult:
@@ -180,28 +189,57 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
 def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
     """Terminal values of dx = drift dt + sigma dW, x(0) = 0, and of its density.
 
-    Runs ``min(n_paths, 100_000)`` paths of the seed's stream in blocks, each
-    through ``euler_maruyama`` and, given ``theta``, ``simulate_density``, and
-    keeps per path only x_T and (Gamma_T, log Gamma_T).  Returns
-    ``(x_T, gamma_T, log_gamma_T)``, the last two None without ``theta``.
+    Runs ``min(n_paths, 100_000)`` paths of the seed's stream in blocks and
+    folds per path only x_T and, given ``theta``, log Gamma_T, step by step
+    over step-major copies of the block's increments.  The folds keep the
+    operation order of ``euler_maruyama`` and ``simulate_density``,
+
+        x  = (x + drift dt) + sigma dW,
+        lg = (lg + theta dW) - (0.5 theta^2) dt,
+
+    so every value carries their bits; ``exp`` runs on log Gamma_T only.
+    Returns ``(x_T, gamma_T, log_gamma_T)``, the last two None without
+    ``theta``.
+
+    Raises
+    ------
+    ValueError
+        If ``theta`` is not finite.
+    SimulationDivergedError
+        At the earliest step any x goes non-finite, on the lowest such path.
     """
+    if theta is not None and not math.isfinite(theta):
+        raise ValueError("non-finite theta at step 0")
     sigma = config.params.sigma
     n_paths = min(config.n_paths, 100_000)
     grid = make_grid(config.params.T, config.n_steps)
+    drift_dt = drift * grid.dt
     x_T = np.empty(n_paths)
     gamma_T = log_gamma_T = None
     if theta is not None:
         gamma_T, log_gamma_T = np.empty(n_paths), np.empty(n_paths)
+        half_theta2_dt = 0.5 * (theta * theta) * grid.dt
 
     def run(lo, hi, noise):
-        x_paths = euler_maruyama(lambda X, t: drift, lambda X, t: sigma, 0.0, noise)
-        x_T[lo:hi] = x_paths.states[:, -1, 0]
+        x = x_T[lo:hi]
+        x[...] = 0.0
+        for k, sigma_dW in enumerate(_step_major(noise.increments, sigma)):
+            x += drift_dt
+            x += sigma_dW
+            # a step whose sum is finite has no non-finite x
+            if not math.isfinite(x.sum()):
+                bad = ~np.isfinite(x)
+                if bad.any():
+                    raise SimulationDivergedError(path=int(bad.argmax()), step=k + 1, label="x")
         if theta is not None:
-            density = simulate_density(lambda x, t: theta, noise, x_paths)
-            gamma_T[lo:hi] = density.terminal
-            log_gamma_T[lo:hi] = density.log_gamma[:, -1]
+            lg = log_gamma_T[lo:hi]
+            lg[...] = 0.0
+            for theta_dW in _step_major(noise.increments, theta):
+                lg += theta_dW
+                lg -= half_theta2_dt
+            np.exp(lg, out=gamma_T[lo:hi])
 
-    _map_blocks(grid, n_paths, seed, run)
+    _map_blocks(grid, n_paths, seed, BLOCK_DRAWS, run)
     return x_T, gamma_T, log_gamma_T
 
 

@@ -27,8 +27,9 @@ into blocks or how many workers run them; the final reductions run on the
 calling thread over fully assembled per-path arrays in a fixed order.
 
 ``closed_loop_paths`` runs the same block step over a given noise ensemble
-and keeps (x, R) at every node; the checks read their closed-loop paths from
-it, so one stepper serves both the Monte-Carlo evaluation and the oracles.
+and keeps (x, R) at every node, step-major, in place of the cost integrals;
+the checks read their closed-loop paths from it, so one stepper serves both
+the Monte-Carlo evaluation and the oracles.
 """
 
 import math
@@ -77,9 +78,12 @@ def _mean_and_se(values: np.ndarray):
 def _variance_and_se(values: np.ndarray):
     n = values.size
     var = float(values.var(ddof=1))
-    centered = values - values.mean()
-    m2 = float(np.mean(centered**2))
-    m4 = float(np.mean(centered**4))
+    # squared in place twice: numpy's ``**4`` calls pow per element
+    squares = values - values.mean()
+    squares *= squares
+    m2 = float(np.mean(squares))
+    squares *= squares
+    m4 = float(np.mean(squares))
     se = float(np.sqrt(max(m4 - m2 * m2, 0.0) / n))
     return var, se
 
@@ -91,51 +95,59 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-#: Paths per tile of the step-major noise copy in ``_step_block``: a tile of
+#: Paths per tile of the step-major noise copies (``_step_major``): a tile of
 #: both layouts (512 paths x 64 steps, 256 kB each) stays in cache while it is
 #: transposed, where a whole-block transpose misses on every strided read.
 _TILE_PATHS = 512
 
 
-def _step_block(field, dW, ja, jp, x, states=None) -> Optional[Tuple[int, int]]:
+def _step_major(dW: np.ndarray, scale: float) -> np.ndarray:
+    """``scale * dW`` copied step-major, shape (n_steps, paths), in tiles of ``_TILE_PATHS`` paths."""
+    out = np.empty(dW.shape[::-1])
+    for lo in range(0, dW.shape[0], _TILE_PATHS):
+        hi = lo + _TILE_PATHS
+        np.multiply(dW[lo:hi].T, scale, out=out[:, lo:hi])
+    return out
+
+
+def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[int, int]]:
     """Step one block of paths through every node of the grid.
 
-    ``dW`` holds the block's increments, one row per path.  The running cost
-    integrals accumulate into ``ja`` and ``jp`` and the state ends in ``x``
-    (views of the caller's output arrays); ``states``, if given, with shape
-    (paths, n_points, 2), receives (x, R) at every node.  Each step reads one
-    row of ``field.rows``:
+    ``dW`` holds the block's increments, one row per path, and the state
+    ends in ``x`` (a view of the caller's output array).  If given, the
+    running cost integrals accumulate into ``ja`` and ``jp``, and ``states``,
+    step-major with shape (n_points, 2, paths), receives (x, R) at every node;
+    a caller asks for one or the other.  Each step reads one row of
+    ``field.rows``:
 
         ja += (sqrt(dt/2) b p)^2,   jp += (sqrt(dt/2) s)^2,
         x  += dt (Fxx x + FxR R) + sigma dW,   R += dt (GRx x + GRR R),
 
     in ``out=`` ufuncs on a few work arrays, so every block of every caller
-    gets the same bits.  ``sigma dW`` is first copied step-major, in tiles of
-    ``_TILE_PATHS`` paths.  Returns None, or (step, path index within the
-    block) of the first non-finite state: a step whose state sums are finite
-    has no non-finite element, so only a non-finite sum is searched.
+    gets the same bits.  ``sigma dW`` is first copied step-major
+    (``_step_major``).  Returns None, or (step, path index within the block)
+    of the first non-finite state: a step whose state sums are finite has no
+    non-finite element, so only a non-finite sum is searched.
     """
     dt = field.sol.grid.dt
-    sigma = field.sol.params.sigma
     m = x.size
-    sigma_dW = np.empty((dW.shape[1], m))
-    for lo in range(0, m, _TILE_PATHS):
-        hi = lo + _TILE_PATHS
-        np.multiply(dW[lo:hi].T, sigma, out=sigma_dW[:, lo:hi])
+    sigma_dW = _step_major(dW, field.sol.params.sigma)
     R = np.zeros(m)
     t, u, v = (np.empty(m) for _ in range(3))
     x[...] = 0.0
-    ja[...] = 0.0
-    jp[...] = 0.0
+    if ja is not None:
+        ja[...] = 0.0
+        jp[...] = 0.0
     if states is not None:
-        states[:, 0] = 0.0
+        states[0] = 0.0
     for k, (bpx, bpR, sx, sR, fxx, fxR, gRx, gRR) in enumerate(field.rows):
-        for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
-            np.multiply(x, cx, out=t)
-            np.multiply(R, cR, out=u)
-            t += u
-            np.square(t, out=t)
-            acc += t
+        if ja is not None:
+            for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
+                np.multiply(x, cx, out=t)
+                np.multiply(R, cR, out=u)
+                t += u
+                np.square(t, out=t)
+                acc += t
         # the R-increment reads x before the x-step
         np.multiply(x, gRx, out=v)
         np.multiply(R, gRR, out=u)
@@ -149,8 +161,8 @@ def _step_block(field, dW, ja, jp, x, states=None) -> Optional[Tuple[int, int]]:
         x += sigma_dW[k]
         R += v
         if states is not None:
-            states[:, k + 1, 0] = x
-            states[:, k + 1, 1] = R
+            states[k + 1, 0] = x
+            states[k + 1, 1] = R
         if not (math.isfinite(x.sum()) and math.isfinite(R.sum())):
             bad = ~(np.isfinite(x) & np.isfinite(R))
             if bad.any():
@@ -223,7 +235,7 @@ def simulate_costs(
     x_T = np.empty(n_paths)
 
     def run(lo, hi, noise):
-        bad = _step_block(field, noise.increments, ja_int[lo:hi], jp_int[lo:hi], x_T[lo:hi])
+        bad = _step_block(field, noise.increments, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
 
@@ -236,7 +248,10 @@ def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsem
 
     The paths are stepped inline, as one block, by the kernel behind
     ``simulate_costs``, so x(T) carries the same bits as its ``x_T`` for the
-    same increments.  The result keeps ``noise`` for ``ansatz_residual``.
+    same increments; the running cost integrals are not formed.  The states
+    are recorded step-major, each node's x and R rows contiguous, and the
+    result's ``states`` is the (paths, nodes, 2) view of that buffer.  It
+    keeps ``noise`` for ``ansatz_residual``.
 
     Raises
     ------
@@ -247,12 +262,12 @@ def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsem
     if noise.grid != grid:
         raise ValueError("noise and closed-loop field live on different grids")
     n = noise.n_paths
-    states = np.empty((n, grid.n_points, 2))
-    ja, jp, x_T = np.empty((3, n))
-    bad = _step_block(field, noise.increments, ja, jp, x_T, states)
+    states = np.empty((grid.n_points, 2, n))
+    bad = _step_block(field, noise.increments, np.empty(n), states=states)
     if bad is not None:
         raise SimulationDivergedError(path=bad[1], step=bad[0])
-    return PathEnsemble(grid=grid, states=states, labels=("x", "R"), noise=noise)
+    return PathEnsemble(grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"),
+                        noise=noise)
 
 
 def evaluate_contract(

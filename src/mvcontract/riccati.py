@@ -268,6 +268,12 @@ class ResidualReport:
         return max(c.max_abs for c in self.components.values())
 
 
+#: (path, node) elements per tile of ``ansatz_residual``: one tile's
+#: temporaries (256 kB each) stay in L2, where whole-ensemble ones stream
+#: every pass from memory.
+_RESIDUAL_TILE = 2**15
+
+
 def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport:
     """Check the coefficient solution against the backward drift relations.
 
@@ -282,6 +288,10 @@ def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport
     the left endpoint).  If the twelve ODEs are the correct coefficient
     matching, the residual is O(dt); a wrong coefficient trajectory leaves an
     O(1) mismatch.  Residuals are reported in drift units (state per time).
+
+    The paths are evaluated in tiles of about ``_RESIDUAL_TILE`` (path, node)
+    elements.  Each element depends on its own path only, so the maxima are
+    those of the whole ensemble; ``mean_abs`` sums the tiles' sums.
     """
     if paths.grid != sol.grid:
         raise ValueError("paths and coefficient solution live on different grids")
@@ -294,31 +304,41 @@ def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport
     X = paths.component("x")
     R = paths.component("R")
     dW = paths.noise.increments
-
     c = sol.coeffs
 
-    def reconstruct(a1, b1):
-        return c[None, :, _IDX[a1]] * X + c[None, :, _IDX[b1]] * R
+    def coeff(name):
+        return c[None, :, _IDX[name]]
 
-    P = reconstruct("A11", "B11")
-    P1 = reconstruct("A12", "B12")
-    P2 = reconstruct("A13", "B13")
-
-    specs = {
-        "p": (P, "A11", -a * P),
-        "P1": (P1, "A12", -a * (P1 + P2)),
-        "P2": (P2, "A13", np.zeros_like(P2)),
-    }
-    components = {}
-    for name, (Z, load_col, prescribed) in specs.items():
-        matched = c[None, 1:, _IDX[load_col]] * sigma * dW
-        discrete = (Z[:, 1:] - Z[:, :-1] - matched) / dt
-        resid = discrete - prescribed[:, :-1]
-        components[name] = ComponentResidual(
-            max_abs=float(np.abs(resid).max()),
-            mean_abs=float(np.abs(resid).mean()),
-            drift_scale=float(np.abs(prescribed).max()),
+    names = ("p", "P1", "P2")
+    loads = [coeff(name)[:, 1:] * sigma for name in ("A11", "A12", "A13")]
+    # per tile and component: max |resid|, sum |resid|, max |prescribed|
+    stats = {name: ([], [], [0.0]) for name in names}
+    tile = max(1, _RESIDUAL_TILE // sol.grid.n_points)
+    for lo in range(0, paths.n_paths, tile):
+        x, r, dw = X[lo:lo + tile], R[lo:lo + tile], dW[lo:lo + tile]
+        P = coeff("A11") * x + coeff("B11") * r
+        P1 = coeff("A12") * x + coeff("B12") * r
+        P2 = coeff("A13") * x + coeff("B13") * r
+        # P2's prescribed drift is 0, and subtracting 0 changes no residual
+        prescribed = (-a * P, -a * (P1 + P2), None)
+        for name, Z, load, drift in zip(names, (P, P1, P2), loads, prescribed):
+            maxima, sums, scales = stats[name]
+            resid = (Z[:, 1:] - Z[:, :-1] - load * dw) / dt
+            if drift is not None:
+                resid -= drift[:, :-1]
+                scales.append(np.abs(drift).max())
+            np.abs(resid, out=resid)
+            maxima.append(resid.max())
+            sums.append(resid.sum())
+    n_resid = paths.n_paths * sol.grid.n_steps
+    # np.max, unlike max(), propagates a NaN
+    components = {
+        name: ComponentResidual(
+            max_abs=float(np.max(maxima)), mean_abs=float(np.sum(sums)) / n_resid,
+            drift_scale=float(np.max(scales)),
         )
+        for name, (maxima, sums, scales) in stats.items()
+    }
     return ResidualReport(
         n_paths=paths.n_paths, n_steps=sol.grid.n_steps, components=components
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from mvcontract import (
     ClosedLoopField,
+    SimulationDivergedError,
     closed_loop_paths,
     euler_maruyama,
     integrate_riccati,
@@ -15,6 +17,7 @@ from mvcontract import (
     simulate_density,
 )
 from mvcontract import checks, montecarlo
+from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from mvcontract.config import default_config
 from mvcontract.riccati import ansatz_residual
 
@@ -53,7 +56,7 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     assert np.array_equal(s_T, strong.states[:, -1, 0])
     assert no_gamma is None and no_log is None
 
-    # 2,500 paths at 256 steps are blocks of 1024, 1024 and a ragged 452;
+    # 2,500 paths at 256 steps are a block of 2048 and a ragged 452;
     # on seed 38 the largest residual lies in the ragged block
     sol = integrate_riccati(params, checks._first_triple(config),
                             make_grid(params.T, checks.RESIDUAL_CHECK_STEPS),
@@ -63,6 +66,45 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
     assert head.max_residual < full.max_residual
     assert checks._max_residual(sol, 2_500, 38) == full.max_residual
+
+
+def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):
+    # sigma sqrt(dt) = 1.25e308, so sigma dW overflows wherever |dW| > 1.44 sqrt(dt)
+    path = tmp_path / "diverge.cfg"
+    path.write_text("sigma = 1e307\nT = 10000\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["weakcheck", "--config", str(path), "--paths", "1000"]) == EXIT_NUMERICAL
+    assert "non-finite x on path 8 at step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
+    # sigma dW overflows where |dW| > 3.9 sqrt(dt): on seed 42 the earliest
+    # overflow is at step 1 in the ragged third block of 4096 paths, while
+    # the first block diverges only at step 2
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    base = default_config()
+    params = dataclasses.replace(base.params, sigma=3.7e306, T=1e4)
+    config = dataclasses.replace(base, params=params, n_paths=10_001, seed=42)
+    noise = sample_noise(make_grid(params.T, config.n_steps), config.n_paths, config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationDivergedError) as spec:
+            euler_maruyama(lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise)
+        with pytest.raises(SimulationDivergedError) as excinfo:
+            checks._terminal_values(config, config.seed, drift=0.0, theta=1.0)
+    assert spec.value.path >= 2 * (checks.BLOCK_DRAWS // config.n_steps)
+    assert (excinfo.value.path, excinfo.value.step, excinfo.value.label) == (
+        spec.value.path, spec.value.step, spec.value.label)
+
+
+def test_non_finite_theta_is_a_configuration_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="non-finite theta"):
+        checks._terminal_values(default_config(), 1, drift=0.0, theta=math.inf)
+    # theta = b e0 / sigma overflows
+    path = tmp_path / "theta.cfg"
+    path.write_text("b = 1e300\nweak_effort = 1e300\n")
+    assert main(["weakcheck", "--config", str(path), "--paths", "1000"]) == EXIT_CONFIG
+    assert "non-finite theta" in capsys.readouterr().err
 
 
 def _traced_peak_mb(fn):

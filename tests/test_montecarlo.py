@@ -215,7 +215,7 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
     runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
             for cs in (None, 1_000, 777)]
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
-    monkeypatch.setattr(checks, "BLOCK_DRAWS", 777 * grid.n_steps)
+    monkeypatch.setattr(checks, "RESIDUAL_BLOCK_DRAWS", 777 * grid.n_steps)
     config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
     runs.append(lambda: checks.check_riccati_residual(config, sol))
     for run in runs:

@@ -24,6 +24,7 @@ from mvcontract import (
     sample_noise,
     terminal_conditions,
 )
+from mvcontract import riccati
 from mvcontract.riccati import coefficient_rhs
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}
@@ -327,6 +328,45 @@ def test_residual_does_not_vanish_for_perturbed_solution(ref_params, corner_trip
         maxima.append(ansatz_residual(perturbed, paths).max_residual)
     assert min(maxima) > 0.01
     assert maxima[1] > 0.5 * maxima[0]
+
+
+def test_residual_tiling_is_invisible(ref_params, corner_triple):
+    # the documented formula over the whole ensemble is the spec; the path
+    # with the largest residual is moved last, into the partial last tile
+    sol, paths = _simulate(ref_params, corner_triple, 256, 1_000, 31, ETA_EQUALS_X)
+    tile = riccati._RESIDUAL_TILE // sol.grid.n_points
+    n = paths.n_paths
+    assert n % tile != 0
+    a, sigma, dt, c = sol.params.a, sol.params.sigma, sol.grid.dt, sol.coeffs
+
+    def formula(X, R, dW):
+        def reconstruct(a1, b1):
+            return c[None, :, IDX[a1]] * X + c[None, :, IDX[b1]] * R
+
+        P, P1, P2 = (reconstruct("A11", "B11"), reconstruct("A12", "B12"),
+                     reconstruct("A13", "B13"))
+        out = {}
+        for name, Z, load, prescribed in (("p", P, "A11", -a * P),
+                                          ("P1", P1, "A12", -a * (P1 + P2)),
+                                          ("P2", P2, "A13", np.zeros_like(P2))):
+            matched = c[None, 1:, IDX[load]] * sigma * dW
+            resid = (Z[:, 1:] - Z[:, :-1] - matched) / dt - prescribed[:, :-1]
+            out[name] = np.abs(resid), float(np.abs(prescribed).max())
+        return out
+
+    X, R, dW = paths.component("x"), paths.component("R"), paths.noise.increments
+    worst = int(np.argmax(np.max([r.max(axis=1) for r, _ in formula(X, R, dW).values()],
+                                 axis=0)))
+    order = np.r_[np.delete(np.arange(n), worst), worst]
+    noise = dataclasses.replace(paths.noise, increments=dW[order])
+    moved = dataclasses.replace(paths, states=paths.states[order], noise=noise)
+    report = ansatz_residual(sol, moved)
+    spec = formula(X[order], R[order], noise.increments)
+    assert report.max_residual == max(r.max() for r, _ in spec.values())
+    for name, (resid, scale) in spec.items():
+        got = report.components[name]
+        assert got.max_abs == resid.max() and got.drift_scale == scale
+        assert got.mean_abs == pytest.approx(resid.mean(), rel=1e-12, abs=0.0)
 
 
 def test_residual_validates_inputs(ref_params, corner_triple):
