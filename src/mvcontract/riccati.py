@@ -311,7 +311,8 @@ def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport
 
     names = ("p", "P1", "P2")
     loads = [coeff(name)[:, 1:] * sigma for name in ("A11", "A12", "A13")]
-    # per tile and component: max |resid|, sum |resid|, max |prescribed|
+    # per component, one entry a tile: max |resid|, sum |resid| and
+    # max |prescribed|, which stays 0 for P2
     stats = {name: ([], [], [0.0]) for name in names}
     tile = max(1, _RESIDUAL_TILE // sol.grid.n_points)
     for lo in range(0, paths.n_paths, tile):
