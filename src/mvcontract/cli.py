@@ -9,8 +9,9 @@ Subcommands
     weakcheck  density / measure-change / optimality-condition checks
 
 Flags override environment variables (MVCONTRACT_<KEY>), which override the
-config file, which overrides built-in defaults.  Exit codes: 0 success,
-2 configuration error, 3 numerical blow-up or divergence, 4 oracle failure.
+config file, which overrides built-in defaults; the merged configuration is
+validated once.  Exit codes: 0 success, 2 configuration error, 3 numerical
+blow-up or divergence, 4 oracle failure.
 
 CSV outputs are byte-stable for identical configurations: plain LF line
 endings, full-precision repr floats, no timestamps.
@@ -25,13 +26,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_check_battery, run_weak_battery
-from .config import (
-    RunConfig,
-    apply_overrides,
-    default_config,
-    env_overrides,
-    load_config,
-)
+from .config import RunConfig, resolve
 from .errors import (
     ConfigError,
     DegenerateMultiplierError,
@@ -39,7 +34,7 @@ from .errors import (
     RiccatiBlowUpError,
     SimulationDivergedError,
 )
-from .model import LqParams
+from .model import LqParams, check_mode
 from .montecarlo import evaluate_contract
 from .multipliers import MultiplierTriple, classify_feasibility, sweep_grid
 from .riccati import COEFF_NAMES, RiccatiSolution, integrate_riccati
@@ -124,7 +119,7 @@ def load_riccati_csv(path: str) -> RiccatiSolution:
             lam_P=float(meta["lambda_P"]), lam_E=float(meta["lambda_E"]),
             lam_V=float(meta["lambda_V"]), case_tag=meta["case"], theta=theta,
         )
-        mode = meta["p2_drift_mode"]
+        mode = check_mode(meta["p2_drift_mode"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad metadata line: {exc}") from None
     if lines[1] != ",".join(RICCATI_COLUMNS):
@@ -293,31 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_KEY = {
-    "out": "out_dir",
-    "seed": "seed",
-    "paths": "n_paths",
-    "steps": "n_steps",
-    "case": "case",
-    "p2_mode": "p2_drift_mode",
-    "coeffs": "coeffs_csv",
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    env = env_overrides()
-    config_path = args.config or os.environ.get("MVCONTRACT_CONFIG")
-    config = load_config(config_path) if config_path else default_config()
-    if env:
-        config = apply_overrides(config, env)
-    flag_overrides = {
-        key: getattr(args, flag)
-        for flag, key in _FLAG_TO_KEY.items()
-        if getattr(args, flag, None) is not None
-    }
-    if flag_overrides:
-        config = apply_overrides(config, flag_overrides)
-    return config
+    flags = {name: raw for name, raw in vars(args).items()
+             if raw is not None and name not in ("command", "config")}
+    return resolve(args.config, flags)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ConfigError
-from .model import AS_PRINTED, LqParams, P2_DRIFT_MODES
+from .model import ETA_EQUALS_X, LqParams, P2_DRIFT_MODES
 from .montecarlo import DEFAULT_CHUNK_SIZE
+from .riccati import DEFAULT_BLOW_UP_BOUND
 
 ENV_PREFIX = "MVCONTRACT_"
 
@@ -29,18 +30,22 @@ _CASE_CHOICES = ("i", "ii", "iii", "iv", "v")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs, serializable to the flat file format."""
+    """Everything a CLI run needs, serializable to the flat file format.
 
-    params: LqParams
+    The field defaults are the shipped configuration: the bounded
+    closed-loop example instance.
+    """
+
+    params: LqParams = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
     case_tag: str = "iv"
     lam_P_points: Tuple[float, ...] = (0.1,)
     theta_points: Optional[Tuple[float, ...]] = (math.pi / 2,)
     n_paths: int = 100_000
     n_steps: int = 64
     seed: int = 1
-    p2_drift_mode: str = AS_PRINTED
+    p2_drift_mode: str = ETA_EQUALS_X
     out_dir: str = "out"
-    blow_up_bound: float = 1e8
+    blow_up_bound: float = DEFAULT_BLOW_UP_BOUND
     residual_tol: float = 1e-3
     feasibility_tol: float = 1e-3
     chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -51,10 +56,7 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     """Reference configuration: the bounded closed-loop example instance."""
-    return RunConfig(
-        params=LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03),
-        p2_drift_mode="eta_equals_x",
-    )
+    return RunConfig()
 
 
 def _parse_points(text: str, key: str) -> Tuple[float, ...]:
@@ -101,20 +103,37 @@ _KEYS = {
 }
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, source: str):
     raw = raw.strip()
     kind = _KEYS[key][1]
     try:
         return _parse_points(raw, key) if kind is tuple else kind(raw)
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+        raise ConfigError(f"{source}: bad value for {key}: {raw!r} ({exc})") from None
+
+
+def _parse_layer(items) -> dict:
+    """Parse one layer's ``(key, raw string, source)`` items to key -> value.
+
+    An unknown key, a value that does not parse and a key given twice are
+    errors naming their source.
+    """
+    values, sources = {}, {}
+    for key, raw, source in items:
+        if key not in _KEYS:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        if key in sources:
+            raise ConfigError(f"{source}: duplicate key {key!r}, already set by {sources[key]}")
+        sources[key] = source
+        values[key] = _coerce(key, raw, source)
+    return values
 
 
 def _build(values: dict) -> RunConfig:
     """The default config with ``values`` (config key -> parsed value) set."""
-    base = default_config()
+    base = RunConfig()
     given = {field: values[key] for key, (field, _) in _KEYS.items() if key in values}
     try:
         params = dataclasses.replace(
@@ -122,7 +141,6 @@ def _build(values: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    given.setdefault("coeffs_csv", None)  # a coefficient file is never a default
     config = dataclasses.replace(base, params=params, **given)
 
     if config.case_tag not in _CASE_CHOICES:
@@ -176,8 +194,7 @@ def _validate(config: RunConfig) -> None:
                 )
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    values = {}
+def _text_items(text: str, source: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -185,22 +202,24 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw)
-    return _build(values)
+        yield key.strip(), raw, f"{source}:{lineno}"
 
 
-def load_config(path: str) -> RunConfig:
+def _file_values(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, source=path)
+    return _parse_layer(_text_items(text, path))
+
+
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    return _build(_parse_layer(_text_items(text, source)))
+
+
+def load_config(path: str) -> RunConfig:
+    return _build(_file_values(path))
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -229,42 +248,36 @@ def write_config(config: RunConfig, path: str) -> None:
         fh.write(config_to_text(config))
 
 
-def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
-    """Re-build a config with string overrides (flag or environment values)."""
-    values = {}
-    for key, raw in overrides.items():
-        if key not in _KEYS:
-            raise ConfigError(f"unknown override key {key!r}")
-        values[key] = _coerce(key, raw)
-
-    current = {
-        key: getattr(config.params if key in _PARAM_KEYS else config, field)
-        for key, (field, _) in _KEYS.items()
-    }
-    # an unset theta or coeffs_csv stays unset, so _build's defaults apply
-    merged = {key: value for key, value in current.items() if value is not None}
-    return _build({**merged, **values})
-
-
-# flag-style spellings accepted alongside the config-key spellings
-_ENV_ALIASES = {
-    "PATHS": "n_paths",
-    "STEPS": "n_steps",
-    "OUT": "out_dir",
-    "P2_MODE": "p2_drift_mode",
-    "COEFFS": "coeffs_csv",
+#: flag-style spellings of config keys, for the CLI flags and, alongside
+#: ``MVCONTRACT_<KEY>``, for ``MVCONTRACT_<ALIAS>`` variables
+_ALIASES = {
+    "out": "out_dir",
+    "paths": "n_paths",
+    "steps": "n_steps",
+    "p2_mode": "p2_drift_mode",
+    "coeffs": "coeffs_csv",
 }
 
 
-def env_overrides(environ=None) -> dict:
-    """Collect overrides from MVCONTRACT_-prefixed environment variables."""
+def resolve(config_path: Optional[str], flags: dict, environ=None) -> RunConfig:
+    """The run configuration from a file, the environment and CLI flags.
+
+    Layers apply in that order over the defaults, later ones winning: the
+    file at ``config_path`` (else at ``MVCONTRACT_CONFIG``), the
+    ``MVCONTRACT_*`` variables, then ``flags`` (flag name or config key ->
+    string).  Each value is parsed in its own layer, so a bad one is an
+    error even where a later layer overrides it; the merged values are
+    validated once.  Both variable spellings of one key are an error.
+    """
     environ = os.environ if environ is None else environ
-    found = {}
-    for alias, key in _ENV_ALIASES.items():
-        if ENV_PREFIX + alias in environ:
-            found[key] = environ[ENV_PREFIX + alias]
-    for key in sorted(_KEYS):
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in environ:
-            found[key] = environ[env_key]
-    return found
+    config_path = config_path or environ.get(ENV_PREFIX + "CONFIG")
+    values = _file_values(config_path) if config_path else {}
+    values.update(_parse_layer(
+        (key, environ[var], var) for name, key in [*zip(_KEYS, _KEYS), *_ALIASES.items()]
+        if (var := ENV_PREFIX + name.upper()) in environ
+    ))
+    values.update(_parse_layer(
+        (_ALIASES.get(name, name), raw, "--" + name.replace("_", "-"))
+        for name, raw in flags.items()
+    ))
+    return _build(values)

@@ -42,7 +42,7 @@ import numpy as np
 from .model import AS_PRINTED, LqParams, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
 from .noise import NoiseEnsemble, sample_noise_block
-from .riccati import ClosedLoopField, integrate_riccati
+from .riccati import DEFAULT_BLOW_UP_BOUND, ClosedLoopField, integrate_riccati
 from .errors import SimulationDivergedError
 from .sde import PathEnsemble
 from .timegrid import make_grid
@@ -278,7 +278,7 @@ def evaluate_contract(
     seed: int,
     p2_drift_mode: str = AS_PRINTED,
     chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-    blow_up_bound: Optional[float] = None,
+    blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
 ) -> ContractEvaluation:
     """Estimate J_A, J_P and Var(x(T)) along the optimal closed loop.
 
@@ -289,8 +289,7 @@ def evaluate_contract(
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2 to form standard errors")
     grid = make_grid(params.T, n_steps)
-    kwargs = {} if blow_up_bound is None else {"blow_up_bound": blow_up_bound}
-    sol = integrate_riccati(params, mult, grid, p2_drift_mode, **kwargs)
+    sol = integrate_riccati(params, mult, grid, p2_drift_mode, blow_up_bound)
     field = ClosedLoopField(sol)
     ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed, chunk_size)
 

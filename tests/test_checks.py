@@ -22,6 +22,22 @@ from mvcontract.config import default_config
 from mvcontract.riccati import ansatz_residual
 
 
+@pytest.mark.parametrize("n_steps, target", [(4, "3.068436e-02"), (64, "3.090357e-02")])
+def test_b0_oracle_targets_the_euler_chain(n_steps, target):
+    # against the continuous-time variance, the scheme's discretisation bias
+    # failed the 4-step oracle at z = -3.5; the chain's own variance is the
+    # recursion v_{k+1} = (1 + a dt)^2 v_k + sigma^2 dt from v_0 = 0
+    config = dataclasses.replace(default_config(), n_steps=n_steps)
+    a, sigma, dt = config.params.a, config.params.sigma, config.params.T / n_steps
+    v = 0.0
+    for _ in range(n_steps):
+        v = (1.0 + a * dt) ** 2 * v + sigma * sigma * dt
+    assert f"{v:.6e}" == target
+    result = checks.check_b0_variance(config)
+    assert result.passed, result.detail
+    assert f" target={target} " in result.detail
+
+
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     # the full-matrix path the density batteries used to take is the spec:

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mvcontract import ConfigError, terminal_conditions
+from mvcontract import ConfigError, riccati, terminal_conditions
 from mvcontract.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -15,11 +16,12 @@ from mvcontract.cli import (
     point_seed,
 )
 from mvcontract.config import (
-    apply_overrides,
+    RunConfig,
     config_to_text,
     default_config,
     load_config,
     parse_config_text,
+    resolve,
     write_config,
 )
 
@@ -144,13 +146,92 @@ def test_bad_run_control_floats_rejected(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
-def test_apply_overrides():
-    config = default_config()
-    out = apply_overrides(config, {"seed": "99", "n_paths": "123", "case": "ii"})
+def test_resolve_overrides():
+    out = resolve(None, {"seed": "99", "n_paths": "123", "case": "ii"}, environ={})
     assert out.seed == 99 and out.n_paths == 123 and out.case_tag == "ii"
     assert out.theta_points is None
     with pytest.raises(ConfigError):
-        apply_overrides(config, {"nope": "1"})
+        resolve(None, {"nope": "1"}, environ={})
+
+
+def test_default_config_is_the_shipped_instance():
+    config = default_config()
+    assert config == RunConfig()
+    assert dataclasses.asdict(config) == {
+        "params": {"a": 1.0, "b": 1.0, "sigma": 1.0, "alpha": 0.2, "beta": 1.0,
+                   "T": 0.03, "W0": -0.005, "R0": 0.06},
+        "case_tag": "iv", "lam_P_points": (0.1,), "theta_points": (math.pi / 2,),
+        "n_paths": 100_000, "n_steps": 64, "seed": 1, "p2_drift_mode": "eta_equals_x",
+        "out_dir": "out", "blow_up_bound": 1e8, "residual_tol": 1e-3,
+        "feasibility_tol": 1e-3, "chunk_size": 16384, "coeffs_csv": None,
+        "weak_effort": 1.0, "weak_cashflow": 0.5,
+    }
+    assert config.blow_up_bound == riccati.DEFAULT_BLOW_UP_BOUND
+
+
+def _riccati(tmp_path, capsys, *argv):
+    """Exit code, stdout and stderr of a short riccati run."""
+    rc = main(["riccati", "--steps", "8", "--out", str(tmp_path / "out"), *argv])
+    return (rc, *capsys.readouterr())
+
+
+def test_overridden_case_reads_the_file_theta(tmp_path, capsys):
+    # case v ignores theta, but case iv from a flag must solve the file's theta
+    path = tmp_path / "f.cfg"
+    path.write_text("case = v\ntheta = 0.3\n")
+    rc, out, _ = _riccati(tmp_path, capsys, "--config", str(path), "--case", "iv")
+    assert rc == EXIT_OK and "case=iv lambda_P=0.1 theta=0.3 " in out
+
+
+@pytest.mark.parametrize("layers", ["file_env", "env_flag"])
+def test_layers_are_validated_merged(tmp_path, capsys, monkeypatch, layers):
+    # theta = -0.5 is out of range for the default case iv, in range for iii
+    if layers == "file_env":
+        path = tmp_path / "g.cfg"
+        path.write_text("theta = -0.5\n")
+        monkeypatch.setenv("MVCONTRACT_CASE", "iii")
+        argv = ["--config", str(path)]
+    else:
+        monkeypatch.setenv("MVCONTRACT_THETA", "-0.5")
+        argv = ["--case", "iii"]
+    rc, out, _ = _riccati(tmp_path, capsys, *argv)
+    assert rc == EXIT_OK and "case=iii lambda_P=0.1 theta=-0.5 " in out
+
+
+def test_flags_beat_environment_beat_file_for_case_and_theta(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f.cfg"
+    path.write_text("case = iv\ntheta = 1.0\n")
+    monkeypatch.setenv("MVCONTRACT_THETA", "0.25")
+    rc, out, _ = _riccati(tmp_path, capsys, "--config", str(path))
+    assert rc == EXIT_OK and "case=iv lambda_P=0.1 theta=0.25 " in out
+    # the environment's theta is valid for the flag's case only
+    monkeypatch.setenv("MVCONTRACT_CASE", "ii")
+    monkeypatch.setenv("MVCONTRACT_THETA", "-0.5")
+    rc, out, _ = _riccati(tmp_path, capsys, "--config", str(path), "--case", "iii")
+    assert rc == EXIT_OK and "case=iii lambda_P=0.1 theta=-0.5 " in out
+
+
+@pytest.mark.parametrize("text, env, message", [
+    ("seed = abc\n", None, "f.cfg:1: bad value for seed: 'abc'"),
+    ("seed = 1\nseed = 2\n", None, "f.cfg:2: duplicate key 'seed', already set by"),
+    ("", "abc", "MVCONTRACT_SEED: bad value for seed: 'abc'"),
+], ids=["file_value", "file_duplicate", "env_value"])
+def test_bad_overridden_value_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                 text, env, message):
+    path = tmp_path / "f.cfg"
+    path.write_text(text)
+    if env is not None:
+        monkeypatch.setenv("MVCONTRACT_SEED", env)
+    rc, _, err = _riccati(tmp_path, capsys, "--config", str(path), "--seed", "3")
+    assert rc == EXIT_CONFIG and message in err
+
+
+def test_both_spellings_of_one_variable_are_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MVCONTRACT_PATHS", "600")
+    monkeypatch.setenv("MVCONTRACT_N_PATHS", "700")
+    rc, _, err = _riccati(tmp_path, capsys)
+    assert rc == EXIT_CONFIG and "n_paths" in err
+    assert set(re.findall(r"MVCONTRACT_\w+", err)) == {"MVCONTRACT_PATHS", "MVCONTRACT_N_PATHS"}
 
 
 def test_point_seed_deterministic_and_spread():
@@ -303,23 +384,31 @@ def test_cmd_check_reports_failed_invariant(tmp_path, capsys):
     (0, lambda v: repr(float(v) + 1e-3), "is not the node"),
     (14, lambda v: "1e-300", "m_R = 1e-300 is not 0"),
     (None, None, "14 fields, expected 15"),
-], ids=["non_finite", "off_grid_t", "nonzero_mean", "field_count"])
+    ("p2_drift_mode", None, "p2_drift_mode must be one of ('as_printed', 'eta_equals_x'), "
+                            "got 'bogus'"),
+], ids=["non_finite", "off_grid_t", "nonzero_mean", "field_count", "bad_p2_mode"])
 def test_cmd_check_rejects_bad_coefficient_table(tmp_path, capsys, column, corrupt, message):
     cfg = _write_fig_config(tmp_path, out_dir=str(tmp_path / "out"))
     assert main(["riccati", "--config", cfg]) == EXIT_OK
     csv_path = tmp_path / "out" / "riccati.csv"
     lines = csv_path.read_text().splitlines()
-    row = lines[7].split(",")  # file line 8
-    if column is None:
-        row.pop()
+    where = ", line 8: "
+    if column == "p2_drift_mode":
+        lines[0] = lines[0].replace("p2_drift_mode=eta_equals_x", "p2_drift_mode=bogus")
+        where = ": bad metadata line: "
     else:
-        row[column] = corrupt(row[column])
-    lines[7] = ",".join(row)
+        row = lines[7].split(",")  # file line 8
+        if column is None:
+            row.pop()
+        else:
+            row[column] = corrupt(row[column])
+        lines[7] = ",".join(row)
     csv_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["check", "--config", cfg, "--coeffs", str(csv_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"configuration error: {csv_path}, line 8: " in err
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before the battery runs
+    assert f"configuration error: {csv_path}{where}" in err
     assert message in err
 
 
