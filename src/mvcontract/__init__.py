@@ -21,11 +21,9 @@ from .model import (
     MIN_LAMBDA_P,
     P2_DRIFT_MODES,
     LqParams,
-    agent_cost_integrand,
     agent_hamiltonian,
     optimal_cashflow,
     optimal_effort,
-    principal_cost_integrand,
     principal_hamiltonian,
     terminal_costs,
 )
@@ -48,14 +46,12 @@ from .riccati import (
     integrate_riccati,
     terminal_conditions,
 )
-from .sde import PathEnsemble, euler_maruyama
+from .sde import PathEnsemble
 from .timegrid import TimeGrid, make_grid
 from .weak import (
-    DensityEnsemble,
     FocReport,
     hidden_action_foc_check,
     reweighted_expectation,
-    simulate_density,
 )
 
 __all__ = [
@@ -69,7 +65,6 @@ __all__ = [
     "ContractEvaluation",
     "DegenerateMultiplierError",
     "DegenerateSensitivityError",
-    "DensityEnsemble",
     "FeasibilityVerdict",
     "FocReport",
     "LqParams",
@@ -81,12 +76,10 @@ __all__ = [
     "RiccatiSolution",
     "SimulationDivergedError",
     "TimeGrid",
-    "agent_cost_integrand",
     "agent_hamiltonian",
     "ansatz_residual",
     "classify_feasibility",
     "closed_loop_paths",
-    "euler_maruyama",
     "evaluate_contract",
     "explicit_R",
     "from_case",
@@ -95,12 +88,10 @@ __all__ = [
     "make_grid",
     "optimal_cashflow",
     "optimal_effort",
-    "principal_cost_integrand",
     "principal_hamiltonian",
     "reweighted_expectation",
     "sample_noise",
     "sample_noise_block",
-    "simulate_density",
     "sweep_grid",
     "terminal_conditions",
     "terminal_costs",

@@ -5,21 +5,21 @@ per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
 they are deterministic.
 
-The residual oracle and the density checks stream their path ensembles in
-blocks of about ``RESIDUAL_BLOCK_DRAWS`` and ``BLOCK_DRAWS`` noise draws
-through the Monte-Carlo block scheduler (``montecarlo.map_noise_blocks``)
-and keep only what they read: the largest residual of each block, or the
-terminal values of each path.  Their peak memory therefore scales with
-workers x block, not with the path count, and every reported number is the
-one the whole ensemble gives.  The density checks fold x_T and log Gamma_T
-directly, in the operation order of ``euler_maruyama`` and
-``simulate_density``, which stay the reference the tests pin them against.
+``check`` draws each (grid, seed) noise stream once.  ``_noise_pass`` runs
+the ``n_steps`` stream for the density, b = 0 and mean-trajectory checks,
+and the residual oracle steps a coefficient file on its grid beside its own
+solve.  Every pass runs its path blocks through ``montecarlo.map_noise_blocks``
+and keeps only what the checks read, so peak memory scales with workers x
+block, not with the path count; per-path bits do not depend on the blocking,
+so every number is the one a separate pass over the whole ensemble gives.
+The density folds keep the operation order of the generic Euler scheme and
+the log-density recursion, which the tests pin them against.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +33,15 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import _step_major, closed_loop_paths, evaluate_contract, map_noise_blocks
+from .montecarlo import (
+    _earliest,
+    _step_block,
+    _step_major,
+    _variance_and_se,
+    closed_loop_paths,
+    map_noise_blocks,
+)
 from .multipliers import sweep_grid
-from .noise import sample_noise
 from .riccati import (
     ClosedLoopField,
     RiccatiSolution,
@@ -50,10 +56,13 @@ from .weak import hidden_action_foc_check, reweighted_expectation
 
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
+#: Paths of the density folds and of the b = 0 oracle; the first
+#: ``MEAN_CHECK_MAX_PATHS`` of them are the mean-trajectory set.
+PASS_MAX_PATHS = 100_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
-#: Noise draws per path block of the density batteries: 4,096 paths at 64
-#: steps, a few MB of working set per worker.
+#: Noise draws per path block of the 64-step passes (the noise pass and the
+#: ``weakcheck`` folds): 4,096 paths at 64 steps, a few MB per worker.
 BLOCK_DRAWS = 2**18
 #: Noise draws per path block of the residual oracle: 2,048 paths at 256
 #: steps, about 13 MB of noise and recorded states per worker.  Stepping a
@@ -93,10 +102,11 @@ def _solve(config: RunConfig, n_steps: int) -> RiccatiSolution:
     )
 
 
-def check_terminal_conditions(sol: RiccatiSolution) -> CheckResult:
+def check_terminal_conditions(sol: RiccatiSolution, name: str = "terminal_conditions",
+                              tol: float = 1e-14) -> CheckResult:
     expected = terminal_conditions(sol.params, sol.multipliers)
     err = np.max(np.abs(sol.terminal_values - expected) / np.maximum(np.abs(expected), 1.0))
-    return _result("terminal_conditions", err <= 1e-14, f"max_rel_err={err:.3e} tol=1e-14")
+    return _result(name, err <= tol, f"max_rel_err={err:.3e} tol={tol:g}")
 
 
 def _map_blocks(grid, n_paths: int, seed: int, block_draws: int, run: Callable) -> list:
@@ -104,48 +114,81 @@ def _map_blocks(grid, n_paths: int, seed: int, block_draws: int, run: Callable) 
     return map_noise_blocks(grid, n_paths, seed, max(1, block_draws // grid.n_steps), run)
 
 
-def _max_residual(sol: RiccatiSolution, n_paths: int, seed: int) -> float:
-    """Largest ``ansatz_residual`` along the seed's closed-loop paths, in path blocks.
+def _diverged(bad: Optional[Tuple[int, int]], lo: int, label: str = "state"):
+    """The ``SimulationDivergedError`` of a block's (step, path) starting at path ``lo``, or None."""
+    return None if bad is None else SimulationDivergedError(path=lo + bad[1], step=bad[0], label=label)
 
-    Every residual element depends on one path only, so the largest over the
-    blocks is the largest over the whole ensemble.
+
+def _raise(error: Optional[Exception]) -> None:
+    if error is not None:
+        raise error
+
+
+def _max_residuals(sols: List[RiccatiSolution], n_paths: int, seed: int) -> list:
+    """Largest ``ansatz_residual`` of each solution along the seed's closed-loop paths.
+
+    The solutions share one grid: each block of paths is drawn once and
+    stepped under every solution.  Every residual element depends on one
+    path only, so the largest over the blocks is the largest over the whole
+    ensemble.  A solution whose paths diverge gets, in place of its maximum,
+    the earliest ``SimulationDivergedError`` over all of them.
     """
-    field = ClosedLoopField(sol)
+    fields = [ClosedLoopField(sol) for sol in sols]
 
     def block_max(lo, hi, noise):
-        return ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual
+        out = []
+        for sol, field in zip(sols, fields):
+            try:
+                out.append(ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual)
+            except SimulationDivergedError as exc:
+                out.append(_diverged((exc.step, exc.path), lo, exc.label))
+        return out
 
-    return float(np.max(_map_blocks(sol.grid, n_paths, seed, RESIDUAL_BLOCK_DRAWS, block_max)))
+    blocks = _map_blocks(sols[0].grid, n_paths, seed, RESIDUAL_BLOCK_DRAWS, block_max)
+    return [_earliest(col) or float(np.max(col)) for col in zip(*blocks)]
 
 
-def check_riccati_residual(config: RunConfig, sol: Optional[RiccatiSolution] = None) -> CheckResult:
-    """Drift-residual oracle; optionally checks an externally supplied solution."""
-    name = "riccati_residual"
-    n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
-    if sol is None:
-        try:
-            sol = _solve(config, RESIDUAL_CHECK_STEPS)
-        except RiccatiBlowUpError as exc:
-            return _result(name, False, str(exc))
-    max_residual = _max_residual(sol, n_paths, config.seed)
+def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, max_residual) -> CheckResult:
+    if isinstance(max_residual, SimulationDivergedError):
+        raise max_residual
     ok = max_residual <= config.residual_tol
     return _result(
         name, ok,
         f"max_residual={max_residual:.3e} tol={config.residual_tol:g} "
-        f"n_steps={sol.grid.n_steps} n_paths={n_paths}",
+        f"n_steps={sol.grid.n_steps} n_paths={min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)}",
     )
 
 
-def check_coefficient_file(config: RunConfig, sol: RiccatiSolution) -> List[CheckResult]:
-    """Validate an externally loaded coefficient table: terminal values + residual."""
-    expected = terminal_conditions(sol.params, sol.multipliers)
-    err = np.max(np.abs(sol.terminal_values - expected) / np.maximum(np.abs(expected), 1.0))
-    results = [
-        _result("file_terminal_conditions", err <= 1e-12, f"max_rel_err={err:.3e} tol=1e-12")
-    ]
-    file_config = dataclasses.replace(config, n_steps=sol.grid.n_steps)
-    residual = check_riccati_residual(file_config, sol=sol)
-    results.append(dataclasses.replace(residual, name="file_riccati_residual"))
+def check_riccati_residual(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = None):
+    """Drift-residual oracle on the config's ``RESIDUAL_CHECK_STEPS``-step solve.
+
+    Returns the result and, for a coefficient file's solution on the same
+    grid, its residual maximum (or divergence) from the same draws, for
+    ``check_coefficient_file``; None otherwise.
+    """
+    name = "riccati_residual"
+    n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
+    try:
+        sol = _solve(config, RESIDUAL_CHECK_STEPS)
+    except RiccatiBlowUpError as exc:
+        return _result(name, False, str(exc)), None
+    shared = coeff_sol is not None and coeff_sol.grid == sol.grid
+    maxima = _max_residuals([sol, coeff_sol] if shared else [sol], n_paths, config.seed)
+    return _residual_result(name, config, sol, maxima[0]), maxima[1] if shared else None
+
+
+def check_coefficient_file(config: RunConfig, sol: RiccatiSolution, max_residual=None) -> List[CheckResult]:
+    """Validate an externally loaded coefficient table: terminal values + residual.
+
+    ``max_residual`` comes from a residual pass shared with the config's own
+    solve (``check_riccati_residual``); without it the file's solution is
+    stepped on a pass of its own.
+    """
+    results = [check_terminal_conditions(sol, "file_terminal_conditions", 1e-12)]
+    if max_residual is None:
+        n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
+        (max_residual,) = _max_residuals([sol], n_paths, config.seed)
+    results.append(_residual_result("file_riccati_residual", config, sol, max_residual))
     return results
 
 
@@ -186,20 +229,37 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
     return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
 
 
+def _fold_x(x: np.ndarray, sigma_dW: np.ndarray, drift_dt: float) -> Optional[Tuple[int, int]]:
+    """Fold ``x = (x + drift dt) + sigma dW`` from 0; the first non-finite (step, path) or None."""
+    x[...] = 0.0
+    for k, row in enumerate(sigma_dW):
+        x += drift_dt
+        x += row
+        # a step whose sum is finite has no non-finite x
+        if not math.isfinite(x.sum()):
+            bad = ~np.isfinite(x)
+            if bad.any():
+                return k + 1, int(bad.argmax())
+    return None
+
+
+def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
+                  theta: float, dt: float) -> None:
+    """Fold ``lg = (lg + theta dW) - (0.5 theta^2) dt`` from 0; ``gamma = exp(lg)``."""
+    half_theta2_dt = 0.5 * (theta * theta) * dt
+    log_gamma[...] = 0.0
+    for theta_dW in _step_major(dW, theta):
+        log_gamma += theta_dW
+        log_gamma -= half_theta2_dt
+    np.exp(log_gamma, out=gamma)
+
+
 def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
     """Terminal values of dx = drift dt + sigma dW, x(0) = 0, and of its density.
 
-    Runs ``min(n_paths, 100_000)`` paths of the seed's stream in blocks and
-    folds per path only x_T and, given ``theta``, log Gamma_T, step by step
-    over step-major copies of the block's increments.  The folds keep the
-    operation order of ``euler_maruyama`` and ``simulate_density``,
-
-        x  = (x + drift dt) + sigma dW,
-        lg = (lg + theta dW) - (0.5 theta^2) dt,
-
-    so every value carries their bits; ``exp`` runs on log Gamma_T only.
-    Returns ``(x_T, gamma_T, log_gamma_T)``, the last two None without
-    ``theta``.
+    Folds x_T and, given ``theta``, log Gamma_T over blocks of the first
+    ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's stream.  Returns
+    ``(x_T, gamma_T, log_gamma_T)``, the last two None without ``theta``.
 
     Raises
     ------
@@ -211,66 +271,103 @@ def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional
     if theta is not None and not math.isfinite(theta):
         raise ValueError("non-finite theta at step 0")
     sigma = config.params.sigma
-    n_paths = min(config.n_paths, 100_000)
+    n_paths = min(config.n_paths, PASS_MAX_PATHS)
     grid = make_grid(config.params.T, config.n_steps)
-    drift_dt = drift * grid.dt
     x_T = np.empty(n_paths)
     gamma_T = log_gamma_T = None
     if theta is not None:
         gamma_T, log_gamma_T = np.empty(n_paths), np.empty(n_paths)
-        half_theta2_dt = 0.5 * (theta * theta) * grid.dt
 
     def run(lo, hi, noise):
-        x = x_T[lo:hi]
-        x[...] = 0.0
-        for k, sigma_dW in enumerate(_step_major(noise.increments, sigma)):
-            x += drift_dt
-            x += sigma_dW
-            # a step whose sum is finite has no non-finite x
-            if not math.isfinite(x.sum()):
-                bad = ~np.isfinite(x)
-                if bad.any():
-                    raise SimulationDivergedError(path=int(bad.argmax()), step=k + 1, label="x")
+        bad = _fold_x(x_T[lo:hi], _step_major(noise.increments, sigma), drift * grid.dt)
+        if bad is not None:
+            raise _diverged(bad, 0, "x")
         if theta is not None:
-            lg = log_gamma_T[lo:hi]
-            lg[...] = 0.0
-            for theta_dW in _step_major(noise.increments, theta):
-                lg += theta_dW
-                lg -= half_theta2_dt
-            np.exp(lg, out=gamma_T[lo:hi])
+            _fold_density(gamma_T[lo:hi], log_gamma_T[lo:hi], noise.increments, theta, grid.dt)
 
     _map_blocks(grid, n_paths, seed, BLOCK_DRAWS, run)
     return x_T, gamma_T, log_gamma_T
 
 
-def check_density_martingale(config: RunConfig) -> CheckResult:
+class _NoisePass(NamedTuple):
+    """What ``_noise_pass`` hands the density, b = 0 and mean-trajectory checks."""
+
+    gamma_T: np.ndarray  # Gamma_T at theta = 1 over dx = sigma dW
+    b0_x_T: np.ndarray  # x_T of the b = 0 closed loop
+    paths: Optional[PathEnsemble]  # the mean-trajectory set; None without a solve
+    failures: dict  # "mean", "density" or "b0" -> the part's first error, or None
+
+
+def _noise_pass(config: RunConfig, sol: Optional[RiccatiSolution]) -> _NoisePass:
+    """One pass over the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's stream.
+
+    Each block's ``sigma dW`` is copied step-major once and feeds three
+    parts: ``density``, the fold of ``_terminal_values`` at drift 0 and
+    theta = 1; ``b0``, the b = 0 closed loop stepped without cost integrals;
+    and ``mean``, given ``sol``, its closed loop on the first
+    ``MEAN_CHECK_MAX_PATHS`` paths, recorded step-major at every node.  A
+    part that fails does not stop the others: its earliest divergence, or
+    the b = 0 solve's blow-up, is kept for the caller to raise in the order
+    of its checks.
+    """
+    grid = make_grid(config.params.T, config.n_steps)
+    sigma = config.params.sigma
+    n_paths = min(config.n_paths, PASS_MAX_PATHS)
+    n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
+    b0_params = dataclasses.replace(config.params, b=0.0)
+    try:
+        b0_sol = integrate_riccati(b0_params, _first_triple(config), grid, config.p2_drift_mode)
+        b0_field, failures = ClosedLoopField(b0_sol), {}
+    except RiccatiBlowUpError as exc:
+        b0_field, failures = None, {"b0": exc}
+    field = None if sol is None else ClosedLoopField(sol)
+    states = None if sol is None else np.empty((grid.n_points, 2, n_mean))
+    gamma_T, b0_x_T = np.empty(n_paths), np.empty(n_paths)
+
+    def run(lo, hi, noise):
+        sigma_dW = _step_major(noise.increments, sigma)
+        out = {"density": _diverged(_fold_x(np.empty(hi - lo), sigma_dW, 0.0), lo, "x")}
+        _fold_density(gamma_T[lo:hi], np.empty(hi - lo), noise.increments, 1.0, grid.dt)
+        if b0_field is not None:
+            out["b0"] = _diverged(_step_block(b0_field, sigma_dW, b0_x_T[lo:hi]), lo)
+        if field is not None and lo < n_mean:
+            m = min(hi, n_mean) - lo
+            mean_states = states[:, :, lo:lo + m]
+            out["mean"] = _diverged(
+                _step_block(field, sigma_dW[:, :m], np.empty(m), states=mean_states), lo)
+        return out
+
+    blocks = _map_blocks(grid, n_paths, config.seed, BLOCK_DRAWS, run)
+    paths = None if sol is None else PathEnsemble(
+        grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
+    for part in ("mean", "density", "b0"):
+        failures.setdefault(part, _earliest(block.get(part) for block in blocks))
+    return _NoisePass(gamma_T, b0_x_T, paths, failures)
+
+
+def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
     name = "density_martingale"
-    _, gamma_T, _ = _terminal_values(config, config.seed, drift=0.0, theta=1.0)
     n_paths = gamma_T.size
     est, se = float(gamma_T.mean()), float(gamma_T.std(ddof=1) / math.sqrt(n_paths))
     ok = abs(est - 1.0) <= 3.0 * se
     return _result(name, ok, f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
 
 
-def check_b0_variance(config: RunConfig) -> CheckResult:
+def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
+    """Var(x_T) of the b = 0 closed loop, x_T from ``_noise_pass``, against its exact value."""
     name = "b0_variance_oracle"
-    params = dataclasses.replace(config.params, b=0.0)
-    mult = _first_triple(config)
-    n_paths = min(config.n_paths, 100_000)
-    ev = evaluate_contract(
-        params, mult, n_paths, config.n_steps, config.seed,
-        config.p2_drift_mode, config.chunk_size,
-    )
+    var, se = _variance_and_se(x_T)
     # the exact variance of the Euler chain x_{k+1} = (1 + a dt) x_k + sigma dW_k,
     # so the scheme's discretisation bias is not read as an oracle failure
+    params = config.params
     sigma, T, n = params.sigma, params.T, config.n_steps
     dt = T / n
     g = (1.0 + params.a * dt) ** 2
     target = sigma * sigma * (T if g == 1.0 else dt * (g**n - 1.0) / (g - 1.0))
-    ok = abs(ev.var_xt - target) <= 3.0 * ev.var_xt_se
+    ok = abs(var - target) <= 3.0 * se
     return _result(
         name, ok,
-        f"var={ev.var_xt:.6e} target={target:.6e} se={ev.var_xt_se:.2e} band=3se",
+        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se",
     )
 
 
@@ -310,36 +407,47 @@ def check_explicit_r(sol: RiccatiSolution, paths: PathEnsemble) -> CheckResult:
 def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = None) -> List[CheckResult]:
     """The full oracle suite behind ``mvcontract check``.
 
-    The terminal-condition, mean-trajectory and explicit-R checks share one
-    ``n_steps`` solve and one closed-loop path set; if the solve blows up,
-    all three fail with its message.
+    Each (grid, seed) stream is drawn once: ``_noise_pass`` serves the
+    density, b = 0 and mean-trajectory checks, and ``check_riccati_residual``
+    steps a coefficient file on the residual grid beside its own solve.  The
+    terminal-condition, mean-trajectory and explicit-R checks share one
+    ``n_steps`` solve; if it blows up, all three fail with its message.
+    Failures that end the run are raised in the order of the checks that
+    meet them: a divergence of the mean-trajectory set, of the residual
+    paths, of the density fold, the b = 0 solve's blow-up, a divergence of
+    its paths, then of the coefficient file's paths.
     """
     try:
         sol = _solve(config, config.n_steps)
-        noise = sample_noise(sol.grid, min(config.n_paths, MEAN_CHECK_MAX_PATHS), config.seed)
-        paths = closed_loop_paths(ClosedLoopField(sol), noise)
     except RiccatiBlowUpError as exc:
+        sol, blow_up = None, exc
+    shared = _noise_pass(config, sol)
+    _raise(shared.failures["mean"])
+    residual, file_max_residual = check_riccati_residual(config, coeff_sol)
+    _raise(shared.failures["density"])
+    _raise(shared.failures["b0"])
+    if sol is None:
         terminal, mean, explicit = (
-            _result(name, False, str(exc))
+            _result(name, False, str(blow_up))
             for name in ("terminal_conditions", "mean_trajectory", "explicit_R_consistency")
         )
     else:
         terminal = check_terminal_conditions(sol)
-        mean = check_mean_trajectory(paths)
-        explicit = check_explicit_r(sol, paths)
+        mean = check_mean_trajectory(shared.paths)
+        explicit = check_explicit_r(sol, shared.paths)
     results = [
         terminal,
-        check_riccati_residual(config),
+        residual,
         check_argmax_agent(config),
         check_argmax_principal(config, AS_PRINTED),
         check_argmax_principal(config, ETA_EQUALS_X),
-        check_density_martingale(config),
-        check_b0_variance(config),
+        check_density_martingale(shared.gamma_T),
+        check_b0_variance(config, shared.b0_x_T),
         mean,
         explicit,
     ]
     if coeff_sol is not None:
-        results.extend(check_coefficient_file(config, coeff_sol))
+        results.extend(check_coefficient_file(config, coeff_sol, file_max_residual))
     return results
 
 

@@ -267,14 +267,21 @@ def resolve(config_path: Optional[str], flags: dict, environ=None) -> RunConfig:
     ``MVCONTRACT_*`` variables, then ``flags`` (flag name or config key ->
     string).  Each value is parsed in its own layer, so a bad one is an
     error even where a later layer overrides it; the merged values are
-    validated once.  Both variable spellings of one key are an error.
+    validated once.  Both variable spellings of one key are an error, and so
+    is any other ``MVCONTRACT_`` name but ``MVCONTRACT_CONFIG``.
     """
     environ = os.environ if environ is None else environ
     config_path = config_path or environ.get(ENV_PREFIX + "CONFIG")
     values = _file_values(config_path) if config_path else {}
+    env_keys = {ENV_PREFIX + name.upper(): key
+                for name, key in [*zip(_KEYS, _KEYS), *_ALIASES.items()]}
+    unknown = sorted(var for var in environ if var.startswith(ENV_PREFIX)
+                     and var not in env_keys and var != ENV_PREFIX + "CONFIG")
+    if unknown:
+        raise ConfigError(f"unknown variable {', '.join(unknown)}: {ENV_PREFIX} takes "
+                          "CONFIG or an upper-cased config key or flag name")
     values.update(_parse_layer(
-        (key, environ[var], var) for name, key in [*zip(_KEYS, _KEYS), *_ALIASES.items()]
-        if (var := ENV_PREFIX + name.upper()) in environ
+        (key, environ[var], var) for var, key in env_keys.items() if var in environ
     ))
     values.update(_parse_layer(
         (_ALIASES.get(name, name), raw, "--" + name.replace("_", "-"))

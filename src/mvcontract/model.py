@@ -144,16 +144,6 @@ def principal_hamiltonian(
     )
 
 
-def agent_cost_integrand(s, e):
-    """Running cost of the agent, (s - e)^2 / 2."""
-    return (s - e) ** 2 / 2.0
-
-
-def principal_cost_integrand(s):
-    """Running cost of the principal, s^2 / 2."""
-    return s**2 / 2.0
-
-
 def terminal_costs(x_T, alpha: float, beta: float):
     """Terminal cost contributions (-alpha x_T^2 / 2, -beta x_T^2 / 2)."""
     sq = np.asarray(x_T, dtype=np.float64) ** 2 / 2.0

@@ -110,11 +110,12 @@ def _step_major(dW: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[int, int]]:
+def _step_block(field, sigma_dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[int, int]]:
     """Step one block of paths through every node of the grid.
 
-    ``dW`` holds the block's increments, one row per path, and the state
-    ends in ``x`` (a view of the caller's output array).  If given, the
+    ``sigma_dW`` holds the block's ``sigma dW``, step-major with shape
+    (n_steps, paths) as ``_step_major`` copies it, and the state ends in
+    ``x`` (a view of the caller's output array).  If given, the
     running cost integrals accumulate into ``ja`` and ``jp``, and ``states``,
     step-major with shape (n_points, 2, paths), receives (x, R) at every node;
     a caller asks for one or the other.  Each step reads one row of
@@ -124,14 +125,12 @@ def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[i
         x  += dt (Fxx x + FxR R) + sigma dW,   R += dt (GRx x + GRR R),
 
     in ``out=`` ufuncs on a few work arrays, so every block of every caller
-    gets the same bits.  ``sigma dW`` is first copied step-major
-    (``_step_major``).  Returns None, or (step, path index within the block)
+    gets the same bits.  Returns None, or (step, path index within the block)
     of the first non-finite state: a step whose state sums are finite has no
     non-finite element, so only a non-finite sum is searched.
     """
     dt = field.sol.grid.dt
     m = x.size
-    sigma_dW = _step_major(dW, field.sol.params.sigma)
     R = np.zeros(m)
     t, u, v = (np.empty(m) for _ in range(3))
     x[...] = 0.0
@@ -207,10 +206,16 @@ def map_noise_blocks(grid, n_paths: int, seed: int, block_paths: int, run: Calla
             results = [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
-    diverged = [r for r in results if isinstance(r, SimulationDivergedError)]
-    if diverged:
-        raise min(diverged, key=lambda exc: (exc.step, exc.path))
+    diverged = _earliest(results)
+    if diverged is not None:
+        raise diverged
     return results
+
+
+def _earliest(results) -> Optional[SimulationDivergedError]:
+    """The earliest ``SimulationDivergedError`` among ``results``, by step and then path, or None."""
+    diverged = [r for r in results if isinstance(r, SimulationDivergedError)]
+    return min(diverged, key=lambda exc: (exc.step, exc.path), default=None)
 
 
 def simulate_costs(
@@ -235,7 +240,8 @@ def simulate_costs(
     x_T = np.empty(n_paths)
 
     def run(lo, hi, noise):
-        bad = _step_block(field, noise.increments, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
+        sigma_dW = _step_major(noise.increments, field.sol.params.sigma)
+        bad = _step_block(field, sigma_dW, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
 
@@ -263,7 +269,8 @@ def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsem
         raise ValueError("noise and closed-loop field live on different grids")
     n = noise.n_paths
     states = np.empty((grid.n_points, 2, n))
-    bad = _step_block(field, noise.increments, np.empty(n), states=states)
+    sigma_dW = _step_major(noise.increments, field.sol.params.sigma)
+    bad = _step_block(field, sigma_dW, np.empty(n), states=states)
     if bad is not None:
         raise SimulationDivergedError(path=bad[1], step=bad[0])
     return PathEnsemble(grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"),

@@ -1,24 +1,16 @@
-"""Euler-Maruyama forward integration driven by a shared scalar Brownian motion.
+"""Simulated state trajectories on a time grid.
 
-The scheme is
-
-    X_{k+1} = X_k + drift(X_k, t_k) * dt + diffusion(X_k, t_k) * dW_k,
-
-applied componentwise with a single Brownian increment dW_k per path and
-step (all state components load on the same noise).  There is no lookahead:
-step k uses only values available at t_k.
+``montecarlo.closed_loop_paths`` returns its recorded closed-loop (x, R)
+paths as a ``PathEnsemble``, and the checks read them through it.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import SimulationDivergedError
 from .noise import NoiseEnsemble
 from .timegrid import TimeGrid
-
-StateMap = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -53,55 +45,3 @@ class PathEnsemble:
         except ValueError:
             raise KeyError(f"no state component {label!r}; have {self.labels}")
         return self.states[:, :, idx]
-
-
-def euler_maruyama(
-    drift: StateMap,
-    diffusion: StateMap,
-    init: Union[float, Sequence[float], np.ndarray],
-    noise: NoiseEnsemble,
-    labels: Optional[Sequence[str]] = None,
-) -> PathEnsemble:
-    """Integrate dX = drift(X, t) dt + diffusion(X, t) dW forward on the grid.
-
-    ``drift`` and ``diffusion`` receive the current states as an array of
-    shape (n_paths, n_components) together with the node time, and must
-    return something broadcastable to that shape.  ``diffusion`` is the
-    loading of each component on the shared scalar increment.
-
-    Raises
-    ------
-    SimulationDivergedError
-        If any state component becomes non-finite, identifying the first
-        offending path and step.
-    """
-    grid = noise.grid
-    init_arr = np.atleast_1d(np.asarray(init, dtype=np.float64))
-    if init_arr.ndim != 1:
-        raise ValueError("init must be a scalar or a 1-d component vector")
-    if not np.all(np.isfinite(init_arr)):
-        raise ValueError(f"init must be finite, got {init_arr}")
-    n_comp = init_arr.size
-    if labels is None:
-        labels = ("x",) if n_comp == 1 else tuple(f"x{i}" for i in range(n_comp))
-    labels = tuple(labels)
-
-    n_paths = noise.n_paths
-    dt = grid.dt
-    states = np.empty((n_paths, grid.n_points, n_comp), dtype=np.float64)
-    states[:, 0, :] = init_arr
-    x = np.broadcast_to(init_arr, (n_paths, n_comp)).copy()
-
-    times = grid.points
-    dW = noise.increments
-    for k in range(grid.n_steps):
-        t_k = times[k]
-        x = x + drift(x, t_k) * dt + diffusion(x, t_k) * dW[:, k, None]
-        if not np.all(np.isfinite(x)):
-            bad_path, bad_comp = np.argwhere(~np.isfinite(x))[0]
-            raise SimulationDivergedError(
-                path=int(bad_path), step=k + 1, label=labels[bad_comp]
-            )
-        states[:, k + 1, :] = x
-
-    return PathEnsemble(grid=grid, states=states, labels=labels, noise=noise)

@@ -12,7 +12,9 @@ whose terminal value reweights expectations: E-underlying-effort[payoff]
 
 the exact discrete exponential of the Euler integrand, so the density is
 structurally positive and cannot underflow to a negative value.  For
-bounded theta the density is a martingale and E[Gamma(T)] = 1.
+bounded theta the density is a martingale and E[Gamma(T)] = 1.  The check
+batteries fold it per path block (``checks``); this module holds the
+reweighted expectation and the optimality-condition check.
 """
 
 from dataclasses import dataclass
@@ -21,60 +23,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DegenerateSensitivityError
-from .noise import NoiseEnsemble
-from .sde import PathEnsemble
-from .timegrid import TimeGrid
 
 _F_E_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DensityEnsemble:
-    """Per-path density trajectories Gamma > 0 with their log values."""
-
-    grid: TimeGrid
-    gamma: np.ndarray  # (n_paths, n_points)
-    log_gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma.flags.writeable = False
-        self.log_gamma.flags.writeable = False
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.gamma[:, -1]
-
-
-def simulate_density(
-    f_over_sigma: Callable[[np.ndarray, float], np.ndarray],
-    noise: NoiseEnsemble,
-    x_paths: PathEnsemble,
-) -> DensityEnsemble:
-    """Accumulate the density along given driftless output paths.
-
-    ``f_over_sigma(x, t)`` evaluates theta on the per-path output values at
-    a node; ``noise`` must be the same ensemble that drove ``x_paths``.
-    """
-    if x_paths.grid != noise.grid:
-        raise ValueError("x_paths and noise live on different grids")
-    if x_paths.n_paths != noise.n_paths:
-        raise ValueError("x_paths and noise have different path counts")
-    x = x_paths.states[:, :, 0]
-    dt = noise.grid.dt
-    times = noise.grid.points
-    n_paths, n_points = x.shape
-    log_gamma = np.zeros((n_paths, n_points))
-    for k in range(noise.grid.n_steps):
-        theta = np.broadcast_to(
-            np.asarray(f_over_sigma(x[:, k], times[k]), dtype=np.float64),
-            (n_paths,),
-        )
-        if not np.all(np.isfinite(theta)):
-            raise ValueError(f"non-finite theta at step {k}")
-        log_gamma[:, k + 1] = (
-            log_gamma[:, k] + theta * noise.increments[:, k] - 0.5 * theta**2 * dt
-        )
-    return DensityEnsemble(grid=noise.grid, gamma=np.exp(log_gamma), log_gamma=log_gamma)
 
 
 def reweighted_expectation(

@@ -26,7 +26,6 @@ from mvcontract import (
     agent_hamiltonian,
     ansatz_residual,
     closed_loop_paths,
-    euler_maruyama,
     evaluate_contract,
     from_case,
     integrate_riccati,
@@ -35,12 +34,12 @@ from mvcontract import (
     optimal_effort,
     principal_hamiltonian,
     sample_noise,
-    simulate_density,
     reweighted_expectation,
     sweep_grid,
     terminal_conditions,
 )
 from mvcontract.cli import main, point_seed
+from reference_schemes import euler_maruyama, simulate_density
 
 REF = dict(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
 

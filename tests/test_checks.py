@@ -10,16 +10,17 @@ from mvcontract import (
     ClosedLoopField,
     SimulationDivergedError,
     closed_loop_paths,
-    euler_maruyama,
+    evaluate_contract,
+    from_case,
     integrate_riccati,
     make_grid,
     sample_noise,
-    simulate_density,
 )
 from mvcontract import checks, montecarlo
 from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
 from mvcontract.config import default_config
 from mvcontract.riccati import ansatz_residual
+from reference_schemes import euler_maruyama, simulate_density
 
 
 @pytest.mark.parametrize("n_steps, target", [(4, "3.068436e-02"), (64, "3.090357e-02")])
@@ -33,7 +34,7 @@ def test_b0_oracle_targets_the_euler_chain(n_steps, target):
     for _ in range(n_steps):
         v = (1.0 + a * dt) ** 2 * v + sigma * sigma * dt
     assert f"{v:.6e}" == target
-    result = checks.check_b0_variance(config)
+    result = checks.check_b0_variance(config, checks._noise_pass(config, None).b0_x_T)
     assert result.passed, result.detail
     assert f" target={target} " in result.detail
 
@@ -81,7 +82,53 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     full = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_500, 38)))
     head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
     assert head.max_residual < full.max_residual
-    assert checks._max_residual(sol, 2_500, 38) == full.max_residual
+    assert checks._max_residuals([sol], 2_500, 38) == [full.max_residual]
+
+
+@pytest.mark.parametrize("n_paths", [10_001, 30_001])
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths):
+    # each part of the one pass over the 64-step stream must carry the bits
+    # of a pass of its own.  10,001 paths end in a ragged block of 1809
+    # inside the mean set; at 30,001 the mean set's last 3616 paths share
+    # a block of 4096 with paths beyond it.  The residual grid's coefficient
+    # file is another solution, stepped on the same draws as the config's.
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    config = dataclasses.replace(default_config(), n_paths=n_paths, seed=23)
+    params, seed, mult = config.params, config.seed, checks._first_triple(config)
+    sol = checks._solve(config, config.n_steps)
+    draws = []
+    draw = montecarlo.sample_noise_block
+    monkeypatch.setattr(montecarlo, "sample_noise_block",
+                        lambda *args: draws.append(args[4] - args[3]) or draw(*args))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if cpus > 1 else interval)
+    try:
+        shared = checks._noise_pass(config, sol)
+        coeff_sol = integrate_riccati(
+            params, from_case("iv", 0.3, 1.0),
+            make_grid(params.T, checks.RESIDUAL_CHECK_STEPS), config.p2_drift_mode)
+        residual, file_max = checks.check_riccati_residual(config, coeff_sol)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
+    n_residual = min(n_paths, checks.RESIDUAL_CHECK_MAX_PATHS)
+    assert sum(draws) == n_paths + n_residual
+    assert not any(shared.failures.values())
+
+    ev = evaluate_contract(dataclasses.replace(params, b=0.0), mult, n_paths,
+                           config.n_steps, seed, config.p2_drift_mode)
+    assert checks._variance_and_se(shared.b0_x_T) == (ev.var_xt, ev.var_xt_se)
+    n_mean = min(n_paths, checks.MEAN_CHECK_MAX_PATHS)
+    spec = closed_loop_paths(ClosedLoopField(sol), sample_noise(sol.grid, n_mean, seed))
+    assert np.array_equal(shared.paths.states, spec.states)
+    _, gamma_T, _ = checks._terminal_values(config, seed, drift=0.0, theta=1.0)
+    assert np.array_equal(shared.gamma_T, gamma_T)
+
+    own = checks._max_residuals([checks._solve(config, checks.RESIDUAL_CHECK_STEPS)],
+                                n_residual, seed)
+    assert residual.detail.startswith(f"max_residual={own[0]:.3e} ")
+    assert file_max == checks._max_residuals([coeff_sol], n_residual, seed)[0] != own[0]
 
 
 def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):
@@ -91,6 +138,23 @@ def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["weakcheck", "--config", str(path), "--paths", "1000"]) == EXIT_NUMERICAL
     assert "non-finite x on path 8 at step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ("sigma = 1e307\nT = 10000\n", "non-finite x on path 8 at step 1"),
+    ("sigma = 1e308\n", "non-finite state on path 8 at step 2"),
+], ids=["density_before_b0_solve", "mean_set_before_residual"])
+def test_check_reports_the_failure_of_its_earliest_check(tmp_path, capsys, cfg, message):
+    # the first config blows up every coefficient solve, the b = 0 one
+    # included, and its density fold diverges; in the second the mean-set
+    # and residual paths both diverge (the residual's first on path 90).
+    # The one noise pass meets all of these at once, and the run must still
+    # end with the failure of the check that comes first
+    path = tmp_path / "diverge.cfg"
+    path.write_text(cfg)
+    with np.errstate(all="ignore"):
+        assert main(["check", "--config", str(path), "--paths", "1000"]) == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -133,14 +197,22 @@ def _traced_peak_mb(fn):
     return result, peak / 1e6
 
 
+def _noise_pass_checks(config):
+    shared = checks._noise_pass(config, checks._solve(config, config.n_steps))
+    return [checks.check_density_martingale(shared.gamma_T),
+            checks.check_b0_variance(config, shared.b0_x_T),
+            checks.check_mean_trajectory(shared.paths)]
+
+
 @pytest.mark.parametrize("battery, limit_mb", [
     (lambda config: checks.run_weak_battery(config), 64),
-    (lambda config: [checks.check_density_martingale(config)], 64),
-    (lambda config: [checks.check_riccati_residual(config)], 96),
-], ids=["run_weak_battery", "check_density_martingale", "check_riccati_residual"])
+    (_noise_pass_checks, 64),
+    (lambda config: [checks.check_riccati_residual(config)[0]], 96),
+], ids=["run_weak_battery", "noise_pass", "check_riccati_residual"])
 def test_battery_memory_does_not_scale_with_paths(monkeypatch, battery, limit_mb):
-    # the default config runs 1e5 density paths and 10,000 residual paths;
-    # full path matrices of those took 198-302 MB of traced memory
+    # the default config runs 1e5 density and b = 0 paths, 20,000 recorded
+    # mean-trajectory paths and 10,000 residual paths; full path matrices of
+    # the density and residual ensembles took 198-302 MB of traced memory
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     results, peak_mb = _traced_peak_mb(lambda: battery(default_config()))
     assert all(r.passed for r in results)

@@ -234,6 +234,16 @@ def test_both_spellings_of_one_variable_are_a_config_error(tmp_path, capsys, mon
     assert set(re.findall(r"MVCONTRACT_\w+", err)) == {"MVCONTRACT_PATHS", "MVCONTRACT_N_PATHS"}
 
 
+def test_unknown_variable_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a misspelled variable used to be dropped: this ran and wrote seed=1
+    monkeypatch.setenv("MVCONTRACT_SEEDS", "5")
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--paths", "200", "--steps", "4", "--out", str(out_dir)])
+    assert rc == EXIT_CONFIG
+    assert "unknown variable MVCONTRACT_SEEDS" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_point_seed_deterministic_and_spread():
     seeds = {point_seed(1, i) for i in range(100)}
     assert len(seeds) == 100

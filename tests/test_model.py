@@ -8,14 +8,13 @@ from mvcontract import (
     ETA_EQUALS_X,
     DegenerateMultiplierError,
     LqParams,
-    agent_cost_integrand,
     agent_hamiltonian,
     optimal_cashflow,
     optimal_effort,
-    principal_cost_integrand,
     principal_hamiltonian,
     terminal_costs,
 )
+from reference_schemes import agent_cost_integrand, principal_cost_integrand
 
 
 def test_optimal_effort_values():

@@ -217,7 +217,7 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
     monkeypatch.setattr(checks, "RESIDUAL_BLOCK_DRAWS", 777 * grid.n_steps)
     config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
-    runs.append(lambda: checks.check_riccati_residual(config, sol))
+    runs.append(lambda: checks.check_coefficient_file(config, sol))
     for run in runs:
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvcontract import SimulationDivergedError, euler_maruyama, make_grid, sample_noise
+from mvcontract import SimulationDivergedError, make_grid, sample_noise
+from reference_schemes import euler_maruyama
 
 
 def _terminal_second_moment_discrete(a, sigma, T, n_steps):

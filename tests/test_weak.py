@@ -5,13 +5,12 @@ import pytest
 
 from mvcontract import (
     DegenerateSensitivityError,
-    euler_maruyama,
     hidden_action_foc_check,
     make_grid,
     reweighted_expectation,
     sample_noise,
-    simulate_density,
 )
+from reference_schemes import euler_maruyama, simulate_density
 
 
 def _driftless_output(sigma, T, n_steps, n_paths, seed):
