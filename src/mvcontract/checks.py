@@ -7,13 +7,15 @@ they are deterministic.
 
 ``check`` draws each (grid, seed) noise stream once.  ``_noise_pass`` runs
 the ``n_steps`` stream for the density, b = 0 and mean-trajectory checks,
-and the residual oracle steps a coefficient file on its grid beside its own
-solve.  Every pass runs its path blocks through ``montecarlo.map_noise_blocks``
-and keeps only what the checks read, so peak memory scales with workers x
-block, not with the path count; per-path bits do not depend on the blocking,
-so every number is the one a separate pass over the whole ensemble gives.
-The density folds keep the operation order of the generic Euler scheme and
-the log-density recursion, which the tests pin them against.
+the residual oracle its own grid's, and a coefficient file is stepped by the
+pass that draws its grid.  Every pass runs its path blocks through
+``montecarlo.map_noise_blocks`` and keeps only what the checks read, so peak
+memory scales with workers x block, not with the path count; per-path bits
+do not depend on the blocking, so every number is the one a separate pass
+over the whole ensemble gives.  Every part reads the step rows of a block's
+step-major increments in place, scaled into a work row.  The density folds
+keep the operation order of the generic Euler scheme and the log-density
+recursion, which the tests pin them against.
 """
 
 import dataclasses
@@ -36,7 +38,6 @@ from .model import (
 from .montecarlo import (
     _earliest,
     _step_block,
-    _step_major,
     _variance_and_se,
     closed_loop_paths,
     map_noise_blocks,
@@ -124,6 +125,14 @@ def _raise(error: Optional[Exception]) -> None:
         raise error
 
 
+def _block_max_residual(sol: RiccatiSolution, field: ClosedLoopField, noise, lo: int):
+    """Largest ``ansatz_residual`` of ``sol`` on block ``lo``'s noise, or its divergence."""
+    try:
+        return ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual
+    except SimulationDivergedError as exc:
+        return _diverged((exc.step, exc.path), lo, exc.label)
+
+
 def _max_residuals(sols: List[RiccatiSolution], n_paths: int, seed: int) -> list:
     """Largest ``ansatz_residual`` of each solution along the seed's closed-loop paths.
 
@@ -136,13 +145,7 @@ def _max_residuals(sols: List[RiccatiSolution], n_paths: int, seed: int) -> list
     fields = [ClosedLoopField(sol) for sol in sols]
 
     def block_max(lo, hi, noise):
-        out = []
-        for sol, field in zip(sols, fields):
-            try:
-                out.append(ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual)
-            except SimulationDivergedError as exc:
-                out.append(_diverged((exc.step, exc.path), lo, exc.label))
-        return out
+        return [_block_max_residual(sol, field, noise, lo) for sol, field in zip(sols, fields)]
 
     blocks = _map_blocks(sols[0].grid, n_paths, seed, RESIDUAL_BLOCK_DRAWS, block_max)
     return [_earliest(col) or float(np.max(col)) for col in zip(*blocks)]
@@ -180,9 +183,9 @@ def check_riccati_residual(config: RunConfig, coeff_sol: Optional[RiccatiSolutio
 def check_coefficient_file(config: RunConfig, sol: RiccatiSolution, max_residual=None) -> List[CheckResult]:
     """Validate an externally loaded coefficient table: terminal values + residual.
 
-    ``max_residual`` comes from a residual pass shared with the config's own
-    solve (``check_riccati_residual``); without it the file's solution is
-    stepped on a pass of its own.
+    ``max_residual`` comes from a pass that draws the file's grid anyway (the
+    noise pass or ``check_riccati_residual``); without it the file's
+    solution is stepped on a pass of its own.
     """
     results = [check_terminal_conditions(sol, "file_terminal_conditions", 1e-12)]
     if max_residual is None:
@@ -229,12 +232,14 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
     return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
 
 
-def _fold_x(x: np.ndarray, sigma_dW: np.ndarray, drift_dt: float) -> Optional[Tuple[int, int]]:
+def _fold_x(x: np.ndarray, dW: np.ndarray, sigma: float, drift_dt: float) -> Optional[Tuple[int, int]]:
     """Fold ``x = (x + drift dt) + sigma dW`` from 0; the first non-finite (step, path) or None."""
     x[...] = 0.0
-    for k, row in enumerate(sigma_dW):
+    sigma_dW = np.empty_like(x)
+    for k, row in enumerate(dW):
+        np.multiply(row, sigma, out=sigma_dW)
         x += drift_dt
-        x += row
+        x += sigma_dW
         # a step whose sum is finite has no non-finite x
         if not math.isfinite(x.sum()):
             bad = ~np.isfinite(x)
@@ -248,8 +253,10 @@ def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
     """Fold ``lg = (lg + theta dW) - (0.5 theta^2) dt`` from 0; ``gamma = exp(lg)``."""
     half_theta2_dt = 0.5 * (theta * theta) * dt
     log_gamma[...] = 0.0
-    for theta_dW in _step_major(dW, theta):
-        log_gamma += theta_dW
+    # gamma is the work row for theta dW until it receives exp(lg)
+    for row in dW:
+        np.multiply(row, theta, out=gamma)
+        log_gamma += gamma
         log_gamma -= half_theta2_dt
     np.exp(log_gamma, out=gamma)
 
@@ -279,11 +286,12 @@ def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional
         gamma_T, log_gamma_T = np.empty(n_paths), np.empty(n_paths)
 
     def run(lo, hi, noise):
-        bad = _fold_x(x_T[lo:hi], _step_major(noise.increments, sigma), drift * grid.dt)
+        dW = noise.increments.T
+        bad = _fold_x(x_T[lo:hi], dW, sigma, drift * grid.dt)
         if bad is not None:
             raise _diverged(bad, 0, "x")
         if theta is not None:
-            _fold_density(gamma_T[lo:hi], log_gamma_T[lo:hi], noise.increments, theta, grid.dt)
+            _fold_density(gamma_T[lo:hi], log_gamma_T[lo:hi], dW, theta, grid.dt)
 
     _map_blocks(grid, n_paths, seed, BLOCK_DRAWS, run)
     return x_T, gamma_T, log_gamma_T
@@ -293,56 +301,67 @@ class _NoisePass(NamedTuple):
     """What ``_noise_pass`` hands the density, b = 0 and mean-trajectory checks."""
 
     gamma_T: np.ndarray  # Gamma_T at theta = 1 over dx = sigma dW
-    b0_x_T: np.ndarray  # x_T of the b = 0 closed loop
+    b0_x_T: object  # x_T of the b = 0 closed loop, or its solve's RiccatiBlowUpError
     paths: Optional[PathEnsemble]  # the mean-trajectory set; None without a solve
+    file_max_residual: object  # see ``_noise_pass``; None without a file on this grid
     failures: dict  # "mean", "density" or "b0" -> the part's first error, or None
 
 
-def _noise_pass(config: RunConfig, sol: Optional[RiccatiSolution]) -> _NoisePass:
+def _noise_pass(config: RunConfig, sol: Optional[RiccatiSolution],
+                coeff_sol: Optional[RiccatiSolution] = None) -> _NoisePass:
     """One pass over the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's stream.
 
-    Each block's ``sigma dW`` is copied step-major once and feeds three
-    parts: ``density``, the fold of ``_terminal_values`` at drift 0 and
-    theta = 1; ``b0``, the b = 0 closed loop stepped without cost integrals;
-    and ``mean``, given ``sol``, its closed loop on the first
-    ``MEAN_CHECK_MAX_PATHS`` paths, recorded step-major at every node.  A
-    part that fails does not stop the others: its earliest divergence, or
-    the b = 0 solve's blow-up, is kept for the caller to raise in the order
-    of its checks.
+    Each block feeds every part: ``density``, the fold of
+    ``_terminal_values`` at drift 0 and theta = 1; ``b0``, the b = 0 closed
+    loop without cost integrals, unless its solve blows up; ``mean``, given
+    ``sol``, its closed loop on the first ``MEAN_CHECK_MAX_PATHS`` paths,
+    recorded at every node; and, given a ``coeff_sol`` on this grid, the
+    largest residual of its closed loop on the first
+    ``min(n_paths, RESIDUAL_CHECK_MAX_PATHS)`` paths, as ``_max_residuals``
+    takes it.  A part that fails does not stop the others: its earliest
+    divergence is kept for the caller to raise in the order of its checks.
     """
     grid = make_grid(config.params.T, config.n_steps)
     sigma = config.params.sigma
     n_paths = min(config.n_paths, PASS_MAX_PATHS)
     n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
-    b0_params = dataclasses.replace(config.params, b=0.0)
+    n_file = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
+    b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
+    b0_x_T = np.empty(n_paths)
     try:
-        b0_sol = integrate_riccati(b0_params, _first_triple(config), grid, config.p2_drift_mode)
-        b0_field, failures = ClosedLoopField(b0_sol), {}
+        b0_field = ClosedLoopField(_solve(b0_config, config.n_steps))
     except RiccatiBlowUpError as exc:
-        b0_field, failures = None, {"b0": exc}
+        b0_field, b0_x_T = None, exc
     field = None if sol is None else ClosedLoopField(sol)
     states = None if sol is None else np.empty((grid.n_points, 2, n_mean))
-    gamma_T, b0_x_T = np.empty(n_paths), np.empty(n_paths)
+    file_field = None if coeff_sol is None or coeff_sol.grid != grid else ClosedLoopField(coeff_sol)
+    gamma_T = np.empty(n_paths)
 
     def run(lo, hi, noise):
-        sigma_dW = _step_major(noise.increments, sigma)
-        out = {"density": _diverged(_fold_x(np.empty(hi - lo), sigma_dW, 0.0), lo, "x")}
-        _fold_density(gamma_T[lo:hi], np.empty(hi - lo), noise.increments, 1.0, grid.dt)
+        dW = noise.increments.T
+        out = {"density": _diverged(_fold_x(np.empty(hi - lo), dW, sigma, 0.0), lo, "x")}
+        _fold_density(gamma_T[lo:hi], np.empty(hi - lo), dW, 1.0, grid.dt)
         if b0_field is not None:
-            out["b0"] = _diverged(_step_block(b0_field, sigma_dW, b0_x_T[lo:hi]), lo)
+            out["b0"] = _diverged(_step_block(b0_field, dW, b0_x_T[lo:hi]), lo)
         if field is not None and lo < n_mean:
             m = min(hi, n_mean) - lo
             mean_states = states[:, :, lo:lo + m]
             out["mean"] = _diverged(
-                _step_block(field, sigma_dW[:, :m], np.empty(m), states=mean_states), lo)
+                _step_block(field, dW[:, :m], np.empty(m), states=mean_states), lo)
+        if file_field is not None and lo < n_file:
+            m = min(hi, n_file) - lo
+            head = dataclasses.replace(noise, n_paths=m, increments=noise.increments[:m])
+            out["file"] = _block_max_residual(coeff_sol, file_field, head, lo)
         return out
 
     blocks = _map_blocks(grid, n_paths, config.seed, BLOCK_DRAWS, run)
     paths = None if sol is None else PathEnsemble(
         grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
-    for part in ("mean", "density", "b0"):
-        failures.setdefault(part, _earliest(block.get(part) for block in blocks))
-    return _NoisePass(gamma_T, b0_x_T, paths, failures)
+    maxima = [block["file"] for block in blocks if "file" in block]
+    file_max = (_earliest(maxima) or float(np.max(maxima))) if maxima else None
+    failures = {part: _earliest(block.get(part) for block in blocks)
+                for part in ("mean", "density", "b0")}
+    return _NoisePass(gamma_T, b0_x_T, paths, file_max, failures)
 
 
 def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
@@ -353,9 +372,14 @@ def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
     return _result(name, ok, f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
 
 
-def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
-    """Var(x_T) of the b = 0 closed loop, x_T from ``_noise_pass``, against its exact value."""
+def check_b0_variance(config: RunConfig, x_T) -> CheckResult:
+    """Var(x_T) of the b = 0 closed loop, x_T from ``_noise_pass``, against its exact value.
+
+    ``x_T`` may be the b = 0 solve's ``RiccatiBlowUpError``; the check fails with it.
+    """
     name = "b0_variance_oracle"
+    if isinstance(x_T, RiccatiBlowUpError):
+        return _result(name, False, str(x_T))
     var, se = _variance_and_se(x_T)
     # the exact variance of the Euler chain x_{k+1} = (1 + a dt) x_k + sigma dW_k,
     # so the scheme's discretisation bias is not read as an oracle failure
@@ -408,22 +432,24 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     """The full oracle suite behind ``mvcontract check``.
 
     Each (grid, seed) stream is drawn once: ``_noise_pass`` serves the
-    density, b = 0 and mean-trajectory checks, and ``check_riccati_residual``
-    steps a coefficient file on the residual grid beside its own solve.  The
-    terminal-condition, mean-trajectory and explicit-R checks share one
-    ``n_steps`` solve; if it blows up, all three fail with its message.
+    density, b = 0 and mean-trajectory checks, and a coefficient file is
+    stepped by the noise pass or else ``check_riccati_residual`` if either
+    draws its grid.  The terminal-condition, mean-trajectory and explicit-R
+    checks share one ``n_steps`` solve; if it blows up, all three fail with
+    its message, as ``b0_variance_oracle`` does with the b = 0 solve's.
     Failures that end the run are raised in the order of the checks that
     meet them: a divergence of the mean-trajectory set, of the residual
-    paths, of the density fold, the b = 0 solve's blow-up, a divergence of
-    its paths, then of the coefficient file's paths.
+    paths, of the density fold, of the b = 0 paths, then of the coefficient
+    file's paths.
     """
     try:
         sol = _solve(config, config.n_steps)
     except RiccatiBlowUpError as exc:
         sol, blow_up = None, exc
-    shared = _noise_pass(config, sol)
+    shared = _noise_pass(config, sol, coeff_sol)
     _raise(shared.failures["mean"])
-    residual, file_max_residual = check_riccati_residual(config, coeff_sol)
+    on_pass = shared.file_max_residual is not None
+    residual, file_max = check_riccati_residual(config, None if on_pass else coeff_sol)
     _raise(shared.failures["density"])
     _raise(shared.failures["b0"])
     if sol is None:
@@ -447,7 +473,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         explicit,
     ]
     if coeff_sol is not None:
-        results.extend(check_coefficient_file(config, coeff_sol, file_max_residual))
+        file_max = shared.file_max_residual if on_pass else file_max
+        results.extend(check_coefficient_file(config, coeff_sol, file_max))
     return results
 
 

@@ -16,15 +16,16 @@ fourth central moment.
 Paths are processed in blocks of ``chunk_size`` paths (default
 ``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
 CPU caches), drawn directly from the counter-based noise stream and run on
-a thread pool with one worker per CPU the process may use.  A block copies
-its ``sigma dW`` step-major in tiles of ``_TILE_PATHS`` paths, then makes
-21 ufunc passes and two sums per step over its (x, R) arrays; a
-16384-path x 64-step block steps in about 18 ms and draws its noise in
-about 46 ms (2 vCPUs, numpy 2.4.6, scipy 1.17.1).  That scheduler,
-``map_noise_blocks``, also runs the path blocks of the check batteries.
-Every per-path value is bit-identical no matter how the path range is split
-into blocks or how many workers run them; the final reductions run on the
-calling thread over fully assembled per-path arrays in a fixed order.
+a thread pool with one worker per CPU the process may use.  A block's noise
+arrives step-major, and each step scales its row of ``dW`` by sigma into a
+work row and makes 21 more ufunc passes and two sums over (x, R); the block
+holds no other copy of its noise.  A 16384-path x 64-step block steps in
+about 18 ms and draws its noise in about 46 ms (2 vCPUs, numpy 2.4.6, scipy
+1.17.1).  That scheduler, ``map_noise_blocks``, also runs the path blocks of
+the check batteries.  Every per-path value is bit-identical no matter how
+the path range is split into blocks or how many workers run them; the final
+reductions run on the calling thread over fully assembled per-path arrays in
+a fixed order.
 
 ``closed_loop_paths`` runs the same block step over a given noise ensemble
 and keeps (x, R) at every node, step-major, in place of the cost integrals;
@@ -95,26 +96,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-#: Paths per tile of the step-major noise copies (``_step_major``): a tile of
-#: both layouts (512 paths x 64 steps, 256 kB each) stays in cache while it is
-#: transposed, where a whole-block transpose misses on every strided read.
-_TILE_PATHS = 512
-
-
-def _step_major(dW: np.ndarray, scale: float) -> np.ndarray:
-    """``scale * dW`` copied step-major, shape (n_steps, paths), in tiles of ``_TILE_PATHS`` paths."""
-    out = np.empty(dW.shape[::-1])
-    for lo in range(0, dW.shape[0], _TILE_PATHS):
-        hi = lo + _TILE_PATHS
-        np.multiply(dW[lo:hi].T, scale, out=out[:, lo:hi])
-    return out
-
-
-def _step_block(field, sigma_dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[int, int]]:
+def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[int, int]]:
     """Step one block of paths through every node of the grid.
 
-    ``sigma_dW`` holds the block's ``sigma dW``, step-major with shape
-    (n_steps, paths) as ``_step_major`` copies it, and the state ends in
+    ``dW`` holds the block's increments step-major, shape (n_steps, paths),
+    as ``NoiseEnsemble.increments.T`` reads them, and the state ends in
     ``x`` (a view of the caller's output array).  If given, the
     running cost integrals accumulate into ``ja`` and ``jp``, and ``states``,
     step-major with shape (n_points, 2, paths), receives (x, R) at every node;
@@ -130,6 +116,7 @@ def _step_block(field, sigma_dW, x, ja=None, jp=None, states=None) -> Optional[T
     non-finite element, so only a non-finite sum is searched.
     """
     dt = field.sol.grid.dt
+    sigma = field.sol.params.sigma
     m = x.size
     R = np.zeros(m)
     t, u, v = (np.empty(m) for _ in range(3))
@@ -156,8 +143,9 @@ def _step_block(field, sigma_dW, x, ja=None, jp=None, states=None) -> Optional[T
         np.multiply(R, fxR, out=u)
         t += u
         t *= dt
+        np.multiply(dW[k], sigma, out=u)
         x += t
-        x += sigma_dW[k]
+        x += u
         R += v
         if states is not None:
             states[k + 1, 0] = x
@@ -240,8 +228,7 @@ def simulate_costs(
     x_T = np.empty(n_paths)
 
     def run(lo, hi, noise):
-        sigma_dW = _step_major(noise.increments, field.sol.params.sigma)
-        bad = _step_block(field, sigma_dW, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
+        bad = _step_block(field, noise.increments.T, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
 
@@ -269,8 +256,7 @@ def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsem
         raise ValueError("noise and closed-loop field live on different grids")
     n = noise.n_paths
     states = np.empty((grid.n_points, 2, n))
-    sigma_dW = _step_major(noise.increments, field.sol.params.sigma)
-    bad = _step_block(field, sigma_dW, np.empty(n), states=states)
+    bad = _step_block(field, noise.increments.T, np.empty(n), states=states)
     if bad is not None:
         raise SimulationDivergedError(path=bad[1], step=bad[0])
     return PathEnsemble(grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"),

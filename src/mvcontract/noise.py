@@ -10,11 +10,16 @@ bit-identical across runs, chunkings, worker counts and platforms.
 ``scipy.special`` is imported on the first draw, not with this module: it
 is most of the package's import time, and ``riccati`` draws no noise.  The
 first call of ``ndtri`` rebinds the module name to scipy's ufunc, so every
-later block calls it directly; the noise spec above is unchanged.
+later tile calls it directly; the noise spec above is unchanged.
 
 Because draws are addressed by counter, any contiguous block of paths can be
 produced without generating the rest of the stream (``sample_noise_block``),
 which keeps large Monte-Carlo runs memory-lean without changing a single bit.
+A block is one step-major (n_steps, paths) buffer, the layout every stepper
+and check reads, a step row at a time, as ``increments.T``: tiles of about
+``_TILE_DRAWS`` draws from the block's one Philox generator go through the
+uniform map and ``ndtri`` in cache, and ``* sqrt(dt)`` writes each tile
+transposed into the buffer.
 """
 
 from dataclasses import dataclass
@@ -23,9 +28,6 @@ import numpy as np
 
 from .timegrid import TimeGrid
 
-_U64_MAX = 2**64
-
-
 @dataclass(frozen=True)
 class NoiseEnsemble:
     """Per-path, per-step Gaussian increments with variance dt."""
@@ -33,7 +35,7 @@ class NoiseEnsemble:
     grid: TimeGrid
     seed: int
     n_paths: int
-    increments: np.ndarray  # shape (n_paths, n_steps)
+    increments: np.ndarray  # shape (n_paths, n_steps), step-major in memory
     path_offset: int = 0  # index of the first path within the seed's stream
 
     def __post_init__(self):
@@ -84,43 +86,14 @@ def _first_ndtri(x, out=None):
 ndtri = _first_ndtri
 
 
-def _raw_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Raw draws [offset, offset + n) of the Philox stream keyed by ``seed``.
-
-    Philox advances its 256-bit counter in blocks of four 64-bit outputs, so
-    the offset is split into whole blocks plus a discarded remainder.
-    """
-    bitgen = np.random.Philox(key=seed)
-    skip = offset % 4
-    bitgen.advance(offset // 4)
-    raw = bitgen.random_raw(skip + n)
-    return raw[skip:]
+def _raw_stream(bitgen, n: int) -> np.ndarray:
+    """The next ``n`` raw 64-bit words of a block's ``np.random.Philox`` generator."""
+    return bitgen.random_raw(n)
 
 
-def _gaussian_draws(seed: int, n: int, offset: int, scale: float) -> np.ndarray:
-    """Standard Gaussian draws times ``scale``, mapped in place.
-
-    The same operations as ``ndtri(((raw >> 11) + 0.5) * 2**-53) * scale``,
-    so the bits are the same, but in four passes without a temporary: the
-    shift in place on the raw words, the conversion to float and the
-    ``+ 0.5`` in one ufunc (the shifted words are below 2**53, so they
-    convert exactly), then the rest in place on that one float array.
-    """
-    raw = _raw_stream(seed, n, offset)
-    raw >>= np.uint64(11)
-    u = np.add(raw, 0.5, dtype=np.float64)
-    del raw
-    u *= 2.0**-53
-    ndtri(u, out=u)
-    u *= scale
-    return u
-
-
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < _U64_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+#: Draws per tile of ``sample_noise_block``: a tile's words and floats
+#: (128 kB each) stay in L2 from the Philox words to the transposed write.
+_TILE_DRAWS = 2**14
 
 
 def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseEnsemble:
@@ -136,21 +109,35 @@ def sample_noise_block(
     Concatenating blocks reproduces ``sample_noise(grid, n_paths, seed)``
     bit for bit regardless of how the path range is partitioned.
     """
-    seed = _check_seed(seed)
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if not 0 <= path_start < path_stop <= n_paths:
         raise ValueError(
             f"invalid path block [{path_start}, {path_stop}) for n_paths={n_paths}"
         )
-    n_block = path_stop - path_start
-    n_steps = grid.n_steps
-    z = _gaussian_draws(seed, n_block * n_steps, path_start * n_steps, np.sqrt(grid.dt))
-    increments = z.reshape(n_block, n_steps)
+    n_block, n_steps = path_stop - path_start, grid.n_steps
+    bitgen = np.random.Philox(key=seed)
+    # Philox advances its 256-bit counter in blocks of four 64-bit words
+    bitgen.advance(path_start * n_steps // 4)
+    bitgen.random_raw(path_start * n_steps % 4)
+    buffer = np.empty((n_steps, n_block))
+    tile = max(1, _TILE_DRAWS // n_steps)  # whole paths per tile
+    for lo in range(0, n_block, tile):
+        hi = min(lo + tile, n_block)
+        raw = _raw_stream(bitgen, (hi - lo) * n_steps)
+        # the shifted words are below 2**53, so they convert exactly
+        raw >>= np.uint64(11)
+        z = np.add(raw, 0.5, dtype=np.float64)
+        z *= 2.0**-53
+        ndtri(z, out=z)
+        np.multiply(z.reshape(hi - lo, n_steps).T, np.sqrt(grid.dt), out=buffer[:, lo:hi])
     return NoiseEnsemble(
         grid=grid,
         seed=seed,
         n_paths=n_block,
-        increments=increments,
+        increments=buffer.T,
         path_offset=path_start,
     )

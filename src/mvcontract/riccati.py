@@ -268,9 +268,9 @@ class ResidualReport:
         return max(c.max_abs for c in self.components.values())
 
 
-#: (path, node) elements per tile of ``ansatz_residual``: one tile's
-#: temporaries (256 kB each) stay in L2, where whole-ensemble ones stream
-#: every pass from memory.
+#: (node, path) elements per tile of ``ansatz_residual``, a run of nodes over
+#: the full, contiguous path rows of the step-major states and increments:
+#: its temporaries (256 kB each) stay in L2.
 _RESIDUAL_TILE = 2**15
 
 
@@ -289,9 +289,10 @@ def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport
     matching, the residual is O(dt); a wrong coefficient trajectory leaves an
     O(1) mismatch.  Residuals are reported in drift units (state per time).
 
-    The paths are evaluated in tiles of about ``_RESIDUAL_TILE`` (path, node)
-    elements.  Each element depends on its own path only, so the maxima are
-    those of the whole ensemble; ``mean_abs`` sums the tiles' sums.
+    The formula runs step-major, in tiles of consecutive nodes over every
+    path, of about ``_RESIDUAL_TILE`` elements.  Each element depends on its
+    own path and step only, so the maxima are those of the whole ensemble;
+    ``mean_abs`` sums the tiles' sums.
     """
     if paths.grid != sol.grid:
         raise ValueError("paths and coefficient solution live on different grids")
@@ -301,32 +302,30 @@ def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport
     a = sol.params.a
     sigma = sol.params.sigma
     dt = sol.grid.dt
-    X = paths.component("x")
-    R = paths.component("R")
-    dW = paths.noise.increments
-    c = sol.coeffs
-
-    def coeff(name):
-        return c[None, :, _IDX[name]]
+    # step-major: one row per node (states and coefficients) or step (dW)
+    X, R = paths.component("x").T, paths.component("R").T
+    dW = paths.noise.increments.T
+    c = {name: sol.coeffs[:, i, None] for name, i in _IDX.items()}
 
     names = ("p", "P1", "P2")
-    loads = [coeff(name)[:, 1:] * sigma for name in ("A11", "A12", "A13")]
+    loads = [c[name][1:] * sigma for name in ("A11", "A12", "A13")]
     # per component, one entry a tile: max |resid|, sum |resid| and
     # max |prescribed|, which stays 0 for P2
     stats = {name: ([], [], [0.0]) for name in names}
-    tile = max(1, _RESIDUAL_TILE // sol.grid.n_points)
-    for lo in range(0, paths.n_paths, tile):
-        x, r, dw = X[lo:lo + tile], R[lo:lo + tile], dW[lo:lo + tile]
-        P = coeff("A11") * x + coeff("B11") * r
-        P1 = coeff("A12") * x + coeff("B12") * r
-        P2 = coeff("A13") * x + coeff("B13") * r
+    tile = max(1, _RESIDUAL_TILE // paths.n_paths)
+    for lo in range(0, sol.grid.n_steps, tile):
+        # steps [lo, lo + tile) read nodes [lo, lo + tile]
+        nodes, steps = slice(lo, lo + tile + 1), slice(lo, lo + tile)
+        P = c["A11"][nodes] * X[nodes] + c["B11"][nodes] * R[nodes]
+        P1 = c["A12"][nodes] * X[nodes] + c["B12"][nodes] * R[nodes]
+        P2 = c["A13"][nodes] * X[nodes] + c["B13"][nodes] * R[nodes]
         # P2's prescribed drift is 0, and subtracting 0 changes no residual
         prescribed = (-a * P, -a * (P1 + P2), None)
         for name, Z, load, drift in zip(names, (P, P1, P2), loads, prescribed):
             maxima, sums, scales = stats[name]
-            resid = (Z[:, 1:] - Z[:, :-1] - load * dw) / dt
+            resid = (Z[1:] - Z[:-1] - load[steps] * dW[steps]) / dt
             if drift is not None:
-                resid -= drift[:, :-1]
+                resid -= drift[:-1]
                 scales.append(np.abs(drift).max())
             np.abs(resid, out=resid)
             maxima.append(resid.max())

@@ -17,7 +17,7 @@ from mvcontract import (
     sample_noise,
 )
 from mvcontract import checks, montecarlo
-from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, main
+from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ORACLE, load_riccati_csv, main
 from mvcontract.config import default_config
 from mvcontract.riccati import ansatz_residual
 from reference_schemes import euler_maruyama, simulate_density
@@ -129,6 +129,47 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths):
                                 n_residual, seed)
     assert residual.detail.startswith(f"max_residual={own[0]:.3e} ")
     assert file_max == checks._max_residuals([coeff_sol], n_residual, seed)[0] != own[0]
+
+
+def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path, monkeypatch,
+                                                                         capsys):
+    # a table on the config's 64-step grid is stepped inside the noise pass,
+    # on its first 10,000 paths, so the command draws 1e5 64-step paths and
+    # the 10,000 256-step residual paths: 8.96M draws, where a pass of the
+    # file's own drew its 10,000 paths again (110,000 paths, 9.60M draws)
+    out = tmp_path / "c64"
+    assert main(["riccati", "--steps", "64", "--out", str(out)]) == 0
+    csv = str(out / "riccati.csv")
+    paths = {}
+    draw = montecarlo.sample_noise_block
+
+    def counted(grid, n_paths, seed, lo, hi):
+        paths[grid.n_steps] = paths.get(grid.n_steps, 0) + hi - lo
+        return draw(grid, n_paths, seed, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "sample_noise_block", counted)
+    capsys.readouterr()
+    assert main(["check", "--coeffs", csv]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
+    assert paths == {64: 100_000, checks.RESIDUAL_CHECK_STEPS: 10_000}
+    assert sum(n * steps for steps, n in paths.items()) == 8_960_000
+    separate = checks.check_coefficient_file(default_config(), load_riccati_csv(csv))[1]
+    assert f"PASS file_riccati_residual: {separate.detail}" in printed
+
+
+def test_b0_oracle_fails_on_the_blow_up_bound(tmp_path, capsys):
+    # the b = 0 coefficients reach 2.05: under blow_up_bound = 0.5 its solve
+    # blows up like the n_steps solve, and its check fails with the message
+    path = tmp_path / "bound.cfg"
+    path.write_text("blow_up_bound = 0.5\n")
+    assert main(["check", "--config", str(path), "--paths", "4000"]) == EXIT_ORACLE
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split(":")[0][len("FAIL "):] for line in lines if line.startswith("FAIL ")]
+    assert failed == ["terminal_conditions", "riccati_residual", "b0_variance_oracle",
+                      "mean_trajectory", "explicit_R_consistency"]
+    assert "FAIL b0_variance_oracle: coefficient system blew up (|coefficient| > 0.5)" in (
+        "\n".join(lines))
 
 
 def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):

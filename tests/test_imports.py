@@ -24,6 +24,7 @@ from mvcontract import (
     from_case,
     integrate_riccati,
     make_grid,
+    noise,
     sample_noise_block,
 )
 from mvcontract.montecarlo import simulate_costs
@@ -54,18 +55,30 @@ def test_scipy_is_not_loaded_without_a_draw(tmp_path, statement):
     assert out.split()[-1] == b"False"
 
 
-@pytest.mark.parametrize("n_steps, seed", [(16, 12345), (7, 2**64 - 1)])
+@pytest.mark.parametrize("n_steps, seed", [
+    (16, 12345), (7, 2**64 - 1), (64, 3), (2**15, 5),
+])
 def test_noise_block_bits_match_the_spec(n_steps, seed):
+    # blocks are drawn in tiles of whole paths.  Every stream here spans
+    # three tiles and two paths, the blocks other than the first start on a
+    # path that is not a multiple of 4 (at 7 steps, on a draw that is not a
+    # multiple of 4 either), and where a tile holds more than one path most
+    # of them end in a partial tile
     from scipy.special import ndtri
 
     grid = make_grid(0.03, n_steps)
-    n_paths = 300
+    tile = max(1, noise._TILE_DRAWS // n_steps)
+    n_paths = 3 * tile + 2
     raw = np.random.Philox(key=seed).random_raw(n_paths * n_steps)
     spec = ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53) * np.sqrt(grid.dt)
     spec = spec.reshape(n_paths, n_steps)
-    for lo, hi in [(0, n_paths), (37, 201), (299, 300)]:
+    blocks = [(0, n_paths), (1, n_paths), (1, n_paths - 1)]
+    if n_paths >= 300:
+        blocks += [(37, 201), (299, 300), (5, 2 * tile + 3)]
+    for lo, hi in blocks:
         block = sample_noise_block(grid, n_paths, seed, lo, hi)
         assert np.array_equal(block.increments, spec[lo:hi])
+        assert block.increments.T.flags.c_contiguous
 
 
 FIRST_DRAW_ON_A_POOL = """

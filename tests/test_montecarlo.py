@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ def test_chunking_never_changes_results(ref_params, corner_triple):
         for cs in (None, 5_000, 1_000, 777, 1)
     ]
     assert all(e == evals[0] for e in evals[1:])
+
+
+def test_simulate_costs_holds_one_noise_block(monkeypatch, ref_params, corner_triple):
+    # a block's noise is drawn once, step-major, and read in place: with one
+    # worker the traced peak is one 16384 x 64 increments block and the
+    # three per-path outputs, plus 10% for tiles and work rows.  Raw words,
+    # float draws and a step-major copy per block peaked at 19.7 MB
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    n_paths, n_steps = 100_000, 64
+    sol = integrate_riccati(ref_params, corner_triple, make_grid(ref_params.T, n_steps),
+                            ETA_EQUALS_X)
+    field = ClosedLoopField(sol)
+    simulate_costs(field, 1_000, 1)  # scipy is imported outside the trace
+    tracemalloc.start()
+    try:
+        simulate_costs(field, n_paths, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = montecarlo.DEFAULT_CHUNK_SIZE * n_steps * 8
+    assert peak <= 1.1 * (block_bytes + 3 * n_paths * 8)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -5])

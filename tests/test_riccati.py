@@ -331,42 +331,44 @@ def test_residual_does_not_vanish_for_perturbed_solution(ref_params, corner_trip
 
 
 def test_residual_tiling_is_invisible(ref_params, corner_triple):
-    # the documented formula over the whole ensemble is the spec; the path
-    # with the largest residual is moved last, into the partial last tile
-    sol, paths = _simulate(ref_params, corner_triple, 256, 1_000, 31, ETA_EQUALS_X)
-    tile = riccati._RESIDUAL_TILE // sol.grid.n_points
-    n = paths.n_paths
-    assert n % tile != 0
-    a, sigma, dt, c = sol.params.a, sol.params.sigma, sol.grid.dt, sol.coeffs
+    # the documented formula over the whole ensemble is the spec.  The
+    # residual runs in tiles of consecutive steps over every path; at 250
+    # steps the last tile is partial.  One increment of the last step is
+    # raised so the largest residual lies in that last tile.
+    for n_steps in (256, 250):
+        sol, paths = _simulate(ref_params, corner_triple, n_steps, 1_000, 31, ETA_EQUALS_X)
+        tile = riccati._RESIDUAL_TILE // paths.n_paths
+        assert 1 < tile < n_steps and (n_steps % tile != 0) == (n_steps == 250)
+        a, sigma, dt, c = sol.params.a, sol.params.sigma, sol.grid.dt, sol.coeffs
 
-    def formula(X, R, dW):
-        def reconstruct(a1, b1):
-            return c[None, :, IDX[a1]] * X + c[None, :, IDX[b1]] * R
+        def formula(X, R, dW):
+            def reconstruct(a1, b1):
+                return c[None, :, IDX[a1]] * X + c[None, :, IDX[b1]] * R
 
-        P, P1, P2 = (reconstruct("A11", "B11"), reconstruct("A12", "B12"),
-                     reconstruct("A13", "B13"))
-        out = {}
-        for name, Z, load, prescribed in (("p", P, "A11", -a * P),
-                                          ("P1", P1, "A12", -a * (P1 + P2)),
-                                          ("P2", P2, "A13", np.zeros_like(P2))):
-            matched = c[None, 1:, IDX[load]] * sigma * dW
-            resid = (Z[:, 1:] - Z[:, :-1] - matched) / dt - prescribed[:, :-1]
-            out[name] = np.abs(resid), float(np.abs(prescribed).max())
-        return out
+            P, P1, P2 = (reconstruct("A11", "B11"), reconstruct("A12", "B12"),
+                         reconstruct("A13", "B13"))
+            out = {}
+            for name, Z, load, prescribed in (("p", P, "A11", -a * P),
+                                              ("P1", P1, "A12", -a * (P1 + P2)),
+                                              ("P2", P2, "A13", np.zeros_like(P2))):
+                matched = c[None, 1:, IDX[load]] * sigma * dW
+                resid = (Z[:, 1:] - Z[:, :-1] - matched) / dt - prescribed[:, :-1]
+                out[name] = np.abs(resid), float(np.abs(prescribed).max())
+            return out
 
-    X, R, dW = paths.component("x"), paths.component("R"), paths.noise.increments
-    worst = int(np.argmax(np.max([r.max(axis=1) for r, _ in formula(X, R, dW).values()],
-                                 axis=0)))
-    order = np.r_[np.delete(np.arange(n), worst), worst]
-    noise = dataclasses.replace(paths.noise, increments=dW[order])
-    moved = dataclasses.replace(paths, states=paths.states[order], noise=noise)
-    report = ansatz_residual(sol, moved)
-    spec = formula(X[order], R[order], noise.increments)
-    assert report.max_residual == max(r.max() for r, _ in spec.values())
-    for name, (resid, scale) in spec.items():
-        got = report.components[name]
-        assert got.max_abs == resid.max() and got.drift_scale == scale
-        assert got.mean_abs == pytest.approx(resid.mean(), rel=1e-12, abs=0.0)
+        dW = paths.noise.increments.copy()
+        dW[417, -1] += 10.0 * math.sqrt(dt)
+        noise = dataclasses.replace(paths.noise, increments=dW)
+        raised = dataclasses.replace(paths, noise=noise)
+        report = ansatz_residual(sol, raised)
+        spec = formula(paths.component("x"), paths.component("R"), dW)
+        worst = max(spec.values(), key=lambda item: item[0].max())[0]
+        assert np.unravel_index(worst.argmax(), worst.shape) == (417, n_steps - 1)
+        assert report.max_residual == worst.max()
+        for name, (resid, scale) in spec.items():
+            got = report.components[name]
+            assert got.max_abs == resid.max() and got.drift_scale == scale
+            assert got.mean_abs == pytest.approx(resid.mean(), rel=1e-12, abs=0.0)
 
 
 def test_residual_validates_inputs(ref_params, corner_triple):
