@@ -5,23 +5,24 @@ per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
 they are deterministic.
 
-``check`` draws each (grid, seed) noise stream once.  ``_noise_pass`` runs
-the ``n_steps`` stream for the density, b = 0 and mean-trajectory checks,
-the residual oracle its own grid's, and a coefficient file is stepped by the
-pass that draws its grid.  Every pass runs its path blocks through
-``montecarlo.map_noise_blocks`` and keeps only what the checks read, so peak
-memory scales with workers x block, not with the path count; per-path bits
-do not depend on the blocking, so every number is the one a separate pass
-over the whole ensemble gives.  Every part reads the step rows of a block's
-step-major increments in place, scaled into a work row.  The density folds
-keep the operation order of the generic Euler scheme and the log-density
-recursion, which the tests pin them against.
+Every check that reads paths is a part (``_Part``): a grid, a path count, a
+block size in noise draws and a ``run(lo, hi, noise)`` for each block of its
+paths.  ``_read_streams`` is the one place that decides which checks share
+draws: the parts on one grid share one ``montecarlo.map_noise_blocks`` pass
+over the seed's stream, so each (grid, seed) stream is drawn once.  A part
+keeps only what its check reads, so peak memory scales with workers x block,
+not with the path count; per-path bits do not depend on the blocking, so
+every number is the one a separate pass over the whole ensemble gives.
+Every part reads the step rows of a block's step-major increments in place,
+scaled into a work row.  The density fold keeps the operation order of the
+generic Euler scheme and the log-density recursion, which the tests pin it
+against.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .riccati import (
     terminal_conditions,
 )
 from .sde import PathEnsemble
-from .timegrid import make_grid
+from .timegrid import TimeGrid, make_grid
 from .weak import hidden_action_foc_check, reweighted_expectation
 
 RESIDUAL_CHECK_STEPS = 256
@@ -62,14 +63,15 @@ RESIDUAL_CHECK_MAX_PATHS = 10_000
 PASS_MAX_PATHS = 100_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
-#: Noise draws per path block of the 64-step passes (the noise pass and the
-#: ``weakcheck`` folds): 4,096 paths at 64 steps, a few MB per worker.
+#: Noise draws per path block of the density folds, the b = 0 loop and the
+#: mean-trajectory set: 4,096 paths at 64 steps, a few MB per worker.
 BLOCK_DRAWS = 2**18
-#: Noise draws per path block of the residual oracle: 2,048 paths at 256
+#: Noise draws per path block of the residual oracles: 2,048 paths at 256
 #: steps, about 13 MB of noise and recorded states per worker.  Stepping a
 #: block costs some 20 numpy calls per step whatever its width, so wider
 #: blocks pay less dispatch per path; 4,096 paths ran faster still but
-#: raised the battery's peak memory.
+#: raised the battery's peak memory.  On a grid shared with the parts
+#: above, the pass takes their smaller blocks.
 RESIDUAL_BLOCK_DRAWS = 2**19
 
 
@@ -103,6 +105,14 @@ def _solve(config: RunConfig, n_steps: int) -> RiccatiSolution:
     )
 
 
+def _solve_or_blow_up(config: RunConfig, n_steps: int):
+    """``_solve``, or the ``RiccatiBlowUpError`` it raises."""
+    try:
+        return _solve(config, n_steps)
+    except RiccatiBlowUpError as exc:
+        return exc
+
+
 def check_terminal_conditions(sol: RiccatiSolution, name: str = "terminal_conditions",
                               tol: float = 1e-14) -> CheckResult:
     expected = terminal_conditions(sol.params, sol.multipliers)
@@ -110,89 +120,90 @@ def check_terminal_conditions(sol: RiccatiSolution, name: str = "terminal_condit
     return _result(name, err <= tol, f"max_rel_err={err:.3e} tol={tol:g}")
 
 
-def _map_blocks(grid, n_paths: int, seed: int, block_draws: int, run: Callable) -> list:
-    """``run(lo, hi, noise)`` over blocks of about ``block_draws`` draws of a seed's paths."""
-    return map_noise_blocks(grid, n_paths, seed, max(1, block_draws // grid.n_steps), run)
+class _Part(NamedTuple):
+    """A check's read of a noise stream.
 
-
-def _diverged(bad: Optional[Tuple[int, int]], lo: int, label: str = "state"):
-    """The ``SimulationDivergedError`` of a block's (step, path) starting at path ``lo``, or None."""
-    return None if bad is None else SimulationDivergedError(path=lo + bad[1], step=bad[0], label=label)
-
-
-def _raise(error: Optional[Exception]) -> None:
-    if error is not None:
-        raise error
-
-
-def _block_max_residual(sol: RiccatiSolution, field: ClosedLoopField, noise, lo: int):
-    """Largest ``ansatz_residual`` of ``sol`` on block ``lo``'s noise, or its divergence."""
-    try:
-        return ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual
-    except SimulationDivergedError as exc:
-        return _diverged((exc.step, exc.path), lo, exc.label)
-
-
-def _max_residuals(sols: List[RiccatiSolution], n_paths: int, seed: int) -> list:
-    """Largest ``ansatz_residual`` of each solution along the seed's closed-loop paths.
-
-    The solutions share one grid: each block of paths is drawn once and
-    stepped under every solution.  Every residual element depends on one
-    path only, so the largest over the blocks is the largest over the whole
-    ensemble.  A solution whose paths diverge gets, in place of its maximum,
-    the earliest ``SimulationDivergedError`` over all of them.
+    ``run(lo, hi, noise)`` gets the paths ``[lo, hi)`` of each block that lie
+    within the part's first ``n_paths``; it returns the block's value or
+    raises a ``SimulationDivergedError`` with a path index within the block.
     """
-    fields = [ClosedLoopField(sol) for sol in sols]
 
-    def block_max(lo, hi, noise):
-        return [_block_max_residual(sol, field, noise, lo) for sol, field in zip(sols, fields)]
-
-    blocks = _map_blocks(sols[0].grid, n_paths, seed, RESIDUAL_BLOCK_DRAWS, block_max)
-    return [_earliest(col) or float(np.max(col)) for col in zip(*blocks)]
+    grid: TimeGrid
+    n_paths: int
+    block_draws: int  # noise draws per block, at most
+    run: Callable
 
 
-def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, max_residual) -> CheckResult:
-    if isinstance(max_residual, SimulationDivergedError):
-        raise max_residual
+def _read_streams(seed: int, parts: Dict[str, _Part]) -> dict:
+    """Each part's list of block values over the seed's stream of its grid.
+
+    The parts on one grid share one ``map_noise_blocks`` pass over the most
+    paths any of them reads, in blocks of the fewest draws any of them asks
+    for, and each runs on the head of every block that lies within its own
+    paths.  A part that diverges does not stop the others: in place of its
+    values it gets its earliest ``SimulationDivergedError`` over all blocks.
+    """
+    read = {}
+    for grid in dict.fromkeys(part.grid for part in parts.values()):
+        group = {name: part for name, part in parts.items() if part.grid == grid}
+
+        def run(lo, hi, noise):
+            values = {}
+            for name, part in group.items():
+                m = min(hi, part.n_paths) - lo
+                if m <= 0:
+                    continue
+                head = noise if m == hi - lo else dataclasses.replace(
+                    noise, n_paths=m, increments=noise.increments[:m])
+                try:
+                    values[name] = part.run(lo, lo + m, head)
+                except SimulationDivergedError as exc:
+                    values[name] = SimulationDivergedError(path=lo + exc.path, step=exc.step,
+                                                           label=exc.label)
+            return values
+
+        n_paths = max(part.n_paths for part in group.values())
+        block_draws = min(part.block_draws for part in group.values())
+        blocks = map_noise_blocks(grid, n_paths, seed, max(1, block_draws // grid.n_steps), run)
+        for name in group:
+            values = [block[name] for block in blocks if name in block]
+            read[name] = _earliest(values) or values
+    return read
+
+
+def _values(read) -> list:
+    """A part's block values from ``_read_streams``; raises its divergence."""
+    if isinstance(read, SimulationDivergedError):
+        raise read
+    return read
+
+
+def _raise_at(bad: Optional[Tuple[int, int]], label: str = "state") -> None:
+    """Raise the divergence at a block's (step, path), if there is one."""
+    if bad is not None:
+        raise SimulationDivergedError(path=bad[1], step=bad[0], label=label)
+
+
+def _residual_part(sol: RiccatiSolution, n_paths: int) -> _Part:
+    """The largest ``ansatz_residual`` of ``sol`` on each block of its first ``n_paths`` paths.
+
+    Every residual element depends on one path only, so the largest over the
+    blocks is the largest over the whole ensemble.
+    """
+    field = ClosedLoopField(sol)
+    return _Part(sol.grid, n_paths, RESIDUAL_BLOCK_DRAWS,
+                 lambda lo, hi, noise: ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual)
+
+
+def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, maxima: list) -> CheckResult:
+    """The residual check of ``sol`` from the block maxima of its ``_residual_part``."""
+    max_residual = float(np.max(maxima))
     ok = max_residual <= config.residual_tol
     return _result(
         name, ok,
         f"max_residual={max_residual:.3e} tol={config.residual_tol:g} "
         f"n_steps={sol.grid.n_steps} n_paths={min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)}",
     )
-
-
-def check_riccati_residual(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = None):
-    """Drift-residual oracle on the config's ``RESIDUAL_CHECK_STEPS``-step solve.
-
-    Returns the result and, for a coefficient file's solution on the same
-    grid, its residual maximum (or divergence) from the same draws, for
-    ``check_coefficient_file``; None otherwise.
-    """
-    name = "riccati_residual"
-    n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
-    try:
-        sol = _solve(config, RESIDUAL_CHECK_STEPS)
-    except RiccatiBlowUpError as exc:
-        return _result(name, False, str(exc)), None
-    shared = coeff_sol is not None and coeff_sol.grid == sol.grid
-    maxima = _max_residuals([sol, coeff_sol] if shared else [sol], n_paths, config.seed)
-    return _residual_result(name, config, sol, maxima[0]), maxima[1] if shared else None
-
-
-def check_coefficient_file(config: RunConfig, sol: RiccatiSolution, max_residual=None) -> List[CheckResult]:
-    """Validate an externally loaded coefficient table: terminal values + residual.
-
-    ``max_residual`` comes from a pass that draws the file's grid anyway (the
-    noise pass or ``check_riccati_residual``); without it the file's
-    solution is stepped on a pass of its own.
-    """
-    results = [check_terminal_conditions(sol, "file_terminal_conditions", 1e-12)]
-    if max_residual is None:
-        n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
-        (max_residual,) = _max_residuals([sol], n_paths, config.seed)
-    results.append(_residual_result("file_riccati_residual", config, sol, max_residual))
-    return results
 
 
 def check_argmax_agent(config: RunConfig, n_draws: int = 200) -> CheckResult:
@@ -261,12 +272,40 @@ def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
     np.exp(log_gamma, out=gamma)
 
 
-def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
-    """Terminal values of dx = drift dt + sigma dW, x(0) = 0, and of its density.
+def _fold_part(config: RunConfig, drift: float, theta: Optional[float] = None,
+               x_T=None, gamma_T=None, log_gamma_T=None) -> _Part:
+    """The fold of dx = drift dt + sigma dW, x(0) = 0, and, given ``theta``, of its density.
 
-    Folds x_T and, given ``theta``, log Gamma_T over blocks of the first
-    ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's stream.  Returns
-    ``(x_T, gamma_T, log_gamma_T)``, the last two None without ``theta``.
+    Runs on the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the
+    ``n_steps`` grid and writes x_T, Gamma_T and log Gamma_T into those of
+    the arrays that are given; the others are folded in scratch rows.  A
+    block raises where x goes non-finite.
+
+    Raises
+    ------
+    ValueError
+        If ``theta`` is not finite.
+    """
+    if theta is not None and not math.isfinite(theta):
+        raise ValueError("non-finite theta at step 0")
+    sigma = config.params.sigma
+    grid = make_grid(config.params.T, config.n_steps)
+
+    def run(lo, hi, noise):
+        x, gamma, log_gamma = (np.empty(hi - lo) if out is None else out[lo:hi]
+                               for out in (x_T, gamma_T, log_gamma_T))
+        dW = noise.increments.T
+        _raise_at(_fold_x(x, dW, sigma, drift * grid.dt), "x")
+        if theta is not None:
+            _fold_density(gamma, log_gamma, dW, theta, grid.dt)
+
+    return _Part(grid, min(config.n_paths, PASS_MAX_PATHS), BLOCK_DRAWS, run)
+
+
+def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
+    """The terminal values of ``_fold_part`` over the seed's stream.
+
+    Returns ``(x_T, gamma_T, log_gamma_T)``, the last two None without ``theta``.
 
     Raises
     ------
@@ -275,93 +314,28 @@ def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional
     SimulationDivergedError
         At the earliest step any x goes non-finite, on the lowest such path.
     """
-    if theta is not None and not math.isfinite(theta):
-        raise ValueError("non-finite theta at step 0")
-    sigma = config.params.sigma
     n_paths = min(config.n_paths, PASS_MAX_PATHS)
-    grid = make_grid(config.params.T, config.n_steps)
     x_T = np.empty(n_paths)
-    gamma_T = log_gamma_T = None
-    if theta is not None:
-        gamma_T, log_gamma_T = np.empty(n_paths), np.empty(n_paths)
-
-    def run(lo, hi, noise):
-        dW = noise.increments.T
-        bad = _fold_x(x_T[lo:hi], dW, sigma, drift * grid.dt)
-        if bad is not None:
-            raise _diverged(bad, 0, "x")
-        if theta is not None:
-            _fold_density(gamma_T[lo:hi], log_gamma_T[lo:hi], dW, theta, grid.dt)
-
-    _map_blocks(grid, n_paths, seed, BLOCK_DRAWS, run)
+    gamma_T, log_gamma_T = (None, None) if theta is None else (np.empty(n_paths), np.empty(n_paths))
+    part = _fold_part(config, drift, theta, x_T, gamma_T, log_gamma_T)
+    _values(_read_streams(seed, {"fold": part})["fold"])
     return x_T, gamma_T, log_gamma_T
 
 
-class _NoisePass(NamedTuple):
-    """What ``_noise_pass`` hands the density, b = 0 and mean-trajectory checks."""
+def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, states=None) -> _Part:
+    """The closed loop of ``sol``, without cost integrals, on its first ``n_paths`` paths.
 
-    gamma_T: np.ndarray  # Gamma_T at theta = 1 over dx = sigma dW
-    b0_x_T: object  # x_T of the b = 0 closed loop, or its solve's RiccatiBlowUpError
-    paths: Optional[PathEnsemble]  # the mean-trajectory set; None without a solve
-    file_max_residual: object  # see ``_noise_pass``; None without a file on this grid
-    failures: dict  # "mean", "density" or "b0" -> the part's first error, or None
-
-
-def _noise_pass(config: RunConfig, sol: Optional[RiccatiSolution],
-                coeff_sol: Optional[RiccatiSolution] = None) -> _NoisePass:
-    """One pass over the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's stream.
-
-    Each block feeds every part: ``density``, the fold of
-    ``_terminal_values`` at drift 0 and theta = 1; ``b0``, the b = 0 closed
-    loop without cost integrals, unless its solve blows up; ``mean``, given
-    ``sol``, its closed loop on the first ``MEAN_CHECK_MAX_PATHS`` paths,
-    recorded at every node; and, given a ``coeff_sol`` on this grid, the
-    largest residual of its closed loop on the first
-    ``min(n_paths, RESIDUAL_CHECK_MAX_PATHS)`` paths, as ``_max_residuals``
-    takes it.  A part that fails does not stop the others: its earliest
-    divergence is kept for the caller to raise in the order of its checks.
+    Writes x_T into ``x_T`` and (x, R) at every node into the step-major
+    ``states`` of shape (n_points, 2, n_paths), each if given.
     """
-    grid = make_grid(config.params.T, config.n_steps)
-    sigma = config.params.sigma
-    n_paths = min(config.n_paths, PASS_MAX_PATHS)
-    n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
-    n_file = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
-    b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
-    b0_x_T = np.empty(n_paths)
-    try:
-        b0_field = ClosedLoopField(_solve(b0_config, config.n_steps))
-    except RiccatiBlowUpError as exc:
-        b0_field, b0_x_T = None, exc
-    field = None if sol is None else ClosedLoopField(sol)
-    states = None if sol is None else np.empty((grid.n_points, 2, n_mean))
-    file_field = None if coeff_sol is None or coeff_sol.grid != grid else ClosedLoopField(coeff_sol)
-    gamma_T = np.empty(n_paths)
+    field = ClosedLoopField(sol)
 
     def run(lo, hi, noise):
-        dW = noise.increments.T
-        out = {"density": _diverged(_fold_x(np.empty(hi - lo), dW, sigma, 0.0), lo, "x")}
-        _fold_density(gamma_T[lo:hi], np.empty(hi - lo), dW, 1.0, grid.dt)
-        if b0_field is not None:
-            out["b0"] = _diverged(_step_block(b0_field, dW, b0_x_T[lo:hi]), lo)
-        if field is not None and lo < n_mean:
-            m = min(hi, n_mean) - lo
-            mean_states = states[:, :, lo:lo + m]
-            out["mean"] = _diverged(
-                _step_block(field, dW[:, :m], np.empty(m), states=mean_states), lo)
-        if file_field is not None and lo < n_file:
-            m = min(hi, n_file) - lo
-            head = dataclasses.replace(noise, n_paths=m, increments=noise.increments[:m])
-            out["file"] = _block_max_residual(coeff_sol, file_field, head, lo)
-        return out
+        x = np.empty(hi - lo) if x_T is None else x_T[lo:hi]
+        block_states = None if states is None else states[:, :, lo:hi]
+        _raise_at(_step_block(field, noise.increments.T, x, states=block_states))
 
-    blocks = _map_blocks(grid, n_paths, config.seed, BLOCK_DRAWS, run)
-    paths = None if sol is None else PathEnsemble(
-        grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
-    maxima = [block["file"] for block in blocks if "file" in block]
-    file_max = (_earliest(maxima) or float(np.max(maxima))) if maxima else None
-    failures = {part: _earliest(block.get(part) for block in blocks)
-                for part in ("mean", "density", "b0")}
-    return _NoisePass(gamma_T, b0_x_T, paths, file_max, failures)
+    return _Part(sol.grid, n_paths, BLOCK_DRAWS, run)
 
 
 def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
@@ -372,14 +346,9 @@ def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
     return _result(name, ok, f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
 
 
-def check_b0_variance(config: RunConfig, x_T) -> CheckResult:
-    """Var(x_T) of the b = 0 closed loop, x_T from ``_noise_pass``, against its exact value.
-
-    ``x_T`` may be the b = 0 solve's ``RiccatiBlowUpError``; the check fails with it.
-    """
+def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
+    """Var(x_T) of the b = 0 closed loop against its exact value."""
     name = "b0_variance_oracle"
-    if isinstance(x_T, RiccatiBlowUpError):
-        return _result(name, False, str(x_T))
     var, se = _variance_and_se(x_T)
     # the exact variance of the Euler chain x_{k+1} = (1 + a dt) x_k + sigma dW_k,
     # so the scheme's discretisation bias is not read as an oracle failure
@@ -431,50 +400,69 @@ def check_explicit_r(sol: RiccatiSolution, paths: PathEnsemble) -> CheckResult:
 def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = None) -> List[CheckResult]:
     """The full oracle suite behind ``mvcontract check``.
 
-    Each (grid, seed) stream is drawn once: ``_noise_pass`` serves the
-    density, b = 0 and mean-trajectory checks, and a coefficient file is
-    stepped by the noise pass or else ``check_riccati_residual`` if either
-    draws its grid.  The terminal-condition, mean-trajectory and explicit-R
-    checks share one ``n_steps`` solve; if it blows up, all three fail with
-    its message, as ``b0_variance_oracle`` does with the b = 0 solve's.
-    Failures that end the run are raised in the order of the checks that
-    meet them: a divergence of the mean-trajectory set, of the residual
-    paths, of the density fold, of the b = 0 paths, then of the coefficient
-    file's paths.
+    Its path-reading checks are parts, read in one ``_read_streams`` call,
+    so checks that read the same grid share one pass.  The density fold and
+    the b = 0 closed loop read the first ``min(n_paths, PASS_MAX_PATHS)``
+    paths of the ``n_steps`` stream, and the mean-trajectory set the first
+    ``MEAN_CHECK_MAX_PATHS`` of them; the residual oracle reads the first
+    ``RESIDUAL_CHECK_MAX_PATHS`` paths of the ``RESIDUAL_CHECK_STEPS``
+    stream, and a coefficient file as many of its own grid's.  The
+    terminal-condition, mean-trajectory and explicit-R checks share one
+    ``n_steps`` solve; if it blows up, all three fail with its message, and
+    the residual and b = 0 oracles do so with theirs.  A divergence ends the
+    run once every pass has run, as the earliest check meets it: in the
+    mean-trajectory set, the residual paths, the density fold, the b = 0
+    paths, then the coefficient file's paths.
     """
-    try:
-        sol = _solve(config, config.n_steps)
-    except RiccatiBlowUpError as exc:
-        sol, blow_up = None, exc
-    shared = _noise_pass(config, sol, coeff_sol)
-    _raise(shared.failures["mean"])
-    on_pass = shared.file_max_residual is not None
-    residual, file_max = check_riccati_residual(config, None if on_pass else coeff_sol)
-    _raise(shared.failures["density"])
-    _raise(shared.failures["b0"])
-    if sol is None:
+    n_pass = min(config.n_paths, PASS_MAX_PATHS)
+    n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
+    n_residual = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
+    b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
+    sol = _solve_or_blow_up(config, config.n_steps)
+    b0_sol = _solve_or_blow_up(b0_config, config.n_steps)
+    residual_sol = _solve_or_blow_up(config, RESIDUAL_CHECK_STEPS)
+    parts = {}  # in the order their divergences are raised; a blown-up solve has none
+    if isinstance(sol, RiccatiSolution):
+        states = np.empty((sol.grid.n_points, 2, n_mean))
+        parts["mean"] = _loop_part(sol, n_mean, states=states)
+    if isinstance(residual_sol, RiccatiSolution):
+        parts["residual"] = _residual_part(residual_sol, n_residual)
+    gamma_T = np.empty(n_pass)
+    parts["density"] = _fold_part(config, 0.0, 1.0, gamma_T=gamma_T)
+    if isinstance(b0_sol, RiccatiSolution):
+        b0_x_T = np.empty(n_pass)
+        parts["b0"] = _loop_part(b0_sol, n_pass, x_T=b0_x_T)
+    if coeff_sol is not None:
+        parts["file"] = _residual_part(coeff_sol, n_residual)
+    read = _read_streams(config.seed, parts)
+    for name in parts:
+        _values(read[name])
+
+    if "mean" in parts:
+        paths = PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
         terminal, mean, explicit = (
-            _result(name, False, str(blow_up))
+            check_terminal_conditions(sol), check_mean_trajectory(paths), check_explicit_r(sol, paths))
+    else:
+        terminal, mean, explicit = (
+            _result(name, False, str(sol))
             for name in ("terminal_conditions", "mean_trajectory", "explicit_R_consistency")
         )
-    else:
-        terminal = check_terminal_conditions(sol)
-        mean = check_mean_trajectory(shared.paths)
-        explicit = check_explicit_r(sol, shared.paths)
     results = [
         terminal,
-        residual,
+        _residual_result("riccati_residual", config, residual_sol, read["residual"])
+        if "residual" in parts else _result("riccati_residual", False, str(residual_sol)),
         check_argmax_agent(config),
         check_argmax_principal(config, AS_PRINTED),
         check_argmax_principal(config, ETA_EQUALS_X),
-        check_density_martingale(shared.gamma_T),
-        check_b0_variance(config, shared.b0_x_T),
+        check_density_martingale(gamma_T),
+        check_b0_variance(config, b0_x_T)
+        if "b0" in parts else _result("b0_variance_oracle", False, str(b0_sol)),
         mean,
         explicit,
     ]
     if coeff_sol is not None:
-        file_max = shared.file_max_residual if on_pass else file_max
-        results.extend(check_coefficient_file(config, coeff_sol, file_max))
+        results.append(check_terminal_conditions(coeff_sol, "file_terminal_conditions", 1e-12))
+        results.append(_residual_result("file_riccati_residual", config, coeff_sol, read["file"]))
     return results
 
 

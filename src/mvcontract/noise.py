@@ -46,28 +46,6 @@ class NoiseEnsemble:
             )
         self.increments.flags.writeable = False
 
-    def coarsened(self, factor: int) -> "NoiseEnsemble":
-        """Same Brownian paths observed on a grid coarsened by ``factor``.
-
-        Adjacent increments are summed in groups of ``factor``; useful for
-        step-refinement studies where the driving noise must be held fixed.
-        """
-        if factor < 1 or self.grid.n_steps % factor != 0:
-            raise ValueError(
-                f"factor {factor} must divide n_steps {self.grid.n_steps}"
-            )
-        if factor == 1:
-            return self
-        n_coarse = self.grid.n_steps // factor
-        coarse = self.increments.reshape(self.n_paths, n_coarse, factor).sum(axis=2)
-        return NoiseEnsemble(
-            grid=TimeGrid(self.grid.t_end, n_coarse),
-            seed=self.seed,
-            n_paths=self.n_paths,
-            increments=coarse,
-            path_offset=self.path_offset,
-        )
-
 
 def _first_ndtri(x, out=None):
     """``scipy.special.ndtri``, imported on the first call.

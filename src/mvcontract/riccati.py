@@ -120,15 +120,6 @@ def _rhs(y, a, b, b2, lam_P, lam_E, c1, c2):
     )
 
 
-def coefficient_rhs(
-    y: np.ndarray, params: LqParams, mult: MultiplierTriple, mode: str = AS_PRINTED
-) -> np.ndarray:
-    """Forward-time derivative of the twelve coefficients: ``_rhs`` as an array."""
-    b, (c1, c2) = params.b, cashflow_weights(params.b, mode)
-    args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
-    return np.array(_rhs(np.asarray(y, float).tolist(), *args))
-
-
 @dataclass(frozen=True)
 class RiccatiSolution:
     """The twelve coefficient trajectories on a grid, plus their context."""
@@ -165,8 +156,8 @@ def integrate_riccati(
     """Integrate the twelve coefficient ODEs backward from t = T to 0.
 
     Classical fixed-step RK4 on the shared grid, on plain floats through the
-    formula of ``coefficient_rhs`` and bit-identical to its array form; the
-    terminal node holds the terminal conditions exactly.  Trajectories
+    one right-hand side ``_rhs``, and bit-identical to the same loop on its
+    array form; the terminal node holds the terminal conditions exactly.  Trajectories
     exceeding ``blow_up_bound`` (> 0) in magnitude (or turning non-finite)
     raise ``RiccatiBlowUpError`` carrying the time at which the bound was
     crossed: for strongly self-reinforcing cash-flow feedback (small lambda_P

@@ -4,8 +4,11 @@
 diffusion, ``simulate_density`` the log-space density recursion along its
 paths, and the two cost integrands the running costs written out from the
 model.  The check batteries fold the same terminal values per path block
-(``checks._terminal_values`` and ``checks._noise_pass``), in the operation
-order of these schemes, and the tests require equal bits.
+(``checks._fold_part``), in the operation order of these schemes, and the
+tests require equal bits.  ``coefficient_rhs`` is the coefficient system's
+right-hand side as an array, for the cross-checks against other
+integrators, and ``coarsened`` observes a noise ensemble on a coarser grid,
+for step-refinement studies on fixed driving noise.
 """
 
 from dataclasses import dataclass
@@ -13,9 +16,48 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from mvcontract import NoiseEnsemble, PathEnsemble, SimulationDivergedError, TimeGrid
+from mvcontract import (
+    AS_PRINTED,
+    LqParams,
+    MultiplierTriple,
+    NoiseEnsemble,
+    PathEnsemble,
+    SimulationDivergedError,
+    TimeGrid,
+)
+from mvcontract.model import cashflow_weights
+from mvcontract.riccati import _rhs
 
 StateMap = Callable[[np.ndarray, float], np.ndarray]
+
+
+def coefficient_rhs(
+    y: np.ndarray, params: LqParams, mult: MultiplierTriple, mode: str = AS_PRINTED
+) -> np.ndarray:
+    """Forward-time derivative of the twelve coefficients: ``riccati._rhs`` as an array."""
+    b, (c1, c2) = params.b, cashflow_weights(params.b, mode)
+    args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
+    return np.array(_rhs(np.asarray(y, float).tolist(), *args))
+
+
+def coarsened(noise: NoiseEnsemble, factor: int) -> NoiseEnsemble:
+    """The same Brownian paths observed on a grid coarsened by ``factor``.
+
+    Adjacent increments are summed in groups of ``factor``.
+    """
+    if factor < 1 or noise.grid.n_steps % factor != 0:
+        raise ValueError(f"factor {factor} must divide n_steps {noise.grid.n_steps}")
+    if factor == 1:
+        return noise
+    n_coarse = noise.grid.n_steps // factor
+    coarse = noise.increments.reshape(noise.n_paths, n_coarse, factor).sum(axis=2)
+    return NoiseEnsemble(
+        grid=TimeGrid(noise.grid.t_end, n_coarse),
+        seed=noise.seed,
+        n_paths=noise.n_paths,
+        increments=coarse,
+        path_offset=noise.path_offset,
+    )
 
 
 def agent_cost_integrand(s, e):

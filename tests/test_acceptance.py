@@ -39,7 +39,7 @@ from mvcontract import (
     terminal_conditions,
 )
 from mvcontract.cli import main, point_seed
-from reference_schemes import euler_maruyama, simulate_density
+from reference_schemes import coarsened, euler_maruyama, simulate_density
 
 REF = dict(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
 
@@ -102,7 +102,7 @@ def test_criterion_2_residual_oracle_and_refinement():
     fine_noise = sample_noise(make_grid(params.T, levels[-1]), n_paths, seed=101)
     maxima = []
     for n_steps in levels:
-        noise = fine_noise.coarsened(levels[-1] // n_steps)
+        noise = coarsened(fine_noise, levels[-1] // n_steps)
         sol = integrate_riccati(params, mult, noise.grid, ETA_EQUALS_X)
         paths = closed_loop_paths(ClosedLoopField(sol), noise)
         maxima.append(ansatz_residual(sol, paths).max_residual)

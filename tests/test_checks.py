@@ -8,6 +8,7 @@ import pytest
 
 from mvcontract import (
     ClosedLoopField,
+    PathEnsemble,
     SimulationDivergedError,
     closed_loop_paths,
     evaluate_contract,
@@ -34,7 +35,7 @@ def test_b0_oracle_targets_the_euler_chain(n_steps, target):
     for _ in range(n_steps):
         v = (1.0 + a * dt) ** 2 * v + sigma * sigma * dt
     assert f"{v:.6e}" == target
-    result = checks.check_b0_variance(config, checks._noise_pass(config, None).b0_x_T)
+    result = {r.name: r for r in checks.run_check_battery(config)}["b0_variance_oracle"]
     assert result.passed, result.detail
     assert f" target={target} " in result.detail
 
@@ -82,53 +83,129 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     full = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_500, 38)))
     head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
     assert head.max_residual < full.max_residual
-    assert checks._max_residuals([sol], 2_500, 38) == [full.max_residual]
+    read = checks._read_streams(38, {"residual": checks._residual_part(sol, 2_500)})
+    assert len(read["residual"]) == 2
+    assert max(read["residual"]) == full.max_residual
 
 
-@pytest.mark.parametrize("n_paths", [10_001, 30_001])
+def _spy(monkeypatch, *names):
+    """Record the arguments and result of the first call of each named ``checks`` function."""
+    seen = {}
+    for name in names:
+        def spy(*args, fn=getattr(checks, name), name=name):
+            result = fn(*args)
+            seen.setdefault(name, (args, result))
+            return result
+        monkeypatch.setattr(checks, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(10_001, 64), (30_001, 64), (20_000, 256)],
+                         ids=["10001", "30001", "20000x256"])
 @pytest.mark.parametrize("cpus", [1, 8])
-def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths):
-    # each part of the one pass over the 64-step stream must carry the bits
-    # of a pass of its own.  10,001 paths end in a ragged block of 1809
-    # inside the mean set; at 30,001 the mean set's last 3616 paths share
-    # a block of 4096 with paths beyond it.  The residual grid's coefficient
-    # file is another solution, stepped on the same draws as the config's.
+def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps):
+    # each part of the battery's one pass over a grid must carry the bits of
+    # a pass of its own.  10,001 paths at 64 steps end in a ragged block of
+    # 1809 inside the mean set; at 30,001 the mean set's last 3616 paths
+    # share a block of 4096 with paths beyond it.  At 256 steps the config's
+    # grid is the residual grid: one pass of 1024-path blocks serves every
+    # part, and the residual's 10,000 paths end 784 paths into a block.  The
+    # residual grid's coefficient file is another solution, stepped on the
+    # same draws as the config's.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    config = dataclasses.replace(default_config(), n_paths=n_paths, seed=23)
+    config = dataclasses.replace(default_config(), n_paths=n_paths, n_steps=n_steps, seed=23)
     params, seed, mult = config.params, config.seed, checks._first_triple(config)
     sol = checks._solve(config, config.n_steps)
+    coeff_sol = integrate_riccati(
+        params, from_case("iv", 0.3, 1.0),
+        make_grid(params.T, checks.RESIDUAL_CHECK_STEPS), config.p2_drift_mode)
+    seen = _spy(monkeypatch, "_read_streams", "check_density_martingale", "check_b0_variance",
+                "check_mean_trajectory")
     draws = []
     draw = montecarlo.sample_noise_block
     monkeypatch.setattr(montecarlo, "sample_noise_block",
-                        lambda *args: draws.append(args[4] - args[3]) or draw(*args))
+                        lambda *args: draws.append((args[0].n_steps, args[4] - args[3]))
+                        or draw(*args))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if cpus > 1 else interval)
     try:
-        shared = checks._noise_pass(config, sol)
-        coeff_sol = integrate_riccati(
-            params, from_case("iv", 0.3, 1.0),
-            make_grid(params.T, checks.RESIDUAL_CHECK_STEPS), config.p2_drift_mode)
-        residual, file_max = checks.check_riccati_residual(config, coeff_sol)
+        results = {r.name: r for r in checks.run_check_battery(config, coeff_sol)}
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
     n_residual = min(n_paths, checks.RESIDUAL_CHECK_MAX_PATHS)
-    assert sum(draws) == n_paths + n_residual
-    assert not any(shared.failures.values())
+    # a shared grid's pass takes the smallest blocks any of its parts asks for
+    widest = {steps: max(n for s, n in draws if s == steps) for steps, _ in draws}
+    if n_steps == checks.RESIDUAL_CHECK_STEPS:
+        assert sum(n for _, n in draws) == max(n_paths, n_residual)
+        assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps}
+    else:
+        assert sum(n for _, n in draws) == n_paths + n_residual
+        assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps,
+                          checks.RESIDUAL_CHECK_STEPS:
+                          checks.RESIDUAL_BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS}
+    read = seen["_read_streams"][1]
+    assert sorted(read) == ["b0", "density", "file", "mean", "residual"]
+    assert not any(isinstance(values, SimulationDivergedError) for values in read.values())
 
     ev = evaluate_contract(dataclasses.replace(params, b=0.0), mult, n_paths,
                            config.n_steps, seed, config.p2_drift_mode)
-    assert checks._variance_and_se(shared.b0_x_T) == (ev.var_xt, ev.var_xt_se)
+    b0_x_T = seen["check_b0_variance"][0][1]
+    assert checks._variance_and_se(b0_x_T) == (ev.var_xt, ev.var_xt_se)
     n_mean = min(n_paths, checks.MEAN_CHECK_MAX_PATHS)
     spec = closed_loop_paths(ClosedLoopField(sol), sample_noise(sol.grid, n_mean, seed))
-    assert np.array_equal(shared.paths.states, spec.states)
+    assert np.array_equal(seen["check_mean_trajectory"][0][0].states, spec.states)
     _, gamma_T, _ = checks._terminal_values(config, seed, drift=0.0, theta=1.0)
-    assert np.array_equal(shared.gamma_T, gamma_T)
+    assert np.array_equal(seen["check_density_martingale"][0][0], gamma_T)
 
-    own = checks._max_residuals([checks._solve(config, checks.RESIDUAL_CHECK_STEPS)],
-                                n_residual, seed)
-    assert residual.detail.startswith(f"max_residual={own[0]:.3e} ")
-    assert file_max == checks._max_residuals([coeff_sol], n_residual, seed)[0] != own[0]
+    def own_max(sol):
+        return max(checks._read_streams(seed, {"own": checks._residual_part(sol, n_residual)})["own"])
+
+    own = own_max(checks._solve(config, checks.RESIDUAL_CHECK_STEPS))
+    assert max(read["residual"]) == own
+    assert results["riccati_residual"].detail.startswith(f"max_residual={own:.3e} ")
+    assert max(read["file"]) == own_max(coeff_sol) != own
+
+
+@pytest.mark.parametrize("coeffs", [False, True], ids=["no_file", "file256"])
+def test_residual_grid_config_draws_its_stream_once(tmp_path, monkeypatch, capsys, coeffs):
+    # with n_steps = 256 the residual oracle and a 256-step table read the
+    # config's own stream: 20,000 paths, where a pass of the residual's own
+    # drew its 10,000 paths again (30,000); every printed line is unchanged
+    args = ["check", "--steps", "256", "--paths", "20000"]
+    expected = [
+        "PASS terminal_conditions: max_rel_err=0.000e+00 tol=1e-14",
+        "PASS riccati_residual: max_residual=1.430e-04 tol=0.001 n_steps=256 n_paths=10000",
+        "PASS argmax_agent_effort: max_gap=1.333e-03 cell=0.004",
+        "PASS argmax_principal_cashflow_as_printed: max_gap=1.333e-03 cell=0.004",
+        "PASS argmax_principal_cashflow_eta_equals_x: max_gap=1.333e-03 cell=0.004",
+        "PASS density_martingale: E[Gamma_T]=0.999815 se=1.24e-03 target=1 band=3se",
+        "PASS b0_variance_oracle: var=3.136159e-02 target=3.091460e-02 se=3.11e-04 band=3se",
+        "PASS mean_trajectory: max_gap=7.407e-04 worst_gap_over_se=1.11",
+        "PASS explicit_R_consistency: max_diff=1.425e-04 tol=1.361e-03 (dt-scaled)",
+        "9/9 checks passed",
+    ]
+    if coeffs:
+        out = tmp_path / "c256"
+        assert main(["riccati", "--steps", "256", "--out", str(out)]) == 0
+        args += ["--coeffs", str(out / "riccati.csv")]
+        expected[-1:] = [
+            "PASS file_terminal_conditions: max_rel_err=0.000e+00 tol=1e-12",
+            "PASS file_riccati_residual: max_residual=1.430e-04 tol=0.001 n_steps=256 n_paths=10000",
+            "11/11 checks passed",
+        ]
+    paths = {}
+    draw = montecarlo.sample_noise_block
+
+    def counted(grid, n_paths, seed, lo, hi):
+        paths[grid.n_steps] = paths.get(grid.n_steps, 0) + hi - lo
+        return draw(grid, n_paths, seed, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "sample_noise_block", counted)
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert paths == {256: 20_000}
 
 
 def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path, monkeypatch,
@@ -154,7 +231,10 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
     monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
     assert paths == {64: 100_000, checks.RESIDUAL_CHECK_STEPS: 10_000}
     assert sum(n * steps for steps, n in paths.items()) == 8_960_000
-    separate = checks.check_coefficient_file(default_config(), load_riccati_csv(csv))[1]
+    config, sol = default_config(), load_riccati_csv(csv)
+    own = checks._read_streams(config.seed, {"file": checks._residual_part(
+        sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS))})["file"]
+    separate = checks._residual_result("file_riccati_residual", config, sol, own)
     assert f"PASS file_riccati_residual: {separate.detail}" in printed
 
 
@@ -239,16 +319,37 @@ def _traced_peak_mb(fn):
 
 
 def _noise_pass_checks(config):
-    shared = checks._noise_pass(config, checks._solve(config, config.n_steps))
-    return [checks.check_density_martingale(shared.gamma_T),
-            checks.check_b0_variance(config, shared.b0_x_T),
-            checks.check_mean_trajectory(shared.paths)]
+    # the battery's parts on the n_steps grid, read in their one pass
+    n_pass = min(config.n_paths, checks.PASS_MAX_PATHS)
+    n_mean = min(config.n_paths, checks.MEAN_CHECK_MAX_PATHS)
+    b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
+    sol, b0_sol = (checks._solve(c, config.n_steps) for c in (config, b0_config))
+    gamma_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
+    states = np.empty((sol.grid.n_points, 2, n_mean))
+    read = checks._read_streams(config.seed, {
+        "mean": checks._loop_part(sol, n_mean, states=states),
+        "density": checks._fold_part(config, 0.0, 1.0, gamma_T=gamma_T),
+        "b0": checks._loop_part(b0_sol, n_pass, x_T=b0_x_T),
+    })
+    for values in read.values():
+        checks._values(values)
+    paths = PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
+    return [checks.check_density_martingale(gamma_T),
+            checks.check_b0_variance(config, b0_x_T),
+            checks.check_mean_trajectory(paths)]
+
+
+def _residual_check(config):
+    sol = checks._solve(config, checks.RESIDUAL_CHECK_STEPS)
+    part = checks._residual_part(sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS))
+    read = checks._read_streams(config.seed, {"residual": part})["residual"]
+    return [checks._residual_result("riccati_residual", config, sol, read)]
 
 
 @pytest.mark.parametrize("battery, limit_mb", [
     (lambda config: checks.run_weak_battery(config), 64),
     (_noise_pass_checks, 64),
-    (lambda config: [checks.check_riccati_residual(config)[0]], 96),
+    (_residual_check, 96),
 ], ids=["run_weak_battery", "noise_pass", "check_riccati_residual"])
 def test_battery_memory_does_not_scale_with_paths(monkeypatch, battery, limit_mb):
     # the default config runs 1e5 density and b = 0 paths, 20,000 recorded

@@ -217,8 +217,8 @@ def test_prefix_paths_are_nested(ref_params, corner_triple):
 def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, monkeypatch):
     # hand-built coefficients: a spike in A11 at node 1 overflows only the
     # path with the largest first increment, one at node 4 overflows every
-    # path; each chunking, closed_loop_paths and the residual check streamed
-    # in 777-path blocks must report that path at step 2, even when the
+    # path; each chunking, closed_loop_paths and the check battery's file
+    # residual, streamed in 777-path blocks, must report that path at step 2, even when the
     # lowest chunk diverges only later
     params = dataclasses.replace(ref_params, sigma=100.0)
     n_paths, seed = 3_000, 3
@@ -239,7 +239,7 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
     monkeypatch.setattr(checks, "RESIDUAL_BLOCK_DRAWS", 777 * grid.n_steps)
     config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
-    runs.append(lambda: checks.check_coefficient_file(config, sol))
+    runs.append(lambda: checks.run_check_battery(config, sol))
     for run in runs:
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()

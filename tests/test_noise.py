@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvcontract import make_grid, sample_noise, sample_noise_block
+from reference_schemes import coarsened
 
 
 def test_same_seed_bit_identical():
@@ -73,14 +74,14 @@ def test_block_bounds_validated():
 def test_coarsened_sums_adjacent_increments():
     grid = make_grid(0.03, 8)
     noise = sample_noise(grid, 50, seed=3)
-    coarse = noise.coarsened(4)
+    coarse = coarsened(noise, 4)
     assert coarse.grid.n_steps == 2
     assert coarse.grid.t_end == grid.t_end
     expected = noise.increments.reshape(50, 2, 4).sum(axis=2)
     assert np.array_equal(coarse.increments, expected)
-    assert noise.coarsened(1) is noise
+    assert coarsened(noise, 1) is noise
     with pytest.raises(ValueError):
-        noise.coarsened(3)
+        coarsened(noise, 3)
 
 
 def test_increments_read_only():

@@ -25,7 +25,7 @@ from mvcontract import (
     terminal_conditions,
 )
 from mvcontract import riccati
-from mvcontract.riccati import coefficient_rhs
+from reference_schemes import coefficient_rhs
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvcontract import SimulationDivergedError, make_grid, sample_noise
-from reference_schemes import euler_maruyama
+from reference_schemes import coarsened, euler_maruyama
 
 
 def _terminal_second_moment_discrete(a, sigma, T, n_steps):
@@ -69,7 +69,7 @@ def test_weak_bias_halves_with_step_doubling():
     fine_noise = sample_noise(fine_grid, n, seed=13)
     biases = []
     for n_steps in (16, 32, 64):
-        noise = fine_noise.coarsened(64 // n_steps)
+        noise = coarsened(fine_noise, 64 // n_steps)
         paths = euler_maruyama(lambda X, t: a * X, lambda X, t: sigma, 0.0, noise)
         sq = paths.states[:, -1, 0] ** 2
         estimate = sq.mean()
