@@ -8,15 +8,18 @@ they are deterministic.
 Every check that reads paths is a part (``_Part``): a grid, a path count, a
 block size in noise draws and a ``run(lo, hi, noise)`` for each block of its
 paths.  ``_read_streams`` is the one place that decides which checks share
-draws: the parts on one grid share one ``montecarlo.map_noise_blocks`` pass
-over the seed's stream, so each (grid, seed) stream is drawn once.  A part
-keeps only what its check reads, so peak memory scales with workers x block,
-not with the path count; per-path bits do not depend on the blocking, so
-every number is the one a separate pass over the whole ensemble gives.
-Every part reads the step rows of a block's step-major increments in place,
-scaled into a work row.  The density fold keeps the operation order of the
-generic Euler scheme and the log-density recursion, which the tests pin it
-against.
+draws: the parts on one grid share one stream of the seed, so each
+(grid, seed) stream is drawn once, and the streams of every grid run their
+blocks in one ``montecarlo.map_noise_blocks`` call, on one thread pool with
+no barrier between grids.  A part keeps only what its check reads, so peak
+memory scales with workers x block, not with the path count; per-path bits
+do not depend on the blocking, so every number is the one a separate pass
+over the whole ensemble gives.  Every part reads the step rows of a block's
+step-major increments in place: the closed-loop parts through
+``montecarlo._step_block``, which steps (x, R) as one (2, paths) array, and
+the folds scaled into a work row.  The density fold keeps the operation
+order of the generic Euler scheme and the log-density recursion, which the
+tests pin it against.
 """
 
 import dataclasses
@@ -37,6 +40,7 @@ from .model import (
     principal_hamiltonian,
 )
 from .montecarlo import (
+    DEFAULT_CHUNK_SIZE,
     _earliest,
     _step_block,
     _variance_and_se,
@@ -59,19 +63,20 @@ from .weak import hidden_action_foc_check, reweighted_expectation
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
 #: Paths of the density folds and of the b = 0 oracle; the first
-#: ``MEAN_CHECK_MAX_PATHS`` of them are the mean-trajectory set.
+#: ``MEAN_CHECK_MAX_PATHS`` of them are the mean-trajectory set, whose x is
+#: recorded, and the first ``EXPLICIT_R_MAX_PATHS`` the explicit-R set, whose
+#: (x, R) is.
 PASS_MAX_PATHS = 100_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
 #: Noise draws per path block of the density folds, the b = 0 loop and the
-#: mean-trajectory set: 4,096 paths at 64 steps, a few MB per worker.
-BLOCK_DRAWS = 2**18
+#: recorded sets: ``simulate``'s own block, 16,384 paths at 64 steps (8 MB
+#: of noise per worker).
+BLOCK_DRAWS = DEFAULT_CHUNK_SIZE * 64
 #: Noise draws per path block of the residual oracles: 2,048 paths at 256
-#: steps, about 13 MB of noise and recorded states per worker.  Stepping a
-#: block costs some 20 numpy calls per step whatever its width, so wider
-#: blocks pay less dispatch per path; 4,096 paths ran faster still but
+#: steps, about 13 MB of noise and recorded states per worker; 4,096 paths
 #: raised the battery's peak memory.  On a grid shared with the parts
-#: above, the pass takes their smaller blocks.
+#: above, the stream takes the smaller of the two blocks.
 RESIDUAL_BLOCK_DRAWS = 2**19
 
 
@@ -137,16 +142,18 @@ class _Part(NamedTuple):
 def _read_streams(seed: int, parts: Dict[str, _Part]) -> dict:
     """Each part's list of block values over the seed's stream of its grid.
 
-    The parts on one grid share one ``map_noise_blocks`` pass over the most
-    paths any of them reads, in blocks of the fewest draws any of them asks
-    for, and each runs on the head of every block that lies within its own
-    paths.  A part that diverges does not stop the others: in place of its
-    values it gets its earliest ``SimulationDivergedError`` over all blocks.
+    The parts on one grid share one stream over the most paths any of them
+    reads, in blocks of the fewest draws any of them asks for, and each runs
+    on the head of every block that lies within its own paths; the streams
+    of all grids run in one ``map_noise_blocks`` call.  A part that diverges
+    does not stop the others: in place of its values it gets its earliest
+    ``SimulationDivergedError`` over all blocks.
     """
-    read = {}
-    for grid in dict.fromkeys(part.grid for part in parts.values()):
-        group = {name: part for name, part in parts.items() if part.grid == grid}
+    groups = {}
+    for name, part in parts.items():
+        groups.setdefault(part.grid, {})[name] = part
 
+    def stream(grid, group):
         def run(lo, hi, noise):
             values = {}
             for name, part in group.items():
@@ -164,7 +171,11 @@ def _read_streams(seed: int, parts: Dict[str, _Part]) -> dict:
 
         n_paths = max(part.n_paths for part in group.values())
         block_draws = min(part.block_draws for part in group.values())
-        blocks = map_noise_blocks(grid, n_paths, seed, max(1, block_draws // grid.n_steps), run)
+        return grid, n_paths, max(1, block_draws // grid.n_steps), run
+
+    streams = map_noise_blocks(seed, [stream(grid, group) for grid, group in groups.items()])
+    read = {}
+    for group, blocks in zip(groups.values(), streams):
         for name in group:
             values = [block[name] for block in blocks if name in block]
             read[name] = _earliest(values) or values
@@ -325,8 +336,8 @@ def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional
 def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, states=None) -> _Part:
     """The closed loop of ``sol``, without cost integrals, on its first ``n_paths`` paths.
 
-    Writes x_T into ``x_T`` and (x, R) at every node into the step-major
-    ``states`` of shape (n_points, 2, n_paths), each if given.
+    Writes x_T into ``x_T`` and the first c of (x, R) at every node into the
+    step-major ``states`` of shape (n_points, c, n_paths), each if given.
     """
     field = ClosedLoopField(sol)
 
@@ -401,21 +412,23 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     """The full oracle suite behind ``mvcontract check``.
 
     Its path-reading checks are parts, read in one ``_read_streams`` call,
-    so checks that read the same grid share one pass.  The density fold and
-    the b = 0 closed loop read the first ``min(n_paths, PASS_MAX_PATHS)``
-    paths of the ``n_steps`` stream, and the mean-trajectory set the first
-    ``MEAN_CHECK_MAX_PATHS`` of them; the residual oracle reads the first
+    so checks that read the same grid share one stream.  The density fold
+    and the b = 0 closed loop read the first ``min(n_paths, PASS_MAX_PATHS)``
+    paths of the ``n_steps`` stream, the mean-trajectory set records x on
+    the first ``MEAN_CHECK_MAX_PATHS`` of them and the explicit-R set (x, R)
+    on the first ``EXPLICIT_R_MAX_PATHS``; the residual oracle reads the first
     ``RESIDUAL_CHECK_MAX_PATHS`` paths of the ``RESIDUAL_CHECK_STEPS``
     stream, and a coefficient file as many of its own grid's.  The
     terminal-condition, mean-trajectory and explicit-R checks share one
     ``n_steps`` solve; if it blows up, all three fail with its message, and
     the residual and b = 0 oracles do so with theirs.  A divergence ends the
-    run once every pass has run, as the earliest check meets it: in the
+    run once every stream has run, as the earliest check meets it: in the
     mean-trajectory set, the residual paths, the density fold, the b = 0
     paths, then the coefficient file's paths.
     """
     n_pass = min(config.n_paths, PASS_MAX_PATHS)
     n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
+    n_explicit = min(config.n_paths, EXPLICIT_R_MAX_PATHS)
     n_residual = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
     b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
     sol = _solve_or_blow_up(config, config.n_steps)
@@ -423,8 +436,11 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     residual_sol = _solve_or_blow_up(config, RESIDUAL_CHECK_STEPS)
     parts = {}  # in the order their divergences are raised; a blown-up solve has none
     if isinstance(sol, RiccatiSolution):
-        states = np.empty((sol.grid.n_points, 2, n_mean))
-        parts["mean"] = _loop_part(sol, n_mean, states=states)
+        # the explicit-R paths are the mean set's first: it diverges first
+        mean_x = np.empty((sol.grid.n_points, 1, n_mean))
+        explicit_states = np.empty((sol.grid.n_points, 2, n_explicit))
+        parts["mean"] = _loop_part(sol, n_mean, states=mean_x)
+        parts["explicit"] = _loop_part(sol, n_explicit, states=explicit_states)
     if isinstance(residual_sol, RiccatiSolution):
         parts["residual"] = _residual_part(residual_sol, n_residual)
     gamma_T = np.empty(n_pass)
@@ -439,9 +455,11 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         _values(read[name])
 
     if "mean" in parts:
-        paths = PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
-        terminal, mean, explicit = (
-            check_terminal_conditions(sol), check_mean_trajectory(paths), check_explicit_r(sol, paths))
+        mean_paths, explicit_paths = (
+            PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=labels)
+            for states, labels in ((mean_x, ("x",)), (explicit_states, ("x", "R"))))
+        terminal, mean, explicit = (check_terminal_conditions(sol), check_mean_trajectory(mean_paths),
+                                    check_explicit_r(sol, explicit_paths))
     else:
         terminal, mean, explicit = (
             _result(name, False, str(sol))

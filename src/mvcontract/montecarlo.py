@@ -17,26 +17,29 @@ Paths are processed in blocks of ``chunk_size`` paths (default
 ``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
 CPU caches), drawn directly from the counter-based noise stream and run on
 a thread pool with one worker per CPU the process may use.  A block's noise
-arrives step-major, and each step scales its row of ``dW`` by sigma into a
-work row and makes 21 more ufunc passes and two sums over (x, R); the block
-holds no other copy of its noise.  A 16384-path x 64-step block steps in
-about 18 ms and draws its noise in about 46 ms (2 vCPUs, numpy 2.4.6, scipy
-1.17.1).  That scheduler, ``map_noise_blocks``, also runs the path blocks of
-the check batteries.  Every per-path value is bit-identical no matter how
-the path range is split into blocks or how many workers run them; the final
-reductions run on the calling thread over fully assembled per-path arrays in
-a fixed order.
+arrives step-major, and the block holds no other copy of it.  Each step of
+the evaluation scales its row of ``dW`` by sigma into a work row and makes
+21 more ufunc passes and two sums over (x, R) and the cost integrals.  A
+16384-path x 64-step block steps in about 8 ms and draws its noise in about
+36 ms (2 vCPUs, numpy 2.4.6, scipy 1.17.1).  That scheduler,
+``map_noise_blocks``, also runs the check batteries: it takes several
+streams of one seed and runs all their blocks on one pool.  Every per-path
+value is bit-identical no matter how the path range is split into blocks or
+how many workers run them; the final reductions run on the calling thread
+over fully assembled per-path arrays in a fixed order.
 
-``closed_loop_paths`` runs the same block step over a given noise ensemble
-and keeps (x, R) at every node, step-major, in place of the cost integrals;
-the checks read their closed-loop paths from it, so one stepper serves both
-the Monte-Carlo evaluation and the oracles.
+The checks step without cost integrals (``_step_block``): (x, R) is one
+(2, paths) array, and each ufunc call forms both drifts, 8 numpy calls per
+step, with the element operations of the cost step in the same order, so
+x(T) carries the same bits either way.  ``closed_loop_paths`` runs it over
+a given noise ensemble and keeps (x, R) at every node, step-major; the
+checks read their closed-loop paths from it.
 """
 
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -96,24 +99,66 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[int, int]]:
-    """Step one block of paths through every node of the grid.
+def _step_block(field, dW, x, states=None) -> Optional[Tuple[int, int]]:
+    """Step one block of paths through every node of the grid, without cost integrals.
 
     ``dW`` holds the block's increments step-major, shape (n_steps, paths),
     as ``NoiseEnsemble.increments.T`` reads them, and the state ends in
-    ``x`` (a view of the caller's output array).  If given, the
-    running cost integrals accumulate into ``ja`` and ``jp``, and ``states``,
-    step-major with shape (n_points, 2, paths), receives (x, R) at every node;
-    a caller asks for one or the other.  Each step reads one row of
-    ``field.rows``:
+    ``x`` (a view of the caller's output array).  If given, ``states``,
+    step-major with shape (n_points, c, paths), receives the first c of
+    (x, R) at every node.  The step holds (x, R) as one (2, paths) array z
+    and reads the x- and R-loadings of both drifts in row k of
+    ``field.rows`` as columns:
+
+        z += dt (x (Fxx, GRx) + R (FxR, GRR)),   x += sigma dW,
+
+    in ``out=`` ufuncs on two (2, paths) work arrays: 8 numpy calls per step,
+    9 with recorded states, where four scalar rows took 14 and 16, with the
+    element operations of ``_step_costs`` in the same order, so the same bits.
+    Returns None, or (step, path index within the block) of the first
+    non-finite state: a step whose state sum is finite has no non-finite
+    element, so only a non-finite sum is searched.
+    """
+    dt = field.sol.grid.dt
+    sigma = field.sol.params.sigma
+    z = np.zeros((2, x.size))
+    x_row, R_row = z
+    w, w2 = np.empty((2,) + z.shape)
+    sigma_dW = w2[0]
+    rows = field.rows[:, :, None]
+    if states is not None:
+        recorded = z[:states.shape[1]]
+        states[0] = 0.0
+    for k, (dW_k, drift_x, drift_R) in enumerate(zip(dW, rows[:, 4::2], rows[:, 5::2])):
+        np.multiply(x_row, drift_x, out=w)
+        np.multiply(R_row, drift_R, out=w2)
+        w += w2
+        w *= dt
+        z += w
+        np.multiply(dW_k, sigma, out=sigma_dW)
+        x_row += sigma_dW
+        if states is not None:
+            states[k + 1] = recorded
+        if not math.isfinite(z.sum()):
+            bad = ~np.isfinite(z)
+            if bad.any():
+                return k + 1, int(bad.any(axis=0).argmax())
+    x[...] = x_row
+    return None
+
+
+def _step_costs(field, dW, x, ja, jp) -> Optional[Tuple[int, int]]:
+    """``_step_block`` with the running cost integrals, accumulated into ``ja`` and ``jp``.
+
+    Each step reads one row of ``field.rows`` as scalars:
 
         ja += (sqrt(dt/2) b p)^2,   jp += (sqrt(dt/2) s)^2,
         x  += dt (Fxx x + FxR R) + sigma dW,   R += dt (GRx x + GRR R),
 
-    in ``out=`` ufuncs on a few work arrays, so every block of every caller
-    gets the same bits.  Returns None, or (step, path index within the block)
-    of the first non-finite state: a step whose state sums are finite has no
-    non-finite element, so only a non-finite sum is searched.
+    in ``out=`` ufuncs on one-dimensional work rows, with x stepped in the
+    caller's array.  The stacked (2, paths) step is not used here: with it,
+    the worker heaps of ``simulate_costs`` came to hold a second 8 MB noise
+    block in some processes, and ``simulate`` peak RSS rose by 8 MB.
     """
     dt = field.sol.grid.dt
     sigma = field.sol.params.sigma
@@ -121,19 +166,15 @@ def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[i
     R = np.zeros(m)
     t, u, v = (np.empty(m) for _ in range(3))
     x[...] = 0.0
-    if ja is not None:
-        ja[...] = 0.0
-        jp[...] = 0.0
-    if states is not None:
-        states[0] = 0.0
-    for k, (bpx, bpR, sx, sR, fxx, fxR, gRx, gRR) in enumerate(field.rows):
-        if ja is not None:
-            for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
-                np.multiply(x, cx, out=t)
-                np.multiply(R, cR, out=u)
-                t += u
-                np.square(t, out=t)
-                acc += t
+    ja[...] = 0.0
+    jp[...] = 0.0
+    for k, (bpx, bpR, sx, sR, fxx, fxR, gRx, gRR) in enumerate(field.rows.tolist()):
+        for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
+            np.multiply(x, cx, out=t)
+            np.multiply(R, cR, out=u)
+            t += u
+            np.square(t, out=t)
+            acc += t
         # the R-increment reads x before the x-step
         np.multiply(x, gRx, out=v)
         np.multiply(R, gRR, out=u)
@@ -147,9 +188,6 @@ def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[i
         x += t
         x += u
         R += v
-        if states is not None:
-            states[k + 1, 0] = x
-            states[k + 1, 1] = R
         if not (math.isfinite(x.sum()) and math.isfinite(R.sum())):
             bad = ~(np.isfinite(x) & np.isfinite(R))
             if bad.any():
@@ -157,24 +195,34 @@ def _step_block(field, dW, x, ja=None, jp=None, states=None) -> Optional[Tuple[i
     return None
 
 
-def map_noise_blocks(grid, n_paths: int, seed: int, block_paths: int, run: Callable) -> list:
-    """Run ``run(lo, hi, noise)`` on each block of ``block_paths`` paths of a noise stream.
+def map_noise_blocks(seed: int, streams) -> list:
+    """Run every block of several noise streams of one seed on one thread pool.
 
-    Splits ``[0, n_paths)`` into blocks, draws each block's increments with
-    ``sample_noise_block`` and calls ``run`` under the caller's numpy error
-    state, on a thread pool of one worker per CPU the process may use (inline
-    for one).  Returns the results in block order.  A ``SimulationDivergedError``
-    from ``run``, with a path index within its block, is re-raised once every
-    block has run, at the earliest step and on the lowest such path over all
-    blocks, so it does not depend on the blocking either.
+    Each stream is ``(grid, n_paths, block_paths, run)``: ``[0, n_paths)``
+    is split into blocks of ``block_paths`` paths, and ``run(lo, hi, noise)``
+    gets each block's increments from ``sample_noise_block`` under the
+    caller's numpy error state.  The blocks of all streams run on one pool of
+    one worker per CPU the process may use (inline for one), so no worker
+    idles at the end of one stream while another has blocks left; the
+    streams with the fewest blocks go first.  Returns, per stream, its
+    results in block order.  A ``SimulationDivergedError`` from ``run``, with
+    a path index within its block, is re-raised once every block has run,
+    for the first stream in ``streams`` that diverged, at its earliest step
+    and on the lowest such path, so it depends neither on the blocking nor
+    on the other streams.
     """
-    if block_paths < 1:
-        raise ValueError(f"chunk_size (paths per block) must be >= 1, got {block_paths}")
-    blocks = [(lo, min(lo + block_paths, n_paths)) for lo in range(0, n_paths, block_paths)]
+    blocks = []
+    for i, (_, n_paths, block_paths, _) in enumerate(streams):
+        if block_paths < 1:
+            raise ValueError(f"chunk_size (paths per block) must be >= 1, got {block_paths}")
+        blocks.append([(i, lo, min(lo + block_paths, n_paths))
+                       for lo in range(0, n_paths, block_paths)])
+    queue = [block for stream in sorted(blocks, key=len) for block in stream]
     # numpy's floating-point error state is per thread; carry the caller's
     errstate = np.geterr()
 
-    def task(lo, hi):
+    def task(i, lo, hi):
+        grid, n_paths, _, run = streams[i]
         noise = sample_noise_block(grid, n_paths, seed, lo, hi)
         try:
             with np.errstate(**errstate):
@@ -182,21 +230,26 @@ def map_noise_blocks(grid, n_paths: int, seed: int, block_paths: int, run: Calla
         except SimulationDivergedError as exc:
             return SimulationDivergedError(path=lo + exc.path, step=exc.step, label=exc.label)
 
-    workers = min(_cpu_count(), len(blocks))
+    workers = min(_cpu_count(), len(queue))
     if workers <= 1:
-        results = [task(lo, hi) for lo, hi in blocks]
+        done = [task(*block) for block in queue]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(task, lo, hi) for lo, hi in blocks]
-            results = [future.result() for future in futures]
+            futures = [pool.submit(task, *block) for block in queue]
+            done = [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
-    diverged = _earliest(results)
-    if diverged is not None:
-        raise diverged
+    # each stream's blocks sit in the queue in block order
+    results = [[] for _ in streams]
+    for (i, _, _), result in zip(queue, done):
+        results[i].append(result)
+    for stream in results:
+        diverged = _earliest(stream)
+        if diverged is not None:
+            raise diverged
     return results
 
 
@@ -228,11 +281,11 @@ def simulate_costs(
     x_T = np.empty(n_paths)
 
     def run(lo, hi, noise):
-        bad = _step_block(field, noise.increments.T, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
+        bad = _step_costs(field, noise.increments.T, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
 
-    map_noise_blocks(field.sol.grid, n_paths, seed, chunk_size, run)
+    map_noise_blocks(seed, [(field.sol.grid, n_paths, chunk_size, run)])
     return ja_int, jp_int, x_T
 
 

@@ -212,11 +212,13 @@ class ClosedLoopField:
 
     with s_bar = Sx x + SR R.  Along the optimal pair s - e = -b p, so the
     agent's running cost (s - e)^2 dt / 2 is the square of the first pair's
-    combination.  ``montecarlo`` steps the paths on these rows.
+    combination.  ``rows`` is one read-only (n_steps, 8) array, so row k's
+    x-loadings are ``rows[k, 0::2]`` and its R-loadings ``rows[k, 1::2]``;
+    ``montecarlo`` steps the paths on them.
     """
 
     sol: RiccatiSolution
-    rows: tuple = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sol = self.sol
@@ -236,7 +238,8 @@ class ClosedLoopField:
             a + b2 * A11 + b * Sx, b2 * B11 + b * SR,
             b2 * (lam_E * A11 - A12 - A13), a + b2 * (lam_E * B11 - B12 - B13),
         ))
-        object.__setattr__(self, "rows", tuple(map(tuple, rows.tolist())))
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,11 @@ def test_b0_oracle_targets_the_euler_chain(n_steps, target):
 def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     # the full-matrix path the density batteries used to take is the spec:
     # one sample_noise call over the whole ensemble, then the public schemes.
-    # 10,001 paths at 64 steps are blocks of 4096, 4096 and a ragged 1809;
-    # 8 workers and a short switch interval interleave the workers' writes.
+    # 10,001 paths at 64 steps in blocks of 2**18 draws are blocks of 4096,
+    # 4096 and a ragged 1809; 8 workers and a short switch interval
+    # interleave the workers' writes.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
     config = dataclasses.replace(default_config(), n_paths=10_001, seed=23, weak_effort=0.7)
     params = config.params
     n, seed = config.n_paths, config.seed
@@ -104,15 +106,17 @@ def _spy(monkeypatch, *names):
                          ids=["10001", "30001", "20000x256"])
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps):
-    # each part of the battery's one pass over a grid must carry the bits of
-    # a pass of its own.  10,001 paths at 64 steps end in a ragged block of
-    # 1809 inside the mean set; at 30,001 the mean set's last 3616 paths
-    # share a block of 4096 with paths beyond it.  At 256 steps the config's
-    # grid is the residual grid: one pass of 1024-path blocks serves every
-    # part, and the residual's 10,000 paths end 784 paths into a block.  The
-    # residual grid's coefficient file is another solution, stepped on the
-    # same draws as the config's.
+    # each part of the battery's one stream over a grid must carry the bits
+    # of a pass of its own.  In blocks of 2**18 draws, 10,001 paths at 64
+    # steps end in a ragged block of 1809 inside the mean set; at 30,001 the
+    # mean set's last 3616 paths share a block of 4096 with paths beyond it.
+    # At 256 steps the config's grid is the residual grid: one stream of
+    # 2048-path blocks serves every part, and the residual's 10,000 paths
+    # end 1808 paths into a block.  The residual grid's coefficient file is
+    # another solution, stepped on the same draws as the config's.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    if n_steps != checks.RESIDUAL_CHECK_STEPS:
+        monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
     config = dataclasses.replace(default_config(), n_paths=n_paths, n_steps=n_steps, seed=23)
     params, seed, mult = config.params, config.seed, checks._first_triple(config)
     sol = checks._solve(config, config.n_steps)
@@ -120,7 +124,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
         params, from_case("iv", 0.3, 1.0),
         make_grid(params.T, checks.RESIDUAL_CHECK_STEPS), config.p2_drift_mode)
     seen = _spy(monkeypatch, "_read_streams", "check_density_martingale", "check_b0_variance",
-                "check_mean_trajectory")
+                "check_mean_trajectory", "check_explicit_r")
     draws = []
     draw = montecarlo.sample_noise_block
     monkeypatch.setattr(montecarlo, "sample_noise_block",
@@ -134,18 +138,18 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
         sys.setswitchinterval(interval)
     monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
     n_residual = min(n_paths, checks.RESIDUAL_CHECK_MAX_PATHS)
-    # a shared grid's pass takes the smallest blocks any of its parts asks for
+    # a shared grid's stream takes the smallest blocks any of its parts asks for
     widest = {steps: max(n for s, n in draws if s == steps) for steps, _ in draws}
     if n_steps == checks.RESIDUAL_CHECK_STEPS:
         assert sum(n for _, n in draws) == max(n_paths, n_residual)
-        assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps}
+        assert widest == {n_steps: min(checks.BLOCK_DRAWS, checks.RESIDUAL_BLOCK_DRAWS) // n_steps}
     else:
         assert sum(n for _, n in draws) == n_paths + n_residual
         assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps,
                           checks.RESIDUAL_CHECK_STEPS:
                           checks.RESIDUAL_BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS}
     read = seen["_read_streams"][1]
-    assert sorted(read) == ["b0", "density", "file", "mean", "residual"]
+    assert sorted(read) == ["b0", "density", "explicit", "file", "mean", "residual"]
     assert not any(isinstance(values, SimulationDivergedError) for values in read.values())
 
     ev = evaluate_contract(dataclasses.replace(params, b=0.0), mult, n_paths,
@@ -154,7 +158,10 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     assert checks._variance_and_se(b0_x_T) == (ev.var_xt, ev.var_xt_se)
     n_mean = min(n_paths, checks.MEAN_CHECK_MAX_PATHS)
     spec = closed_loop_paths(ClosedLoopField(sol), sample_noise(sol.grid, n_mean, seed))
-    assert np.array_equal(seen["check_mean_trajectory"][0][0].states, spec.states)
+    # the mean set records x only, the explicit-R set (x, R) on its first paths
+    assert np.array_equal(seen["check_mean_trajectory"][0][0].component("x"), spec.component("x"))
+    n_explicit = min(n_paths, checks.EXPLICIT_R_MAX_PATHS)
+    assert np.array_equal(seen["check_explicit_r"][0][1].states, spec.states[:n_explicit])
     _, gamma_T, _ = checks._terminal_values(config, seed, drift=0.0, theta=1.0)
     assert np.array_equal(seen["check_density_martingale"][0][0], gamma_T)
 
@@ -281,9 +288,10 @@ def test_check_reports_the_failure_of_its_earliest_check(tmp_path, capsys, cfg, 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
     # sigma dW overflows where |dW| > 3.9 sqrt(dt): on seed 42 the earliest
-    # overflow is at step 1 in the ragged third block of 4096 paths, while
-    # the first block diverges only at step 2
+    # overflow is at step 1 in the ragged third block of 4096 paths (blocks
+    # of 2**18 draws), while the first block diverges only at step 2
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
     base = default_config()
     params = dataclasses.replace(base.params, sigma=3.7e306, T=1e4)
     config = dataclasses.replace(base, params=params, n_paths=10_001, seed=42)
@@ -319,24 +327,30 @@ def _traced_peak_mb(fn):
 
 
 def _noise_pass_checks(config):
-    # the battery's parts on the n_steps grid, read in their one pass
+    # the battery's parts on the n_steps grid, read in their one stream
     n_pass = min(config.n_paths, checks.PASS_MAX_PATHS)
     n_mean = min(config.n_paths, checks.MEAN_CHECK_MAX_PATHS)
+    n_explicit = min(config.n_paths, checks.EXPLICIT_R_MAX_PATHS)
     b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
     sol, b0_sol = (checks._solve(c, config.n_steps) for c in (config, b0_config))
     gamma_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
-    states = np.empty((sol.grid.n_points, 2, n_mean))
+    mean_x = np.empty((sol.grid.n_points, 1, n_mean))
+    explicit_states = np.empty((sol.grid.n_points, 2, n_explicit))
     read = checks._read_streams(config.seed, {
-        "mean": checks._loop_part(sol, n_mean, states=states),
+        "mean": checks._loop_part(sol, n_mean, states=mean_x),
+        "explicit": checks._loop_part(sol, n_explicit, states=explicit_states),
         "density": checks._fold_part(config, 0.0, 1.0, gamma_T=gamma_T),
         "b0": checks._loop_part(b0_sol, n_pass, x_T=b0_x_T),
     })
     for values in read.values():
         checks._values(values)
-    paths = PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=("x", "R"))
+    mean_paths, explicit_paths = (
+        PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=labels)
+        for states, labels in ((mean_x, ("x",)), (explicit_states, ("x", "R"))))
     return [checks.check_density_martingale(gamma_T),
             checks.check_b0_variance(config, b0_x_T),
-            checks.check_mean_trajectory(paths)]
+            checks.check_mean_trajectory(mean_paths),
+            checks.check_explicit_r(sol, explicit_paths)]
 
 
 def _residual_check(config):

@@ -214,12 +214,13 @@ def test_prefix_paths_are_nested(ref_params, corner_triple):
     assert np.array_equal(small.states, large.states[:500])
 
 
-def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, monkeypatch):
-    # hand-built coefficients: a spike in A11 at node 1 overflows only the
-    # path with the largest first increment, one at node 4 overflows every
-    # path; each chunking, closed_loop_paths and the check battery's file
-    # residual, streamed in 777-path blocks, must report that path at step 2, even when the
-    # lowest chunk diverges only later
+def _spiked_field(ref_params, corner_triple):
+    """A field whose A11 spike at node 1 overflows one path at step 2.
+
+    Hand-built coefficients on 8 steps: the spike overflows only the path
+    with the largest first increment of 3,000 on seed 3, one at node 4
+    every path.  Returns (field, n_paths, seed, that path).
+    """
     params = dataclasses.replace(ref_params, sigma=100.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
@@ -231,8 +232,15 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
     coeffs[1, a11] = np.finfo(float).max / np.sqrt(first * second)
     coeffs[4, a11] = np.finfo(float).max
     sol = RiccatiSolution(grid, params, corner_triple, coeffs, ETA_EQUALS_X)
-    field = ClosedLoopField(sol)
-    target = int(order[-1])
+    return ClosedLoopField(sol), n_paths, seed, int(order[-1])
+
+
+def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, monkeypatch):
+    # each chunking, closed_loop_paths and the check battery's file
+    # residual, streamed in 777-path blocks, must report the spiked path at
+    # step 2, even when the lowest chunk diverges only later
+    field, n_paths, seed, target = _spiked_field(ref_params, corner_triple)
+    sol, grid = field.sol, field.sol.grid
     assert target >= 1_000
     runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
             for cs in (None, 1_000, 777)]
@@ -244,6 +252,59 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()
         assert (excinfo.value.path, excinfo.value.step) == (target, 2)
+
+
+def _x_T_stream(field, n_paths, block_paths):
+    """A ``map_noise_blocks`` stream that writes x_T and the cost integrals of ``field``.
+
+    Returns (stream, (ja, jp, x_T)); each block's result is a copy of its x_T.
+    """
+    outputs = ja, jp, x_T = (np.empty(n_paths) for _ in range(3))
+
+    def run(lo, hi, noise):
+        bad = montecarlo._step_costs(field, noise.increments.T, x_T[lo:hi], ja[lo:hi], jp[lo:hi])
+        if bad is not None:
+            raise SimulationDivergedError(path=bad[1], step=bad[0])
+        return x_T[lo:hi].copy()
+
+    return (field.sol.grid, n_paths, block_paths, run), outputs
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, monkeypatch, cpus):
+    # two streams on different grids share one pool, the one with fewer
+    # blocks first: each must carry the bits of a call of its own, and a
+    # divergence in either must be reported where that stream alone meets
+    # it, whichever stream comes first
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    field16 = ClosedLoopField(integrate_riccati(ref_params, corner_triple,
+                                                make_grid(ref_params.T, 16), ETA_EQUALS_X))
+    field8 = ClosedLoopField(integrate_riccati(ref_params, from_case("iv", 0.3, 1.0),
+                                               make_grid(ref_params.T, 8), ETA_EQUALS_X))
+    spiked, n_spiked, seed, target = _spiked_field(ref_params, corner_triple)
+    assert spiked.sol.grid != field16.sol.grid
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if cpus > 1 else interval)
+    try:
+        alone = [_x_T_stream(field, n, block) for field, n, block in
+                 ((field16, 3_000, 97), (field8, 2_000, 1_000))]
+        own = [montecarlo.map_noise_blocks(seed, [stream])[0] for stream, _ in alone]
+        shared = [_x_T_stream(field, n, block) for field, n, block in
+                  ((field16, 3_000, 97), (field8, 2_000, 1_000))]
+        together = montecarlo.map_noise_blocks(seed, [stream for stream, _ in shared])
+        for (_, want), (_, got), want_blocks, got_blocks in zip(alone, shared, own, together):
+            assert len(got_blocks) == len(want_blocks)
+            assert all(np.array_equal(g, w) for g, w in zip(got_blocks, want_blocks))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        with np.errstate(all="ignore"):
+            for streams in ([(spiked, n_spiked, 777), (field16, 3_000, 97)],
+                            [(field16, 3_000, 97), (spiked, n_spiked, 777)]):
+                with pytest.raises(SimulationDivergedError) as excinfo:
+                    montecarlo.map_noise_blocks(
+                        seed, [_x_T_stream(*stream)[0] for stream in streams])
+                assert (excinfo.value.path, excinfo.value.step) == (target, 2)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple):
@@ -274,6 +335,39 @@ def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple):
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()
         assert (excinfo.value.path, excinfo.value.step) == (target, 2)
+
+
+def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, corner_triple,
+                                                                  row_closed_loop):
+    # the same R-only overflow, stepped by the reference loop on the field's
+    # rows: x stays finite where R does not, and the stacked step, with or
+    # without recorded states, stops at the same (step, path)
+    params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
+    n_paths, seed = 3_000, 3
+    grid = make_grid(params.T, 8)
+    dW = sample_noise(grid, n_paths, seed).increments
+    order = np.argsort(np.abs(dW[:, 0]))
+    first, second = params.sigma * np.abs(dW[order[-2:], 0])
+    spike = np.finfo(float).max / np.sqrt(first * second)
+    coeffs = np.zeros((grid.n_points, 12))
+    coeffs[1, COEFF_NAMES.index("A12")] = -2.0 * spike
+    coeffs[1, COEFF_NAMES.index("A13")] = spike
+    field = ClosedLoopField(RiccatiSolution(grid, params, corner_triple, coeffs, AS_PRINTED))
+    x, R = np.zeros(n_paths), np.zeros(n_paths)
+    with np.errstate(all="ignore"):
+        for k in range(grid.n_steps):
+            _, _, fx, fR = row_closed_loop(field, k, x, R)
+            x = x + fx * grid.dt + params.sigma * dW[:, k]
+            R = R + fR * grid.dt
+            bad = ~(np.isfinite(x) & np.isfinite(R))
+            if bad.any():
+                break
+        expected = (k + 1, int(bad.argmax()))
+        assert np.isfinite(x).all() and expected == (2, int(order[-1]))
+        got = [montecarlo._step_block(field, dW.T, np.empty(n_paths)),
+               montecarlo._step_block(field, dW.T, np.empty(n_paths),
+                                      states=np.empty((grid.n_points, 2, n_paths)))]
+    assert got == [expected, expected]
 
 
 def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_triple,
