@@ -2,7 +2,9 @@
 
 Subcommands
 
-    riccati    integrate the backward coefficient system, write riccati.csv
+    riccati    solve the backward coefficient system in closed form, write
+               riccati.csv; a pole of the system (named by its time t*) or
+               a coefficient above blow_up_bound exits 3
     simulate   sweep the multiplier grid, evaluate contracts, write eval.csv
     check      run the oracle battery (terminal values, residuals, argmax,
                martingale, variance oracle); nonzero exit on any failure
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("riccati", "integrate the backward coefficient system and dump CSV"),
+        ("riccati", "solve the backward coefficient system and dump CSV"),
         ("simulate", "sweep multipliers, evaluate contracts by Monte Carlo"),
         ("check", "run the oracle battery"),
         ("weakcheck", "run density / measure-change checks"),

@@ -4,6 +4,8 @@ Plain ``ValueError`` is raised for ordinary bad arguments; the classes here
 mark failure modes that callers (in particular the CLI) dispatch on.
 """
 
+from typing import Optional
+
 
 class SimulationDivergedError(RuntimeError):
     """A simulated state became non-finite during forward integration."""
@@ -18,15 +20,19 @@ class SimulationDivergedError(RuntimeError):
 
 
 class RiccatiBlowUpError(RuntimeError):
-    """A backward coefficient trajectory exceeded the blow-up bound."""
+    """The backward coefficient system blew up at grid time ``t``.
 
-    def __init__(self, t: float, bound: float):
+    ``t_star`` is the exact pole the coefficients passed between ``t`` and the
+    next node toward T, or None when they only exceeded ``bound`` there.
+    """
+
+    def __init__(self, t: float, bound: float, t_star: Optional[float] = None):
         self.t = t
         self.bound = bound
-        super().__init__(
-            f"coefficient system blew up (|coefficient| > {bound:g}) "
-            f"near t = {t:.6g}"
-        )
+        self.t_star = t_star
+        cause = (f"|coefficient| > {bound:g}" if t_star is None
+                 else f"singular at t* = {t_star:.6g}")
+        super().__init__(f"coefficient system blew up ({cause}) near t = {t:.6g}")
 
 
 class DegenerateMultiplierError(ValueError):

@@ -1,9 +1,11 @@
 """Monte-Carlo evaluation of contract costs and terminal-output variance.
 
-For a multiplier triple the pipeline is: integrate the backward coefficient
-system, build the closed-loop rows (``ClosedLoopField``: per node, the
-loadings of the controls and drifts on (x, R)), and run the Euler scheme
-over seeded Brownian increments.  Per path,
+For a multiplier triple the pipeline is: solve the backward coefficient
+system in closed form (``riccati.integrate_riccati``, which raises at a pole
+of the system or above ``blow_up_bound``), build the closed-loop rows
+(``ClosedLoopField``: per node, the loadings of the controls and drifts on
+(x, R)), and run the Euler scheme over seeded Brownian increments.  Per
+path,
 
     J_A-path = sum_k (s_k - e_k)^2 / 2 * dt - alpha x_T^2 / 2,
     J_P-path = sum_k  s_k^2        / 2 * dt - beta  x_T^2 / 2,

@@ -20,16 +20,43 @@ combination of the state and its mean,
 
 applying Ito's formula, closing E[x], E[R] with the averaged dynamics, and
 matching the coefficients of x, R, E[x], E[R] in the dt terms turns the
-backward system into twelve coupled scalar ODEs integrated here with
-fixed-step classical RK4 from the terminal values down to 0.  Matching dW
+backward system into twelve coupled scalar Riccati equations.  Matching dW
 terms pins the noise loadings pointwise: q = A11 sigma, Q1 = A12 sigma,
 Q2 = A13 sigma.
 
+They are solved exactly, by Radon's lemma (Reid, *Riccati Differential
+Equations*, 1972).  The state blocks K = [[A11, B11], [A12, B12], [A13, B13]]
+form a closed subsystem
+
+    K' = -M K - K (a I + B K),   M = [[a, 0, 0], [0, a, a], [0, 0, 0]],
+    B = [[b^2, b c1 / lambda_P, b c2 / lambda_P], [lambda_E b^2, -b^2, -b^2]],
+
+so K = V U^-1 with V' = -M V and U' = a U + B V, from V(T) = K(T) and
+U(T) = I.  Both are linear with constant coefficients; with tau = T - t,
+
+    V = exp(M tau) K(T),   exp(M tau) = [[e, 0, 0], [0, e, e - 1], [0, 0, 1]],
+    U = (I - B J K(T)) / e,        J = [[I2, 0, 0], [0, I2, I2 - I1], [0, 0, I1]],
+
+where e = exp(a tau), I1 = expm1(a tau) / a and I2 = expm1(2 a tau) / (2 a),
+both tau when a = 0.  ``integrate_riccati`` multiplies V and U by
+exp(-|a| tau), which changes neither K nor the sign of det U and keeps every
+entry near the size of the data at any |a| T; I1 and I2 are then taken at
+-|a|.  U is divided by its largest entry before the 2x2 inverse, so that
+det U cannot underflow where K is finite.  The sums of the state and mean
+blocks, K_s + K_m, solve the same equation from K_s(T) + K_m(T), so the
+mean blocks (A2j, B2j) are the difference of two such solutions.
+
+The solution exists back to t only while det U stays positive on [t, T]:
+where det U vanishes, K has a pole.  With u = I1 (taken at -|a|), which
+grows with tau, every entry of U is a quadratic in u, so det U is a quartic;
+``_first_pole`` finds its first sign change through the sign changes of its
+derivatives, so two poles between the same two nodes do not hide each other.
+
 Since x(0) = R(0) = 0 and the averaged closed loop is linear and
-homogeneous, E[x] = E[R] = 0 on the whole horizon.  The mean blocks (A2j,
-B2j) are still integrated, as part of the twelve-coefficient system, but
-the closed loop, the residual oracle and ``explicit_R`` read only the state
-blocks (A1j, B1j).
+homogeneous, E[x] = E[R] = 0 on the whole horizon.  The mean blocks are
+still solved, as part of the twelve-coefficient system, but the closed
+loop, the residual oracle and ``explicit_R`` read only the state blocks
+(A1j, B1j).
 
 The derivation is validated empirically by ``ansatz_residual``: along
 simulated closed-loop paths, the discrete drift of each reconstructed
@@ -73,51 +100,110 @@ def terminal_conditions(params: LqParams, mult: MultiplierTriple) -> np.ndarray:
     return y
 
 
-def _rhs(y, a, b, b2, lam_P, lam_E, c1, c2):
-    """Forward-time derivative of the twelve coefficients, on plain floats."""
-    (A11, A21, B11, B21,
-     A12, A22, B12, B22,
-     A13, A23, B13, B23) = y
+def _scaled_terms(a, tau):
+    """I1 at -|a| and the terms of V and U at backward times ``tau``.
 
-    # cash-flow weights on (x, R, E[x], E[R])
-    Sx = (c1 * A12 + c2 * A13) / lam_P
-    SR = (c1 * B12 + c2 * B13) / lam_P
-    Smx = (c1 * A22 + c2 * A23) / lam_P
-    SmR = (c1 * B22 + c2 * B23) / lam_P
+    V has (g, h, w) in the places of (e, e - 1, 1) in exp(M tau), and U is
+    ``_u_factor`` of (d, I2, j1): both times exp(-|a| tau), as the module
+    docstring describes.  ``tau`` is an array of nodes or one float.
+    """
+    i1, i2 = (np.expm1(-m * abs(a) * tau) / (-m * abs(a)) if a else tau for m in (1.0, 2.0))
+    w = np.exp(-abs(a) * tau)
+    if a > 0.0:  # times 1 / e
+        return i1, (1.0, a * i1, w), (w * w, i2, w * i1)
+    return i1, (w * w, a * w * i1, w), (1.0, i2, i1)  # times e
 
-    # x-drift weights: a x + b^2 p + b s_bar expanded over (x, R, E[x], E[R])
-    Fxx = a + b2 * A11 + b * Sx
-    FxR = b2 * B11 + b * SR
-    Fxmx = b2 * A21 + b * Smx
-    FxmR = b2 * B21 + b * SmR
 
-    # R-drift weights: a R - b^2 (P1 + P2) + lambda_E b^2 p
-    GRx = b2 * (lam_E * A11 - A12 - A13)
-    GRR = a + b2 * (lam_E * B11 - B12 - B13)
-    GRmx = b2 * (lam_E * A21 - A22 - A23)
-    GRmR = b2 * (lam_E * B21 - B22 - B23)
+def _u_factor(B, KT, d, i2, j1):
+    """U = d I - B J KT, with J = [[i2, 0, 0], [0, i2, i2 - j1], [0, 0, j1]].
 
-    # averaged dynamics close the mean terms
-    Mxx, MxR = Fxx + Fxmx, FxR + FxmR
-    MRx, MRR = GRx + GRmx, GRR + GRmR
-
-    return (
-        # p-block: drift of p must equal -a p
-        -a * A11 - (A11 * Fxx + B11 * GRx),
-        -a * A21 - (A11 * Fxmx + B11 * GRmx + A21 * Mxx + B21 * MRx),
-        -a * B11 - (A11 * FxR + B11 * GRR),
-        -a * B21 - (A11 * FxmR + B11 * GRmR + A21 * MxR + B21 * MRR),
-        # P1-block: drift of P1 must equal -a (P1 + P2)
-        -a * (A12 + A13) - (A12 * Fxx + B12 * GRx),
-        -a * (A22 + A23) - (A12 * Fxmx + B12 * GRmx + A22 * Mxx + B22 * MRx),
-        -a * (B12 + B13) - (A12 * FxR + B12 * GRR),
-        -a * (B22 + B23) - (A12 * FxmR + B12 * GRmR + A22 * MxR + B22 * MRR),
-        # P2-block: drift of P2 must vanish
-        -(A13 * Fxx + B13 * GRx),
-        -(A13 * Fxmx + B13 * GRmx + A23 * Mxx + B23 * MRx),
-        -(A13 * FxR + B13 * GRR),
-        -(A13 * FxmR + B13 * GRmR + A23 * MxR + B23 * MRR),
+    ``B`` is the 2x3 coupling and ``KT`` a 3x2 terminal block, as nested
+    floats; ``d``, ``i2`` and ``j1`` are anything that adds and scales:
+    node columns, floats or polynomial coefficients.
+    """
+    (k00, k01), (k10, k11), (k20, k21) = KT
+    i21 = i2 - j1
+    JK = ((i2 * k00, i2 * k01), (i2 * k10 + i21 * k20, i2 * k11 + i21 * k21),
+          (j1 * k20, j1 * k21))
+    return tuple(
+        tuple((d if r == c else 0.0)
+              - (B[r][0] * JK[0][c] + B[r][1] * JK[1][c] + B[r][2] * JK[2][c])
+              for c in (0, 1))
+        for r in (0, 1)
     )
+
+
+def _radon_solve(B, KT, exp_terms, j_terms):
+    """K = V U^-1 from the terminal block ``KT``, as rows of (A, B) columns.
+
+    U is divided by its largest entry first, so that det U cannot underflow
+    where K is finite (with b = 0, U is exp(-2 a tau) I for a > 0).
+    """
+    g, h, w = exp_terms
+    (k00, k01), (k10, k11), (k20, k21) = KT
+    V = ((g * k00, g * k01), (g * k10 + h * k20, g * k11 + h * k21), (w * k20, w * k21))
+    (u00, u01), (u10, u11) = U = _u_factor(B, KT, *j_terms)
+    scale = np.maximum(np.maximum(abs(u00), abs(u01)), np.maximum(abs(u10), abs(u11)))
+    for row in U:
+        for u in row:
+            u /= scale
+    det = (u00 * u11 - u01 * u10) * scale
+    return [((v0 * u11 - v1 * u10) / det, (v1 * u00 - v0 * u01) / det) for v0, v1 in V]
+
+
+def _sign_changes(fs, lo, hi):
+    """The points of [lo, hi] where ``fs[0]`` changes sign, ascending.
+
+    Each of ``fs[1:]`` changes sign where the derivative of the one before
+    does, so ``fs[0]`` is monotone between the sign changes of ``fs[1]``:
+    each such piece holds at most one, which bisection brings down to the
+    float just past it.  The last of ``fs`` is monotone on [lo, hi].
+    """
+    f = fs[0]
+    knots = [lo, *(_sign_changes(fs[1:], lo, hi) if len(fs) > 1 else ()), hi]
+    changes = []
+    for x0, x1 in zip(knots, knots[1:]):
+        below = f(x0) < 0.0
+        if below != (f(x1) < 0.0):
+            while x0 < (mid := 0.5 * (x0 + x1)) < x1:
+                x0, x1 = (mid, x1) if (f(mid) < 0.0) == below else (x0, mid)
+            changes.append(x1)
+    return changes
+
+
+def _first_pole(a, B, KT, tau_end):
+    """The smallest tau in [0, tau_end] where det U < 0, or None.
+
+    In u = I1 (taken at -|a|), which grows with tau, w = 1 - |a| u and
+    I2 = u - |a| u^2 / 2, so the terms (d, I2, j1) of U are quadratics in
+    u, and so are its entries: U = d I - I2 P - j1 Q.  So det U is a
+    quartic in u, and its m-th u-derivative follows from the first two of
+    the terms by Leibniz' rule; the fifth vanishes.  Each is formed from
+    w and u at tau, never from expanded coefficients, which would cancel
+    where det U is small.
+    """
+    P, Q = (tuple(tuple(-x for x in row) for row in _u_factor(B, KT, 0.0, *e))
+            for e in ((1.0, 0.0), (0.0, 1.0)))
+
+    def u_factors(tau):  # U and its first two u-derivatives
+        u, (_, _, w), terms = _scaled_terms(a, tau)
+        if a > 0.0:  # d = w^2, j1 = w u
+            terms = (terms, (-2.0 * a * w, w, w - a * u), (2.0 * a * a, -a, -2.0 * a))
+        else:  # d = 1, j1 = u
+            terms = (terms, (0.0, w, 1.0), (0.0, a, 0.0))
+        return [[[d * (r == s) - i * P[r][s] - j * Q[r][s] for s in (0, 1)] for r in (0, 1)]
+                for d, i, j in terms]
+
+    def det_derivative(m):
+        def f(tau):
+            U = u_factors(tau)
+            return sum(math.comb(m, k) * (U[k][0][0] * U[m - k][1][1]
+                                          - U[k][0][1] * U[m - k][1][0])
+                       for k in range(max(0, m - 2), min(m, 2) + 1))
+        return f
+
+    changes = _sign_changes([det_derivative(m) for m in range(5)], 0.0, float(tau_end))
+    return changes[0] if changes else None
 
 
 @dataclass(frozen=True)
@@ -153,16 +239,21 @@ def integrate_riccati(
     p2_drift_mode: str = AS_PRINTED,
     blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
 ) -> RiccatiSolution:
-    """Integrate the twelve coefficient ODEs backward from t = T to 0.
+    """Solve the twelve coefficient equations backward from t = T to 0.
 
-    Classical fixed-step RK4 on the shared grid, on plain floats through the
-    one right-hand side ``_rhs``, and bit-identical to the same loop on its
-    array form; the terminal node holds the terminal conditions exactly.  Trajectories
-    exceeding ``blow_up_bound`` (> 0) in magnitude (or turning non-finite)
-    raise ``RiccatiBlowUpError`` carrying the time at which the bound was
-    crossed: for strongly self-reinforcing cash-flow feedback (small lambda_P
-    in ``as_printed`` mode) the system has a genuine finite-time blow-up and
-    must fail loudly rather than clip.
+    Exact, at every node at once, by the closed form in the module
+    docstring: once for the state blocks and once for the sums with the mean
+    blocks.  Elementwise numpy on the node columns with the explicit 2x2
+    inverse, so no BLAS call touches the table; the terminal node holds the
+    terminal conditions exactly.
+
+    A node below T fails if a coefficient there is non-finite or exceeds
+    ``blow_up_bound`` (> 0) in magnitude, or if it lies beyond the first
+    pole t*, the first zero of det U of either solution below T.  The
+    failing node nearest T raises ``RiccatiBlowUpError`` with its time and,
+    when it lies beyond the pole, ``t_star``.  For strongly self-reinforcing
+    cash-flow feedback (small lambda_P in ``as_printed`` mode) the system
+    has a genuine finite-time blow-up and must fail loudly rather than clip.
     """
     check_mode(p2_drift_mode)
     if not blow_up_bound > 0.0:
@@ -171,23 +262,36 @@ def integrate_riccati(
         raise DegenerateMultiplierError(
             f"lambda_P = {mult.lam_P:g} is below the floor {MIN_LAMBDA_P:g}"
         )
-    b, (c1, c2) = params.b, cashflow_weights(params.b, p2_drift_mode)
-    args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
+    a, b = params.a, params.b
+    c1, c2 = cashflow_weights(b, p2_drift_mode)
+    lam_P, lam_E = mult.lam_P, mult.lam_E
+    B = ((b * b, b * c1 / lam_P, b * c2 / lam_P), (lam_E * b * b, -b * b, -b * b))
+    yT = terminal_conditions(params, mult).tolist()
+    KT_s = [[yT[_IDX[f"{ab}1{j}"]] for ab in "AB"] for j in (1, 2, 3)]
+    KT_tot = [[yT[_IDX[f"{ab}1{j}"]] + yT[_IDX[f"{ab}2{j}"]] for ab in "AB"] for j in (1, 2, 3)]
+    tau = np.arange(grid.n_steps, -1, -1) * grid.dt
+    _, exp_terms, j_terms = _scaled_terms(a, tau)
     coeffs = np.empty((grid.n_points, 12))
-    coeffs[-1] = terminal_conditions(params, mult)
-    y, h = coeffs[-1].tolist(), -float(grid.dt)
-    h2, h6 = 0.5 * h, h / 6.0
-    for k in range(grid.n_steps, 0, -1):
-        k1 = _rhs(y, *args)
-        k2 = _rhs([u + h2 * d for u, d in zip(y, k1)], *args)
-        k3 = _rhs([u + h2 * d for u, d in zip(y, k2)], *args)
-        k4 = _rhs([u + h * d for u, d in zip(y, k3)], *args)
-        y = [u + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-             for u, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
-        # isfinite first: max() over a NaN depends on order, abs(inf) > inf is false
-        if not all(map(math.isfinite, y)) or max(map(abs, y)) > blow_up_bound:
-            raise RiccatiBlowUpError(t=grid.points[k - 1], bound=blow_up_bound)
-        coeffs[k - 1] = y
+    with np.errstate(all="ignore"):
+        for block, KT in ((1, KT_s), (2, KT_tot)):
+            for j, row in enumerate(_radon_solve(B, KT, exp_terms, j_terms), 1):
+                for ab, K in zip("AB", row):
+                    if block == 2:  # the mean block: K_tot - K_s
+                        K -= coeffs[:, _IDX[f"{ab}1{j}"]]
+                    coeffs[:, _IDX[f"{ab}{block}{j}"]] = K
+        poles = [p for p in (_first_pole(a, B, KT, tau[0]) for KT in (KT_s, KT_tot))
+                 if p is not None]
+    tau_star = min(poles, default=math.inf)
+    body = coeffs[:-1]
+    # NaN and inf fail no comparison with an infinite bound
+    failed = (~np.isfinite(body).all(axis=1) | (body > blow_up_bound).any(axis=1)
+              | (body < -blow_up_bound).any(axis=1) | (tau[:-1] >= tau_star))
+    bad = np.flatnonzero(failed)
+    if bad.size:
+        k = int(bad[-1])
+        t_star = grid.t_end - tau_star if tau[k] >= tau_star else None
+        raise RiccatiBlowUpError(t=grid.points[k], bound=blow_up_bound, t_star=t_star)
+    coeffs[-1] = yT
     return RiccatiSolution(
         grid=grid,
         params=params,

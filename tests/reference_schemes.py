@@ -7,10 +7,14 @@ model.  The check batteries fold the same terminal values per path block
 (``checks._fold_part``), in the operation order of these schemes, and the
 tests require equal bits.  ``coefficient_rhs`` is the coefficient system's
 right-hand side as an array, for the cross-checks against other
-integrators, and ``coarsened`` observes a noise ensemble on a coarser grid,
-for step-refinement studies on fixed driving noise.
+integrators, and ``rk4_coefficients`` integrates it with classical RK4 on
+plain floats: the closed-form solve ``riccati.integrate_riccati`` must
+agree with it to its O(dt^4) error.  ``coarsened`` observes a noise
+ensemble on a coarser grid, for step-refinement studies on fixed driving
+noise.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -22,22 +26,104 @@ from mvcontract import (
     MultiplierTriple,
     NoiseEnsemble,
     PathEnsemble,
+    RiccatiBlowUpError,
     SimulationDivergedError,
     TimeGrid,
 )
 from mvcontract.model import cashflow_weights
-from mvcontract.riccati import _rhs
+from mvcontract.riccati import DEFAULT_BLOW_UP_BOUND, terminal_conditions
 
 StateMap = Callable[[np.ndarray, float], np.ndarray]
+
+
+def _rhs(y, a, b, b2, lam_P, lam_E, c1, c2):
+    """Forward-time derivative of the twelve coefficients, on plain floats."""
+    (A11, A21, B11, B21,
+     A12, A22, B12, B22,
+     A13, A23, B13, B23) = y
+
+    # cash-flow weights on (x, R, E[x], E[R])
+    Sx = (c1 * A12 + c2 * A13) / lam_P
+    SR = (c1 * B12 + c2 * B13) / lam_P
+    Smx = (c1 * A22 + c2 * A23) / lam_P
+    SmR = (c1 * B22 + c2 * B23) / lam_P
+
+    # x-drift weights: a x + b^2 p + b s_bar expanded over (x, R, E[x], E[R])
+    Fxx = a + b2 * A11 + b * Sx
+    FxR = b2 * B11 + b * SR
+    Fxmx = b2 * A21 + b * Smx
+    FxmR = b2 * B21 + b * SmR
+
+    # R-drift weights: a R - b^2 (P1 + P2) + lambda_E b^2 p
+    GRx = b2 * (lam_E * A11 - A12 - A13)
+    GRR = a + b2 * (lam_E * B11 - B12 - B13)
+    GRmx = b2 * (lam_E * A21 - A22 - A23)
+    GRmR = b2 * (lam_E * B21 - B22 - B23)
+
+    # averaged dynamics close the mean terms
+    Mxx, MxR = Fxx + Fxmx, FxR + FxmR
+    MRx, MRR = GRx + GRmx, GRR + GRmR
+
+    return (
+        # p-block: drift of p must equal -a p
+        -a * A11 - (A11 * Fxx + B11 * GRx),
+        -a * A21 - (A11 * Fxmx + B11 * GRmx + A21 * Mxx + B21 * MRx),
+        -a * B11 - (A11 * FxR + B11 * GRR),
+        -a * B21 - (A11 * FxmR + B11 * GRmR + A21 * MxR + B21 * MRR),
+        # P1-block: drift of P1 must equal -a (P1 + P2)
+        -a * (A12 + A13) - (A12 * Fxx + B12 * GRx),
+        -a * (A22 + A23) - (A12 * Fxmx + B12 * GRmx + A22 * Mxx + B22 * MRx),
+        -a * (B12 + B13) - (A12 * FxR + B12 * GRR),
+        -a * (B22 + B23) - (A12 * FxmR + B12 * GRmR + A22 * MxR + B22 * MRR),
+        # P2-block: drift of P2 must vanish
+        -(A13 * Fxx + B13 * GRx),
+        -(A13 * Fxmx + B13 * GRmx + A23 * Mxx + B23 * MRx),
+        -(A13 * FxR + B13 * GRR),
+        -(A13 * FxmR + B13 * GRmR + A23 * MxR + B23 * MRR),
+    )
 
 
 def coefficient_rhs(
     y: np.ndarray, params: LqParams, mult: MultiplierTriple, mode: str = AS_PRINTED
 ) -> np.ndarray:
-    """Forward-time derivative of the twelve coefficients: ``riccati._rhs`` as an array."""
+    """Forward-time derivative of the twelve coefficients: ``_rhs`` as an array."""
     b, (c1, c2) = params.b, cashflow_weights(params.b, mode)
     args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
     return np.array(_rhs(np.asarray(y, float).tolist(), *args))
+
+
+def rk4_coefficients(
+    params: LqParams,
+    mult: MultiplierTriple,
+    grid: TimeGrid,
+    mode: str = AS_PRINTED,
+    blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
+) -> np.ndarray:
+    """The twelve coefficients by classical fixed-step RK4 backward from T.
+
+    The stages run on plain floats through ``_rhs``; row k holds node k and
+    the last row the terminal conditions exactly.  A step that leaves a
+    coefficient non-finite or above ``blow_up_bound`` in magnitude raises
+    ``RiccatiBlowUpError`` at its node, with no ``t_star``.
+    """
+    b, (c1, c2) = params.b, cashflow_weights(params.b, mode)
+    args = (params.a, b, b * b, mult.lam_P, mult.lam_E, c1, c2)
+    coeffs = np.empty((grid.n_points, 12))
+    coeffs[-1] = terminal_conditions(params, mult)
+    y, h = coeffs[-1].tolist(), -float(grid.dt)
+    h2, h6 = 0.5 * h, h / 6.0
+    for k in range(grid.n_steps, 0, -1):
+        k1 = _rhs(y, *args)
+        k2 = _rhs([u + h2 * d for u, d in zip(y, k1)], *args)
+        k3 = _rhs([u + h2 * d for u, d in zip(y, k2)], *args)
+        k4 = _rhs([u + h * d for u, d in zip(y, k3)], *args)
+        y = [u + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for u, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+        # isfinite first: max() over a NaN depends on order, abs(inf) > inf is false
+        if not all(map(math.isfinite, y)) or max(map(abs, y)) > blow_up_bound:
+            raise RiccatiBlowUpError(t=grid.points[k - 1], bound=blow_up_bound)
+        coeffs[k - 1] = y
+    return coeffs
 
 
 def coarsened(noise: NoiseEnsemble, factor: int) -> NoiseEnsemble:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from mvcontract import (
     terminal_conditions,
 )
 from mvcontract import riccati
-from reference_schemes import coefficient_rhs
+from reference_schemes import coefficient_rhs, rk4_coefficients
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}
 
@@ -78,7 +79,7 @@ def test_terminal_conditions_zero_variance_multiplier(ref_params):
 
 def test_rk4_matches_independent_integrator(ref_params, corner_triple):
     # high-accuracy adaptive integration of the same system is an
-    # independent check of the fixed-step backward sweep
+    # independent check of the closed-form solve
     grid = make_grid(ref_params.T, 256)
     for mode in (ETA_EQUALS_X,):
         sol = integrate_riccati(ref_params, corner_triple, grid, mode)
@@ -94,8 +95,8 @@ def test_rk4_matches_independent_integrator(ref_params, corner_triple):
 
 def test_rk4_step_halving_order(ref_params, corner_triple):
     sols = {
-        n: integrate_riccati(ref_params, corner_triple, make_grid(ref_params.T, n),
-                             ETA_EQUALS_X).coeffs[0]
+        n: rk4_coefficients(ref_params, corner_triple, make_grid(ref_params.T, n),
+                            ETA_EQUALS_X)[0]
         for n in (16, 32, 64)
     }
     err_coarse = np.max(np.abs(sols[16] - sols[32]))
@@ -181,12 +182,15 @@ def test_degenerate_lambda_P_rejected_before_integration(ref_params):
 
 def test_blow_up_bound_configurable(ref_params, corner_triple):
     grid = make_grid(ref_params.T, 64)
-    with pytest.raises(RiccatiBlowUpError):
+    with pytest.raises(RiccatiBlowUpError) as excinfo:
         integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X, blow_up_bound=1.0)
+    # only the bound is crossed: there is no pole to report
+    assert excinfo.value.t_star is None
+    assert "(|coefficient| > 1)" in str(excinfo.value)
 
 
 def _array_rk4(params, mult, grid, mode, blow_up_bound):
-    # the array-form RK4 loop the solver must reproduce bit for bit
+    # the array form of the reference RK4 loop, which must match it bit for bit
     coeffs = np.empty((grid.n_points, 12))
     y = terminal_conditions(params, mult)
     coeffs[-1] = y
@@ -210,16 +214,16 @@ def test_rk4_bits_match_array_reference(ref_params, corner_triple):
         for lam_P, theta in points if n_steps < 4096 else points[1:3]:
             mult = from_case("iv", lam_P, theta)
             for mode in (AS_PRINTED, ETA_EQUALS_X):
-                sol = integrate_riccati(ref_params, mult, grid, mode)
+                got = rk4_coefficients(ref_params, mult, grid, mode)
                 ref = _array_rk4(ref_params, mult, grid, mode, 1e8)
-                assert np.array_equal(sol.coeffs, ref), (n_steps, lam_P, theta, mode)
+                assert np.array_equal(got, ref), (n_steps, lam_P, theta, mode)
     for n_steps in (64, 256):
         grid = make_grid(ref_params.T, n_steps)
         for bound in (1e8, math.inf):
             with pytest.raises(RiccatiBlowUpError) as ref, np.errstate(all="ignore"):
                 _array_rk4(ref_params, corner_triple, grid, AS_PRINTED, bound)
             with pytest.raises(RiccatiBlowUpError) as got:
-                integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED, bound)
+                rk4_coefficients(ref_params, corner_triple, grid, AS_PRINTED, bound)
             assert got.value.t == ref.value.t
 
 
@@ -228,11 +232,155 @@ def test_infinite_bound_still_fails_on_non_finite_coefficients(ref_params, corne
     # coefficient turns inf or NaN, later in backward time than at 1e8
     grid = make_grid(ref_params.T, 256)
     with pytest.raises(RiccatiBlowUpError) as bounded:
-        integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED)
+        rk4_coefficients(ref_params, corner_triple, grid, AS_PRINTED)
     with pytest.raises(RiccatiBlowUpError) as unbounded:
-        integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED,
-                          blow_up_bound=float("inf"))
+        rk4_coefficients(ref_params, corner_triple, grid, AS_PRINTED,
+                         blow_up_bound=float("inf"))
     assert 0.0 <= unbounded.value.t < bounded.value.t
+
+
+def _rk4_gaps(params, mult, mode, steps):
+    """Largest |RK4 - closed form| over the table, per step count."""
+    gaps = {}
+    for n in steps:
+        grid = make_grid(params.T, n)
+        gaps[n] = np.abs(rk4_coefficients(params, mult, grid, mode)
+                         - integrate_riccati(params, mult, grid, mode).coeffs).max()
+    return gaps
+
+
+@pytest.mark.parametrize("a", [1.0, 0.0])
+def test_rk4_error_against_closed_form_is_fourth_order(ref_params, corner_triple, a):
+    # the closed form is exact, so the gap is RK4's own global error
+    params = dataclasses.replace(ref_params, a=a)
+    gaps = _rk4_gaps(params, corner_triple, ETA_EQUALS_X, (16, 32, 64, 128, 256))
+    ratios = [gaps[n] / gaps[2 * n] for n in (16, 32, 64, 128)]
+    assert all(14.0 <= r <= 18.0 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("a", [1.0, 0.0])
+def test_closed_form_matches_rk4_at_4096_steps(ref_params, a):
+    # Six step halvings from 64 to 4096 divide the RK4 error by at least 14
+    # each (the test above), so its truncation part is at most
+    # gap(64) / 14**6.  Rounding adds about one ulp of the largest
+    # coefficient per RK4 step, so at most n eps max|K| over n steps.
+    params = dataclasses.replace(ref_params, a=a)
+    eps = np.finfo(float).eps
+    for lam_P, theta in ((0.1, math.pi / 2), (0.3, 1.2), (0.5, 0.7)):
+        mult = from_case("iv", lam_P, theta)
+        for mode in (AS_PRINTED, ETA_EQUALS_X):
+            if mode == AS_PRINTED and lam_P == 0.1:
+                continue  # blows up at t* = 0.0061089
+            gaps = _rk4_gaps(params, mult, mode, (64, 4096))
+            scale = np.abs(integrate_riccati(params, mult, make_grid(params.T, 4096),
+                                             mode).coeffs).max()
+            tol = gaps[64] / 14.0**6 + 4096 * eps * scale
+            assert gaps[4096] <= tol, (lam_P, theta, mode, gaps[4096], tol)
+
+
+@pytest.mark.parametrize("a", [30.0, -30.0])
+def test_closed_form_agrees_with_rk4_at_large_a_T(ref_params, a):
+    # |a| T = 900: e^{a tau} alone overflows, the scaled factors must not.
+    # At 3600 and 7200 steps |a| dt <= 0.25, fine enough for RK4.  Both
+    # solvers must agree on whether the system blows up; where it does not,
+    # a halving ratio of at least 14 bounds the RK4 error at 7200 steps by
+    # |RK4(3600) - RK4(7200)| / 13.
+    params = dataclasses.replace(ref_params, a=a, T=30.0)
+    outcomes = set()
+    for lam_P, theta in ((0.1, math.pi / 2), (0.5, 0.7)):
+        mult = from_case("iv", lam_P, theta)
+        for mode in (AS_PRINTED, ETA_EQUALS_X):
+            ref = {}
+            for n in (3600, 7200):
+                grid = make_grid(params.T, n)
+                try:
+                    ref[n] = rk4_coefficients(params, mult, grid, mode)
+                except RiccatiBlowUpError:
+                    ref[n] = None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        got = integrate_riccati(params, mult, grid, mode).coeffs
+                    except RiccatiBlowUpError:
+                        got = None
+                assert (got is None) == (ref[n] is None), (lam_P, theta, mode, n)
+            outcomes.add(got is None)
+            if got is not None:
+                bound = np.abs(ref[3600] - ref[7200][::2]).max() / 13.0
+                assert np.abs(got - ref[7200]).max() <= bound, (lam_P, theta, mode)
+    # a = 30 blows up everywhere, a = -30 only at the as_printed corner
+    assert outcomes == ({True} if a > 0 else {True, False})
+
+
+@pytest.mark.parametrize("n_steps", [256, 4096])
+@pytest.mark.parametrize("bound", [1e8, float("inf")])
+def test_blow_up_reports_the_pole(ref_params, corner_triple, n_steps, bound):
+    # det U of the as_printed corner vanishes at t* = 0.0061089: the solve
+    # fails at the last node below it, whatever the bound
+    grid = make_grid(ref_params.T, n_steps)
+    with pytest.raises(RiccatiBlowUpError) as excinfo:
+        integrate_riccati(ref_params, corner_triple, grid, AS_PRINTED, bound)
+    err = excinfo.value
+    assert f"{err.t_star:.5g}" == "0.0061089"
+    assert err.t == grid.points[grid.points < err.t_star].max()
+    assert "singular at t* = 0.0061089" in str(err)
+
+
+def test_pole_pair_between_two_nodes_is_caught(ref_params, corner_triple):
+    # at T = 1e4 the eta_equals_x corner has det U < 0 for T - t in
+    # (0.0449, 3.49) only: at 64 steps (dt = 156) det U > 0 and the
+    # coefficients are finite at every node, past both poles.  The solve
+    # must still fail at the node below the first pole
+    params = dataclasses.replace(ref_params, T=1e4)
+    stars = []
+    for n_steps in (64, 4096):
+        grid = make_grid(params.T, n_steps)
+        with pytest.raises(RiccatiBlowUpError) as excinfo:
+            integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X)
+        err = excinfo.value
+        assert err.t == grid.points[grid.points < err.t_star].max()
+        stars.append(err.t_star)
+    assert stars[0] == pytest.approx(stars[1], rel=1e-15)
+    assert params.T - stars[0] == pytest.approx(0.0449, abs=1e-4)
+
+
+@pytest.mark.parametrize("b, pole", [(1e-9, True), (1e-17, False)])
+def test_pole_where_the_scaled_det_is_tiny(ref_params, corner_triple, b, pole):
+    # with a tiny effort gain b and no bound, det U of the eta_equals_x
+    # corner at a = 1, T = 30 has its first zero at T - t = 19.5 for
+    # b = 1e-9, where exp(-a tau)^2 is below eps and the scaled det U is of
+    # order b^4, and none on [0, T] for b = 1e-17.  The 64- and 3600-step
+    # solves must find the same pole, and RK4 at 3600 steps must agree
+    params = dataclasses.replace(ref_params, b=b, T=30.0)
+    stars = []
+    for solve, n_steps in ((integrate_riccati, 64), (integrate_riccati, 3600),
+                           (rk4_coefficients, 3600)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                solve(params, corner_triple, make_grid(params.T, n_steps), ETA_EQUALS_X,
+                      math.inf)
+            except RiccatiBlowUpError as exc:
+                stars.append(exc.t_star if solve is integrate_riccati else exc.t)
+    if not pole:
+        assert stars == []
+        return
+    t_star, t_fine, t_rk4 = stars
+    assert t_star == pytest.approx(t_fine, rel=1e-12)
+    assert params.T - t_star == pytest.approx(19.54, abs=0.01)
+    # RK4 fails only once a step has landed on or past the pole
+    assert t_rk4 < t_star
+
+
+def test_zero_gain_coefficients_stay_finite_until_they_overflow(ref_params, corner_triple):
+    # with b = 0 the scaled U is exp(-2 a tau) I, whose determinant
+    # underflows near a tau = 186, long before A11 = alpha exp(2 a tau)
+    # overflows near a tau = 355 (tau = T - t)
+    params = dataclasses.replace(ref_params, b=0.0, T=300.0)
+    grid = make_grid(params.T, 300)
+    sol = integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X, math.inf)
+    expected = params.alpha * np.exp(2.0 * params.a * (params.T - grid.points))
+    np.testing.assert_allclose(sol.column("A11"), expected, rtol=1e-13)
 
 
 @pytest.mark.parametrize("bound", [float("nan"), 0.0, -1.0, -float("inf")])
