@@ -27,7 +27,7 @@ from .model import (
     principal_hamiltonian,
     terminal_costs,
 )
-from .montecarlo import ContractEvaluation, closed_loop_paths, evaluate_contract
+from .montecarlo import ContractEvaluation, evaluate_contract
 from .multipliers import (
     FeasibilityVerdict,
     MultiplierTriple,
@@ -39,14 +39,10 @@ from .noise import NoiseEnsemble, sample_noise, sample_noise_block
 from .riccati import (
     COEFF_NAMES,
     ClosedLoopField,
-    ResidualReport,
     RiccatiSolution,
-    ansatz_residual,
-    explicit_R,
     integrate_riccati,
     terminal_conditions,
 )
-from .sde import PathEnsemble
 from .timegrid import TimeGrid, make_grid
 from .weak import (
     FocReport,
@@ -70,18 +66,13 @@ __all__ = [
     "LqParams",
     "MultiplierTriple",
     "NoiseEnsemble",
-    "PathEnsemble",
-    "ResidualReport",
     "RiccatiBlowUpError",
     "RiccatiSolution",
     "SimulationDivergedError",
     "TimeGrid",
     "agent_hamiltonian",
-    "ansatz_residual",
     "classify_feasibility",
-    "closed_loop_paths",
     "evaluate_contract",
-    "explicit_R",
     "from_case",
     "hidden_action_foc_check",
     "integrate_riccati",

@@ -5,21 +5,26 @@ per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
 they are deterministic.
 
-Every check that reads paths is a part (``_Part``): a grid, a path count, a
-block size in noise draws and a ``run(lo, hi, noise)`` for each block of its
-paths.  ``_read_streams`` is the one place that decides which checks share
-draws: the parts on one grid share one stream of the seed, so each
-(grid, seed) stream is drawn once, and the streams of every grid run their
-blocks in one ``montecarlo.map_noise_blocks`` call, on one thread pool with
-no barrier between grids.  A part keeps only what its check reads, so peak
-memory scales with workers x block, not with the path count; per-path bits
-do not depend on the blocking, so every number is the one a separate pass
-over the whole ensemble gives.  Every part reads the step rows of a block's
-step-major increments in place: the closed-loop parts through
-``montecarlo._step_block``, which steps (x, R) as one (2, paths) array, and
-the folds scaled into a work row.  The density fold keeps the operation
-order of the generic Euler scheme and the log-density recursion, which the
-tests pin it against.
+Every check that reads paths is a part (``_Part``): a grid, a path count
+and a ``run(lo, hi, noise)`` for each block of its paths.  ``_read_streams``
+is the one place that decides which checks share draws: the parts on one
+grid share one stream of the seed, in blocks of ``BLOCK_DRAWS`` noise draws,
+so each (grid, seed) stream is drawn once, and the streams of every grid run
+their blocks in one ``montecarlo.map_noise_blocks`` call, on one thread pool
+with no barrier between grids.  No part records a path.  The density fold
+and the b = 0 loop keep terminal values; the residual oracle, the mean
+trajectory and explicit R are folds (``_ResidualFold``, ``_MeanFold``,
+``_ExplicitRFold``) that ``montecarlo._step_block`` calls at every node of
+the closed loop, and each keeps only its statistics of the block.  So peak
+memory scales with workers x block, plus the terminal values of the density
+and b = 0 paths, not with the nodes a check reads.  Per-path bits do not depend
+on the blocking, and the folds form each residual and explicit-R element
+with the operations of their whole-ensemble formulas, whose maxima are
+order-free: every number is the one a separate pass over the whole ensemble
+gives, up to the summation order of the mean trajectory's moments.  Every
+part reads the step rows of a block's step-major increments in place.  The
+density fold keeps the operation order of the generic Euler scheme and the
+log-density recursion, which the tests pin it against.
 """
 
 import dataclasses
@@ -44,40 +49,30 @@ from .montecarlo import (
     _earliest,
     _step_block,
     _variance_and_se,
-    closed_loop_paths,
     map_noise_blocks,
 )
 from .multipliers import sweep_grid
 from .riccati import (
     ClosedLoopField,
     RiccatiSolution,
-    ansatz_residual,
-    explicit_R,
     integrate_riccati,
     terminal_conditions,
 )
-from .sde import PathEnsemble
 from .timegrid import TimeGrid, make_grid
 from .weak import hidden_action_foc_check, reweighted_expectation
 
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
 #: Paths of the density folds and of the b = 0 oracle; the first
-#: ``MEAN_CHECK_MAX_PATHS`` of them are the mean-trajectory set, whose x is
-#: recorded, and the first ``EXPLICIT_R_MAX_PATHS`` the explicit-R set, whose
-#: (x, R) is.
+#: ``MEAN_CHECK_MAX_PATHS`` of them are the mean-trajectory set and the first
+#: ``EXPLICIT_R_MAX_PATHS`` the explicit-R set.
 PASS_MAX_PATHS = 100_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
-#: Noise draws per path block of the density folds, the b = 0 loop and the
-#: recorded sets: ``simulate``'s own block, 16,384 paths at 64 steps (8 MB
-#: of noise per worker).
+#: Noise draws per path block of every part: ``simulate``'s own block,
+#: 16,384 paths at 64 steps and 4,096 at the residual's 256 (8 MB of noise
+#: per worker).
 BLOCK_DRAWS = DEFAULT_CHUNK_SIZE * 64
-#: Noise draws per path block of the residual oracles: 2,048 paths at 256
-#: steps, about 13 MB of noise and recorded states per worker; 4,096 paths
-#: raised the battery's peak memory.  On a grid shared with the parts
-#: above, the stream takes the smaller of the two blocks.
-RESIDUAL_BLOCK_DRAWS = 2**19
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,6 @@ class _Part(NamedTuple):
 
     grid: TimeGrid
     n_paths: int
-    block_draws: int  # noise draws per block, at most
     run: Callable
 
 
@@ -143,9 +137,9 @@ def _read_streams(seed: int, parts: Dict[str, _Part]) -> dict:
     """Each part's list of block values over the seed's stream of its grid.
 
     The parts on one grid share one stream over the most paths any of them
-    reads, in blocks of the fewest draws any of them asks for, and each runs
-    on the head of every block that lies within its own paths; the streams
-    of all grids run in one ``map_noise_blocks`` call.  A part that diverges
+    reads, in blocks of at most ``BLOCK_DRAWS`` draws, and each runs on the
+    head of every block that lies within its own paths; the streams of all
+    grids run in one ``map_noise_blocks`` call.  A part that diverges
     does not stop the others: in place of its values it gets its earliest
     ``SimulationDivergedError`` over all blocks.
     """
@@ -170,8 +164,7 @@ def _read_streams(seed: int, parts: Dict[str, _Part]) -> dict:
             return values
 
         n_paths = max(part.n_paths for part in group.values())
-        block_draws = min(part.block_draws for part in group.values())
-        return grid, n_paths, max(1, block_draws // grid.n_steps), run
+        return grid, n_paths, max(1, BLOCK_DRAWS // grid.n_steps), run
 
     streams = map_noise_blocks(seed, [stream(grid, group) for grid, group in groups.items()])
     read = {}
@@ -195,20 +188,11 @@ def _raise_at(bad: Optional[Tuple[int, int]], label: str = "state") -> None:
         raise SimulationDivergedError(path=bad[1], step=bad[0], label=label)
 
 
-def _residual_part(sol: RiccatiSolution, n_paths: int) -> _Part:
-    """The largest ``ansatz_residual`` of ``sol`` on each block of its first ``n_paths`` paths.
-
-    Every residual element depends on one path only, so the largest over the
-    blocks is the largest over the whole ensemble.
-    """
-    field = ClosedLoopField(sol)
-    return _Part(sol.grid, n_paths, RESIDUAL_BLOCK_DRAWS,
-                 lambda lo, hi, noise: ansatz_residual(sol, closed_loop_paths(field, noise)).max_residual)
-
-
-def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, maxima: list) -> CheckResult:
-    """The residual check of ``sol`` from the block maxima of its ``_residual_part``."""
-    max_residual = float(np.max(maxima))
+def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, blocks: list) -> CheckResult:
+    """The residual check of ``sol`` from the ``_ResidualFold`` values of its blocks."""
+    # every residual depends on one path only: the largest over the blocks
+    # is the largest over the ensemble
+    max_residual = float(np.max([block[:, 0] for block in blocks]))
     ok = max_residual <= config.residual_tol
     return _result(
         name, ok,
@@ -310,7 +294,7 @@ def _fold_part(config: RunConfig, drift: float, theta: Optional[float] = None,
         if theta is not None:
             _fold_density(gamma, log_gamma, dW, theta, grid.dt)
 
-    return _Part(grid, min(config.n_paths, PASS_MAX_PATHS), BLOCK_DRAWS, run)
+    return _Part(grid, min(config.n_paths, PASS_MAX_PATHS), run)
 
 
 def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
@@ -333,20 +317,156 @@ def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional
     return x_T, gamma_T, log_gamma_T
 
 
-def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, states=None) -> _Part:
+def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, fold=None) -> _Part:
     """The closed loop of ``sol``, without cost integrals, on its first ``n_paths`` paths.
 
-    Writes x_T into ``x_T`` and the first c of (x, R) at every node into the
-    step-major ``states`` of shape (n_points, c, n_paths), each if given.
+    Writes x_T into ``x_T``, if given.  ``fold``, if given, is a fold class:
+    each block steps ``fold(sol, dW)`` with its paths and returns its
+    ``value()``.
     """
     field = ClosedLoopField(sol)
 
     def run(lo, hi, noise):
+        dW = noise.increments.T
         x = np.empty(hi - lo) if x_T is None else x_T[lo:hi]
-        block_states = None if states is None else states[:, :, lo:hi]
-        _raise_at(_step_block(field, noise.increments.T, x, states=block_states))
+        block_fold = None if fold is None else fold(sol, dW)
+        _raise_at(_step_block(field, dW, x, block_fold))
+        return None if fold is None else block_fold.value()
 
-    return _Part(sol.grid, n_paths, BLOCK_DRAWS, run)
+    return _Part(sol.grid, n_paths, run)
+
+
+class _ResidualFold:
+    """The drift residual of each adjoint component along a block of closed-loop paths.
+
+    Each component Z in (p, P1, P2) is reconstructed at every node from
+    (x, R) and the state blocks of the coefficients, and each step's
+    discrete drift
+
+        r_k = (Z_{k+1} - Z_k - D_{k+1} dW_k) / dt - prescribed_k,
+
+    with D the dW-matched loading (A11, A12, A13 times sigma at the right
+    endpoint, which cancels the increment contribution exactly), is compared
+    with the drift the backward equations prescribe at the left endpoint
+    (-a p, -a (P1 + P2), 0).  If the twelve equations are the correct
+    coefficient matching, r is O(dt); a wrong coefficient trajectory leaves
+    an O(1) mismatch.  Residuals are in drift units (state per time).  The
+    fold keeps Z and the drift of the last node only; ``value()`` is a
+    (3, 3) array with one row per component: max |r|, sum |r| and
+    max |prescribed| over the block.
+    """
+
+    def __init__(self, sol: RiccatiSolution, dW: np.ndarray):
+        self._A, self._B = (np.stack([sol.column(f"{ab}1{j}") for j in (1, 2, 3)], 1)[:, :, None]
+                            for ab in "AB")
+        self._load = self._A[1:] * sol.params.sigma
+        self._minus_a, self._dt, self._dW = -sol.params.a, sol.grid.dt, dW
+        # Z and the prescribed drift at the last node and this one; the
+        # drift's P2 row stays 0, and subtracting 0 changes no residual
+        self._Z, self._Z1, self._drift, self._drift1, self._r, self._t = np.zeros(
+            (6, 3, dW.shape[1]))
+        self._stats = np.zeros((3, 3))
+
+    def __call__(self, k: int, z: np.ndarray) -> None:
+        x, R = z
+        Z1, drift1, r, t, stats = self._Z1, self._drift1, self._r, self._t, self._stats
+        np.multiply(self._A[k], x, out=Z1)
+        np.multiply(self._B[k], R, out=t)
+        Z1 += t
+        drift1[0] = Z1[0]
+        np.add(Z1[1], Z1[2], out=drift1[1])
+        drift1[:2] *= self._minus_a
+        np.abs(drift1[:2], out=t[:2])
+        np.maximum(stats[:2, 2], t[:2].max(axis=1), out=stats[:2, 2])
+        if k:
+            np.subtract(Z1, self._Z, out=r)
+            np.multiply(self._load[k - 1], self._dW[k - 1], out=t)
+            r -= t
+            r /= self._dt
+            r -= self._drift
+            np.abs(r, out=r)
+            np.maximum(stats[:, 0], r.max(axis=1), out=stats[:, 0])
+            stats[:, 1] += r.sum(axis=1)
+        self._Z, self._Z1, self._drift, self._drift1 = Z1, self._Z, drift1, self._drift
+
+    def value(self) -> np.ndarray:
+        return self._stats
+
+
+class _MeanFold:
+    """Each node's mean of x over a block of paths and its sum of squared deviations (M2)."""
+
+    def __init__(self, sol: RiccatiSolution, dW: np.ndarray):
+        self._n = dW.shape[1]
+        self._mean, self._m2 = np.empty((2, sol.grid.n_points))
+        self._d = np.empty(self._n)
+
+    def __call__(self, k: int, z: np.ndarray) -> None:
+        self._mean[k] = mean = z[0].mean()
+        np.subtract(z[0], mean, out=self._d)
+        np.square(self._d, out=self._d)
+        self._m2[k] = self._d.sum()
+
+    def value(self):
+        return self._n, self._mean, self._m2
+
+
+class _ExplicitRFold:
+    """R by an integrating factor along a block's x paths, against the stepped R.
+
+    Under the coefficient representation the R-dynamics reduce to the linear
+    scalar ODE
+
+        dR/dt + c(t) R = k(t) x(t),   R(0) = 0,
+
+    with c = b^2 B12 + b^2 B13 - lambda_E b^2 B11 - a and
+    k = lambda_E b^2 A11 - b^2 A12 - b^2 A13 (the mean terms vanish because
+    the averaged state is identically zero).  Its solution
+
+        R(t) = exp(-C(t)) * integral_0^t exp(C(s)) k(s) x(s) ds,
+        C(t) = integral_0^t c(s) ds,
+
+    is evaluated with composite trapezoidal quadrature on the grid, the
+    inner integral stepped with the path, so R(t) reads x up to t only.
+    ``value()`` is (max |R_quad - R|, max |k x|) over the block's nodes and
+    paths.
+    """
+
+    def __init__(self, sol: RiccatiSolution, dW: np.ndarray):
+        b2 = sol.params.b ** 2
+        lam_E = sol.multipliers.lam_E
+        B11, B12, B13, A11, A12, A13 = (
+            sol.column(name) for name in ("B11", "B12", "B13", "A11", "A12", "A13"))
+        decay = b2 * B12 + b2 * B13 - lam_E * b2 * B11 - sol.params.a
+        self._forcing = lam_E * b2 * A11 - b2 * A12 - b2 * A13
+        self._dt = dt = sol.grid.dt
+        C = np.concatenate([[0.0], np.cumsum(0.5 * (decay[1:] + decay[:-1]) * dt)])
+        self._factor, self._inverse = np.exp(C) * self._forcing, np.exp(-C)
+        # the integrand at the last node and this one, and the inner integral
+        self._f, self._f1, self._inner, self._t = np.zeros((4, dW.shape[1]))
+        self._diffs, self._scales = np.zeros((2, sol.grid.n_points))
+
+    def __call__(self, k: int, z: np.ndarray) -> None:
+        x, R = z
+        f1, t = self._f1, self._t
+        np.multiply(self._forcing[k], x, out=t)
+        np.abs(t, out=t)
+        self._scales[k] = t.max()
+        np.multiply(self._factor[k], x, out=f1)
+        if k:
+            np.add(f1, self._f, out=t)
+            t *= 0.5
+            t *= self._dt
+            self._inner += t
+            np.multiply(self._inverse[k], self._inner, out=t)
+            t -= R
+            np.abs(t, out=t)
+            self._diffs[k] = t.max()
+        self._f, self._f1 = f1, self._f
+
+    def value(self):
+        # np.max, unlike max(), propagates a NaN
+        return np.max(self._diffs), np.max(self._scales)
 
 
 def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
@@ -375,12 +495,27 @@ def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
     )
 
 
-def check_mean_trajectory(paths: PathEnsemble) -> CheckResult:
+def _node_moments(blocks: list):
+    """Each node's mean and standard error of x from the ``_MeanFold`` values of the blocks.
+
+    The blocks are combined in block order by the pairwise update of Chan,
+    Golub and LeVeque, "Updating formulae and a pairwise algorithm for
+    computing sample variances" (1979).
+    """
+    n, mean, m2 = blocks[0]
+    for n_b, mean_b, m2_b in blocks[1:]:
+        delta = mean_b - mean
+        total = n + n_b
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
+        n = total
+    return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
+def check_mean_trajectory(blocks: list) -> CheckResult:
     """The MC mean of x against its exact value: E[x] = 0 at every node."""
     name = "mean_trajectory"
-    x = paths.component("x")
-    mc_mean = x.mean(axis=0)
-    mc_se = x.std(axis=0, ddof=1) / math.sqrt(paths.n_paths)
+    mc_mean, mc_se = _node_moments(blocks)
     gaps = np.abs(mc_mean)
     # node 0 is pinned exactly; later nodes get a 3-standard-error band
     ok = gaps[0] == 0.0 and np.all(gaps[1:] <= 3.0 * mc_se[1:])
@@ -388,22 +523,16 @@ def check_mean_trajectory(paths: PathEnsemble) -> CheckResult:
     return _result(name, ok, f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}")
 
 
-def check_explicit_r(sol: RiccatiSolution, paths: PathEnsemble) -> CheckResult:
+def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
     """Two independent integrators of the R-equation must track each other.
 
-    Reads the first ``EXPLICIT_R_MAX_PATHS`` paths of the ensemble.
+    Reads the ``_ExplicitRFold`` values of the blocks of the first
+    ``EXPLICIT_R_MAX_PATHS`` paths.
     """
     name = "explicit_R_consistency"
-    x = paths.component("x")[:EXPLICIT_R_MAX_PATHS]
-    r_euler = paths.component("R")[:EXPLICIT_R_MAX_PATHS]
-    r_quad = explicit_R(sol, x)
-    diff = float(np.abs(r_quad - r_euler).max())
+    diff, scale = (float(np.max(values)) for values in zip(*blocks))
     # both schemes are first order; their gap scales with dt times the
     # forcing magnitude seen along the ensemble
-    b2 = sol.params.b**2
-    lam_E = sol.multipliers.lam_E
-    forcing = lam_E * b2 * sol.column("A11") - b2 * sol.column("A12") - b2 * sol.column("A13")
-    scale = float(np.abs(forcing[None, :] * x).max())
     tol = 5.0 * sol.grid.dt * max(scale, 1.0)
     return _result(name, diff <= tol, f"max_diff={diff:.3e} tol={tol:.3e} (dt-scaled)")
 
@@ -414,9 +543,9 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     Its path-reading checks are parts, read in one ``_read_streams`` call,
     so checks that read the same grid share one stream.  The density fold
     and the b = 0 closed loop read the first ``min(n_paths, PASS_MAX_PATHS)``
-    paths of the ``n_steps`` stream, the mean-trajectory set records x on
-    the first ``MEAN_CHECK_MAX_PATHS`` of them and the explicit-R set (x, R)
-    on the first ``EXPLICIT_R_MAX_PATHS``; the residual oracle reads the first
+    paths of the ``n_steps`` stream, the mean-trajectory fold the first
+    ``MEAN_CHECK_MAX_PATHS`` of them and the explicit-R fold the first
+    ``EXPLICIT_R_MAX_PATHS``; the residual oracle reads the first
     ``RESIDUAL_CHECK_MAX_PATHS`` paths of the ``RESIDUAL_CHECK_STEPS``
     stream, and a coefficient file as many of its own grid's.  The
     terminal-condition, mean-trajectory and explicit-R checks share one
@@ -437,29 +566,24 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     parts = {}  # in the order their divergences are raised; a blown-up solve has none
     if isinstance(sol, RiccatiSolution):
         # the explicit-R paths are the mean set's first: it diverges first
-        mean_x = np.empty((sol.grid.n_points, 1, n_mean))
-        explicit_states = np.empty((sol.grid.n_points, 2, n_explicit))
-        parts["mean"] = _loop_part(sol, n_mean, states=mean_x)
-        parts["explicit"] = _loop_part(sol, n_explicit, states=explicit_states)
+        parts["mean"] = _loop_part(sol, n_mean, fold=_MeanFold)
+        parts["explicit"] = _loop_part(sol, n_explicit, fold=_ExplicitRFold)
     if isinstance(residual_sol, RiccatiSolution):
-        parts["residual"] = _residual_part(residual_sol, n_residual)
+        parts["residual"] = _loop_part(residual_sol, n_residual, fold=_ResidualFold)
     gamma_T = np.empty(n_pass)
     parts["density"] = _fold_part(config, 0.0, 1.0, gamma_T=gamma_T)
     if isinstance(b0_sol, RiccatiSolution):
         b0_x_T = np.empty(n_pass)
         parts["b0"] = _loop_part(b0_sol, n_pass, x_T=b0_x_T)
     if coeff_sol is not None:
-        parts["file"] = _residual_part(coeff_sol, n_residual)
+        parts["file"] = _loop_part(coeff_sol, n_residual, fold=_ResidualFold)
     read = _read_streams(config.seed, parts)
     for name in parts:
         _values(read[name])
 
     if "mean" in parts:
-        mean_paths, explicit_paths = (
-            PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=labels)
-            for states, labels in ((mean_x, ("x",)), (explicit_states, ("x", "R"))))
-        terminal, mean, explicit = (check_terminal_conditions(sol), check_mean_trajectory(mean_paths),
-                                    check_explicit_r(sol, explicit_paths))
+        terminal, mean, explicit = (check_terminal_conditions(sol), check_mean_trajectory(read["mean"]),
+                                    check_explicit_r(sol, read["explicit"]))
     else:
         terminal, mean, explicit = (
             _result(name, False, str(sol))

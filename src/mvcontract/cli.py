@@ -7,7 +7,8 @@ Subcommands
                a coefficient above blow_up_bound exits 3
     simulate   sweep the multiplier grid, evaluate contracts, write eval.csv
     check      run the oracle battery (terminal values, residuals, argmax,
-               martingale, variance oracle); nonzero exit on any failure
+               martingale, variance oracle, mean trajectory, explicit R);
+               nonzero exit on any failure
     weakcheck  density / measure-change / optimality-condition checks
 
 Flags override environment variables (MVCONTRACT_<KEY>), which override the

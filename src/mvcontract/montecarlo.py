@@ -33,9 +33,9 @@ over fully assembled per-path arrays in a fixed order.
 The checks step without cost integrals (``_step_block``): (x, R) is one
 (2, paths) array, and each ufunc call forms both drifts, 8 numpy calls per
 step, with the element operations of the cost step in the same order, so
-x(T) carries the same bits either way.  ``closed_loop_paths`` runs it over
-a given noise ensemble and keeps (x, R) at every node, step-major; the
-checks read their closed-loop paths from it.
+x(T) carries the same bits either way.  A check that reads more than x(T)
+passes a fold, which reads (x, R) at every node as the step reaches it and
+keeps only its per-block statistics: no block records its paths.
 """
 
 import math
@@ -47,10 +47,9 @@ import numpy as np
 
 from .model import AS_PRINTED, LqParams, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
-from .noise import NoiseEnsemble, sample_noise_block
+from .noise import sample_noise_block
 from .riccati import DEFAULT_BLOW_UP_BOUND, ClosedLoopField, integrate_riccati
 from .errors import SimulationDivergedError
-from .sde import PathEnsemble
 from .timegrid import make_grid
 
 DEFAULT_CHUNK_SIZE = 16384
@@ -101,25 +100,24 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _step_block(field, dW, x, states=None) -> Optional[Tuple[int, int]]:
+def _step_block(field, dW, x, fold=None) -> Optional[Tuple[int, int]]:
     """Step one block of paths through every node of the grid, without cost integrals.
 
     ``dW`` holds the block's increments step-major, shape (n_steps, paths),
     as ``NoiseEnsemble.increments.T`` reads them, and the state ends in
-    ``x`` (a view of the caller's output array).  If given, ``states``,
-    step-major with shape (n_points, c, paths), receives the first c of
-    (x, R) at every node.  The step holds (x, R) as one (2, paths) array z
-    and reads the x- and R-loadings of both drifts in row k of
-    ``field.rows`` as columns:
+    ``x`` (a view of the caller's output array).  If given, ``fold(k, z)``
+    is called at every node k, from 0, with the (2, paths) state (x, R)
+    there; it must not write to z.  The step holds (x, R) as z and reads the
+    x- and R-loadings of both drifts in row k of ``field.rows`` as columns:
 
         z += dt (x (Fxx, GRx) + R (FxR, GRR)),   x += sigma dW,
 
     in ``out=`` ufuncs on two (2, paths) work arrays: 8 numpy calls per step,
-    9 with recorded states, where four scalar rows took 14 and 16, with the
-    element operations of ``_step_costs`` in the same order, so the same bits.
-    Returns None, or (step, path index within the block) of the first
-    non-finite state: a step whose state sum is finite has no non-finite
-    element, so only a non-finite sum is searched.
+    where four scalar rows took 14, with the element operations of
+    ``_step_costs`` in the same order, so the same bits.  Returns None, or
+    (step, path index within the block) of the first non-finite state, before
+    the fold sees that node: a step whose state sum is finite has no
+    non-finite element, so only a non-finite sum is searched.
     """
     dt = field.sol.grid.dt
     sigma = field.sol.params.sigma
@@ -128,10 +126,9 @@ def _step_block(field, dW, x, states=None) -> Optional[Tuple[int, int]]:
     w, w2 = np.empty((2,) + z.shape)
     sigma_dW = w2[0]
     rows = field.rows[:, :, None]
-    if states is not None:
-        recorded = z[:states.shape[1]]
-        states[0] = 0.0
-    for k, (dW_k, drift_x, drift_R) in enumerate(zip(dW, rows[:, 4::2], rows[:, 5::2])):
+    if fold is not None:
+        fold(0, z)
+    for k, (dW_k, drift_x, drift_R) in enumerate(zip(dW, rows[:, 4::2], rows[:, 5::2]), 1):
         np.multiply(x_row, drift_x, out=w)
         np.multiply(R_row, drift_R, out=w2)
         w += w2
@@ -139,12 +136,12 @@ def _step_block(field, dW, x, states=None) -> Optional[Tuple[int, int]]:
         z += w
         np.multiply(dW_k, sigma, out=sigma_dW)
         x_row += sigma_dW
-        if states is not None:
-            states[k + 1] = recorded
         if not math.isfinite(z.sum()):
             bad = ~np.isfinite(z)
             if bad.any():
-                return k + 1, int(bad.any(axis=0).argmax())
+                return k, int(bad.any(axis=0).argmax())
+        if fold is not None:
+            fold(k, z)
     x[...] = x_row
     return None
 
@@ -289,33 +286,6 @@ def simulate_costs(
 
     map_noise_blocks(seed, [(field.sol.grid, n_paths, chunk_size, run)])
     return ja_int, jp_int, x_T
-
-
-def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsemble:
-    """Closed-loop (x, R) trajectories driven by the given noise ensemble.
-
-    The paths are stepped inline, as one block, by the kernel behind
-    ``simulate_costs``, so x(T) carries the same bits as its ``x_T`` for the
-    same increments; the running cost integrals are not formed.  The states
-    are recorded step-major, each node's x and R rows contiguous, and the
-    result's ``states`` is the (paths, nodes, 2) view of that buffer.  It
-    keeps ``noise`` for ``ansatz_residual``.
-
-    Raises
-    ------
-    SimulationDivergedError
-        At the earliest step any path goes non-finite, on the lowest such path.
-    """
-    grid = field.sol.grid
-    if noise.grid != grid:
-        raise ValueError("noise and closed-loop field live on different grids")
-    n = noise.n_paths
-    states = np.empty((grid.n_points, 2, n))
-    bad = _step_block(field, noise.increments.T, np.empty(n), states=states)
-    if bad is not None:
-        raise SimulationDivergedError(path=bad[1], step=bad[0])
-    return PathEnsemble(grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"),
-                        noise=noise)
 
 
 def evaluate_contract(

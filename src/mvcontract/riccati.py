@@ -55,26 +55,24 @@ derivatives, so two poles between the same two nodes do not hide each other.
 Since x(0) = R(0) = 0 and the averaged closed loop is linear and
 homogeneous, E[x] = E[R] = 0 on the whole horizon.  The mean blocks are
 still solved, as part of the twelve-coefficient system, but the closed
-loop, the residual oracle and ``explicit_R`` read only the state blocks
-(A1j, B1j).
+loop and the checks read only the state blocks (A1j, B1j).
 
-The derivation is validated empirically by ``ansatz_residual``: along
-simulated closed-loop paths, the discrete drift of each reconstructed
-adjoint component (finite difference minus its dW-matched diffusion term)
-must converge to the drift prescribed by the backward equations as the step
-shrinks.
+The derivation is validated empirically by the residual oracle of
+``checks``: along simulated closed-loop paths, the discrete drift of each
+reconstructed adjoint component (finite difference minus its dW-matched
+diffusion term) must converge to the drift prescribed by the backward
+equations as the step shrinks.  The oracle folds that residual into the
+closed-loop step, one node at a time, so no path is recorded.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
 
 import numpy as np
 
 from .errors import DegenerateMultiplierError, RiccatiBlowUpError
 from .model import AS_PRINTED, MIN_LAMBDA_P, LqParams, cashflow_weights, check_mode
 from .multipliers import MultiplierTriple
-from .sde import PathEnsemble
 from .timegrid import TimeGrid
 
 #: Storage order of the coefficient columns.
@@ -344,140 +342,3 @@ class ClosedLoopField:
         ))
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-
-
-@dataclass(frozen=True)
-class ComponentResidual:
-    max_abs: float
-    mean_abs: float
-    drift_scale: float  # sup of the prescribed drift magnitude over the ensemble
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Drift residuals of the reconstructed adjoint components along paths."""
-
-    n_paths: int
-    n_steps: int
-    components: Dict[str, ComponentResidual] = field(default_factory=dict)
-
-    @property
-    def max_residual(self) -> float:
-        return max(c.max_abs for c in self.components.values())
-
-
-#: (node, path) elements per tile of ``ansatz_residual``, a run of nodes over
-#: the full, contiguous path rows of the step-major states and increments:
-#: its temporaries (256 kB each) stay in L2.
-_RESIDUAL_TILE = 2**15
-
-
-def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport:
-    """Check the coefficient solution against the backward drift relations.
-
-    For each adjoint component Z in {p, P1, P2}, reconstructed on the path
-    grid from the coefficients, the discrete drift
-
-        (Z_{k+1} - Z_k - D_{k+1} dW_k) / dt,
-
-    with D the dW-matched loading (A11 sigma, A12 sigma, A13 sigma evaluated
-    at the right endpoint, which cancels the increment contribution exactly),
-    is compared with the prescribed drift (-a p, -a (P1 + P2), 0 evaluated at
-    the left endpoint).  If the twelve ODEs are the correct coefficient
-    matching, the residual is O(dt); a wrong coefficient trajectory leaves an
-    O(1) mismatch.  Residuals are reported in drift units (state per time).
-
-    The formula runs step-major, in tiles of consecutive nodes over every
-    path, of about ``_RESIDUAL_TILE`` elements.  Each element depends on its
-    own path and step only, so the maxima are those of the whole ensemble;
-    ``mean_abs`` sums the tiles' sums.
-    """
-    if paths.grid != sol.grid:
-        raise ValueError("paths and coefficient solution live on different grids")
-    if paths.noise is None:
-        raise ValueError("paths must carry their driving noise increments")
-
-    a = sol.params.a
-    sigma = sol.params.sigma
-    dt = sol.grid.dt
-    # step-major: one row per node (states and coefficients) or step (dW)
-    X, R = paths.component("x").T, paths.component("R").T
-    dW = paths.noise.increments.T
-    c = {name: sol.coeffs[:, i, None] for name, i in _IDX.items()}
-
-    names = ("p", "P1", "P2")
-    loads = [c[name][1:] * sigma for name in ("A11", "A12", "A13")]
-    # per component, one entry a tile: max |resid|, sum |resid| and
-    # max |prescribed|, which stays 0 for P2
-    stats = {name: ([], [], [0.0]) for name in names}
-    tile = max(1, _RESIDUAL_TILE // paths.n_paths)
-    for lo in range(0, sol.grid.n_steps, tile):
-        # steps [lo, lo + tile) read nodes [lo, lo + tile]
-        nodes, steps = slice(lo, lo + tile + 1), slice(lo, lo + tile)
-        P = c["A11"][nodes] * X[nodes] + c["B11"][nodes] * R[nodes]
-        P1 = c["A12"][nodes] * X[nodes] + c["B12"][nodes] * R[nodes]
-        P2 = c["A13"][nodes] * X[nodes] + c["B13"][nodes] * R[nodes]
-        # P2's prescribed drift is 0, and subtracting 0 changes no residual
-        prescribed = (-a * P, -a * (P1 + P2), None)
-        for name, Z, load, drift in zip(names, (P, P1, P2), loads, prescribed):
-            maxima, sums, scales = stats[name]
-            resid = (Z[1:] - Z[:-1] - load[steps] * dW[steps]) / dt
-            if drift is not None:
-                resid -= drift[:-1]
-                scales.append(np.abs(drift).max())
-            np.abs(resid, out=resid)
-            maxima.append(resid.max())
-            sums.append(resid.sum())
-    n_resid = paths.n_paths * sol.grid.n_steps
-    # np.max, unlike max(), propagates a NaN
-    components = {
-        name: ComponentResidual(
-            max_abs=float(np.max(maxima)), mean_abs=float(np.sum(sums)) / n_resid,
-            drift_scale=float(np.max(scales)),
-        )
-        for name, (maxima, sums, scales) in stats.items()
-    }
-    return ResidualReport(
-        n_paths=paths.n_paths, n_steps=sol.grid.n_steps, components=components
-    )
-
-
-def explicit_R(sol: RiccatiSolution, x_path: np.ndarray) -> np.ndarray:
-    """Integrating-factor solution of the R-equation driven by a given x path.
-
-    Under the coefficient representation the R-dynamics reduce to the linear
-    scalar ODE
-
-        dR/dt + c(t) R = k(t) x(t),   R(0) = 0,
-
-    with c = b^2 B12 + b^2 B13 - lambda_E b^2 B11 - a and
-    k = lambda_E b^2 A11 - b^2 A12 - b^2 A13 (the mean terms vanish because
-    the averaged state is identically zero).  The solution
-
-        R(t) = exp(-C(t)) * integral_0^t exp(C(s)) k(s) x(s) ds,
-        C(t) = integral_0^t c(s) ds,
-
-    is evaluated with composite trapezoidal quadrature on the grid.  R(t)
-    depends only on x up to time t, so the result is adapted to the output
-    history.
-    """
-    x = np.asarray(x_path, dtype=np.float64)
-    if x.shape[-1] != sol.grid.n_points:
-        raise ValueError(
-            f"x_path has {x.shape[-1]} time points, grid has {sol.grid.n_points}"
-        )
-    b2 = sol.params.b ** 2
-    lam_E = sol.multipliers.lam_E
-    B11, B12, B13 = sol.column("B11"), sol.column("B12"), sol.column("B13")
-    A11, A12, A13 = sol.column("A11"), sol.column("A12"), sol.column("A13")
-    decay = b2 * B12 + b2 * B13 - lam_E * b2 * B11 - sol.params.a
-    forcing = lam_E * b2 * A11 - b2 * A12 - b2 * A13
-
-    dt = sol.grid.dt
-    C = np.concatenate([[0.0], np.cumsum(0.5 * (decay[1:] + decay[:-1]) * dt)])
-    integrand = np.exp(C) * forcing * x
-    inner = np.cumsum(0.5 * (integrand[..., 1:] + integrand[..., :-1]) * dt, axis=-1)
-    result = np.empty_like(x)
-    result[..., 0] = 0.0
-    result[..., 1:] = np.exp(-C[1:]) * inner
-    return result

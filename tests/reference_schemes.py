@@ -5,7 +5,13 @@ diffusion, ``simulate_density`` the log-space density recursion along its
 paths, and the two cost integrands the running costs written out from the
 model.  The check batteries fold the same terminal values per path block
 (``checks._fold_part``), in the operation order of these schemes, and the
-tests require equal bits.  ``coefficient_rhs`` is the coefficient system's
+tests require equal bits.  ``closed_loop_paths`` records the closed loop
+(x, R) at every node in a ``PathEnsemble``; ``ansatz_residual`` and
+``explicit_R`` evaluate the residual oracle and the integrating-factor R
+over such recorded paths, as whole-ensemble formulas.  The checks fold both
+into the closed-loop step (``checks._ResidualFold``,
+``checks._ExplicitRFold``), element by element in the same operations, so
+their maxima must carry the same bits.  ``coefficient_rhs`` is the coefficient system's
 right-hand side as an array, for the cross-checks against other
 integrators, and ``rk4_coefficients`` integrates it with classical RK4 on
 plain floats: the closed-form solve ``riccati.integrate_riccati`` must
@@ -15,25 +21,60 @@ noise.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from mvcontract import (
     AS_PRINTED,
     LqParams,
+    ClosedLoopField,
     MultiplierTriple,
     NoiseEnsemble,
-    PathEnsemble,
     RiccatiBlowUpError,
+    RiccatiSolution,
     SimulationDivergedError,
     TimeGrid,
 )
 from mvcontract.model import cashflow_weights
-from mvcontract.riccati import DEFAULT_BLOW_UP_BOUND, terminal_conditions
+from mvcontract.riccati import COEFF_NAMES, DEFAULT_BLOW_UP_BOUND, terminal_conditions
 
 StateMap = Callable[[np.ndarray, float], np.ndarray]
+
+
+@dataclass(frozen=True)
+class PathEnsemble:
+    """Simulated state trajectories, shape (n_paths, n_points, n_components)."""
+
+    grid: TimeGrid
+    states: np.ndarray
+    labels: tuple
+    noise: Optional[NoiseEnsemble] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        n_paths, n_points, n_comp = self.states.shape
+        if n_points != self.grid.n_points:
+            raise ValueError(
+                f"states have {n_points} time points, grid has {self.grid.n_points}"
+            )
+        if len(self.labels) != n_comp:
+            raise ValueError(
+                f"{len(self.labels)} labels for {n_comp} state components"
+            )
+        self.states.flags.writeable = False
+
+    @property
+    def n_paths(self) -> int:
+        return self.states.shape[0]
+
+    def component(self, label: str) -> np.ndarray:
+        """Trajectories of one named component, shape (n_paths, n_points)."""
+        try:
+            idx = self.labels.index(label)
+        except ValueError:
+            raise KeyError(f"no state component {label!r}; have {self.labels}")
+        return self.states[:, :, idx]
 
 
 def _rhs(y, a, b, b2, lam_P, lam_E, c1, c2):
@@ -255,3 +296,149 @@ def simulate_density(
             log_gamma[:, k] + theta * noise.increments[:, k] - 0.5 * theta**2 * dt
         )
     return DensityEnsemble(grid=noise.grid, gamma=np.exp(log_gamma), log_gamma=log_gamma)
+
+
+def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsemble:
+    """Closed-loop (x, R) trajectories driven by ``noise``, recorded at every node.
+
+    Each step reads row k of ``field.rows`` as scalars, in the element
+    operations of ``montecarlo._step_block``:
+
+        x <- (x + (Fxx x + FxR R) dt) + sigma dW,   R <- R + (GRx x + GRR R) dt.
+
+    The states are stored step-major and the result's ``states`` is the
+    (paths, nodes, 2) view; it keeps ``noise`` for ``ansatz_residual``.
+
+    Raises
+    ------
+    ValueError
+        If ``noise`` lives on another grid than the field.
+    SimulationDivergedError
+        At the earliest step any path goes non-finite, on the lowest such path.
+    """
+    grid = field.sol.grid
+    if noise.grid != grid:
+        raise ValueError("noise and closed-loop field live on different grids")
+    dt, sigma = grid.dt, field.sol.params.sigma
+    states = np.zeros((grid.n_points, 2, noise.n_paths))
+    for k, (_, _, _, _, fxx, fxR, gRx, gRR) in enumerate(field.rows.tolist()):
+        x, R = states[k]
+        states[k + 1, 0] = x + (x * fxx + R * fxR) * dt + noise.increments[:, k] * sigma
+        states[k + 1, 1] = R + (x * gRx + R * gRR) * dt
+        bad = ~np.isfinite(states[k + 1]).all(axis=0)
+        if bad.any():
+            raise SimulationDivergedError(path=int(bad.argmax()), step=k + 1)
+    return PathEnsemble(grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"),
+                        noise=noise)
+
+
+@dataclass(frozen=True)
+class ComponentResidual:
+    max_abs: float
+    mean_abs: float
+    drift_scale: float  # sup of the prescribed drift magnitude over the ensemble
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    """Drift residuals of the reconstructed adjoint components along paths."""
+
+    n_paths: int
+    n_steps: int
+    components: Dict[str, ComponentResidual] = field(default_factory=dict)
+
+    @property
+    def max_residual(self) -> float:
+        return max(c.max_abs for c in self.components.values())
+
+
+def ansatz_residual(sol: RiccatiSolution, paths: PathEnsemble) -> ResidualReport:
+    """Check the coefficient solution against the backward drift relations.
+
+    For each adjoint component Z in {p, P1, P2}, reconstructed on the path
+    grid from the coefficients, the discrete drift
+
+        (Z_{k+1} - Z_k - D_{k+1} dW_k) / dt,
+
+    with D the dW-matched loading (A11 sigma, A12 sigma, A13 sigma evaluated
+    at the right endpoint), is compared with the prescribed drift (-a p,
+    -a (P1 + P2), 0 evaluated at the left endpoint).  One step at a time over
+    the recorded nodes; residuals are in drift units (state per time).
+    """
+    if paths.grid != sol.grid:
+        raise ValueError("paths and coefficient solution live on different grids")
+    if paths.noise is None:
+        raise ValueError("paths must carry their driving noise increments")
+    a, sigma, dt = sol.params.a, sol.params.sigma, sol.grid.dt
+    c = {name: sol.coeffs[:, i] for i, name in enumerate(COEFF_NAMES)}
+    X, R, dW = paths.component("x").T, paths.component("R").T, paths.noise.increments.T
+
+    def adjoints(k):
+        P, P1, P2 = (c[f"A1{j}"][k] * X[k] + c[f"B1{j}"][k] * R[k] for j in (1, 2, 3))
+        return (P, P1, P2), (-a * P, -a * (P1 + P2), np.zeros_like(P2))
+
+    # per component: max |resid|, sum |resid| and max |prescribed|, per step
+    stats = {name: ([], [], []) for name in ("p", "P1", "P2")}
+    Z0, drift0 = adjoints(0)
+    for k in range(sol.grid.n_steps):
+        Z1, drift1 = adjoints(k + 1)
+        for name, z0, z1, j, drift in zip(stats, Z0, Z1, (1, 2, 3), drift0):
+            resid = np.abs((z1 - z0 - c[f"A1{j}"][k + 1] * sigma * dW[k]) / dt - drift)
+            maxima, sums, scales = stats[name]
+            maxima.append(resid.max())
+            sums.append(resid.sum())
+            scales.append(np.abs(drift).max())
+        Z0, drift0 = Z1, drift1
+    for name, drift in zip(stats, drift0):
+        stats[name][2].append(np.abs(drift).max())
+    n_resid = paths.n_paths * sol.grid.n_steps
+    # np.max, unlike max(), propagates a NaN
+    components = {
+        name: ComponentResidual(
+            max_abs=float(np.max(maxima)), mean_abs=float(np.sum(sums)) / n_resid,
+            drift_scale=float(np.max(scales)),
+        )
+        for name, (maxima, sums, scales) in stats.items()
+    }
+    return ResidualReport(n_paths=paths.n_paths, n_steps=sol.grid.n_steps, components=components)
+
+
+def explicit_R(sol: RiccatiSolution, x_path: np.ndarray) -> np.ndarray:
+    """Integrating-factor solution of the R-equation driven by a given x path.
+
+    Under the coefficient representation the R-dynamics reduce to the linear
+    scalar ODE
+
+        dR/dt + c(t) R = k(t) x(t),   R(0) = 0,
+
+    with c = b^2 B12 + b^2 B13 - lambda_E b^2 B11 - a and
+    k = lambda_E b^2 A11 - b^2 A12 - b^2 A13 (the mean terms vanish because
+    the averaged state is identically zero).  The solution
+
+        R(t) = exp(-C(t)) * integral_0^t exp(C(s)) k(s) x(s) ds,
+        C(t) = integral_0^t c(s) ds,
+
+    is evaluated with composite trapezoidal quadrature on the grid.  R(t)
+    depends only on x up to time t, so the result is adapted to the output
+    history.
+    """
+    x = np.asarray(x_path, dtype=np.float64)
+    if x.shape[-1] != sol.grid.n_points:
+        raise ValueError(
+            f"x_path has {x.shape[-1]} time points, grid has {sol.grid.n_points}"
+        )
+    b2 = sol.params.b ** 2
+    lam_E = sol.multipliers.lam_E
+    B11, B12, B13 = sol.column("B11"), sol.column("B12"), sol.column("B13")
+    A11, A12, A13 = sol.column("A11"), sol.column("A12"), sol.column("A13")
+    decay = b2 * B12 + b2 * B13 - lam_E * b2 * B11 - sol.params.a
+    forcing = lam_E * b2 * A11 - b2 * A12 - b2 * A13
+
+    dt = sol.grid.dt
+    C = np.concatenate([[0.0], np.cumsum(0.5 * (decay[1:] + decay[:-1]) * dt)])
+    integrand = np.exp(C) * forcing * x
+    inner = np.cumsum(0.5 * (integrand[..., 1:] + integrand[..., :-1]) * dt, axis=-1)
+    result = np.empty_like(x)
+    result[..., 0] = 0.0
+    result[..., 1:] = np.exp(-C[1:]) * inner
+    return result

@@ -24,8 +24,6 @@ from mvcontract import (
     LqParams,
     RiccatiBlowUpError,
     agent_hamiltonian,
-    ansatz_residual,
-    closed_loop_paths,
     evaluate_contract,
     from_case,
     integrate_riccati,
@@ -39,7 +37,14 @@ from mvcontract import (
     terminal_conditions,
 )
 from mvcontract.cli import main, point_seed
-from reference_schemes import coarsened, euler_maruyama, rk4_coefficients, simulate_density
+from reference_schemes import (
+    ansatz_residual,
+    closed_loop_paths,
+    coarsened,
+    euler_maruyama,
+    rk4_coefficients,
+    simulate_density,
+)
 
 REF = dict(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
 

@@ -8,20 +8,24 @@ import pytest
 
 from mvcontract import (
     ClosedLoopField,
-    PathEnsemble,
     SimulationDivergedError,
-    closed_loop_paths,
     evaluate_contract,
     from_case,
     integrate_riccati,
     make_grid,
     sample_noise,
+    sample_noise_block,
 )
 from mvcontract import checks, montecarlo
 from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ORACLE, load_riccati_csv, main
 from mvcontract.config import default_config
-from mvcontract.riccati import ansatz_residual
-from reference_schemes import euler_maruyama, simulate_density
+from reference_schemes import (
+    ansatz_residual,
+    closed_loop_paths,
+    euler_maruyama,
+    explicit_R,
+    simulate_density,
+)
 
 
 @pytest.mark.parametrize("n_steps, target", [(4, "3.068436e-02"), (64, "3.090357e-02")])
@@ -76,7 +80,7 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     assert np.array_equal(s_T, strong.states[:, -1, 0])
     assert no_gamma is None and no_log is None
 
-    # 2,500 paths at 256 steps are a block of 2048 and a ragged 452;
+    # 2,500 paths at 256 steps are blocks of 1024, 1024 and a ragged 452;
     # on seed 38 the largest residual lies in the ragged block
     sol = integrate_riccati(params, checks._first_triple(config),
                             make_grid(params.T, checks.RESIDUAL_CHECK_STEPS),
@@ -85,9 +89,10 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     full = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_500, 38)))
     head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
     assert head.max_residual < full.max_residual
-    read = checks._read_streams(38, {"residual": checks._residual_part(sol, 2_500)})
-    assert len(read["residual"]) == 2
-    assert max(read["residual"]) == full.max_residual
+    part = checks._loop_part(sol, 2_500, fold=checks._ResidualFold)
+    read = checks._read_streams(38, {"residual": part})
+    assert len(read["residual"]) == 3
+    assert max(block[:, 0].max() for block in read["residual"]) == full.max_residual
 
 
 def _spy(monkeypatch, *names):
@@ -111,12 +116,11 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     # steps end in a ragged block of 1809 inside the mean set; at 30,001 the
     # mean set's last 3616 paths share a block of 4096 with paths beyond it.
     # At 256 steps the config's grid is the residual grid: one stream of
-    # 2048-path blocks serves every part, and the residual's 10,000 paths
-    # end 1808 paths into a block.  The residual grid's coefficient file is
+    # 1024-path blocks serves every part, and the residual's 10,000 paths
+    # end 784 paths into a block.  The residual grid's coefficient file is
     # another solution, stepped on the same draws as the config's.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    if n_steps != checks.RESIDUAL_CHECK_STEPS:
-        monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
+    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
     config = dataclasses.replace(default_config(), n_paths=n_paths, n_steps=n_steps, seed=23)
     params, seed, mult = config.params, config.seed, checks._first_triple(config)
     sol = checks._solve(config, config.n_steps)
@@ -138,16 +142,15 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
         sys.setswitchinterval(interval)
     monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
     n_residual = min(n_paths, checks.RESIDUAL_CHECK_MAX_PATHS)
-    # a shared grid's stream takes the smallest blocks any of its parts asks for
+    # every stream is read in blocks of BLOCK_DRAWS draws
     widest = {steps: max(n for s, n in draws if s == steps) for steps, _ in draws}
     if n_steps == checks.RESIDUAL_CHECK_STEPS:
         assert sum(n for _, n in draws) == max(n_paths, n_residual)
-        assert widest == {n_steps: min(checks.BLOCK_DRAWS, checks.RESIDUAL_BLOCK_DRAWS) // n_steps}
+        assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps}
     else:
         assert sum(n for _, n in draws) == n_paths + n_residual
-        assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps,
-                          checks.RESIDUAL_CHECK_STEPS:
-                          checks.RESIDUAL_BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS}
+        assert widest == {steps: checks.BLOCK_DRAWS // steps
+                          for steps in (n_steps, checks.RESIDUAL_CHECK_STEPS)}
     read = seen["_read_streams"][1]
     assert sorted(read) == ["b0", "density", "explicit", "file", "mean", "residual"]
     assert not any(isinstance(values, SimulationDivergedError) for values in read.values())
@@ -158,20 +161,40 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     assert checks._variance_and_se(b0_x_T) == (ev.var_xt, ev.var_xt_se)
     n_mean = min(n_paths, checks.MEAN_CHECK_MAX_PATHS)
     spec = closed_loop_paths(ClosedLoopField(sol), sample_noise(sol.grid, n_mean, seed))
-    # the mean set records x only, the explicit-R set (x, R) on its first paths
-    assert np.array_equal(seen["check_mean_trajectory"][0][0].component("x"), spec.component("x"))
+    # the mean set folds x, the explicit-R set (x, R) on its first paths;
+    # each carries the values of a stream of its own
     n_explicit = min(n_paths, checks.EXPLICIT_R_MAX_PATHS)
-    assert np.array_equal(seen["check_explicit_r"][0][1].states, spec.states[:n_explicit])
+    for name, fold, n in (("check_mean_trajectory", checks._MeanFold, n_mean),
+                          ("check_explicit_r", checks._ExplicitRFold, n_explicit)):
+        blocks = seen[name][0][-1]
+        alone = checks._read_streams(seed, {"own": checks._loop_part(sol, n, fold=fold)})["own"]
+        assert len(blocks) == len(alone) >= 2
+        for got, want in zip(blocks, alone):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    mean, se = checks._node_moments(seen["check_mean_trajectory"][0][0])
+    x = spec.component("x")
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0,
+                               atol=n_mean * eps * np.abs(x).max())
+    np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / math.sqrt(n_mean),
+                               rtol=n_mean * eps, atol=0)
+    x, R = spec.component("x")[:n_explicit], spec.component("R")[:n_explicit]
+    diff = max(d for d, _ in seen["check_explicit_r"][0][1])
+    assert diff == np.abs(explicit_R(sol, x) - R).max()
     _, gamma_T, _ = checks._terminal_values(config, seed, drift=0.0, theta=1.0)
     assert np.array_equal(seen["check_density_martingale"][0][0], gamma_T)
 
     def own_max(sol):
-        return max(checks._read_streams(seed, {"own": checks._residual_part(sol, n_residual)})["own"])
+        part = checks._loop_part(sol, n_residual, fold=checks._ResidualFold)
+        return max(block[:, 0].max() for block in checks._read_streams(seed, {"own": part})["own"])
+
+    def block_max(blocks):
+        return max(block[:, 0].max() for block in blocks)
 
     own = own_max(checks._solve(config, checks.RESIDUAL_CHECK_STEPS))
-    assert max(read["residual"]) == own
+    assert block_max(read["residual"]) == own
     assert results["riccati_residual"].detail.startswith(f"max_residual={own:.3e} ")
-    assert max(read["file"]) == own_max(coeff_sol) != own
+    assert block_max(read["file"]) == own_max(coeff_sol) != own
 
 
 @pytest.mark.parametrize("coeffs", [False, True], ids=["no_file", "file256"])
@@ -239,8 +262,8 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
     assert paths == {64: 100_000, checks.RESIDUAL_CHECK_STEPS: 10_000}
     assert sum(n * steps for steps, n in paths.items()) == 8_960_000
     config, sol = default_config(), load_riccati_csv(csv)
-    own = checks._read_streams(config.seed, {"file": checks._residual_part(
-        sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS))})["file"]
+    own = checks._read_streams(config.seed, {"file": checks._loop_part(
+        sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS), fold=checks._ResidualFold)})["file"]
     separate = checks._residual_result("file_riccati_residual", config, sol, own)
     assert f"PASS file_riccati_residual: {separate.detail}" in printed
 
@@ -334,28 +357,24 @@ def _noise_pass_checks(config):
     b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
     sol, b0_sol = (checks._solve(c, config.n_steps) for c in (config, b0_config))
     gamma_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
-    mean_x = np.empty((sol.grid.n_points, 1, n_mean))
-    explicit_states = np.empty((sol.grid.n_points, 2, n_explicit))
     read = checks._read_streams(config.seed, {
-        "mean": checks._loop_part(sol, n_mean, states=mean_x),
-        "explicit": checks._loop_part(sol, n_explicit, states=explicit_states),
+        "mean": checks._loop_part(sol, n_mean, fold=checks._MeanFold),
+        "explicit": checks._loop_part(sol, n_explicit, fold=checks._ExplicitRFold),
         "density": checks._fold_part(config, 0.0, 1.0, gamma_T=gamma_T),
         "b0": checks._loop_part(b0_sol, n_pass, x_T=b0_x_T),
     })
     for values in read.values():
         checks._values(values)
-    mean_paths, explicit_paths = (
-        PathEnsemble(grid=sol.grid, states=states.transpose(2, 0, 1), labels=labels)
-        for states, labels in ((mean_x, ("x",)), (explicit_states, ("x", "R"))))
     return [checks.check_density_martingale(gamma_T),
             checks.check_b0_variance(config, b0_x_T),
-            checks.check_mean_trajectory(mean_paths),
-            checks.check_explicit_r(sol, explicit_paths)]
+            checks.check_mean_trajectory(read["mean"]),
+            checks.check_explicit_r(sol, read["explicit"])]
 
 
 def _residual_check(config):
     sol = checks._solve(config, checks.RESIDUAL_CHECK_STEPS)
-    part = checks._residual_part(sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS))
+    part = checks._loop_part(sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS),
+                             fold=checks._ResidualFold)
     read = checks._read_streams(config.seed, {"residual": part})["residual"]
     return [checks._residual_result("riccati_residual", config, sol, read)]
 
@@ -366,10 +385,82 @@ def _residual_check(config):
     (_residual_check, 96),
 ], ids=["run_weak_battery", "noise_pass", "check_riccati_residual"])
 def test_battery_memory_does_not_scale_with_paths(monkeypatch, battery, limit_mb):
-    # the default config runs 1e5 density and b = 0 paths, 20,000 recorded
+    # the default config runs 1e5 density and b = 0 paths, 20,000
     # mean-trajectory paths and 10,000 residual paths; full path matrices of
     # the density and residual ensembles took 198-302 MB of traced memory
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     results, peak_mb = _traced_peak_mb(lambda: battery(default_config()))
     assert all(r.passed for r in results)
     assert peak_mb < limit_mb
+
+
+def test_check_battery_holds_one_noise_block(monkeypatch):
+    # with one worker the battery holds one 16384 x 64 noise block (a 4096 x
+    # 256 block on the residual grid is as large), the two 1e5-path terminal
+    # arrays of the density and b = 0 checks, and about eight work rows of a
+    # block: the stepper's three (2, paths) arrays and a fold's rows.  The
+    # recorded mean-trajectory and explicit-R sets and the residual's
+    # recorded states peaked at 30.9 MiB
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    config = default_config()
+    checks.run_weak_battery(config)  # scipy is imported outside the trace
+    results, peak_mb = _traced_peak_mb(lambda: checks.run_check_battery(config))
+    assert all(r.passed for r in results)
+    block_paths = checks.BLOCK_DRAWS // config.n_steps
+    n_pass = min(config.n_paths, checks.PASS_MAX_PATHS)
+    assert block_paths * config.n_steps * 8 == 8 * 2**20
+    limit = 1.1 * (checks.BLOCK_DRAWS * 8 + 2 * n_pass * 8 + 8 * block_paths * 8)
+    assert peak_mb * 1e6 <= limit
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_folds_match_their_references(monkeypatch, cpus):
+    # each fold, read over a stream of two full blocks and a ragged one,
+    # against its reference over the recorded paths of the same draws: in
+    # blocks of 2**18 draws, 10,001 64-step paths are 4096, 4096 and 1809,
+    # and 2,500 256-step paths 1024, 1024 and 452
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
+    config, seed = default_config(), 29
+    sol, residual_sol = (checks._solve(config, n) for n in (config.n_steps,
+                                                            checks.RESIDUAL_CHECK_STEPS))
+    n, n_residual = 10_001, 2_500
+    read = checks._read_streams(seed, {
+        "mean": checks._loop_part(sol, n, fold=checks._MeanFold),
+        "explicit": checks._loop_part(sol, n, fold=checks._ExplicitRFold),
+        "residual": checks._loop_part(residual_sol, n_residual, fold=checks._ResidualFold),
+    })
+    assert [len(read[name]) for name in ("mean", "explicit", "residual")] == [3, 3, 3]
+
+    # residual: per block, the maxima and drift scales carry the reference's bits
+    block = checks.BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS
+    for lo, stats in zip(range(0, n_residual, block), read["residual"]):
+        hi = min(lo + block, n_residual)
+        noise = sample_noise_block(residual_sol.grid, n_residual, seed, lo, hi)
+        report = ansatz_residual(residual_sol,
+                                 closed_loop_paths(ClosedLoopField(residual_sol), noise))
+        for (max_abs, sum_abs, drift_scale), name in zip(stats, ("p", "P1", "P2")):
+            want = report.components[name]
+            assert (max_abs, drift_scale) == (want.max_abs, want.drift_scale)
+            assert sum_abs / ((hi - lo) * residual_sol.grid.n_steps) == pytest.approx(
+                want.mean_abs, rel=1e-12, abs=0.0)
+
+    paths = closed_loop_paths(ClosedLoopField(sol), sample_noise(sol.grid, n, seed))
+    x, R = paths.component("x"), paths.component("R")
+    # explicit R: max_diff and tol, and so the printed line, carry the reference's bits
+    b2, lam_E = sol.params.b ** 2, sol.multipliers.lam_E
+    forcing = lam_E * b2 * sol.column("A11") - b2 * sol.column("A12") - b2 * sol.column("A13")
+    diff = float(np.abs(explicit_R(sol, x) - R).max())
+    tol = 5.0 * sol.grid.dt * max(float(np.abs(forcing[None, :] * x).max()), 1.0)
+    assert checks.check_explicit_r(sol, read["explicit"]).detail == (
+        f"max_diff={diff:.3e} tol={tol:.3e} (dt-scaled)")
+    assert max(d for d, _ in read["explicit"]) == diff
+    assert 5.0 * sol.grid.dt * max(max(s for _, s in read["explicit"]), 1.0) == tol
+
+    # mean trajectory: the block moments combine to the whole-ensemble ones,
+    # up to summation order
+    mean, se = checks._node_moments(read["mean"])
+    eps = np.finfo(float).eps
+    assert mean[0] == 0.0
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0, atol=n * eps * np.abs(x).max())
+    np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / math.sqrt(n), rtol=n * eps, atol=0)

@@ -16,7 +16,6 @@ from mvcontract import (
     RiccatiBlowUpError,
     RiccatiSolution,
     SimulationDivergedError,
-    closed_loop_paths,
     evaluate_contract,
     from_case,
     integrate_riccati,
@@ -26,6 +25,7 @@ from mvcontract import (
 from mvcontract import checks, montecarlo
 from mvcontract.config import default_config
 from mvcontract.montecarlo import simulate_costs
+from reference_schemes import closed_loop_paths
 
 
 def test_b0_variance_matches_closed_form(ref_params, corner_triple):
@@ -89,8 +89,8 @@ def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row
     # b^2 p^2 / 2 pathwise; recompute it that way from the raw coefficients
     # and the same noise.  The field's rows must reproduce the raw-coefficient
     # controls and drifts, and the reference loop, stepped on the rows, pins
-    # the one stepper: closed_loop_paths and simulate_costs must reproduce its
-    # (x, R) at every node and its cost integrals bit for bit.
+    # the one stepper: the recorded reference paths and simulate_costs must
+    # reproduce its (x, R) at every node and its cost integrals bit for bit.
     n_paths, n_steps, seed = 2_000, 32, 17
     grid = make_grid(ref_params.T, n_steps)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
@@ -236,16 +236,16 @@ def _spiked_field(ref_params, corner_triple):
 
 
 def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, monkeypatch):
-    # each chunking, closed_loop_paths and the check battery's file
-    # residual, streamed in 777-path blocks, must report the spiked path at
-    # step 2, even when the lowest chunk diverges only later
+    # each chunking, the recorded reference paths and the check battery's
+    # file residual, streamed in 777-path blocks, must report the spiked
+    # path at step 2, even when the lowest chunk diverges only later
     field, n_paths, seed, target = _spiked_field(ref_params, corner_triple)
     sol, grid = field.sol, field.sol.grid
     assert target >= 1_000
     runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
             for cs in (None, 1_000, 777)]
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
-    monkeypatch.setattr(checks, "RESIDUAL_BLOCK_DRAWS", 777 * grid.n_steps)
+    monkeypatch.setattr(checks, "BLOCK_DRAWS", 777 * grid.n_steps)
     config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
     runs.append(lambda: checks.run_check_battery(config, sol))
     for run in runs:
@@ -312,7 +312,8 @@ def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple):
     # A12 = -2 A13 at node 1 cancels every loading of x on the coefficients,
     # so x stays finite, while the R-drift loading A13 overflows only the
     # path with the largest first increment; R alone goes non-finite there,
-    # at step 2, and each chunking and closed_loop_paths must report it
+    # at step 2, and each chunking and the recorded reference paths must
+    # report it
     params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
@@ -341,7 +342,8 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
                                                                   row_closed_loop):
     # the same R-only overflow, stepped by the reference loop on the field's
     # rows: x stays finite where R does not, and the stacked step, with or
-    # without recorded states, stops at the same (step, path)
+    # without a fold, stops at the same (step, path), before the fold reads
+    # the diverged node
     params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
@@ -364,10 +366,12 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
                 break
         expected = (k + 1, int(bad.argmax()))
         assert np.isfinite(x).all() and expected == (2, int(order[-1]))
+        folded = []
         got = [montecarlo._step_block(field, dW.T, np.empty(n_paths)),
                montecarlo._step_block(field, dW.T, np.empty(n_paths),
-                                      states=np.empty((grid.n_points, 2, n_paths)))]
+                                      fold=lambda k, z: folded.append(k))]
     assert got == [expected, expected]
+    assert folded == list(range(expected[0]))
 
 
 def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_triple,

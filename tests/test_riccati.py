@@ -16,17 +16,20 @@ from mvcontract import (
     MultiplierTriple,
     RiccatiBlowUpError,
     RiccatiSolution,
-    ansatz_residual,
-    closed_loop_paths,
-    explicit_R,
     from_case,
     integrate_riccati,
     make_grid,
     sample_noise,
     terminal_conditions,
 )
-from mvcontract import riccati
-from reference_schemes import coefficient_rhs, rk4_coefficients
+from mvcontract import checks
+from reference_schemes import (
+    ansatz_residual,
+    closed_loop_paths,
+    coefficient_rhs,
+    explicit_R,
+    rk4_coefficients,
+)
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}
 
@@ -478,15 +481,13 @@ def test_residual_does_not_vanish_for_perturbed_solution(ref_params, corner_trip
     assert maxima[1] > 0.5 * maxima[0]
 
 
-def test_residual_tiling_is_invisible(ref_params, corner_triple):
-    # the documented formula over the whole ensemble is the spec.  The
-    # residual runs in tiles of consecutive steps over every path; at 250
-    # steps the last tile is partial.  One increment of the last step is
-    # raised so the largest residual lies in that last tile.
+def test_residual_fold_matches_the_formula(ref_params, corner_triple):
+    # the documented formula over the whole recorded ensemble is the spec of
+    # the reference and of the check battery's fold, which is fed the same
+    # paths one node at a time, as the closed-loop step reaches them.  One
+    # increment of the last step is raised so the largest residual lies there.
     for n_steps in (256, 250):
         sol, paths = _simulate(ref_params, corner_triple, n_steps, 1_000, 31, ETA_EQUALS_X)
-        tile = riccati._RESIDUAL_TILE // paths.n_paths
-        assert 1 < tile < n_steps and (n_steps % tile != 0) == (n_steps == 250)
         a, sigma, dt, c = sol.params.a, sol.params.sigma, sol.grid.dt, sol.coeffs
 
         def formula(X, R, dW):
@@ -509,14 +510,20 @@ def test_residual_tiling_is_invisible(ref_params, corner_triple):
         noise = dataclasses.replace(paths.noise, increments=dW)
         raised = dataclasses.replace(paths, noise=noise)
         report = ansatz_residual(sol, raised)
+        fold = checks._ResidualFold(sol, dW.T)
+        for k, z in enumerate(paths.states.transpose(1, 2, 0)):
+            fold(k, z)
+        stats = fold.value()
         spec = formula(paths.component("x"), paths.component("R"), dW)
         worst = max(spec.values(), key=lambda item: item[0].max())[0]
         assert np.unravel_index(worst.argmax(), worst.shape) == (417, n_steps - 1)
-        assert report.max_residual == worst.max()
-        for name, (resid, scale) in spec.items():
+        assert report.max_residual == worst.max() == stats[:, 0].max()
+        for (name, (resid, scale)), (max_abs, sum_abs, drift_scale) in zip(spec.items(), stats):
             got = report.components[name]
-            assert got.max_abs == resid.max() and got.drift_scale == scale
+            assert got.max_abs == resid.max() == max_abs
+            assert got.drift_scale == scale == drift_scale
             assert got.mean_abs == pytest.approx(resid.mean(), rel=1e-12, abs=0.0)
+            assert sum_abs / resid.size == pytest.approx(resid.mean(), rel=1e-12, abs=0.0)
 
 
 def test_residual_validates_inputs(ref_params, corner_triple):
