@@ -15,9 +15,11 @@ with no barrier between grids.  No part records a path.  The density fold
 and the b = 0 loop keep terminal values; the residual oracle, the mean
 trajectory and explicit R are folds (``_ResidualFold``, ``_MeanFold``,
 ``_ExplicitRFold``) that ``montecarlo._step_block`` calls at every node of
-the closed loop, and each keeps only its statistics of the block.  So peak
-memory scales with workers x block, plus the terminal values of the density
-and b = 0 paths, not with the nodes a check reads.  Per-path bits do not depend
+the closed loop, and each keeps only its statistics of the block; the
+residual keeps its per-component maxima.  A coefficient table with every bit
+of the residual's own solve reads that solve's blocks instead of stepping
+them twice.  Peak memory scales with workers x block, plus the terminal
+values of the density and b = 0 paths.  Per-path bits do not depend
 on the blocking, and the folds form each residual and explicit-R element
 with the operations of their whole-ensemble formulas, whose maxima are
 order-free: every number is the one a separate pass over the whole ensemble
@@ -35,7 +37,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .errors import RiccatiBlowUpError, SimulationDivergedError
+from .errors import DegenerateSensitivityError, RiccatiBlowUpError, SimulationDivergedError
 from .model import (
     AS_PRINTED,
     ETA_EQUALS_X,
@@ -87,8 +89,7 @@ def _result(name: str, passed, detail: str) -> CheckResult:
 
 
 def _first_triple(config: RunConfig):
-    triples = sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)
-    return triples[0]
+    return sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)[0]
 
 
 def _grid_argmax(fn: Callable[[np.ndarray], np.ndarray], center: float, half_width: float, step: float) -> float:
@@ -192,13 +193,11 @@ def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, blocks:
     """The residual check of ``sol`` from the ``_ResidualFold`` values of its blocks."""
     # every residual depends on one path only: the largest over the blocks
     # is the largest over the ensemble
-    max_residual = float(np.max([block[:, 0] for block in blocks]))
+    max_residual = float(np.max(blocks))
     ok = max_residual <= config.residual_tol
-    return _result(
-        name, ok,
-        f"max_residual={max_residual:.3e} tol={config.residual_tol:g} "
-        f"n_steps={sol.grid.n_steps} n_paths={min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)}",
-    )
+    n_paths = min(config.n_paths, RESIDUAL_CHECK_MAX_PATHS)
+    return _result(name, ok, f"max_residual={max_residual:.3e} tol={config.residual_tol:g} "
+                             f"n_steps={sol.grid.n_steps} n_paths={n_paths}")
 
 
 def check_argmax_agent(config: RunConfig, n_draws: int = 200) -> CheckResult:
@@ -351,9 +350,8 @@ class _ResidualFold:
     (-a p, -a (P1 + P2), 0).  If the twelve equations are the correct
     coefficient matching, r is O(dt); a wrong coefficient trajectory leaves
     an O(1) mismatch.  Residuals are in drift units (state per time).  The
-    fold keeps Z and the drift of the last node only; ``value()`` is a
-    (3, 3) array with one row per component: max |r|, sum |r| and
-    max |prescribed| over the block.
+    fold keeps Z and the drift of the last node only; ``value()`` is the
+    per-component max |r| over the block, a (3,) array in (p, P1, P2) order.
     """
 
     def __init__(self, sol: RiccatiSolution, dW: np.ndarray):
@@ -365,19 +363,17 @@ class _ResidualFold:
         # drift's P2 row stays 0, and subtracting 0 changes no residual
         self._Z, self._Z1, self._drift, self._drift1, self._r, self._t = np.zeros(
             (6, 3, dW.shape[1]))
-        self._stats = np.zeros((3, 3))
+        self._max = np.zeros(3)
 
     def __call__(self, k: int, z: np.ndarray) -> None:
         x, R = z
-        Z1, drift1, r, t, stats = self._Z1, self._drift1, self._r, self._t, self._stats
+        Z1, drift1, r, t = self._Z1, self._drift1, self._r, self._t
         np.multiply(self._A[k], x, out=Z1)
         np.multiply(self._B[k], R, out=t)
         Z1 += t
         drift1[0] = Z1[0]
         np.add(Z1[1], Z1[2], out=drift1[1])
         drift1[:2] *= self._minus_a
-        np.abs(drift1[:2], out=t[:2])
-        np.maximum(stats[:2, 2], t[:2].max(axis=1), out=stats[:2, 2])
         if k:
             np.subtract(Z1, self._Z, out=r)
             np.multiply(self._load[k - 1], self._dW[k - 1], out=t)
@@ -385,12 +381,11 @@ class _ResidualFold:
             r /= self._dt
             r -= self._drift
             np.abs(r, out=r)
-            np.maximum(stats[:, 0], r.max(axis=1), out=stats[:, 0])
-            stats[:, 1] += r.sum(axis=1)
+            np.maximum(self._max, r.max(axis=1), out=self._max)
         self._Z, self._Z1, self._drift, self._drift1 = Z1, self._Z, drift1, self._drift
 
     def value(self) -> np.ndarray:
-        return self._stats
+        return self._max
 
 
 class _MeanFold:
@@ -547,13 +542,14 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     ``MEAN_CHECK_MAX_PATHS`` of them and the explicit-R fold the first
     ``EXPLICIT_R_MAX_PATHS``; the residual oracle reads the first
     ``RESIDUAL_CHECK_MAX_PATHS`` paths of the ``RESIDUAL_CHECK_STEPS``
-    stream, and a coefficient file as many of its own grid's.  The
+    stream, and a coefficient file as many of its own grid's, unless it has
+    every bit of the residual's solve and reads that solve's blocks.  The
     terminal-condition, mean-trajectory and explicit-R checks share one
     ``n_steps`` solve; if it blows up, all three fail with its message, and
     the residual and b = 0 oracles do so with theirs.  A divergence ends the
     run once every stream has run, as the earliest check meets it: in the
-    mean-trajectory set, the residual paths, the density fold, the b = 0
-    paths, then the coefficient file's paths.
+    mean-trajectory set, the residual paths (and so a table that reads
+    them), the density fold, the b = 0 paths, then the file's own paths.
     """
     n_pass = min(config.n_paths, PASS_MAX_PATHS)
     n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
@@ -575,7 +571,13 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     if isinstance(b0_sol, RiccatiSolution):
         b0_x_T = np.empty(n_pass)
         parts["b0"] = _loop_part(b0_sol, n_pass, x_T=b0_x_T)
-    if coeff_sol is not None:
+
+    def bits(s):  # the coefficients byte for byte, so -0.0 is not 0.0
+        return s.grid, s.params, s.multipliers, s.p2_drift_mode, s.coeffs.tobytes()
+    # a table with every bit of the residual's own solve reads that solve's blocks
+    file_part = "residual" if coeff_sol is not None and "residual" in parts and (
+        bits(coeff_sol) == bits(residual_sol)) else "file"
+    if coeff_sol is not None and file_part == "file":
         parts["file"] = _loop_part(coeff_sol, n_residual, fold=_ResidualFold)
     read = _read_streams(config.seed, parts)
     for name in parts:
@@ -604,14 +606,12 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     ]
     if coeff_sol is not None:
         results.append(check_terminal_conditions(coeff_sol, "file_terminal_conditions", 1e-12))
-        results.append(_residual_result("file_riccati_residual", config, coeff_sol, read["file"]))
+        results.append(_residual_result("file_riccati_residual", config, coeff_sol, read[file_part]))
     return results
 
 
 def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     """Density, measure-change and optimality-condition checks (``weakcheck``)."""
-    from .errors import DegenerateSensitivityError
-
     params = config.params
     if abs(params.b) < 1e-12:
         raise DegenerateSensitivityError(

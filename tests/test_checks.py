@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvcontract import (
+    COEFF_NAMES,
     ClosedLoopField,
     SimulationDivergedError,
     evaluate_contract,
@@ -92,7 +93,7 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     part = checks._loop_part(sol, 2_500, fold=checks._ResidualFold)
     read = checks._read_streams(38, {"residual": part})
     assert len(read["residual"]) == 3
-    assert max(block[:, 0].max() for block in read["residual"]) == full.max_residual
+    assert max(block.max() for block in read["residual"]) == full.max_residual
 
 
 def _spy(monkeypatch, *names):
@@ -186,10 +187,10 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
 
     def own_max(sol):
         part = checks._loop_part(sol, n_residual, fold=checks._ResidualFold)
-        return max(block[:, 0].max() for block in checks._read_streams(seed, {"own": part})["own"])
+        return max(block.max() for block in checks._read_streams(seed, {"own": part})["own"])
 
     def block_max(blocks):
-        return max(block[:, 0].max() for block in blocks)
+        return max(block.max() for block in blocks)
 
     own = own_max(checks._solve(config, checks.RESIDUAL_CHECK_STEPS))
     assert block_max(read["residual"]) == own
@@ -266,6 +267,59 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
         sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS), fold=checks._ResidualFold)})["file"]
     separate = checks._residual_result("file_riccati_residual", config, sol, own)
     assert f"PASS file_riccati_residual: {separate.detail}" in printed
+
+
+def test_table_of_the_residual_solve_reads_its_blocks(tmp_path, monkeypatch, capsys):
+    # the 256-step table riccati writes from the config has every bit of the
+    # battery's own residual solve, so its residual is read from that solve's
+    # blocks: the battery steps no part of its own over the same paths
+    out = tmp_path / "c256"
+    assert main(["riccati", "--steps", "256", "--out", str(out)]) == 0
+    csv = str(out / "riccati.csv")
+    seen = _spy(monkeypatch, "_read_streams")
+    capsys.readouterr()
+    assert main(["check", "--paths", "10000", "--coeffs", csv]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    (_, parts), read = seen["_read_streams"]
+    assert sorted(parts) == ["b0", "density", "explicit", "mean", "residual"]
+    config, sol = dataclasses.replace(default_config(), n_paths=10_000), load_riccati_csv(csv)
+    own = checks._read_streams(config.seed, {"file": checks._loop_part(
+        sol, 10_000, fold=checks._ResidualFold)})["file"]
+    assert len(own) == 3
+    assert [block.tobytes() for block in read["residual"]] == [block.tobytes() for block in own]
+    separate = checks._residual_result("file_riccati_residual", config, sol, own)
+    assert f"PASS file_riccati_residual: {separate.detail}" in printed
+
+
+@pytest.mark.parametrize("table", ["last_bit", "signed_zero", "lambda_P", "blown_up_solve"])
+def test_table_unlike_the_residual_solve_keeps_its_own_part(monkeypatch, table):
+    # a table that differs from the battery's residual solve in one
+    # coefficient's last bit, in the sign of a zero or in lambda_P, or any
+    # table when that solve blows up, steps a part of its own
+    config = dataclasses.replace(default_config(), n_paths=2_000)
+    sol = checks._solve(config, checks.RESIDUAL_CHECK_STEPS)
+    coeffs = sol.coeffs.copy()
+    b11, b12 = (COEFF_NAMES.index(name) for name in ("B11", "B12"))
+    if table == "last_bit":
+        coeffs[100, b12] = np.nextafter(coeffs[100, b12], np.inf)
+    elif table == "signed_zero":
+        assert coeffs[-1, b11] == 0.0 and not np.signbit(coeffs[-1, b11])
+        coeffs[-1, b11] = -0.0
+    coeff_sol = dataclasses.replace(sol, coeffs=coeffs)
+    if table == "lambda_P":
+        coeff_sol = integrate_riccati(config.params, from_case(config.case_tag, 0.2, math.pi / 2),
+                                      sol.grid, config.p2_drift_mode)
+    elif table == "blown_up_solve":
+        config = dataclasses.replace(config, blow_up_bound=0.5)
+    seen = _spy(monkeypatch, "_read_streams")
+    results = {r.name: r for r in checks.run_check_battery(config, coeff_sol)}
+    (_, parts), read = seen["_read_streams"]
+    assert "file" in parts and ("residual" in parts) == (table != "blown_up_solve")
+    own = checks._read_streams(config.seed, {"file": checks._loop_part(
+        coeff_sol, 2_000, fold=checks._ResidualFold)})["file"]
+    assert [block.tobytes() for block in read["file"]] == [block.tobytes() for block in own]
+    separate = checks._residual_result("file_riccati_residual", config, coeff_sol, own)
+    assert results["file_riccati_residual"] == separate
 
 
 def test_b0_oracle_fails_on_the_blow_up_bound(tmp_path, capsys):
@@ -432,18 +486,16 @@ def test_folds_match_their_references(monkeypatch, cpus):
     })
     assert [len(read[name]) for name in ("mean", "explicit", "residual")] == [3, 3, 3]
 
-    # residual: per block, the maxima and drift scales carry the reference's bits
+    # residual: per block, each component's maximum carries the reference's bits
     block = checks.BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS
-    for lo, stats in zip(range(0, n_residual, block), read["residual"]):
+    for lo, maxima in zip(range(0, n_residual, block), read["residual"]):
         hi = min(lo + block, n_residual)
         noise = sample_noise_block(residual_sol.grid, n_residual, seed, lo, hi)
         report = ansatz_residual(residual_sol,
                                  closed_loop_paths(ClosedLoopField(residual_sol), noise))
-        for (max_abs, sum_abs, drift_scale), name in zip(stats, ("p", "P1", "P2")):
-            want = report.components[name]
-            assert (max_abs, drift_scale) == (want.max_abs, want.drift_scale)
-            assert sum_abs / ((hi - lo) * residual_sol.grid.n_steps) == pytest.approx(
-                want.mean_abs, rel=1e-12, abs=0.0)
+        assert maxima.shape == (3,)
+        for max_abs, name in zip(maxima, ("p", "P1", "P2")):
+            assert max_abs == report.components[name].max_abs
 
     paths = closed_loop_paths(ClosedLoopField(sol), sample_noise(sol.grid, n, seed))
     x, R = paths.component("x"), paths.component("R")
