@@ -17,25 +17,21 @@ fourth central moment.
 
 Paths are processed in blocks of ``chunk_size`` paths (default
 ``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
-CPU caches), drawn directly from the counter-based noise stream and run on
-a thread pool with one worker per CPU the process may use.  A block's noise
-arrives step-major, and the block holds no other copy of it.  Each step of
-the evaluation scales its row of ``dW`` by sigma into a work row and makes
-21 more ufunc passes and two sums over (x, R) and the cost integrals.  A
-16384-path x 64-step block steps in about 8 ms and draws its noise in about
-36 ms (2 vCPUs, numpy 2.4.6, scipy 1.17.1).  That scheduler,
-``map_noise_blocks``, also runs the check batteries: it takes several
-streams of one seed and runs all their blocks on one pool.  Every per-path
-value is bit-identical no matter how the path range is split into blocks or
-how many workers run them; the final reductions run on the calling thread
-over fully assembled per-path arrays in a fixed order.
+CPU caches), drawn directly from the counter-based noise stream into a
+buffer that each worker keeps, on a thread pool with one worker per CPU
+the process may use (``map_noise_blocks``, which also runs the check
+batteries).  Every per-path value is bit-identical no matter how the path
+range is split into blocks or how many workers run them; the final
+reductions run on the calling thread in a fixed order.
 
-The checks step without cost integrals (``_step_block``): (x, R) is one
-(2, paths) array, and each ufunc call forms both drifts, 8 numpy calls per
-step, with the element operations of the cost step in the same order, so
-x(T) carries the same bits either way.  A check that reads more than x(T)
-passes a fold, which reads (x, R) at every node as the step reaches it and
-keeps only its per-block statistics: no block records its paths.
+One kernel steps every block (``_step_block``): (x, R) is one (2, paths)
+array, 8 numpy calls per step, and a caller that reads more than x(T)
+passes a fold, which reads (x, R) at every node and keeps only per-block
+statistics; ``simulate_costs`` folds the costs (``_cost_fold``, 5 calls).
+Few wide calls let two workers step in parallel, as each call dispatches
+under the interpreter lock: eight 16384 x 64 blocks step with their costs
+in about 54 ms on one thread and 35 ms on two, where 24 calls per step on
+one-dimensional rows took 54 and 56 ms (2 vCPUs, numpy 2.4.6).
 """
 
 import math
@@ -53,6 +49,10 @@ from .errors import SimulationDivergedError
 from .timegrid import make_grid
 
 DEFAULT_CHUNK_SIZE = 16384
+
+#: Draws in one default block (16384 x 64): the size of a kept noise buffer.
+_BUFFER_FLOATS = 2**20
+_buffers: list = []  # free noise buffers, shared unlocked: list.pop and append are atomic
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _step_block(field, dW, x, fold=None) -> Optional[Tuple[int, int]]:
-    """Step one block of paths through every node of the grid, without cost integrals.
+def _step_block(field, dW, x, fold=None, work=None) -> Optional[Tuple[int, int]]:
+    """Step one block of paths through every node of the grid.
 
     ``dW`` holds the block's increments step-major, shape (n_steps, paths),
     as ``NoiseEnsemble.increments.T`` reads them, and the state ends in
@@ -112,9 +112,10 @@ def _step_block(field, dW, x, fold=None) -> Optional[Tuple[int, int]]:
 
         z += dt (x (Fxx, GRx) + R (FxR, GRR)),   x += sigma dW,
 
-    in ``out=`` ufuncs on two (2, paths) work arrays: 8 numpy calls per step,
-    where four scalar rows took 14, with the element operations of
-    ``_step_costs`` in the same order, so the same bits.  Returns None, or
+    in ``out=`` ufuncs on the two (2, paths) arrays of ``work`` (new ones if
+    None), which a fold may overwrite: each step writes them before reading.
+    That is 8 numpy calls per step, with the element operations of a
+    per-row step in the same order, so the same bits.  Returns None, or
     (step, path index within the block) of the first non-finite state, before
     the fold sees that node: a step whose state sum is finite has no
     non-finite element, so only a non-finite sum is searched.
@@ -123,7 +124,7 @@ def _step_block(field, dW, x, fold=None) -> Optional[Tuple[int, int]]:
     sigma = field.sol.params.sigma
     z = np.zeros((2, x.size))
     x_row, R_row = z
-    w, w2 = np.empty((2,) + z.shape)
+    w, w2 = np.empty((2,) + z.shape) if work is None else work
     sigma_dW = w2[0]
     rows = field.rows[:, :, None]
     if fold is not None:
@@ -146,52 +147,28 @@ def _step_block(field, dW, x, fold=None) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _step_costs(field, dW, x, ja, jp) -> Optional[Tuple[int, int]]:
-    """``_step_block`` with the running cost integrals, accumulated into ``ja`` and ``jp``.
+def _cost_fold(field, j, work):
+    """The fold of the running costs into ``j``, a zeroed (2, paths) array (ja, jp).
 
-    Each step reads one row of ``field.rows`` as scalars:
-
-        ja += (sqrt(dt/2) b p)^2,   jp += (sqrt(dt/2) s)^2,
-        x  += dt (Fxx x + FxR R) + sigma dW,   R += dt (GRx x + GRR R),
-
-    in ``out=`` ufuncs on one-dimensional work rows, with x stepped in the
-    caller's array.  The stacked (2, paths) step is not used here: with it,
-    the worker heaps of ``simulate_costs`` came to hold a second 8 MB noise
-    block in some processes, and ``simulate`` peak RSS rose by 8 MB.
+    At each node k < n_steps, with the cost loadings of row k of
+    ``field.rows``, ``j += (x (bpx, sx) + R (bpR, sR))^2``, that is ja +=
+    (sqrt(dt/2) b p)^2 and jp += (sqrt(dt/2) s)^2, in 5 ``out=`` ufuncs on
+    the two (2, paths) arrays of ``work``, which it may share with the step.
     """
-    dt = field.sol.grid.dt
-    sigma = field.sol.params.sigma
-    m = x.size
-    R = np.zeros(m)
-    t, u, v = (np.empty(m) for _ in range(3))
-    x[...] = 0.0
-    ja[...] = 0.0
-    jp[...] = 0.0
-    for k, (bpx, bpR, sx, sR, fxx, fxR, gRx, gRR) in enumerate(field.rows.tolist()):
-        for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
-            np.multiply(x, cx, out=t)
-            np.multiply(R, cR, out=u)
-            t += u
+    rows = field.rows[:, :4, None]
+    loads = list(zip(rows[:, 0::2], rows[:, 1::2]))
+    t, u = work
+
+    def fold(k, z):
+        if k < len(loads):
+            load_x, load_R = loads[k]
+            np.multiply(z[0], load_x, out=t)
+            np.multiply(z[1], load_R, out=u)
+            np.add(t, u, out=t)
             np.square(t, out=t)
-            acc += t
-        # the R-increment reads x before the x-step
-        np.multiply(x, gRx, out=v)
-        np.multiply(R, gRR, out=u)
-        v += u
-        v *= dt
-        np.multiply(x, fxx, out=t)
-        np.multiply(R, fxR, out=u)
-        t += u
-        t *= dt
-        np.multiply(dW[k], sigma, out=u)
-        x += t
-        x += u
-        R += v
-        if not (math.isfinite(x.sum()) and math.isfinite(R.sum())):
-            bad = ~(np.isfinite(x) & np.isfinite(R))
-            if bad.any():
-                return k + 1, int(bad.argmax())
-    return None
+            np.add(j, t, out=j)
+
+    return fold
 
 
 def map_noise_blocks(seed: int, streams) -> list:
@@ -200,15 +177,17 @@ def map_noise_blocks(seed: int, streams) -> list:
     Each stream is ``(grid, n_paths, block_paths, run)``: ``[0, n_paths)``
     is split into blocks of ``block_paths`` paths, and ``run(lo, hi, noise)``
     gets each block's increments from ``sample_noise_block`` under the
-    caller's numpy error state.  The blocks of all streams run on one pool of
-    one worker per CPU the process may use (inline for one), so no worker
+    caller's numpy error state.  The blocks of all streams run on one pool
+    of one worker per CPU the process may use (inline for one), so no worker
     idles at the end of one stream while another has blocks left; the
-    streams with the fewest blocks go first.  Returns, per stream, its
-    results in block order.  A ``SimulationDivergedError`` from ``run``, with
-    a path index within its block, is re-raised once every block has run,
-    for the first stream in ``streams`` that diverged, at its earliest step
-    and on the lowest such path, so it depends neither on the blocking nor
-    on the other streams.
+    streams with the fewest blocks go first.  A worker draws each block of at
+    most ``_BUFFER_FLOATS`` draws into one buffer that it reuses and keeps,
+    so ``noise`` is valid only until ``run`` returns; a larger block gets a
+    buffer of its own.  Returns, per stream, its results in block order.  A
+    ``SimulationDivergedError`` from ``run``, with a path index within its
+    block, is re-raised once every block has run, for the first stream in
+    ``streams`` that diverged, at its earliest step and on the lowest such
+    path, so it depends neither on the blocking nor on the other streams.
     """
     blocks = []
     for i, (_, n_paths, block_paths, _) in enumerate(streams):
@@ -222,14 +201,26 @@ def map_noise_blocks(seed: int, streams) -> list:
 
     def task(i, lo, hi):
         grid, n_paths, _, run = streams[i]
-        noise = sample_noise_block(grid, n_paths, seed, lo, hi)
+        size = (hi - lo) * grid.n_steps
+        buffer = None
+        if size <= _BUFFER_FLOATS:
+            try:
+                buffer = _buffers.pop()
+            except IndexError:
+                buffer = np.empty(_BUFFER_FLOATS)
         try:
+            out = None if buffer is None else buffer[:size].reshape(grid.n_steps, hi - lo)
+            noise = sample_noise_block(grid, n_paths, seed, lo, hi, out=out)
             with np.errstate(**errstate):
                 return run(lo, hi, noise)
         except SimulationDivergedError as exc:
             return SimulationDivergedError(path=lo + exc.path, step=exc.step, label=exc.label)
+        finally:
+            if buffer is not None:
+                _buffers.append(buffer)
 
     workers = min(_cpu_count(), len(queue))
+    del _buffers[max(workers, 1):]
     if workers <= 1:
         done = [task(*block) for block in queue]
     else:
@@ -275,17 +266,18 @@ def simulate_costs(
     """
     if chunk_size is None:
         chunk_size = n_paths
-    ja_int = np.empty(n_paths)
-    jp_int = np.empty(n_paths)
+    j = np.zeros((2, n_paths))
     x_T = np.empty(n_paths)
 
     def run(lo, hi, noise):
-        bad = _step_costs(field, noise.increments.T, x_T[lo:hi], ja_int[lo:hi], jp_int[lo:hi])
+        work = np.empty((2, 2, hi - lo))
+        fold = _cost_fold(field, j[:, lo:hi], work)
+        bad = _step_block(field, noise.increments.T, x_T[lo:hi], fold, work)
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
 
     map_noise_blocks(seed, [(field.sol.grid, n_paths, chunk_size, run)])
-    return ja_int, jp_int, x_T
+    return j[0], j[1], x_T
 
 
 def evaluate_contract(

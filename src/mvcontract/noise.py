@@ -19,7 +19,8 @@ A block is one step-major (n_steps, paths) buffer, the layout every stepper
 and check reads, a step row at a time, as ``increments.T``: tiles of about
 ``_TILE_DRAWS`` draws from the block's one Philox generator go through the
 uniform map and ``ndtri`` in cache, and ``* sqrt(dt)`` writes each tile
-transposed into the buffer.
+transposed into the buffer, or into the caller's ``out=`` with the same
+bits: increments drawn there are valid only until it is drawn into again.
 """
 
 from dataclasses import dataclass
@@ -80,12 +81,14 @@ def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseEnsemble:
 
 
 def sample_noise_block(
-    grid: TimeGrid, n_paths: int, seed: int, path_start: int, path_stop: int
+    grid: TimeGrid, n_paths: int, seed: int, path_start: int, path_stop: int, out=None
 ) -> NoiseEnsemble:
     """Increments for paths [path_start, path_stop) of the same stream.
 
     Concatenating blocks reproduces ``sample_noise(grid, n_paths, seed)``
-    bit for bit regardless of how the path range is partitioned.
+    bit for bit regardless of how the path range is partitioned.  The block
+    is drawn into ``out``, if given, a writeable C-contiguous float64 array
+    of shape (n_steps, path_stop - path_start); ``increments`` is its view.
     """
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -97,11 +100,15 @@ def sample_noise_block(
             f"invalid path block [{path_start}, {path_stop}) for n_paths={n_paths}"
         )
     n_block, n_steps = path_stop - path_start, grid.n_steps
+    if out is None:
+        out = np.empty((n_steps, n_block))
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.flags.c_contiguous and out.shape == (n_steps, n_block)):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(n_steps, n_block)}")
     bitgen = np.random.Philox(key=seed)
     # Philox advances its 256-bit counter in blocks of four 64-bit words
     bitgen.advance(path_start * n_steps // 4)
     bitgen.random_raw(path_start * n_steps % 4)
-    buffer = np.empty((n_steps, n_block))
     tile = max(1, _TILE_DRAWS // n_steps)  # whole paths per tile
     for lo in range(0, n_block, tile):
         hi = min(lo + tile, n_block)
@@ -111,11 +118,11 @@ def sample_noise_block(
         z = np.add(raw, 0.5, dtype=np.float64)
         z *= 2.0**-53
         ndtri(z, out=z)
-        np.multiply(z.reshape(hi - lo, n_steps).T, np.sqrt(grid.dt), out=buffer[:, lo:hi])
+        np.multiply(z.reshape(hi - lo, n_steps).T, np.sqrt(grid.dt), out=out[:, lo:hi])
     return NoiseEnsemble(
         grid=grid,
         seed=seed,
         n_paths=n_block,
-        increments=buffer.T,
+        increments=out.T,
         path_offset=path_start,
     )

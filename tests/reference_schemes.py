@@ -6,23 +6,25 @@ paths, and the two cost integrands the running costs written out from the
 model.  The check batteries fold the same terminal values per path block
 (``checks._fold_part``), in the operation order of these schemes, and the
 tests require equal bits.  ``closed_loop_paths`` records the closed loop
-(x, R) at every node in a ``PathEnsemble``; ``ansatz_residual`` and
-``explicit_R`` evaluate the residual oracle and the integrating-factor R
-over such recorded paths, as whole-ensemble formulas.  The checks fold both
-into the closed-loop step (``checks._ResidualFold``,
+(x, R) at every node in a ``PathEnsemble``; ``step_costs`` steps it with
+the running cost integrals one scalar row at a time, and ``simulate_costs``
+(the stacked step with a cost fold) must reproduce its bits.
+``ansatz_residual`` and ``explicit_R`` evaluate the residual oracle and the
+integrating-factor R over such recorded paths, as whole-ensemble formulas.
+The checks fold both into the closed-loop step (``checks._ResidualFold``,
 ``checks._ExplicitRFold``), element by element in the same operations, so
-their maxima must carry the same bits.  ``coefficient_rhs`` is the coefficient system's
-right-hand side as an array, for the cross-checks against other
-integrators, and ``rk4_coefficients`` integrates it with classical RK4 on
-plain floats: the closed-form solve ``riccati.integrate_riccati`` must
-agree with it to its O(dt^4) error.  ``coarsened`` observes a noise
-ensemble on a coarser grid, for step-refinement studies on fixed driving
-noise.
+their maxima must carry the same bits.  ``coefficient_rhs`` is the
+coefficient system's right-hand side as an array, for the cross-checks
+against other integrators, and ``rk4_coefficients`` integrates it with
+classical RK4 on plain floats: the closed-form solve
+``riccati.integrate_riccati`` must agree with it to its O(dt^4) error.
+``coarsened`` observes a noise ensemble on a coarser grid, for
+step-refinement studies on fixed driving noise.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -330,6 +332,56 @@ def closed_loop_paths(field: ClosedLoopField, noise: NoiseEnsemble) -> PathEnsem
             raise SimulationDivergedError(path=int(bad.argmax()), step=k + 1)
     return PathEnsemble(grid=grid, states=states.transpose(2, 0, 1), labels=("x", "R"),
                         noise=noise)
+
+
+def step_costs(field: ClosedLoopField, dW: np.ndarray, x: np.ndarray, ja: np.ndarray,
+               jp: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The closed loop with its running cost integrals, one scalar row at a time.
+
+    ``dW`` holds the increments step-major, shape (n_steps, paths).  Each
+    step reads one row of ``field.rows`` as scalars:
+
+        ja += (sqrt(dt/2) b p)^2,   jp += (sqrt(dt/2) s)^2,
+        x  += dt (Fxx x + FxR R) + sigma dW,   R += dt (GRx x + GRR R),
+
+    in ``out=`` ufuncs on one-dimensional work rows, with x, ja and jp
+    written in the caller's arrays, in the element operations of
+    ``montecarlo._step_block`` and its cost fold (``montecarlo._cost_fold``).
+    Returns None, or (step, path) of the first non-finite state.
+    """
+    dt = field.sol.grid.dt
+    sigma = field.sol.params.sigma
+    m = x.size
+    R = np.zeros(m)
+    t, u, v = (np.empty(m) for _ in range(3))
+    x[...] = 0.0
+    ja[...] = 0.0
+    jp[...] = 0.0
+    for k, (bpx, bpR, sx, sR, fxx, fxR, gRx, gRR) in enumerate(field.rows.tolist()):
+        for acc, cx, cR in ((ja, bpx, bpR), (jp, sx, sR)):
+            np.multiply(x, cx, out=t)
+            np.multiply(R, cR, out=u)
+            t += u
+            np.square(t, out=t)
+            acc += t
+        # the R-increment reads x before the x-step
+        np.multiply(x, gRx, out=v)
+        np.multiply(R, gRR, out=u)
+        v += u
+        v *= dt
+        np.multiply(x, fxx, out=t)
+        np.multiply(R, fxR, out=u)
+        t += u
+        t *= dt
+        np.multiply(dW[k], sigma, out=u)
+        x += t
+        x += u
+        R += v
+        if not (math.isfinite(x.sum()) and math.isfinite(R.sum())):
+            bad = ~(np.isfinite(x) & np.isfinite(R))
+            if bad.any():
+                return k + 1, int(bad.argmax())
+    return None
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,8 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     draws = []
     draw = montecarlo.sample_noise_block
     monkeypatch.setattr(montecarlo, "sample_noise_block",
-                        lambda *args: draws.append((args[0].n_steps, args[4] - args[3]))
-                        or draw(*args))
+                        lambda *args, **kw: draws.append((args[0].n_steps, args[4] - args[3]))
+                        or draw(*args, **kw))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if cpus > 1 else interval)
     try:
@@ -228,9 +228,9 @@ def test_residual_grid_config_draws_its_stream_once(tmp_path, monkeypatch, capsy
     paths = {}
     draw = montecarlo.sample_noise_block
 
-    def counted(grid, n_paths, seed, lo, hi):
+    def counted(grid, n_paths, seed, lo, hi, out=None):
         paths[grid.n_steps] = paths.get(grid.n_steps, 0) + hi - lo
-        return draw(grid, n_paths, seed, lo, hi)
+        return draw(grid, n_paths, seed, lo, hi, out=out)
 
     monkeypatch.setattr(montecarlo, "sample_noise_block", counted)
     capsys.readouterr()
@@ -251,9 +251,9 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
     paths = {}
     draw = montecarlo.sample_noise_block
 
-    def counted(grid, n_paths, seed, lo, hi):
+    def counted(grid, n_paths, seed, lo, hi, out=None):
         paths[grid.n_steps] = paths.get(grid.n_steps, 0) + hi - lo
-        return draw(grid, n_paths, seed, lo, hi)
+        return draw(grid, n_paths, seed, lo, hi, out=out)
 
     monkeypatch.setattr(montecarlo, "sample_noise_block", counted)
     capsys.readouterr()

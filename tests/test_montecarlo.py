@@ -21,11 +21,12 @@ from mvcontract import (
     integrate_riccati,
     make_grid,
     sample_noise,
+    sample_noise_block,
 )
 from mvcontract import checks, montecarlo
 from mvcontract.config import default_config
 from mvcontract.montecarlo import simulate_costs
-from reference_schemes import closed_loop_paths
+from reference_schemes import closed_loop_paths, step_costs
 
 
 def test_b0_variance_matches_closed_form(ref_params, corner_triple):
@@ -58,23 +59,118 @@ def test_chunking_never_changes_results(ref_params, corner_triple):
 
 def test_simulate_costs_holds_one_noise_block(monkeypatch, ref_params, corner_triple):
     # a block's noise is drawn once, step-major, and read in place: with one
-    # worker the traced peak is one 16384 x 64 increments block and the
-    # three per-path outputs, plus 10% for tiles and work rows.  Raw words,
-    # float draws and a step-major copy per block peaked at 19.7 MB
+    # worker and no kept buffer the traced peak is one 16384 x 64 increments
+    # block and the three per-path outputs, plus 10% for tiles and work rows
+    # (the stepper's three (2, paths) arrays, two of which the cost fold
+    # shares).  Raw words, float draws and a step-major copy per block peaked
+    # at 19.7 MB.  The worker keeps its buffer, so a second call draws no new
+    # block: its peak is the outputs and the work rows
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
     n_paths, n_steps = 100_000, 64
     sol = integrate_riccati(ref_params, corner_triple, make_grid(ref_params.T, n_steps),
                             ETA_EQUALS_X)
     field = ClosedLoopField(sol)
     simulate_costs(field, 1_000, 1)  # scipy is imported outside the trace
-    tracemalloc.start()
-    try:
-        simulate_costs(field, n_paths, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    monkeypatch.setattr(montecarlo, "_buffers", [])
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            simulate_costs(field, n_paths, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     block_bytes = montecarlo.DEFAULT_CHUNK_SIZE * n_steps * 8
-    assert peak <= 1.1 * (block_bytes + 3 * n_paths * 8)
+    assert block_bytes == montecarlo._BUFFER_FLOATS * 8
+    assert block_bytes < peaks[0] <= 1.1 * (block_bytes + 3 * n_paths * 8)
+    assert peaks[1] <= 1.1 * (3 * n_paths * 8 + 3 * 2 * montecarlo.DEFAULT_CHUNK_SIZE * 8)
+    assert len(montecarlo._buffers) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_costs_matches_per_row_reference(ref_params, corner_triple, monkeypatch, cpus):
+    # the stacked step with its cost fold, in ragged 777-path blocks, carries
+    # the bits of the per-row reference stepped over the whole ensemble, and
+    # a diverging field stops both at the same (step, path)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    n_paths, seed = 3_000, 19
+    grid = make_grid(ref_params.T, 32)
+    field = ClosedLoopField(integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X))
+    ja, jp, x_T = (np.empty(n_paths) for _ in range(3))
+    assert step_costs(field, sample_noise(grid, n_paths, seed).increments.T, x_T, ja, jp) is None
+    got = simulate_costs(field, n_paths, seed, chunk_size=777)
+    assert all(np.array_equal(g, w) for g, w in zip(got, (ja, jp, x_T)))
+
+    spiked, n_spiked, seed, target = _spiked_field(ref_params, corner_triple)
+    out = [np.empty(n_spiked) for _ in range(3)]
+    with np.errstate(all="ignore"):
+        expected = step_costs(
+            spiked, sample_noise(spiked.sol.grid, n_spiked, seed).increments.T, *out)
+        with pytest.raises(SimulationDivergedError) as excinfo:
+            simulate_costs(spiked, n_spiked, seed, chunk_size=777)
+    assert expected == (2, target)
+    assert (excinfo.value.step, excinfo.value.path) == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_reused_noise_buffers_carry_fresh_draws(monkeypatch, cpus):
+    # one call over a 64-step and a 256-step stream: 40,000 64-step paths
+    # are two 16,384-path blocks, which fill a buffer, and a ragged 7,232;
+    # 5,000 256-step paths are 4,096 and a ragged 904.  Each worker draws
+    # blocks of both shapes into the one buffer it keeps, and every run must
+    # see the bytes of a fresh draw of its block
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_buffers", [])
+    seed, buffers = 5, set()
+
+    def stream(n_steps, n_paths, block_paths):
+        grid = make_grid(0.03, n_steps)
+
+        def run(lo, hi, noise):
+            buffers.add(noise.increments.__array_interface__["data"][0])
+            fresh = sample_noise_block(grid, n_paths, seed, lo, hi)
+            return noise.increments.tobytes() == fresh.increments.tobytes()
+
+        return grid, n_paths, block_paths, run
+
+    results = montecarlo.map_noise_blocks(seed, [stream(64, 40_000, 16_384),
+                                                 stream(256, 5_000, 4_096)])
+    assert results == [[True] * 3, [True] * 2]
+    assert len(buffers) <= cpus
+    assert len(montecarlo._buffers) <= cpus
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_raising_run_returns_its_buffer(monkeypatch, cpus):
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_buffers", [])
+    seen = {}
+
+    def run(lo, hi, noise):
+        seen[lo] = noise.increments.__array_interface__["data"][0]
+        if lo == 1_000:
+            raise RuntimeError("run failed")
+
+    with pytest.raises(RuntimeError, match="run failed"):
+        montecarlo.map_noise_blocks(3, [(make_grid(0.03, 16), 3_000, 1_000, run)])
+    kept = [b.__array_interface__["data"][0] for b in montecarlo._buffers]
+    assert seen[1_000] in kept and len(kept) <= cpus
+
+
+def test_unchunked_run_keeps_one_buffer(ref_params, corner_triple, monkeypatch):
+    # after a call on eight workers, an unchunked call of one block larger
+    # than a kept buffer draws it into a buffer of its own, which it does not
+    # keep, and keeps at most one buffer of the earlier call
+    monkeypatch.setattr(montecarlo, "_buffers", [])
+    grid = make_grid(ref_params.T, 64)
+    field = ClosedLoopField(integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X))
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    simulate_costs(field, 3_000, 1, chunk_size=97)
+    before = list(montecarlo._buffers)
+    assert 1 <= len(before) <= 8
+    simulate_costs(field, montecarlo._BUFFER_FLOATS // 64 + 1, 1, chunk_size=None)
+    assert len(montecarlo._buffers) <= 1
+    assert all(b.size <= 2**20 and any(b is a for a in before) for b in montecarlo._buffers)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -5])
@@ -259,15 +355,17 @@ def _x_T_stream(field, n_paths, block_paths):
 
     Returns (stream, (ja, jp, x_T)); each block's result is a copy of its x_T.
     """
-    outputs = ja, jp, x_T = (np.empty(n_paths) for _ in range(3))
+    j, x_T = np.zeros((2, n_paths)), np.empty(n_paths)
 
     def run(lo, hi, noise):
-        bad = montecarlo._step_costs(field, noise.increments.T, x_T[lo:hi], ja[lo:hi], jp[lo:hi])
+        work = np.empty((2, 2, hi - lo))
+        fold = montecarlo._cost_fold(field, j[:, lo:hi], work)
+        bad = montecarlo._step_block(field, noise.increments.T, x_T[lo:hi], fold, work)
         if bad is not None:
             raise SimulationDivergedError(path=bad[1], step=bad[0])
         return x_T[lo:hi].copy()
 
-    return (field.sol.grid, n_paths, block_paths, run), outputs
+    return (field.sol.grid, n_paths, block_paths, run), (j[0], j[1], x_T)
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
@@ -383,7 +481,7 @@ def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_tri
     sol = integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X)
     field = ClosedLoopField(sol)
 
-    def ones(grid, n_paths, seed, lo, hi):
+    def ones(grid, n_paths, seed, lo, hi, out=None):
         return NoiseEnsemble(grid, seed, hi - lo, np.ones((hi - lo, grid.n_steps)), lo)
 
     monkeypatch.setattr(montecarlo, "sample_noise_block", ones)

@@ -71,6 +71,27 @@ def test_block_bounds_validated():
         sample_noise_block(grid, 10, seed=1, path_start=0, path_stop=11)
 
 
+def test_block_drawn_into_out_buffer():
+    # a block drawn into the caller's buffer carries the bits of a fresh
+    # draw, and the buffer must be exactly the block's step-major array
+    grid = make_grid(0.03, 7)
+    fresh = sample_noise_block(grid, 1000, seed=9, path_start=137, path_stop=640)
+    out = np.full((7, 503), np.nan)
+    block = sample_noise_block(grid, 1000, seed=9, path_start=137, path_stop=640, out=out)
+    assert np.array_equal(block.increments, fresh.increments)
+    assert block.increments.base is out
+    wide = np.empty((7, 504))
+    frozen = np.empty((7, 503))
+    frozen.flags.writeable = False
+    for bad in (np.empty((503, 7)), np.empty((7, 503), order="F"), wide[:, :503],
+                np.empty((7, 503), dtype=np.float32), np.empty(7 * 503),
+                np.empty((7, 502)), np.empty((7, 503)).tolist()):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_noise_block(grid, 1000, seed=9, path_start=137, path_stop=640, out=bad)
+    with pytest.raises(ValueError, match="read-only"):
+        sample_noise_block(grid, 1000, seed=9, path_start=137, path_stop=640, out=frozen)
+
+
 def test_coarsened_sums_adjacent_increments():
     grid = make_grid(0.03, 8)
     noise = sample_noise(grid, 50, seed=3)
