@@ -5,34 +5,35 @@ per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
 they are deterministic.
 
-Every check that reads paths is a part (``_Part``): a grid, a path count
-and a ``run(lo, hi, noise)`` for each block of its paths.  ``_read_streams``
-is the one place that decides which checks share draws: the parts on one
-grid share one stream of the seed, in blocks of ``BLOCK_DRAWS`` noise draws,
-so each (grid, seed) stream is drawn once, and the streams of every grid run
-their blocks in one ``montecarlo.map_noise_blocks`` call, on one thread pool
-with no barrier between grids.  No part records a path.  The density fold
-and the b = 0 loop keep terminal values; the residual oracle, the mean
-trajectory and explicit R are folds (``_ResidualFold``, ``_MeanFold``,
-``_ExplicitRFold``) that ``montecarlo._step_block`` calls at every node of
-the closed loop, and each keeps only its statistics of the block; the
-residual keeps its per-component maxima.  A coefficient table with every bit
-of the residual's own solve reads that solve's blocks instead of stepping
-them twice.  Peak memory scales with workers x block, plus the terminal
-values of the density and b = 0 paths.  Per-path bits do not depend
-on the blocking, and the folds form each residual and explicit-R element
-with the operations of their whole-ensemble formulas, whose maxima are
-order-free: every number is the one a separate pass over the whole ensemble
-gives, up to the summation order of the mean trajectory's moments.  Every
-part reads the step rows of a block's step-major increments in place.  The
-density fold keeps the operation order of the generic Euler scheme and the
-log-density recursion, which the tests pin it against.
+Every check that reads paths is a part (``montecarlo.Part``): a grid, a
+path count and a ``run(lo, hi, dW)`` for each block of its paths.  The
+battery reads all of its parts in one call of ``montecarlo.read_blocks``,
+the reader ``simulate`` steps its costs on: the parts on one grid share one
+stream of the seed, in blocks of ``montecarlo.BLOCK_DRAWS`` noise draws, so
+each (grid, seed) stream is drawn once, and the blocks of every grid run on
+one thread pool with no barrier between grids.  No part records a path.
+The density fold and the b = 0 loop keep terminal values; the residual
+oracle, the mean trajectory and explicit R are folds (``_ResidualFold``,
+``_MeanFold``, ``_ExplicitRFold``) that ``montecarlo._step_block`` calls at
+every node of the closed loop, and each keeps only its statistics of the
+block; the residual keeps its per-component maxima.  A coefficient table
+with every bit of the residual's own solve reads that solve's blocks
+instead of stepping them twice.  Peak memory scales with workers x block,
+plus the terminal values of the density and b = 0 paths.  Per-path bits do
+not depend on the blocking, and the folds form each residual and
+explicit-R element with the operations of their whole-ensemble formulas,
+whose maxima are order-free: every number is the one a separate pass over
+the whole ensemble gives, up to the summation order of the mean
+trajectory's moments.  Every part reads the step rows of a block's
+step-major increments in place.  The density fold keeps the operation order
+of the generic Euler scheme and the log-density recursion, which the tests
+pin it against.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -46,13 +47,7 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import (
-    DEFAULT_CHUNK_SIZE,
-    _earliest,
-    _step_block,
-    _variance_and_se,
-    map_noise_blocks,
-)
+from .montecarlo import Part, _step_block, _variance_and_se, read_blocks
 from .multipliers import sweep_grid
 from .riccati import (
     ClosedLoopField,
@@ -60,7 +55,7 @@ from .riccati import (
     integrate_riccati,
     terminal_conditions,
 )
-from .timegrid import TimeGrid, make_grid
+from .timegrid import make_grid
 from .weak import hidden_action_foc_check, reweighted_expectation
 
 RESIDUAL_CHECK_STEPS = 256
@@ -71,10 +66,6 @@ RESIDUAL_CHECK_MAX_PATHS = 10_000
 PASS_MAX_PATHS = 100_000
 MEAN_CHECK_MAX_PATHS = 20_000
 EXPLICIT_R_MAX_PATHS = 5_000
-#: Noise draws per path block of every part: ``simulate``'s own block,
-#: 16,384 paths at 64 steps and 4,096 at the residual's 256 (8 MB of noise
-#: per worker).
-BLOCK_DRAWS = DEFAULT_CHUNK_SIZE * 64
 
 
 @dataclass(frozen=True)
@@ -119,74 +110,6 @@ def check_terminal_conditions(sol: RiccatiSolution, name: str = "terminal_condit
     expected = terminal_conditions(sol.params, sol.multipliers)
     err = np.max(np.abs(sol.terminal_values - expected) / np.maximum(np.abs(expected), 1.0))
     return _result(name, err <= tol, f"max_rel_err={err:.3e} tol={tol:g}")
-
-
-class _Part(NamedTuple):
-    """A check's read of a noise stream.
-
-    ``run(lo, hi, noise)`` gets the paths ``[lo, hi)`` of each block that lie
-    within the part's first ``n_paths``; it returns the block's value or
-    raises a ``SimulationDivergedError`` with a path index within the block.
-    """
-
-    grid: TimeGrid
-    n_paths: int
-    run: Callable
-
-
-def _read_streams(seed: int, parts: Dict[str, _Part]) -> dict:
-    """Each part's list of block values over the seed's stream of its grid.
-
-    The parts on one grid share one stream over the most paths any of them
-    reads, in blocks of at most ``BLOCK_DRAWS`` draws, and each runs on the
-    head of every block that lies within its own paths; the streams of all
-    grids run in one ``map_noise_blocks`` call.  A part that diverges
-    does not stop the others: in place of its values it gets its earliest
-    ``SimulationDivergedError`` over all blocks.
-    """
-    groups = {}
-    for name, part in parts.items():
-        groups.setdefault(part.grid, {})[name] = part
-
-    def stream(grid, group):
-        def run(lo, hi, noise):
-            values = {}
-            for name, part in group.items():
-                m = min(hi, part.n_paths) - lo
-                if m <= 0:
-                    continue
-                head = noise if m == hi - lo else dataclasses.replace(
-                    noise, n_paths=m, increments=noise.increments[:m])
-                try:
-                    values[name] = part.run(lo, lo + m, head)
-                except SimulationDivergedError as exc:
-                    values[name] = SimulationDivergedError(path=lo + exc.path, step=exc.step,
-                                                           label=exc.label)
-            return values
-
-        n_paths = max(part.n_paths for part in group.values())
-        return grid, n_paths, max(1, BLOCK_DRAWS // grid.n_steps), run
-
-    streams = map_noise_blocks(seed, [stream(grid, group) for grid, group in groups.items()])
-    read = {}
-    for group, blocks in zip(groups.values(), streams):
-        for name in group:
-            values = [block[name] for block in blocks if name in block]
-            read[name] = _earliest(values) or values
-    return read
-
-
-def _values(read) -> list:
-    """A part's block values from ``_read_streams``; raises its divergence."""
-    if isinstance(read, SimulationDivergedError):
-        raise read
-    return read
-
-
-def _raise_at(bad: Optional[Tuple[int, int]], label: str = "state") -> None:
-    """Raise the divergence at a block's (step, path), if there is one."""
-    if bad is not None:
-        raise SimulationDivergedError(path=bad[1], step=bad[0], label=label)
 
 
 def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, blocks: list) -> CheckResult:
@@ -237,8 +160,8 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
     return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
 
 
-def _fold_x(x: np.ndarray, dW: np.ndarray, sigma: float, drift_dt: float) -> Optional[Tuple[int, int]]:
-    """Fold ``x = (x + drift dt) + sigma dW`` from 0; the first non-finite (step, path) or None."""
+def _fold_x(x: np.ndarray, dW: np.ndarray, sigma: float, drift_dt: float) -> None:
+    """Fold ``x = (x + drift dt) + sigma dW`` from 0; raises where x first goes non-finite."""
     x[...] = 0.0
     sigma_dW = np.empty_like(x)
     for k, row in enumerate(dW):
@@ -249,8 +172,7 @@ def _fold_x(x: np.ndarray, dW: np.ndarray, sigma: float, drift_dt: float) -> Opt
         if not math.isfinite(x.sum()):
             bad = ~np.isfinite(x)
             if bad.any():
-                return k + 1, int(bad.argmax())
-    return None
+                raise SimulationDivergedError(path=int(bad.argmax()), step=k + 1, label="x")
 
 
 def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
@@ -267,7 +189,7 @@ def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
 
 
 def _fold_part(config: RunConfig, drift: float, theta: Optional[float] = None,
-               x_T=None, gamma_T=None, log_gamma_T=None) -> _Part:
+               x_T=None, gamma_T=None, log_gamma_T=None) -> Part:
     """The fold of dx = drift dt + sigma dW, x(0) = 0, and, given ``theta``, of its density.
 
     Runs on the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the
@@ -285,15 +207,14 @@ def _fold_part(config: RunConfig, drift: float, theta: Optional[float] = None,
     sigma = config.params.sigma
     grid = make_grid(config.params.T, config.n_steps)
 
-    def run(lo, hi, noise):
+    def run(lo, hi, dW):
         x, gamma, log_gamma = (np.empty(hi - lo) if out is None else out[lo:hi]
                                for out in (x_T, gamma_T, log_gamma_T))
-        dW = noise.increments.T
-        _raise_at(_fold_x(x, dW, sigma, drift * grid.dt), "x")
+        _fold_x(x, dW, sigma, drift * grid.dt)
         if theta is not None:
             _fold_density(gamma, log_gamma, dW, theta, grid.dt)
 
-    return _Part(grid, min(config.n_paths, PASS_MAX_PATHS), run)
+    return Part(grid, min(config.n_paths, PASS_MAX_PATHS), run)
 
 
 def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
@@ -312,11 +233,11 @@ def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional
     x_T = np.empty(n_paths)
     gamma_T, log_gamma_T = (None, None) if theta is None else (np.empty(n_paths), np.empty(n_paths))
     part = _fold_part(config, drift, theta, x_T, gamma_T, log_gamma_T)
-    _values(_read_streams(seed, {"fold": part})["fold"])
+    read_blocks(seed, {"fold": part})
     return x_T, gamma_T, log_gamma_T
 
 
-def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, fold=None) -> _Part:
+def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, fold=None) -> Part:
     """The closed loop of ``sol``, without cost integrals, on its first ``n_paths`` paths.
 
     Writes x_T into ``x_T``, if given.  ``fold``, if given, is a fold class:
@@ -325,14 +246,13 @@ def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, fold=None) -> _Part
     """
     field = ClosedLoopField(sol)
 
-    def run(lo, hi, noise):
-        dW = noise.increments.T
+    def run(lo, hi, dW):
         x = np.empty(hi - lo) if x_T is None else x_T[lo:hi]
         block_fold = None if fold is None else fold(sol, dW)
-        _raise_at(_step_block(field, dW, x, block_fold))
+        _step_block(field, dW, x, block_fold)
         return None if fold is None else block_fold.value()
 
-    return _Part(sol.grid, n_paths, run)
+    return Part(sol.grid, n_paths, run)
 
 
 class _ResidualFold:
@@ -535,7 +455,7 @@ def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
 def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = None) -> List[CheckResult]:
     """The full oracle suite behind ``mvcontract check``.
 
-    Its path-reading checks are parts, read in one ``_read_streams`` call,
+    Its path-reading checks are parts, read in one ``read_blocks`` call,
     so checks that read the same grid share one stream.  The density fold
     and the b = 0 closed loop read the first ``min(n_paths, PASS_MAX_PATHS)``
     paths of the ``n_steps`` stream, the mean-trajectory fold the first
@@ -579,9 +499,7 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         bits(coeff_sol) == bits(residual_sol)) else "file"
     if coeff_sol is not None and file_part == "file":
         parts["file"] = _loop_part(coeff_sol, n_residual, fold=_ResidualFold)
-    read = _read_streams(config.seed, parts)
-    for name in parts:
-        _values(read[name])
+    read = read_blocks(config.seed, parts)
 
     if "mean" in parts:
         terminal, mean, explicit = (check_terminal_conditions(sol), check_mean_trajectory(read["mean"]),

@@ -214,7 +214,6 @@ def cmd_simulate(config: RunConfig) -> int:
                 n_steps=config.n_steps,
                 seed=point_seed(config.seed, index),
                 p2_drift_mode=config.p2_drift_mode,
-                chunk_size=config.chunk_size,
                 blow_up_bound=config.blow_up_bound,
             )
             verdict = classify_feasibility(ev, config.params, config.feasibility_tol)

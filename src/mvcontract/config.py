@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ConfigError
-from .model import ETA_EQUALS_X, LqParams, P2_DRIFT_MODES
-from .montecarlo import DEFAULT_CHUNK_SIZE
+from .model import ETA_EQUALS_X, MIN_LAMBDA_P, LqParams, P2_DRIFT_MODES
 from .riccati import DEFAULT_BLOW_UP_BOUND
 
 ENV_PREFIX = "MVCONTRACT_"
@@ -48,7 +47,6 @@ class RunConfig:
     blow_up_bound: float = DEFAULT_BLOW_UP_BOUND
     residual_tol: float = 1e-3
     feasibility_tol: float = 1e-3
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     coeffs_csv: Optional[str] = None
     weak_effort: float = 1.0
     weak_cashflow: float = 0.5
@@ -95,7 +93,7 @@ _KEYS = {
     "case": ("case_tag", str),
     "lambda_P": ("lam_P_points", tuple),
     "theta": ("theta_points", tuple),
-    **{name: (name, int) for name in ("n_paths", "n_steps", "seed", "chunk_size")},
+    **{name: (name, int) for name in ("n_paths", "n_steps", "seed")},
     **{name: (name, str) for name in ("p2_drift_mode", "out_dir", "coeffs_csv")},
     **{name: (name, float) for name in (
         "blow_up_bound", "residual_tol", "feasibility_tol", "weak_effort", "weak_cashflow",
@@ -163,8 +161,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"n_steps must be >= 2, got {config.n_steps}")
     if not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
-    if config.chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {config.chunk_size}")
     for key in ("blow_up_bound", "residual_tol"):
         value = getattr(config, key)
         if not (math.isfinite(value) and value > 0.0):
@@ -176,8 +172,6 @@ def _validate(config: RunConfig) -> None:
     for key in ("weak_effort", "weak_cashflow"):
         if not math.isfinite(getattr(config, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(config, key)!r}")
-    from .model import MIN_LAMBDA_P
-
     for lp in config.lam_P_points:
         if not MIN_LAMBDA_P <= lp <= 1.0:
             raise ConfigError(

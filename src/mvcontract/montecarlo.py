@@ -15,14 +15,17 @@ Estimates are sample means with standard errors; Var(x(T)) uses the
 unbiased sample estimator with a delta-method standard error from the
 fourth central moment.
 
-Paths are processed in blocks of ``chunk_size`` paths (default
-``DEFAULT_CHUNK_SIZE``, sized so one block's noise and state stay near the
-CPU caches), drawn directly from the counter-based noise stream into a
-buffer that each worker keeps, on a thread pool with one worker per CPU
-the process may use (``map_noise_blocks``, which also runs the check
-batteries).  Every per-path value is bit-identical no matter how the path
-range is split into blocks or how many workers run them; the final
-reductions run on the calling thread in a fixed order.
+Every reader of the noise is a part (``Part``: a grid, a path count and a
+``run`` for each block of its paths), and one reader runs them all
+(``read_blocks``): the parts on one grid share the seed's stream of that
+grid, cut into blocks of ``BLOCK_DRAWS`` draws (16,384 paths at 64 steps,
+sized so one block's noise and state stay near the CPU caches), each drawn
+directly from the counter-based noise stream into a buffer that its worker
+keeps, on a thread pool with one worker per CPU the process may use.
+``simulate_costs`` is one part; the check batteries are several.  Every
+per-path value is bit-identical no matter how the path range is split into
+blocks or how many workers run them; the final reductions run on the
+calling thread in a fixed order.
 
 One kernel steps every block (``_step_block``): (x, R) is one (2, paths)
 array, 8 numpy calls per step, and a caller that reads more than x(T)
@@ -37,7 +40,7 @@ one-dimensional rows took 54 and 56 ms (2 vCPUs, numpy 2.4.6).
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,12 +49,11 @@ from .multipliers import MultiplierTriple
 from .noise import sample_noise_block
 from .riccati import DEFAULT_BLOW_UP_BOUND, ClosedLoopField, integrate_riccati
 from .errors import SimulationDivergedError
-from .timegrid import make_grid
+from .timegrid import TimeGrid, make_grid
 
-DEFAULT_CHUNK_SIZE = 16384
-
-#: Draws in one default block (16384 x 64): the size of a kept noise buffer.
-_BUFFER_FLOATS = 2**20
+#: Noise draws per block (16,384 paths at 64 steps, 4,096 at 256: 8 MB), and
+#: the size of the noise buffer each worker keeps.
+BLOCK_DRAWS = 2**20
 _buffers: list = []  # free noise buffers, shared unlocked: list.pop and append are atomic
 
 
@@ -100,7 +102,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _step_block(field, dW, x, fold=None, work=None) -> Optional[Tuple[int, int]]:
+def _step_block(field, dW, x, fold=None, work=None) -> None:
     """Step one block of paths through every node of the grid.
 
     ``dW`` holds the block's increments step-major, shape (n_steps, paths),
@@ -115,10 +117,11 @@ def _step_block(field, dW, x, fold=None, work=None) -> Optional[Tuple[int, int]]
     in ``out=`` ufuncs on the two (2, paths) arrays of ``work`` (new ones if
     None), which a fold may overwrite: each step writes them before reading.
     That is 8 numpy calls per step, with the element operations of a
-    per-row step in the same order, so the same bits.  Returns None, or
-    (step, path index within the block) of the first non-finite state, before
-    the fold sees that node: a step whose state sum is finite has no
-    non-finite element, so only a non-finite sum is searched.
+    per-row step in the same order, so the same bits.  Raises a
+    ``SimulationDivergedError`` at the first non-finite state, with its path
+    index within the block, before the fold sees that node: a step whose
+    state sum is finite has no non-finite element, so only a non-finite sum
+    is searched.
     """
     dt = field.sol.grid.dt
     sigma = field.sol.params.sigma
@@ -140,11 +143,10 @@ def _step_block(field, dW, x, fold=None, work=None) -> Optional[Tuple[int, int]]
         if not math.isfinite(z.sum()):
             bad = ~np.isfinite(z)
             if bad.any():
-                return k, int(bad.any(axis=0).argmax())
+                raise SimulationDivergedError(path=int(bad.any(axis=0).argmax()), step=k)
         if fold is not None:
             fold(k, z)
     x[...] = x_row
-    return None
 
 
 def _cost_fold(field, j, work):
@@ -171,53 +173,76 @@ def _cost_fold(field, j, work):
     return fold
 
 
-def map_noise_blocks(seed: int, streams) -> list:
-    """Run every block of several noise streams of one seed on one thread pool.
+class Part(NamedTuple):
+    """A reader of the first ``n_paths`` paths of a seed's noise stream on ``grid``.
 
-    Each stream is ``(grid, n_paths, block_paths, run)``: ``[0, n_paths)``
-    is split into blocks of ``block_paths`` paths, and ``run(lo, hi, noise)``
-    gets each block's increments from ``sample_noise_block`` under the
-    caller's numpy error state.  The blocks of all streams run on one pool
-    of one worker per CPU the process may use (inline for one), so no worker
-    idles at the end of one stream while another has blocks left; the
-    streams with the fewest blocks go first.  A worker draws each block of at
-    most ``_BUFFER_FLOATS`` draws into one buffer that it reuses and keeps,
-    so ``noise`` is valid only until ``run`` returns; a larger block gets a
-    buffer of its own.  Returns, per stream, its results in block order.  A
-    ``SimulationDivergedError`` from ``run``, with a path index within its
-    block, is re-raised once every block has run, for the first stream in
-    ``streams`` that diverged, at its earliest step and on the lowest such
-    path, so it depends neither on the blocking nor on the other streams.
+    ``run(lo, hi, dW)`` gets the increments of the paths ``[lo, hi)`` of each
+    block that lie within them, step-major, shape (n_steps, hi - lo), valid
+    only until it returns; it returns the block's value or raises a
+    ``SimulationDivergedError`` with a path index within the block.
     """
-    blocks = []
-    for i, (_, n_paths, block_paths, _) in enumerate(streams):
-        if block_paths < 1:
-            raise ValueError(f"chunk_size (paths per block) must be >= 1, got {block_paths}")
-        blocks.append([(i, lo, min(lo + block_paths, n_paths))
-                       for lo in range(0, n_paths, block_paths)])
-    queue = [block for stream in sorted(blocks, key=len) for block in stream]
+
+    grid: TimeGrid
+    n_paths: int
+    run: Callable
+
+
+def read_blocks(seed: int, parts: dict) -> dict:
+    """Each part's block values, in block order, over the seed's stream of its grid.
+
+    The parts on one grid share one stream over the most paths any of them
+    reads, in blocks of ``max(1, BLOCK_DRAWS // n_steps)`` paths, and each
+    part runs on the head of every block that lies within its own paths.
+    The blocks of every stream run on one pool of one worker per CPU the
+    process may use (inline for one), the streams with the fewest blocks
+    first, so no worker idles at the end of one stream while another has
+    blocks left.  Each block is drawn by ``sample_noise_block``, into the
+    one buffer its worker reuses and keeps, of ``BLOCK_DRAWS`` draws or one
+    path where a path is longer, and read under the caller's numpy error
+    state.  A part that diverges does not stop the others; once every block
+    has run, the first part in ``parts`` that diverged raises its
+    ``SimulationDivergedError`` at its earliest step, on the lowest such
+    path, so the error depends neither on the blocking nor on the other
+    parts.
+    """
+    groups = {}
+    for name, part in parts.items():
+        groups.setdefault(part.grid, {})[name] = part
+    streams = []
+    for grid, group in groups.items():
+        n_paths = max(part.n_paths for part in group.values())
+        block_paths = max(1, BLOCK_DRAWS // grid.n_steps)
+        streams.append([(grid, group, n_paths, lo, min(lo + block_paths, n_paths))
+                        for lo in range(0, n_paths, block_paths)])
+    queue = [block for stream in sorted(streams, key=len) for block in stream]
     # numpy's floating-point error state is per thread; carry the caller's
     errstate = np.geterr()
 
-    def task(i, lo, hi):
-        grid, n_paths, _, run = streams[i]
+    def task(grid, group, n_paths, lo, hi):
         size = (hi - lo) * grid.n_steps
-        buffer = None
-        if size <= _BUFFER_FLOATS:
-            try:
-                buffer = _buffers.pop()
-            except IndexError:
-                buffer = np.empty(_BUFFER_FLOATS)
         try:
-            out = None if buffer is None else buffer[:size].reshape(grid.n_steps, hi - lo)
-            noise = sample_noise_block(grid, n_paths, seed, lo, hi, out=out)
+            buffer = _buffers.pop()
+        except IndexError:
+            buffer = None
+        if buffer is None or buffer.size < size:
+            buffer = np.empty(max(BLOCK_DRAWS, size))
+        try:
+            out = buffer[:size].reshape(grid.n_steps, hi - lo)
+            dW = sample_noise_block(grid, n_paths, seed, lo, hi, out=out).increments.T
+            values = {}
             with np.errstate(**errstate):
-                return run(lo, hi, noise)
-        except SimulationDivergedError as exc:
-            return SimulationDivergedError(path=lo + exc.path, step=exc.step, label=exc.label)
+                for name, part in group.items():
+                    m = min(hi, part.n_paths) - lo
+                    if m <= 0:
+                        continue
+                    try:
+                        values[name] = part.run(lo, lo + m, dW[:, :m])
+                    except SimulationDivergedError as exc:
+                        values[name] = SimulationDivergedError(path=lo + exc.path, step=exc.step,
+                                                               label=exc.label)
+            return values
         finally:
-            if buffer is not None:
-                _buffers.append(buffer)
+            _buffers.append(buffer)
 
     workers = min(_cpu_count(), len(queue))
     del _buffers[max(workers, 1):]
@@ -233,50 +258,35 @@ def map_noise_blocks(seed: int, streams) -> list:
         finally:
             pool.shutdown(cancel_futures=True)
     # each stream's blocks sit in the queue in block order
-    results = [[] for _ in streams]
-    for (i, _, _), result in zip(queue, done):
-        results[i].append(result)
-    for stream in results:
-        diverged = _earliest(stream)
-        if diverged is not None:
-            raise diverged
-    return results
+    read = {name: [] for name in parts}
+    for values in done:
+        for name, value in values.items():
+            read[name].append(value)
+    for values in read.values():
+        diverged = [v for v in values if isinstance(v, SimulationDivergedError)]
+        if diverged:
+            raise min(diverged, key=lambda exc: (exc.step, exc.path))
+    return read
 
 
-def _earliest(results) -> Optional[SimulationDivergedError]:
-    """The earliest ``SimulationDivergedError`` among ``results``, by step and then path, or None."""
-    diverged = [r for r in results if isinstance(r, SimulationDivergedError)]
-    return min(diverged, key=lambda exc: (exc.step, exc.path), default=None)
-
-
-def simulate_costs(
-    field: ClosedLoopField,
-    n_paths: int,
-    seed: int,
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-):
+def simulate_costs(field: ClosedLoopField, n_paths: int, seed: int):
     """Per-path cost integrals and terminal state under the closed loop.
 
     Returns arrays (ja_integral, jp_integral, x_T) of length n_paths.  The
-    dynamics are stepped without retaining full trajectories, in blocks of
-    ``chunk_size`` paths run by ``map_noise_blocks``; neither the block size
-    nor the worker count can change any output bit.  A divergence is
-    reported at the earliest step any path goes non-finite, on the lowest
-    such path, which is also independent of the blocking.
+    dynamics are stepped without retaining full trajectories, as one part of
+    ``read_blocks``; neither the blocking nor the worker count can change
+    any output bit.  A divergence is reported at the earliest step any path
+    goes non-finite, on the lowest such path, which is also independent of
+    the blocking.
     """
-    if chunk_size is None:
-        chunk_size = n_paths
     j = np.zeros((2, n_paths))
     x_T = np.empty(n_paths)
 
-    def run(lo, hi, noise):
+    def run(lo, hi, dW):
         work = np.empty((2, 2, hi - lo))
-        fold = _cost_fold(field, j[:, lo:hi], work)
-        bad = _step_block(field, noise.increments.T, x_T[lo:hi], fold, work)
-        if bad is not None:
-            raise SimulationDivergedError(path=bad[1], step=bad[0])
+        _step_block(field, dW, x_T[lo:hi], _cost_fold(field, j[:, lo:hi], work), work)
 
-    map_noise_blocks(seed, [(field.sol.grid, n_paths, chunk_size, run)])
+    read_blocks(seed, {"costs": Part(field.sol.grid, n_paths, run)})
     return j[0], j[1], x_T
 
 
@@ -287,7 +297,6 @@ def evaluate_contract(
     n_steps: int,
     seed: int,
     p2_drift_mode: str = AS_PRINTED,
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
     blow_up_bound: float = DEFAULT_BLOW_UP_BOUND,
 ) -> ContractEvaluation:
     """Estimate J_A, J_P and Var(x(T)) along the optimal closed loop.
@@ -301,7 +310,7 @@ def evaluate_contract(
     grid = make_grid(params.T, n_steps)
     sol = integrate_riccati(params, mult, grid, p2_drift_mode, blow_up_bound)
     field = ClosedLoopField(sol)
-    ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed, chunk_size)
+    ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed)
 
     agent_term, principal_term = terminal_costs(x_T, params.alpha, params.beta)
     j_a, j_a_se = _mean_and_se(ja_int + agent_term)

@@ -17,15 +17,12 @@ class TimeGrid:
 
     t_end: float
     n_steps: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.t_end) or self.t_end <= 0.0:
             raise ValueError(f"horizon must be finite and positive, got {self.t_end}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
-        if self.t0 != 0.0:
-            raise ValueError("grids start at t = 0")
 
     @property
     def dt(self) -> float:

@@ -53,11 +53,11 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     # 4096 and a ragged 1809; 8 workers and a short switch interval
     # interleave the workers' writes.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
     config = dataclasses.replace(default_config(), n_paths=10_001, seed=23, weak_effort=0.7)
     params = config.params
     n, seed = config.n_paths, config.seed
-    assert n // (checks.BLOCK_DRAWS // config.n_steps) >= 2
+    assert n // (montecarlo.BLOCK_DRAWS // config.n_steps) >= 2
     theta = params.b * config.weak_effort / params.sigma
     drift = params.b * config.weak_effort
     grid = make_grid(params.T, config.n_steps)
@@ -91,7 +91,7 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
     assert head.max_residual < full.max_residual
     part = checks._loop_part(sol, 2_500, fold=checks._ResidualFold)
-    read = checks._read_streams(38, {"residual": part})
+    read = montecarlo.read_blocks(38, {"residual": part})
     assert len(read["residual"]) == 3
     assert max(block.max() for block in read["residual"]) == full.max_residual
 
@@ -121,14 +121,14 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     # end 784 paths into a block.  The residual grid's coefficient file is
     # another solution, stepped on the same draws as the config's.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
     config = dataclasses.replace(default_config(), n_paths=n_paths, n_steps=n_steps, seed=23)
     params, seed, mult = config.params, config.seed, checks._first_triple(config)
     sol = checks._solve(config, config.n_steps)
     coeff_sol = integrate_riccati(
         params, from_case("iv", 0.3, 1.0),
         make_grid(params.T, checks.RESIDUAL_CHECK_STEPS), config.p2_drift_mode)
-    seen = _spy(monkeypatch, "_read_streams", "check_density_martingale", "check_b0_variance",
+    seen = _spy(monkeypatch, "read_blocks", "check_density_martingale", "check_b0_variance",
                 "check_mean_trajectory", "check_explicit_r")
     draws = []
     draw = montecarlo.sample_noise_block
@@ -147,12 +147,12 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     widest = {steps: max(n for s, n in draws if s == steps) for steps, _ in draws}
     if n_steps == checks.RESIDUAL_CHECK_STEPS:
         assert sum(n for _, n in draws) == max(n_paths, n_residual)
-        assert widest == {n_steps: checks.BLOCK_DRAWS // n_steps}
+        assert widest == {n_steps: montecarlo.BLOCK_DRAWS // n_steps}
     else:
         assert sum(n for _, n in draws) == n_paths + n_residual
-        assert widest == {steps: checks.BLOCK_DRAWS // steps
+        assert widest == {steps: montecarlo.BLOCK_DRAWS // steps
                           for steps in (n_steps, checks.RESIDUAL_CHECK_STEPS)}
-    read = seen["_read_streams"][1]
+    read = seen["read_blocks"][1]
     assert sorted(read) == ["b0", "density", "explicit", "file", "mean", "residual"]
     assert not any(isinstance(values, SimulationDivergedError) for values in read.values())
 
@@ -168,7 +168,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     for name, fold, n in (("check_mean_trajectory", checks._MeanFold, n_mean),
                           ("check_explicit_r", checks._ExplicitRFold, n_explicit)):
         blocks = seen[name][0][-1]
-        alone = checks._read_streams(seed, {"own": checks._loop_part(sol, n, fold=fold)})["own"]
+        alone = montecarlo.read_blocks(seed, {"own": checks._loop_part(sol, n, fold=fold)})["own"]
         assert len(blocks) == len(alone) >= 2
         for got, want in zip(blocks, alone):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -187,7 +187,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
 
     def own_max(sol):
         part = checks._loop_part(sol, n_residual, fold=checks._ResidualFold)
-        return max(block.max() for block in checks._read_streams(seed, {"own": part})["own"])
+        return max(block.max() for block in montecarlo.read_blocks(seed, {"own": part})["own"])
 
     def block_max(blocks):
         return max(block.max() for block in blocks)
@@ -263,7 +263,7 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
     assert paths == {64: 100_000, checks.RESIDUAL_CHECK_STEPS: 10_000}
     assert sum(n * steps for steps, n in paths.items()) == 8_960_000
     config, sol = default_config(), load_riccati_csv(csv)
-    own = checks._read_streams(config.seed, {"file": checks._loop_part(
+    own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
         sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS), fold=checks._ResidualFold)})["file"]
     separate = checks._residual_result("file_riccati_residual", config, sol, own)
     assert f"PASS file_riccati_residual: {separate.detail}" in printed
@@ -276,14 +276,14 @@ def test_table_of_the_residual_solve_reads_its_blocks(tmp_path, monkeypatch, cap
     out = tmp_path / "c256"
     assert main(["riccati", "--steps", "256", "--out", str(out)]) == 0
     csv = str(out / "riccati.csv")
-    seen = _spy(monkeypatch, "_read_streams")
+    seen = _spy(monkeypatch, "read_blocks")
     capsys.readouterr()
     assert main(["check", "--paths", "10000", "--coeffs", csv]) == 0
     printed = capsys.readouterr().out.splitlines()
-    (_, parts), read = seen["_read_streams"]
+    (_, parts), read = seen["read_blocks"]
     assert sorted(parts) == ["b0", "density", "explicit", "mean", "residual"]
     config, sol = dataclasses.replace(default_config(), n_paths=10_000), load_riccati_csv(csv)
-    own = checks._read_streams(config.seed, {"file": checks._loop_part(
+    own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
         sol, 10_000, fold=checks._ResidualFold)})["file"]
     assert len(own) == 3
     assert [block.tobytes() for block in read["residual"]] == [block.tobytes() for block in own]
@@ -311,11 +311,11 @@ def test_table_unlike_the_residual_solve_keeps_its_own_part(monkeypatch, table):
                                       sol.grid, config.p2_drift_mode)
     elif table == "blown_up_solve":
         config = dataclasses.replace(config, blow_up_bound=0.5)
-    seen = _spy(monkeypatch, "_read_streams")
+    seen = _spy(monkeypatch, "read_blocks")
     results = {r.name: r for r in checks.run_check_battery(config, coeff_sol)}
-    (_, parts), read = seen["_read_streams"]
+    (_, parts), read = seen["read_blocks"]
     assert "file" in parts and ("residual" in parts) == (table != "blown_up_solve")
-    own = checks._read_streams(config.seed, {"file": checks._loop_part(
+    own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
         coeff_sol, 2_000, fold=checks._ResidualFold)})["file"]
     assert [block.tobytes() for block in read["file"]] == [block.tobytes() for block in own]
     separate = checks._residual_result("file_riccati_residual", config, coeff_sol, own)
@@ -368,7 +368,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
     # overflow is at step 1 in the ragged third block of 4096 paths (blocks
     # of 2**18 draws), while the first block diverges only at step 2
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
     base = default_config()
     params = dataclasses.replace(base.params, sigma=3.7e306, T=1e4)
     config = dataclasses.replace(base, params=params, n_paths=10_001, seed=42)
@@ -378,7 +378,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
             euler_maruyama(lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise)
         with pytest.raises(SimulationDivergedError) as excinfo:
             checks._terminal_values(config, config.seed, drift=0.0, theta=1.0)
-    assert spec.value.path >= 2 * (checks.BLOCK_DRAWS // config.n_steps)
+    assert spec.value.path >= 2 * (montecarlo.BLOCK_DRAWS // config.n_steps)
     assert (excinfo.value.path, excinfo.value.step, excinfo.value.label) == (
         spec.value.path, spec.value.step, spec.value.label)
 
@@ -411,14 +411,12 @@ def _noise_pass_checks(config):
     b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
     sol, b0_sol = (checks._solve(c, config.n_steps) for c in (config, b0_config))
     gamma_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
-    read = checks._read_streams(config.seed, {
+    read = montecarlo.read_blocks(config.seed, {
         "mean": checks._loop_part(sol, n_mean, fold=checks._MeanFold),
         "explicit": checks._loop_part(sol, n_explicit, fold=checks._ExplicitRFold),
         "density": checks._fold_part(config, 0.0, 1.0, gamma_T=gamma_T),
         "b0": checks._loop_part(b0_sol, n_pass, x_T=b0_x_T),
     })
-    for values in read.values():
-        checks._values(values)
     return [checks.check_density_martingale(gamma_T),
             checks.check_b0_variance(config, b0_x_T),
             checks.check_mean_trajectory(read["mean"]),
@@ -429,7 +427,7 @@ def _residual_check(config):
     sol = checks._solve(config, checks.RESIDUAL_CHECK_STEPS)
     part = checks._loop_part(sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS),
                              fold=checks._ResidualFold)
-    read = checks._read_streams(config.seed, {"residual": part})["residual"]
+    read = montecarlo.read_blocks(config.seed, {"residual": part})["residual"]
     return [checks._residual_result("riccati_residual", config, sol, read)]
 
 
@@ -460,10 +458,10 @@ def test_check_battery_holds_one_noise_block(monkeypatch):
     checks.run_weak_battery(config)  # scipy is imported outside the trace
     results, peak_mb = _traced_peak_mb(lambda: checks.run_check_battery(config))
     assert all(r.passed for r in results)
-    block_paths = checks.BLOCK_DRAWS // config.n_steps
+    block_paths = montecarlo.BLOCK_DRAWS // config.n_steps
     n_pass = min(config.n_paths, checks.PASS_MAX_PATHS)
     assert block_paths * config.n_steps * 8 == 8 * 2**20
-    limit = 1.1 * (checks.BLOCK_DRAWS * 8 + 2 * n_pass * 8 + 8 * block_paths * 8)
+    limit = 1.1 * (montecarlo.BLOCK_DRAWS * 8 + 2 * n_pass * 8 + 8 * block_paths * 8)
     assert peak_mb * 1e6 <= limit
 
 
@@ -474,12 +472,12 @@ def test_folds_match_their_references(monkeypatch, cpus):
     # blocks of 2**18 draws, 10,001 64-step paths are 4096, 4096 and 1809,
     # and 2,500 256-step paths 1024, 1024 and 452
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(checks, "BLOCK_DRAWS", 2**18)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
     config, seed = default_config(), 29
     sol, residual_sol = (checks._solve(config, n) for n in (config.n_steps,
                                                             checks.RESIDUAL_CHECK_STEPS))
     n, n_residual = 10_001, 2_500
-    read = checks._read_streams(seed, {
+    read = montecarlo.read_blocks(seed, {
         "mean": checks._loop_part(sol, n, fold=checks._MeanFold),
         "explicit": checks._loop_part(sol, n, fold=checks._ExplicitRFold),
         "residual": checks._loop_part(residual_sol, n_residual, fold=checks._ResidualFold),
@@ -487,7 +485,7 @@ def test_folds_match_their_references(monkeypatch, cpus):
     assert [len(read[name]) for name in ("mean", "explicit", "residual")] == [3, 3, 3]
 
     # residual: per block, each component's maximum carries the reference's bits
-    block = checks.BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS
+    block = montecarlo.BLOCK_DRAWS // checks.RESIDUAL_CHECK_STEPS
     for lo, maxima in zip(range(0, n_residual, block), read["residual"]):
         hi = min(lo + block, n_residual)
         noise = sample_noise_block(residual_sol.grid, n_residual, seed, lo, hi)

@@ -60,7 +60,7 @@ def test_config_text_round_trips_every_key():
     # spaces and an equals sign
     config = dataclasses.replace(
         parse_config_text("case = v\nlambda_P = 0.2,0.7"),
-        out_dir="runs = 1 dir", coeffs_csv="my coeffs.csv", chunk_size=777,
+        out_dir="runs = 1 dir", coeffs_csv="my coeffs.csv",
     )
     assert config.theta_points is None
     assert parse_config_text(config_to_text(config)) == config
@@ -163,7 +163,7 @@ def test_default_config_is_the_shipped_instance():
         "case_tag": "iv", "lam_P_points": (0.1,), "theta_points": (math.pi / 2,),
         "n_paths": 100_000, "n_steps": 64, "seed": 1, "p2_drift_mode": "eta_equals_x",
         "out_dir": "out", "blow_up_bound": 1e8, "residual_tol": 1e-3,
-        "feasibility_tol": 1e-3, "chunk_size": 16384, "coeffs_csv": None,
+        "feasibility_tol": 1e-3, "coeffs_csv": None,
         "weak_effort": 1.0, "weak_cashflow": 0.5,
     }
     assert config.blow_up_bound == riccati.DEFAULT_BLOW_UP_BOUND
@@ -241,6 +241,29 @@ def test_unknown_variable_is_a_config_error(tmp_path, capsys, monkeypatch):
     rc = main(["simulate", "--paths", "200", "--steps", "4", "--out", str(out_dir)])
     assert rc == EXIT_CONFIG
     assert "unknown variable MVCONTRACT_SEEDS" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_chunk_size_is_not_a_setting(tmp_path, capsys, monkeypatch, source):
+    # the paths per block follow from the steps; a block size from a file
+    # or a variable is an unknown setting, not one that is silently dropped
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--paths", "200", "--steps", "4", "--out", str(out_dir)]
+    if source == "file":
+        with pytest.raises(ConfigError, match="unknown key 'chunk_size'"):
+            parse_config_text("chunk_size = 777")
+        path = tmp_path / "f.cfg"
+        path.write_text("chunk_size = 777\n")
+        argv += ["--config", str(path)]
+        message = "unknown key 'chunk_size'"
+    else:
+        with pytest.raises(ConfigError, match="MVCONTRACT_CHUNK_SIZE"):
+            resolve(None, {}, environ={"MVCONTRACT_CHUNK_SIZE": "777"})
+        monkeypatch.setenv("MVCONTRACT_CHUNK_SIZE", "777")
+        message = "unknown variable MVCONTRACT_CHUNK_SIZE"
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 

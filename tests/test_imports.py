@@ -89,11 +89,12 @@ from mvcontract import (ETA_EQUALS_X, ClosedLoopField, LqParams, from_case,
 
 assert "scipy" not in sys.modules
 montecarlo._cpu_count = lambda: 2
+montecarlo.BLOCK_DRAWS = 97 * 16  # 31 blocks of 97 16-step paths
 params = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
 sol = integrate_riccati(params, from_case("iv", 0.1, 1.5707963267948966),
                         make_grid(params.T, 16), ETA_EQUALS_X)
 sys.setswitchinterval(1e-6)
-ja, jp, x_T = montecarlo.simulate_costs(ClosedLoopField(sol), 3_000, 41, chunk_size=97)
+ja, jp, x_T = montecarlo.simulate_costs(ClosedLoopField(sol), 3_000, 41)
 assert "scipy" in sys.modules and isinstance(noise.ndtri, np.ufunc)
 sys.stdout.buffer.write(ja.tobytes() + jp.tobytes() + x_T.tobytes())
 """
@@ -104,5 +105,6 @@ def test_first_draw_on_a_worker_pool_is_bit_identical():
     params = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
     sol = integrate_riccati(params, from_case("iv", 0.1, 1.5707963267948966),
                             make_grid(params.T, 16), ETA_EQUALS_X)
-    ja, jp, x_T = simulate_costs(ClosedLoopField(sol), 3_000, 41, chunk_size=None)
+    # one block: 2**20 draws hold 65,536 16-step paths
+    ja, jp, x_T = simulate_costs(ClosedLoopField(sol), 3_000, 41)
     assert pooled == ja.tobytes() + jp.tobytes() + x_T.tobytes()

@@ -48,12 +48,21 @@ def test_reproducibility_bitwise(ref_params, corner_triple):
     assert a == b
 
 
-def test_chunking_never_changes_results(ref_params, corner_triple):
-    evals = [
-        evaluate_contract(ref_params, corner_triple, 5_000, 32, seed=13,
-                          p2_drift_mode=ETA_EQUALS_X, chunk_size=cs)
-        for cs in (None, 5_000, 1_000, 777, 1)
-    ]
+def _simulate_in_blocks(monkeypatch, block_paths, field, n_paths, seed):
+    """``simulate_costs`` in blocks of ``block_paths`` paths, or in one block for None."""
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS",
+                        (block_paths or n_paths) * field.sol.grid.n_steps)
+    return simulate_costs(field, n_paths, seed)
+
+
+def test_chunking_never_changes_results(ref_params, corner_triple, monkeypatch):
+    # the default blocks hold 32,768 32-step paths: 5,000 are one block
+    evals = []
+    for block_paths in (None, 5_000, 1_000, 777, 1):
+        if block_paths is not None:
+            monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", block_paths * 32)
+        evals.append(evaluate_contract(ref_params, corner_triple, 5_000, 32, seed=13,
+                                       p2_drift_mode=ETA_EQUALS_X))
     assert all(e == evals[0] for e in evals[1:])
 
 
@@ -80,10 +89,11 @@ def test_simulate_costs_holds_one_noise_block(monkeypatch, ref_params, corner_tr
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    block_bytes = montecarlo.DEFAULT_CHUNK_SIZE * n_steps * 8
-    assert block_bytes == montecarlo._BUFFER_FLOATS * 8
+    block_paths = montecarlo.BLOCK_DRAWS // n_steps
+    block_bytes = block_paths * n_steps * 8
+    assert block_paths == 16_384 and block_bytes == montecarlo.BLOCK_DRAWS * 8
     assert block_bytes < peaks[0] <= 1.1 * (block_bytes + 3 * n_paths * 8)
-    assert peaks[1] <= 1.1 * (3 * n_paths * 8 + 3 * 2 * montecarlo.DEFAULT_CHUNK_SIZE * 8)
+    assert peaks[1] <= 1.1 * (3 * n_paths * 8 + 3 * 2 * block_paths * 8)
     assert len(montecarlo._buffers) == 1
 
 
@@ -98,7 +108,7 @@ def test_simulate_costs_matches_per_row_reference(ref_params, corner_triple, mon
     field = ClosedLoopField(integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X))
     ja, jp, x_T = (np.empty(n_paths) for _ in range(3))
     assert step_costs(field, sample_noise(grid, n_paths, seed).increments.T, x_T, ja, jp) is None
-    got = simulate_costs(field, n_paths, seed, chunk_size=777)
+    got = _simulate_in_blocks(monkeypatch, 777, field, n_paths, seed)
     assert all(np.array_equal(g, w) for g, w in zip(got, (ja, jp, x_T)))
 
     spiked, n_spiked, seed, target = _spiked_field(ref_params, corner_triple)
@@ -107,7 +117,7 @@ def test_simulate_costs_matches_per_row_reference(ref_params, corner_triple, mon
         expected = step_costs(
             spiked, sample_noise(spiked.sol.grid, n_spiked, seed).increments.T, *out)
         with pytest.raises(SimulationDivergedError) as excinfo:
-            simulate_costs(spiked, n_spiked, seed, chunk_size=777)
+            _simulate_in_blocks(monkeypatch, 777, spiked, n_spiked, seed)
     assert expected == (2, target)
     assert (excinfo.value.step, excinfo.value.path) == expected
 
@@ -123,19 +133,18 @@ def test_reused_noise_buffers_carry_fresh_draws(monkeypatch, cpus):
     monkeypatch.setattr(montecarlo, "_buffers", [])
     seed, buffers = 5, set()
 
-    def stream(n_steps, n_paths, block_paths):
+    def part(n_steps, n_paths):
         grid = make_grid(0.03, n_steps)
 
-        def run(lo, hi, noise):
-            buffers.add(noise.increments.__array_interface__["data"][0])
+        def run(lo, hi, dW):
+            buffers.add(dW.__array_interface__["data"][0])
             fresh = sample_noise_block(grid, n_paths, seed, lo, hi)
-            return noise.increments.tobytes() == fresh.increments.tobytes()
+            return dW.tobytes() == fresh.increments.T.tobytes()
 
-        return grid, n_paths, block_paths, run
+        return montecarlo.Part(grid, n_paths, run)
 
-    results = montecarlo.map_noise_blocks(seed, [stream(64, 40_000, 16_384),
-                                                 stream(256, 5_000, 4_096)])
-    assert results == [[True] * 3, [True] * 2]
+    results = montecarlo.read_blocks(seed, {"64": part(64, 40_000), "256": part(256, 5_000)})
+    assert results == {"64": [True] * 3, "256": [True] * 2}
     assert len(buffers) <= cpus
     assert len(montecarlo._buffers) <= cpus
 
@@ -146,41 +155,46 @@ def test_raising_run_returns_its_buffer(monkeypatch, cpus):
     monkeypatch.setattr(montecarlo, "_buffers", [])
     seen = {}
 
-    def run(lo, hi, noise):
-        seen[lo] = noise.increments.__array_interface__["data"][0]
+    def run(lo, hi, dW):
+        seen[lo] = dW.__array_interface__["data"][0]
         if lo == 1_000:
             raise RuntimeError("run failed")
 
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1_000 * 16)
     with pytest.raises(RuntimeError, match="run failed"):
-        montecarlo.map_noise_blocks(3, [(make_grid(0.03, 16), 3_000, 1_000, run)])
+        montecarlo.read_blocks(3, {"run": montecarlo.Part(make_grid(0.03, 16), 3_000, run)})
     kept = [b.__array_interface__["data"][0] for b in montecarlo._buffers]
     assert seen[1_000] in kept and len(kept) <= cpus
 
 
-def test_unchunked_run_keeps_one_buffer(ref_params, corner_triple, monkeypatch):
-    # after a call on eight workers, an unchunked call of one block larger
-    # than a kept buffer draws it into a buffer of its own, which it does not
-    # keep, and keeps at most one buffer of the earlier call
-    monkeypatch.setattr(montecarlo, "_buffers", [])
-    grid = make_grid(ref_params.T, 64)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_paths_longer_than_a_block_run_one_per_block(ref_params, corner_triple, monkeypatch,
+                                                      cpus):
+    # with fewer draws per block than a path has steps, each block is one
+    # path, drawn into a buffer one path long.  Eight buffers kept by an
+    # earlier call on eight workers are too short for a path: each worker
+    # drops the ones it takes, and the call keeps one buffer per worker
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_buffers", [np.empty(16) for _ in range(8)])
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 20)
+    n_paths, seed = 300, 7
+    grid = make_grid(ref_params.T, 32)
     field = ClosedLoopField(integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X))
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
-    simulate_costs(field, 3_000, 1, chunk_size=97)
-    before = list(montecarlo._buffers)
-    assert 1 <= len(before) <= 8
-    simulate_costs(field, montecarlo._BUFFER_FLOATS // 64 + 1, 1, chunk_size=None)
-    assert len(montecarlo._buffers) <= 1
-    assert all(b.size <= 2**20 and any(b is a for a in before) for b in montecarlo._buffers)
+    draws = []
+    draw = montecarlo.sample_noise_block
+    monkeypatch.setattr(montecarlo, "sample_noise_block",
+                        lambda *args, **kw: draws.append(args[4] - args[3]) or draw(*args, **kw))
+    got = simulate_costs(field, n_paths, seed)
+    assert draws == [1] * n_paths
+    ja, jp, x_T = (np.empty(n_paths) for _ in range(3))
+    assert step_costs(field, sample_noise(grid, n_paths, seed).increments.T, x_T, ja, jp) is None
+    assert all(np.array_equal(g, w) for g, w in zip(got, (ja, jp, x_T)))
+    assert 1 <= len(montecarlo._buffers) <= cpus
+    assert all(b.size == grid.n_steps for b in montecarlo._buffers)
 
 
-@pytest.mark.parametrize("chunk_size", [0, -5])
-def test_bad_chunk_size_rejected(ref_params, corner_triple, chunk_size):
-    with pytest.raises(ValueError, match="chunk_size"):
-        evaluate_contract(ref_params, corner_triple, 1_000, 16, seed=13,
-                          p2_drift_mode=ETA_EQUALS_X, chunk_size=chunk_size)
-
-
-def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row_closed_loop):
+def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row_closed_loop,
+                                 monkeypatch):
     # along the optimal pair, s - e = -b p, so the agent's running cost is
     # b^2 p^2 / 2 pathwise; recompute it that way from the raw coefficients
     # and the same noise.  The field's rows must reproduce the raw-coefficient
@@ -191,7 +205,7 @@ def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row
     grid = make_grid(ref_params.T, n_steps)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
     field = ClosedLoopField(sol)
-    ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed, chunk_size=None)
+    ja_int, jp_int, x_T = _simulate_in_blocks(monkeypatch, None, field, n_paths, seed)
     noise = sample_noise(grid, n_paths, seed)
     paths = closed_loop_paths(field, noise)
 
@@ -224,7 +238,7 @@ def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row
     np.testing.assert_allclose(ja_int, ja_alt, rtol=1e-8, atol=1e-18)
     assert np.array_equal(ja_int, ja_row) and np.array_equal(jp_int, jp_row)
     assert np.array_equal(x, x_T)
-    chunked = simulate_costs(field, n_paths, seed, chunk_size=777)
+    chunked = _simulate_in_blocks(monkeypatch, 777, field, n_paths, seed)
     assert all(np.array_equal(got, want) for got, want in zip(chunked, (ja_row, jp_row, x)))
     with pytest.raises(ValueError):
         closed_loop_paths(field, sample_noise(make_grid(ref_params.T, 16), 10, seed))
@@ -338,43 +352,47 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
     field, n_paths, seed, target = _spiked_field(ref_params, corner_triple)
     sol, grid = field.sol, field.sol.grid
     assert target >= 1_000
-    runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
-            for cs in (None, 1_000, 777)]
+    runs = [lambda block=block: _simulate_in_blocks(monkeypatch, block, field, n_paths, seed)
+            for block in (None, 1_000, 777)]
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
-    monkeypatch.setattr(checks, "BLOCK_DRAWS", 777 * grid.n_steps)
     config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
-    runs.append(lambda: checks.run_check_battery(config, sol))
+
+    def battery():
+        monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 777 * grid.n_steps)
+        return checks.run_check_battery(config, sol)
+
+    runs.append(battery)
     for run in runs:
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()
         assert (excinfo.value.path, excinfo.value.step) == (target, 2)
 
 
-def _x_T_stream(field, n_paths, block_paths):
-    """A ``map_noise_blocks`` stream that writes x_T and the cost integrals of ``field``.
+def _x_T_part(field, n_paths):
+    """A ``read_blocks`` part that writes x_T and the cost integrals of ``field``.
 
-    Returns (stream, (ja, jp, x_T)); each block's result is a copy of its x_T.
+    Returns (part, (ja, jp, x_T)); each block's value is a copy of its x_T.
     """
     j, x_T = np.zeros((2, n_paths)), np.empty(n_paths)
 
-    def run(lo, hi, noise):
+    def run(lo, hi, dW):
         work = np.empty((2, 2, hi - lo))
         fold = montecarlo._cost_fold(field, j[:, lo:hi], work)
-        bad = montecarlo._step_block(field, noise.increments.T, x_T[lo:hi], fold, work)
-        if bad is not None:
-            raise SimulationDivergedError(path=bad[1], step=bad[0])
+        montecarlo._step_block(field, dW, x_T[lo:hi], fold, work)
         return x_T[lo:hi].copy()
 
-    return (field.sol.grid, n_paths, block_paths, run), (j[0], j[1], x_T)
+    return montecarlo.Part(field.sol.grid, n_paths, run), (j[0], j[1], x_T)
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, monkeypatch, cpus):
     # two streams on different grids share one pool, the one with fewer
-    # blocks first: each must carry the bits of a call of its own, and a
-    # divergence in either must be reported where that stream alone meets
-    # it, whichever stream comes first
+    # blocks first: in blocks of 97 x 16 draws, 3,000 16-step paths are 31
+    # blocks of 97 and 2,000 8-step paths 11 blocks of 194.  Each must carry
+    # the bits of a call of its own, and a divergence in either must be
+    # reported where that stream alone meets it, whichever part comes first
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 97 * 16)
     field16 = ClosedLoopField(integrate_riccati(ref_params, corner_triple,
                                                 make_grid(ref_params.T, 16), ETA_EQUALS_X))
     field8 = ClosedLoopField(integrate_riccati(ref_params, from_case("iv", 0.3, 1.0),
@@ -384,28 +402,31 @@ def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, mo
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if cpus > 1 else interval)
     try:
-        alone = [_x_T_stream(field, n, block) for field, n, block in
-                 ((field16, 3_000, 97), (field8, 2_000, 1_000))]
-        own = [montecarlo.map_noise_blocks(seed, [stream])[0] for stream, _ in alone]
-        shared = [_x_T_stream(field, n, block) for field, n, block in
-                  ((field16, 3_000, 97), (field8, 2_000, 1_000))]
-        together = montecarlo.map_noise_blocks(seed, [stream for stream, _ in shared])
-        for (_, want), (_, got), want_blocks, got_blocks in zip(alone, shared, own, together):
+        specs = {"16": (field16, 3_000), "8": (field8, 2_000)}
+        alone = {name: _x_T_part(*spec) for name, spec in specs.items()}
+        own = {name: montecarlo.read_blocks(seed, {name: part})[name]
+               for name, (part, _) in alone.items()}
+        shared = {name: _x_T_part(*spec) for name, spec in specs.items()}
+        together = montecarlo.read_blocks(seed, {name: part for name, (part, _) in shared.items()})
+        assert [len(together[name]) for name in specs] == [31, 11]
+        for name in specs:
+            (_, want), (_, got), want_blocks, got_blocks = (
+                alone[name], shared[name], own[name], together[name])
             assert len(got_blocks) == len(want_blocks)
             assert all(np.array_equal(g, w) for g, w in zip(got_blocks, want_blocks))
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         with np.errstate(all="ignore"):
-            for streams in ([(spiked, n_spiked, 777), (field16, 3_000, 97)],
-                            [(field16, 3_000, 97), (spiked, n_spiked, 777)]):
+            for order in (["spiked", "16"], ["16", "spiked"]):
+                specs = {"spiked": (spiked, n_spiked), "16": (field16, 3_000)}
                 with pytest.raises(SimulationDivergedError) as excinfo:
-                    montecarlo.map_noise_blocks(
-                        seed, [_x_T_stream(*stream)[0] for stream in streams])
+                    montecarlo.read_blocks(seed, {name: _x_T_part(*specs[name])[0]
+                                                  for name in order})
                 assert (excinfo.value.path, excinfo.value.step) == (target, 2)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple):
+def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple, monkeypatch):
     # hand-built as_printed coefficients (b = 1, so s = (P1 + 2 P2) / lambda_P):
     # A12 = -2 A13 at node 1 cancels every loading of x on the coefficients,
     # so x stays finite, while the R-drift loading A13 overflows only the
@@ -427,8 +448,8 @@ def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple):
     field = ClosedLoopField(sol)
     target = int(order[-1])
     assert target >= 1_000
-    runs = [lambda cs=cs: simulate_costs(field, n_paths, seed, chunk_size=cs)
-            for cs in (None, 777)]
+    runs = [lambda block=block: _simulate_in_blocks(monkeypatch, block, field, n_paths, seed)
+            for block in (None, 777)]
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
     for run in runs:
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
@@ -464,10 +485,11 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
                 break
         expected = (k + 1, int(bad.argmax()))
         assert np.isfinite(x).all() and expected == (2, int(order[-1]))
-        folded = []
-        got = [montecarlo._step_block(field, dW.T, np.empty(n_paths)),
-               montecarlo._step_block(field, dW.T, np.empty(n_paths),
-                                      fold=lambda k, z: folded.append(k))]
+        folded, got = [], []
+        for fold in (None, lambda k, z: folded.append(k)):
+            with pytest.raises(SimulationDivergedError) as excinfo:
+                montecarlo._step_block(field, dW.T, np.empty(n_paths), fold=fold)
+            got.append((excinfo.value.step, excinfo.value.path))
     assert got == [expected, expected]
     assert folded == list(range(expected[0]))
 
@@ -487,7 +509,7 @@ def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_tri
     monkeypatch.setattr(montecarlo, "sample_noise_block", ones)
     with np.errstate(over="ignore"):
         paths = closed_loop_paths(field, ones(grid, 8, 0, 0, 8))
-        runs = [simulate_costs(field, 8, 0, chunk_size=cs) for cs in (None, 3)]
+        runs = [_simulate_in_blocks(monkeypatch, block, field, 8, 0) for block in (None, 3)]
         x = paths.component("x")
         assert not math.isfinite(x[:, 1].sum()) and not math.isfinite(x[:, 2].sum())
     assert np.isfinite(paths.states).all()
@@ -501,12 +523,12 @@ def test_oversubscribed_pool_is_bit_identical(ref_params, corner_triple, monkeyp
     grid = make_grid(ref_params.T, 16)
     sol = integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X)
     field = ClosedLoopField(sol)
-    inline = simulate_costs(field, 3_000, seed=41, chunk_size=None)
+    inline = _simulate_in_blocks(monkeypatch, None, field, 3_000, 41)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = simulate_costs(field, 3_000, seed=41, chunk_size=97)
+        pooled = _simulate_in_blocks(monkeypatch, 97, field, 3_000, 41)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(inline, pooled):
