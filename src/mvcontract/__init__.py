@@ -44,11 +44,6 @@ from .riccati import (
     terminal_conditions,
 )
 from .timegrid import TimeGrid, make_grid
-from .weak import (
-    FocReport,
-    hidden_action_foc_check,
-    reweighted_expectation,
-)
 
 __all__ = [
     "AS_PRINTED",
@@ -62,7 +57,6 @@ __all__ = [
     "DegenerateMultiplierError",
     "DegenerateSensitivityError",
     "FeasibilityVerdict",
-    "FocReport",
     "LqParams",
     "MultiplierTriple",
     "NoiseEnsemble",
@@ -74,13 +68,11 @@ __all__ = [
     "classify_feasibility",
     "evaluate_contract",
     "from_case",
-    "hidden_action_foc_check",
     "integrate_riccati",
     "make_grid",
     "optimal_cashflow",
     "optimal_effort",
     "principal_hamiltonian",
-    "reweighted_expectation",
     "sample_noise",
     "sample_noise_block",
     "sweep_grid",

@@ -3,7 +3,11 @@
 Each check returns a CheckResult; the CLI prints one machine-readable line
 per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
-they are deterministic.
+they are deterministic.  Each mean with a standard error over one array of
+paths comes from ``montecarlo._mean_and_se``, the estimator of
+``simulate``; the mean trajectory combines block moments.  The weak
+formulation (the output density and the hidden-action optimality
+condition) lives in ``run_weak_battery`` alone.
 
 Every check that reads paths is a part (``montecarlo.Part``): a grid, a
 path count and a ``run(lo, hi, dW)`` for each block of its paths.  The
@@ -47,7 +51,7 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import Part, _step_block, _variance_and_se, read_blocks
+from .montecarlo import Part, _mean_and_se, _step_block, _variance_and_se, read_blocks
 from .multipliers import sweep_grid
 from .riccati import (
     ClosedLoopField,
@@ -56,7 +60,6 @@ from .riccati import (
     terminal_conditions,
 )
 from .timegrid import make_grid
-from .weak import hidden_action_foc_check, reweighted_expectation
 
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
@@ -386,8 +389,7 @@ class _ExplicitRFold:
 
 def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
     name = "density_martingale"
-    n_paths = gamma_T.size
-    est, se = float(gamma_T.mean()), float(gamma_T.std(ddof=1) / math.sqrt(n_paths))
+    est, se = _mean_and_se(gamma_T)
     ok = abs(est - 1.0) <= 3.0 * se
     return _result(name, ok, f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
 
@@ -529,7 +531,28 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
 
 
 def run_weak_battery(config: RunConfig) -> List[CheckResult]:
-    """Density, measure-change and optimality-condition checks (``weakcheck``)."""
+    """Density, measure-change and optimality-condition checks (``weakcheck``).
+
+    In the weak formulation the output is simulated driftless,
+    dx = sigma dW, and a constant effort e0 enters through the exponential
+    density
+
+        dGamma = Gamma * theta dW,   Gamma(0) = 1,   theta = b e0 / sigma,
+
+    whose terminal value reweights expectations: the mean of a payoff under
+    the effort is E[Gamma(T) * payoff].  Gamma is folded in log space,
+
+        log Gamma_{k+1} = log Gamma_k + theta dW_k - theta^2 dt / 2,
+
+    the exact discrete exponential of the Euler integrand, so the density
+    is positive by construction and cannot underflow to a negative value.
+    For constant theta it is a martingale, E[Gamma(T)] = 1, and
+    E[log Gamma(T)] = -theta^2 T / 2.  The strong formulation steps
+    dx = b e0 dt + sigma dW on the next seed's stream.  The hidden-action
+    optimality condition q = sigma u_e / f_e, with u_e = e - s0 and
+    f_e = b, must hold for the candidate built from it at e0 and fail at
+    e0 + 0.1.
+    """
     params = config.params
     if abs(params.b) < 1e-12:
         raise DegenerateSensitivityError(
@@ -540,7 +563,6 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     s0 = config.weak_cashflow
     theta = params.b * e0 / params.sigma
     x_T, gamma_T, log_vals = _terminal_values(config, config.seed, drift=0.0, theta=theta)
-    n_paths = x_T.size
     results = []
 
     results.append(_result(
@@ -548,7 +570,7 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         f"min Gamma_T={gamma_T.min():.3e}",
     ))
 
-    est, se = reweighted_expectation(np.ones(n_paths), gamma_T)
+    est, se = _mean_and_se(gamma_T)
     if theta == 0.0:
         ok = est == 1.0 and float(np.abs(gamma_T - 1.0).max()) == 0.0
         detail = "theta=0: Gamma identically 1"
@@ -558,20 +580,17 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     results.append(_result("martingale_mean", ok, detail))
 
     log_target = -0.5 * theta * theta * params.T
-    log_est = float(log_vals.mean())
-    log_se = float(log_vals.std(ddof=1) / math.sqrt(n_paths)) if theta != 0.0 else 0.0
-    ok = abs(log_est - log_target) <= 3.0 * log_se if theta != 0.0 else log_est == 0.0
+    log_est, log_se = _mean_and_se(log_vals)
     results.append(_result(
-        "log_density_mean", ok,
+        "log_density_mean", abs(log_est - log_target) <= 3.0 * log_se,
         f"E[log Gamma_T]={log_est:.6e} target={log_target:.6e} band=3se",
     ))
 
-    weak_est, weak_se = reweighted_expectation(x_T, gamma_T)
+    weak_est, weak_se = _mean_and_se(gamma_T * x_T)
     analytic = params.b * e0 * params.T
 
     s_T, _, _ = _terminal_values(config, (config.seed + 1) % 2**64, drift=params.b * e0)
-    strong_est = float(s_T.mean())
-    strong_se = float(s_T.std(ddof=1) / math.sqrt(n_paths))
+    strong_est, strong_se = _mean_and_se(s_T)
 
     ok = abs(weak_est - analytic) <= 3.0 * weak_se
     results.append(_result(
@@ -585,26 +604,22 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     ))
 
     plain = float(x_T.mean())
-    ident, _ = reweighted_expectation(x_T, np.ones(n_paths))
+    ident, _ = _mean_and_se(np.ones(x_T.size) * x_T)
     results.append(_result(
         "unit_weight_identity", ident == plain,
         f"reweighted-with-1 equals plain mean ({plain:.6e})",
     ))
 
-    # candidate built from the optimality condition itself must have zero residual
-    e_path = np.full(n_paths, e0)
-    u_e = lambda e: e - s0
-    f_e = lambda e: params.b + 0.0 * e
-    q_exact = params.sigma * u_e(e_path) / f_e(e_path)
-    report = hidden_action_foc_check(u_e, f_e, q_exact, params.sigma, e_path)
+    # the candidate built from the optimality condition must have zero residual
+    q_exact = params.sigma * (e0 - s0) / params.b
+    resid = abs(q_exact - params.sigma * (e0 - s0) / params.b)
     results.append(_result(
-        "foc_exact_candidate", report.max_abs <= 1e-12,
-        f"max_resid={report.max_abs:.3e}",
+        "foc_exact_candidate", resid <= 1e-12, f"max_resid={resid:.3e}",
     ))
-    report_off = hidden_action_foc_check(u_e, f_e, q_exact, params.sigma, e_path + 0.1)
+    resid_off = abs(q_exact - params.sigma * ((e0 + 0.1) - s0) / params.b)
     expected_gap = 0.1 * params.sigma / abs(params.b)
     results.append(_result(
-        "foc_perturbed_candidate", report_off.max_abs >= 0.5 * expected_gap,
-        f"max_resid={report_off.max_abs:.3e} expected~{expected_gap:.3e}",
+        "foc_perturbed_candidate", resid_off >= 0.5 * expected_gap,
+        f"max_resid={resid_off:.3e} expected~{expected_gap:.3e}",
     ))
     return results

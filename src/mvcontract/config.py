@@ -212,10 +212,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return _build(_parse_layer(_text_items(text, source)))
 
 
-def load_config(path: str) -> RunConfig:
-    return _build(_file_values(path))
-
-
 def config_to_text(config: RunConfig) -> str:
     """Serialize to the file format; parsing the output reproduces the config.
 
@@ -235,11 +231,6 @@ def config_to_text(config: RunConfig) -> str:
             raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def write_config(config: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config_to_text(config))
 
 
 #: flag-style spellings of config keys, for the CLI flags and, alongside

@@ -32,10 +32,10 @@ from mvcontract import (
     optimal_effort,
     principal_hamiltonian,
     sample_noise,
-    reweighted_expectation,
     sweep_grid,
     terminal_conditions,
 )
+from mvcontract import montecarlo
 from mvcontract.cli import main, point_seed
 from reference_schemes import (
     ansatz_residual,
@@ -197,7 +197,7 @@ def test_criterion_6_girsanov_martingale_and_measure_change():
         se = g.std(ddof=1) / math.sqrt(n)
         mart_ok = abs(g.mean() - 1.0) <= 3 * se
 
-        weak_est, weak_se = reweighted_expectation(x_paths.states[:, -1, 0], g)
+        weak_est, weak_se = montecarlo._mean_and_se(g * x_paths.states[:, -1, 0])
         strong_noise = sample_noise(grid, n, seed=400 + i)
         e0 = theta * sigma / b
         strong = euler_maruyama(lambda X, t: b * e0, lambda X, t: sigma, 0.0,

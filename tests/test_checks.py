@@ -96,6 +96,59 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     assert max(block.max() for block in read["residual"]) == full.max_residual
 
 
+@pytest.mark.parametrize("b, weak_effort, weak_cashflow", [(-0.6, 0.7, -0.3), (1.0, 0.0, 0.0)],
+                         ids=["negative_b", "zero_effort"])
+def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_cashflow):
+    # every weakcheck line, formatted from one sample_noise call over the
+    # whole ensemble, the public schemes, the plain mean and SE formulas and
+    # the optimality residuals over full effort arrays; 20,000 64-step paths
+    # are a 16,384-path block and a ragged one
+    base = default_config()
+    config = dataclasses.replace(base, params=dataclasses.replace(base.params, b=b),
+                                 n_paths=20_000, weak_effort=weak_effort,
+                                 weak_cashflow=weak_cashflow)
+    sigma, T, n = config.params.sigma, config.params.T, config.n_paths
+    e0, s0 = weak_effort, weak_cashflow
+    theta = b * e0 / sigma
+    grid = make_grid(T, config.n_steps)
+    noise = sample_noise(grid, n, config.seed)
+    paths = euler_maruyama(lambda X, t: 0.0, lambda X, t: sigma, 0.0, noise)
+    density = simulate_density(lambda x, t: theta, noise, paths)
+    strong = euler_maruyama(lambda X, t: b * e0, lambda X, t: sigma, 0.0,
+                            sample_noise(grid, n, config.seed + 1))
+    gamma_T, log_gamma_T, x_T, s_T = (np.ascontiguousarray(v) for v in (
+        density.terminal, density.log_gamma[:, -1], paths.states[:, -1, 0],
+        strong.states[:, -1, 0]))
+
+    def mean_and_se(v):
+        return float(v.mean()), float(v.std(ddof=1) / math.sqrt(n))
+
+    est, se = mean_and_se(gamma_T)
+    log_est, _ = mean_and_se(log_gamma_T)
+    weak, weak_se = mean_and_se(gamma_T * x_T)
+    strong_est, strong_se = mean_and_se(s_T)
+    e = np.full(n, e0)
+    q = sigma * (e - s0) / (b + 0.0 * e)
+    foc = float(np.abs(q - sigma * (e - s0) / (b + 0.0 * e)).max())
+    e_off = e + 0.1
+    foc_off = float(np.abs(q - sigma * (e_off - s0) / (b + 0.0 * e_off)).max())
+    expected = [
+        f"min Gamma_T={gamma_T.min():.3e}",
+        "theta=0: Gamma identically 1" if theta == 0.0
+        else f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se",
+        f"E[log Gamma_T]={log_est:.6e} target={-0.5 * theta * theta * T:.6e} band=3se",
+        f"weak={weak:.6e} analytic={b * e0 * T:.6e} se={weak_se:.2e} band=3se",
+        f"weak={weak:.6e} strong={strong_est:.6e} "
+        f"band={3.0 * math.sqrt(weak_se**2 + strong_se**2):.2e}",
+        f"reweighted-with-1 equals plain mean ({x_T.mean():.6e})",
+        f"max_resid={foc:.3e}",
+        f"max_resid={foc_off:.3e} expected~{0.1 * sigma / abs(b):.3e}",
+    ]
+    results = checks.run_weak_battery(config)
+    assert [r.detail for r in results] == expected
+    assert all(r.passed for r in results)
+
+
 def _spy(monkeypatch, *names):
     """Record the arguments and result of the first call of each named ``checks`` function."""
     seen = {}

@@ -19,10 +19,8 @@ from mvcontract.config import (
     RunConfig,
     config_to_text,
     default_config,
-    load_config,
     parse_config_text,
     resolve,
-    write_config,
 )
 
 FIG_CONFIG = """
@@ -46,8 +44,8 @@ p2_drift_mode = eta_equals_x
 def test_config_round_trip(tmp_path):
     config = parse_config_text(FIG_CONFIG)
     path = tmp_path / "run.cfg"
-    write_config(config, str(path))
-    assert load_config(str(path)) == config
+    path.write_text(config_to_text(config), encoding="utf-8")
+    assert resolve(str(path), {}, environ={}) == config
 
 
 def test_default_config_round_trips():

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvcontract import (
-    DegenerateSensitivityError,
-    hidden_action_foc_check,
-    make_grid,
-    reweighted_expectation,
-    sample_noise,
-)
+from mvcontract import make_grid, montecarlo, sample_noise
 from reference_schemes import euler_maruyama, simulate_density
 
 
@@ -74,7 +68,7 @@ def test_reweighted_unit_payoff_estimates_one():
     n = 50_000
     _, noise, paths = _driftless_output(1.0, 0.03, 64, n, 6)
     density = simulate_density(lambda x, t: 1.0, noise, paths)
-    est, se = reweighted_expectation(np.ones(n), density.terminal)
+    est, se = montecarlo._mean_and_se(density.terminal * np.ones(n))
     assert abs(est - 1.0) <= 3 * se
 
 
@@ -87,7 +81,7 @@ def test_reweighted_mean_matches_tilted_dynamics():
     theta = b * e0 / sigma
     density = simulate_density(lambda x, t: theta, noise, paths)
     x_T = paths.states[:, -1, 0]
-    est, se = reweighted_expectation(x_T, density.terminal)
+    est, se = montecarlo._mean_and_se(density.terminal * x_T)
     assert abs(est - b * e0 * T) <= 3 * se
 
 
@@ -96,7 +90,7 @@ def test_weak_and_strong_formulations_agree():
     n = 100_000
     grid, noise, paths = _driftless_output(sigma, T, 64, n, 8)
     density = simulate_density(lambda x, t: b * e0 / sigma, noise, paths)
-    weak_est, weak_se = reweighted_expectation(paths.states[:, -1, 0], density.terminal)
+    weak_est, weak_se = montecarlo._mean_and_se(density.terminal * paths.states[:, -1, 0])
 
     strong_noise = sample_noise(grid, n, seed=9)
     strong = euler_maruyama(lambda X, t: b * e0, lambda X, t: sigma, 0.0, strong_noise)
@@ -110,41 +104,5 @@ def test_weak_and_strong_formulations_agree():
 def test_unit_weight_reduces_to_plain_mean():
     rng = np.random.default_rng(10)
     payoff = rng.normal(size=1_000)
-    est, _ = reweighted_expectation(payoff, np.ones(1_000))
+    est, _ = montecarlo._mean_and_se(np.ones(1_000) * payoff)
     assert est == payoff.mean()
-
-
-def test_reweighted_validates_inputs():
-    with pytest.raises(ValueError):
-        reweighted_expectation(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        reweighted_expectation(np.array([1.0, float("inf")]), np.ones(2))
-
-
-def test_foc_zero_residual_for_definitional_candidate():
-    sigma, b, s0 = 1.3, 0.8, 0.25
-    e = np.linspace(-1.0, 1.0, 101)
-    u_e = lambda e: e - s0
-    f_e = lambda e: b + 0.0 * e
-    q = sigma * u_e(e) / f_e(e)
-    report = hidden_action_foc_check(u_e, f_e, q, sigma, e)
-    assert report.max_abs == 0.0
-
-
-def test_foc_perturbed_effort_leaves_residual():
-    # with u strictly convex in e, u_e is strictly increasing, so a shifted
-    # candidate effort cannot satisfy the optimality condition
-    sigma, b, s0 = 1.0, 1.0, 0.25
-    e = np.linspace(-1.0, 1.0, 101)
-    u_e = lambda e: e - s0
-    f_e = lambda e: b + 0.0 * e
-    q = sigma * u_e(e) / f_e(e)
-    report = hidden_action_foc_check(u_e, f_e, q, sigma, e + 0.1)
-    assert report.max_abs >= 0.05 * sigma / abs(b)
-    assert report.mean_abs > 0.0
-
-
-def test_foc_degenerate_sensitivity():
-    e = np.zeros(5)
-    with pytest.raises(DegenerateSensitivityError):
-        hidden_action_foc_check(lambda e: e, lambda e: 0.0 * e, np.zeros(5), 1.0, e)
