@@ -3,11 +3,14 @@
 Each check returns a CheckResult; the CLI prints one machine-readable line
 per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
-they are deterministic.  Each mean with a standard error over one array of
-paths comes from ``montecarlo._mean_and_se``, the estimator of
-``simulate``; the mean trajectory combines block moments.  The weak
-formulation (the output density and the hidden-action optimality
-condition) lives in ``run_weak_battery`` alone.
+they are deterministic; a band line whose estimate, standard error or band
+is not finite fails, and its detail ends in ``not_finite=`` and what was
+not (``_band_result``), since an overflowed SE would pass anything.  Each
+mean with a standard error over one array of paths comes from
+``montecarlo._mean_and_se``, the estimator of ``simulate``; the mean
+trajectory combines block moments.  The weak formulation (the output
+density and the hidden-action optimality condition) lives in
+``run_weak_battery`` alone.
 
 Every check that reads paths is a part (``montecarlo.Part``): a grid, a
 path count and a ``run(lo, hi, dW)`` for each block of its paths.  The
@@ -15,12 +18,14 @@ battery reads all of its parts in one call of ``montecarlo.read_blocks``,
 the reader ``simulate`` steps its costs on: the parts on one grid share one
 stream of the seed, in blocks of ``montecarlo.BLOCK_DRAWS`` noise draws, so
 each (grid, seed) stream is drawn once, and the blocks of every grid run on
-one thread pool with no barrier between grids.  No part records a path.
-The density fold and the b = 0 loop keep terminal values; the residual
-oracle, the mean trajectory and explicit R are folds (``_ResidualFold``,
-``_MeanFold``, ``_ExplicitRFold``) that ``montecarlo._step_block`` calls at
-every node of the closed loop, and each keeps only its statistics of the
-block; the residual keeps its per-component maxima.  A coefficient table
+one thread pool with no barrier between grids, whose workers draw their
+blocks' noise in parallel and run the parts on them one block at a time.
+No part records a path.  The density fold and the b = 0 loop keep terminal
+values; the residual oracle, the mean trajectory and explicit R are folds
+(``_ResidualFold``, ``_MeanFold``, ``_ExplicitRFold``) that
+``montecarlo._step_block`` calls at every node of the closed loop, and each
+keeps only its statistics of the block; the residual keeps its
+per-component maxima.  A coefficient table
 with every bit of the residual's own solve reads that solve's blocks
 instead of stepping them twice.  Peak memory scales with workers x block,
 plus the terminal values of the density and b = 0 paths.  Per-path bits do
@@ -80,6 +85,21 @@ class CheckResult:
 
 def _result(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def _band_result(name: str, gap, band, detail: str, **figures) -> CheckResult:
+    """A band line: passes when every ``|gap| <= band``.
+
+    It fails, and its detail ends in ``not_finite=`` and their names, when
+    the band or any of ``figures`` (the estimates and SEs it rests on) has
+    a non-finite element: an overflowed SE would otherwise widen the band
+    to everything.
+    """
+    figures["band"] = band
+    bad = [key for key, value in figures.items() if not np.all(np.isfinite(value))]
+    if bad:
+        return _result(name, False, f"{detail} not_finite={','.join(bad)}")
+    return _result(name, np.all(np.abs(gap) <= band), detail)
 
 
 def _first_triple(config: RunConfig):
@@ -390,8 +410,8 @@ class _ExplicitRFold:
 def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
     name = "density_martingale"
     est, se = _mean_and_se(gamma_T)
-    ok = abs(est - 1.0) <= 3.0 * se
-    return _result(name, ok, f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
+    return _band_result(name, est - 1.0, 3.0 * se,
+                        f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se", estimate=est, se=se)
 
 
 def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
@@ -405,11 +425,9 @@ def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
     dt = T / n
     g = (1.0 + params.a * dt) ** 2
     target = sigma * sigma * (T if g == 1.0 else dt * (g**n - 1.0) / (g - 1.0))
-    ok = abs(var - target) <= 3.0 * se
-    return _result(
-        name, ok,
-        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se",
-    )
+    return _band_result(name, var - target, 3.0 * se,
+                        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se",
+                        estimate=var, target=target, se=se)
 
 
 def _node_moments(blocks: list):
@@ -435,9 +453,12 @@ def check_mean_trajectory(blocks: list) -> CheckResult:
     mc_mean, mc_se = _node_moments(blocks)
     gaps = np.abs(mc_mean)
     # node 0 is pinned exactly; later nodes get a 3-standard-error band
-    ok = gaps[0] == 0.0 and np.all(gaps[1:] <= 3.0 * mc_se[1:])
+    band = 3.0 * mc_se
+    band[0] = 0.0
     worst = float(np.max(gaps[1:] / np.maximum(mc_se[1:], 1e-300)))
-    return _result(name, ok, f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}")
+    return _band_result(name, gaps, band,
+                        f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}",
+                        estimate=mc_mean, se=mc_se)
 
 
 def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
@@ -573,17 +594,18 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     est, se = _mean_and_se(gamma_T)
     if theta == 0.0:
         ok = est == 1.0 and float(np.abs(gamma_T - 1.0).max()) == 0.0
-        detail = "theta=0: Gamma identically 1"
+        results.append(_result("martingale_mean", ok, "theta=0: Gamma identically 1"))
     else:
-        ok = abs(est - 1.0) <= 3.0 * se
-        detail = f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se"
-    results.append(_result("martingale_mean", ok, detail))
+        results.append(_band_result("martingale_mean", est - 1.0, 3.0 * se,
+                                    f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se",
+                                    estimate=est, se=se))
 
     log_target = -0.5 * theta * theta * params.T
     log_est, log_se = _mean_and_se(log_vals)
-    results.append(_result(
-        "log_density_mean", abs(log_est - log_target) <= 3.0 * log_se,
+    results.append(_band_result(
+        "log_density_mean", log_est - log_target, 3.0 * log_se,
         f"E[log Gamma_T]={log_est:.6e} target={log_target:.6e} band=3se",
+        estimate=log_est, target=log_target, se=log_se,
     ))
 
     weak_est, weak_se = _mean_and_se(gamma_T * x_T)
@@ -592,15 +614,16 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     s_T, _, _ = _terminal_values(config, (config.seed + 1) % 2**64, drift=params.b * e0)
     strong_est, strong_se = _mean_and_se(s_T)
 
-    ok = abs(weak_est - analytic) <= 3.0 * weak_se
-    results.append(_result(
-        "reweighted_mean_vs_analytic", ok,
+    results.append(_band_result(
+        "reweighted_mean_vs_analytic", weak_est - analytic, 3.0 * weak_se,
         f"weak={weak_est:.6e} analytic={analytic:.6e} se={weak_se:.2e} band=3se",
+        estimate=weak_est, target=analytic, se=weak_se,
     ))
     band = 3.0 * math.sqrt(weak_se**2 + strong_se**2)
-    results.append(_result(
-        "weak_strong_agreement", abs(weak_est - strong_est) <= band,
+    results.append(_band_result(
+        "weak_strong_agreement", weak_est - strong_est, band,
         f"weak={weak_est:.6e} strong={strong_est:.6e} band={band:.2e}",
+        weak=weak_est, strong=strong_est, se=(weak_se, strong_se),
     ))
 
     plain = float(x_T.mean())

@@ -31,14 +31,24 @@ One kernel steps every block (``_step_block``): (x, R) is one (2, paths)
 array, 8 numpy calls per step, and a caller that reads more than x(T)
 passes a fold, which reads (x, R) at every node and keeps only per-block
 statistics; ``simulate_costs`` folds the costs (``_cost_fold``, 5 calls).
-Few wide calls let two workers step in parallel, as each call dispatches
-under the interpreter lock: eight 16384 x 64 blocks step with their costs
-in about 54 ms on one thread and 35 ms on two, where 24 calls per step on
-one-dimensional rows took 54 and 56 ms (2 vCPUs, numpy 2.4.6).
+
+The noise is drawn in parallel and the blocks are stepped one at a time.
+Drawing a block is a few long Philox and ``ndtri`` calls, which release the
+interpreter lock; stepping it is many short calls, each dispatched under
+that lock, so two workers that step at once mostly trade it.  Each worker
+therefore draws its block with no lock held and runs the parts on it under
+one lock of the ``read_blocks`` call, while the other workers keep drawing.
+On two workers one ``check`` steps its parts in 77 ms of thread CPU (69 ms
+on one), where two workers stepping at once took 108 ms, and its wall falls
+from 156 to 140 ms (2 vCPUs, numpy 2.4.6, scipy 1.17.1; ``BENCH_21.json``).
+Stepping is about 32% of the CPU of ``check`` and 23% of a ``simulate``
+point, so a lone stepper stops paying off beyond about 3 to 4 workers;
+nothing above 2 CPUs was measured.
 """
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -198,9 +208,11 @@ def read_blocks(seed: int, parts: dict) -> dict:
     first, so no worker idles at the end of one stream while another has
     blocks left.  Each block is drawn by ``sample_noise_block``, into the
     one buffer its worker reuses and keeps, of ``BLOCK_DRAWS`` draws or one
-    path where a path is longer, and read under the caller's numpy error
-    state.  A part that diverges does not stop the others; once every block
-    has run, the first part in ``parts`` that diverged raises its
+    path where a path is longer, with no lock held; its worker then runs
+    the parts on it under one lock that this call creates, so at most one
+    worker steps at a time while the others draw, and under the caller's
+    numpy error state.  A part that diverges does not stop the others; once
+    every block has run, the first part in ``parts`` that diverged raises its
     ``SimulationDivergedError`` at its earliest step, on the lowest such
     path, so the error depends neither on the blocking nor on the other
     parts.
@@ -217,6 +229,7 @@ def read_blocks(seed: int, parts: dict) -> dict:
     queue = [block for stream in sorted(streams, key=len) for block in stream]
     # numpy's floating-point error state is per thread; carry the caller's
     errstate = np.geterr()
+    stepping = threading.Lock()
 
     def task(grid, group, n_paths, lo, hi):
         size = (hi - lo) * grid.n_steps
@@ -230,7 +243,7 @@ def read_blocks(seed: int, parts: dict) -> dict:
             out = buffer[:size].reshape(grid.n_steps, hi - lo)
             dW = sample_noise_block(grid, n_paths, seed, lo, hi, out=out).increments.T
             values = {}
-            with np.errstate(**errstate):
+            with stepping, np.errstate(**errstate):
                 for name, part in group.items():
                     m = min(hi, part.n_paths) - lo
                     if m <= 0:

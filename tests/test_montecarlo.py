@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -424,6 +426,71 @@ def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, mo
                 assert (excinfo.value.path, excinfo.value.step) == (target, 2)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [2, 4, 8])
+def test_one_worker_runs_parts_at_a_time(ref_params, corner_triple, monkeypatch, cpus):
+    # workers draw their blocks' noise in parallel but run the parts on them
+    # under one lock: instrumented runs never overlap, although each pauses
+    # long enough for another worker to reach its own, and every value
+    # carries the bits of the one-worker run.  A part that raises on one
+    # block releases the lock: the call ends, with the error of one worker
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 97 * 16)
+    fields = {"16": ClosedLoopField(integrate_riccati(ref_params, corner_triple,
+                                                      make_grid(ref_params.T, 16), ETA_EQUALS_X)),
+              "8": ClosedLoopField(integrate_riccati(ref_params, from_case("iv", 0.3, 1.0),
+                                                     make_grid(ref_params.T, 8), ETA_EQUALS_X))}
+    guard, running, peaks = threading.Lock(), [0], []
+
+    def instrumented(part, raise_at=None):
+        def run(lo, hi, dW):
+            with guard:
+                running[0] += 1
+                peaks.append(running[0])
+            try:
+                time.sleep(2e-3)
+                if lo == raise_at:
+                    raise SimulationDivergedError(path=5, step=3, label="x")
+                return part.run(lo, hi, dW)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        return part._replace(run=run)
+
+    def outcome(parts):
+        try:
+            return montecarlo.read_blocks(41, parts)
+        except SimulationDivergedError as exc:
+            return exc
+
+    def read(workers, raise_at=None):
+        # on a thread of its own, so a lock left held fails the test, not hangs it
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+        parts, outputs = {}, {}
+        for name, n_paths in (("16", 3_000), ("8", 2_000)):
+            part, outputs[name] = _x_T_part(fields[name], n_paths)
+            parts[name] = instrumented(part, raise_at if name == "16" else None)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(outcome(parts)), daemon=True)
+        reader.start()
+        reader.join(timeout=60)
+        assert got, "read_blocks did not return"
+        return got[0], outputs
+
+    one, one_outputs = read(1)
+    peaks.clear()
+    many, many_outputs = read(cpus)
+    assert len(peaks) == 31 + 11 and max(peaks) == 1
+    for name in fields:
+        assert len(many[name]) == len(one[name])
+        assert all(np.array_equal(g, w) for g, w in zip(many[name], one[name]))
+        assert all(np.array_equal(g, w) for g, w in zip(many_outputs[name], one_outputs[name]))
+    # path 5 of the 16-step block at 97 x 3 = 291 diverges at step 3
+    errors = [read(workers, raise_at=291)[0] for workers in (1, cpus)]
+    assert all(isinstance(exc, SimulationDivergedError) for exc in errors)
+    assert [(exc.path, exc.step, exc.label) for exc in errors] == [(296, 3, "x")] * 2
+    assert running[0] == 0 and max(peaks) == 1
 
 
 def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple, monkeypatch):
