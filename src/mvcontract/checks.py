@@ -3,9 +3,9 @@
 Each check returns a CheckResult; the CLI prints one machine-readable line
 per check and maps any failure to a nonzero exit.  Checks that rest on a
 Monte-Carlo estimate use 3-standard-error bands, so with the shipped seeds
-they are deterministic; a band line whose estimate, standard error or band
-is not finite fails, and its detail ends in ``not_finite=`` and what was
-not (``_band_result``), since an overflowed SE would pass anything.  Each
+they are deterministic; a band line whose gap or band is not finite fails,
+and its detail ends in ``not_finite=`` and which (``_band_result``), since
+an overflowed SE would pass anything.  Each
 mean with a standard error over one array of paths comes from
 ``montecarlo._mean_and_se``, the estimator of ``simulate``; the mean
 trajectory combines block moments.  The weak formulation (the output
@@ -19,7 +19,8 @@ the reader ``simulate`` steps its costs on: the parts on one grid share one
 stream of the seed, in blocks of ``montecarlo.BLOCK_DRAWS`` noise draws, so
 each (grid, seed) stream is drawn once, and the blocks of every grid run on
 one thread pool with no barrier between grids, whose workers draw their
-blocks' noise in parallel and run the parts on them one block at a time.
+blocks' noise in parallel and run the parts on them one worker fewer than
+the pool at a time (one on two workers).
 No part records a path.  The density fold and the b = 0 loop keep terminal
 values; the residual oracle, the mean trajectory and explicit R are folds
 (``_ResidualFold``, ``_MeanFold``, ``_ExplicitRFold``) that
@@ -87,16 +88,15 @@ def _result(name: str, passed, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _band_result(name: str, gap, band, detail: str, **figures) -> CheckResult:
+def _band_result(name: str, gap, band, detail: str) -> CheckResult:
     """A band line: passes when every ``|gap| <= band``.
 
-    It fails, and its detail ends in ``not_finite=`` and their names, when
-    the band or any of ``figures`` (the estimates and SEs it rests on) has
-    a non-finite element: an overflowed SE would otherwise widen the band
-    to everything.
+    It fails, and its detail ends in ``not_finite=`` and ``gap``, ``band``
+    or both, when either has a non-finite element: an overflowed SE would
+    otherwise widen the band to everything.  A non-finite estimate or
+    target makes the gap non-finite, and a non-finite SE the band.
     """
-    figures["band"] = band
-    bad = [key for key, value in figures.items() if not np.all(np.isfinite(value))]
+    bad = [key for key, value in (("gap", gap), ("band", band)) if not np.all(np.isfinite(value))]
     if bad:
         return _result(name, False, f"{detail} not_finite={','.join(bad)}")
     return _result(name, np.all(np.abs(gap) <= band), detail)
@@ -411,7 +411,7 @@ def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
     name = "density_martingale"
     est, se = _mean_and_se(gamma_T)
     return _band_result(name, est - 1.0, 3.0 * se,
-                        f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se", estimate=est, se=se)
+                        f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
 
 
 def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
@@ -426,8 +426,7 @@ def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
     g = (1.0 + params.a * dt) ** 2
     target = sigma * sigma * (T if g == 1.0 else dt * (g**n - 1.0) / (g - 1.0))
     return _band_result(name, var - target, 3.0 * se,
-                        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se",
-                        estimate=var, target=target, se=se)
+                        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se")
 
 
 def _node_moments(blocks: list):
@@ -457,8 +456,7 @@ def check_mean_trajectory(blocks: list) -> CheckResult:
     band[0] = 0.0
     worst = float(np.max(gaps[1:] / np.maximum(mc_se[1:], 1e-300)))
     return _band_result(name, gaps, band,
-                        f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}",
-                        estimate=mc_mean, se=mc_se)
+                        f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}")
 
 
 def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
@@ -597,15 +595,13 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         results.append(_result("martingale_mean", ok, "theta=0: Gamma identically 1"))
     else:
         results.append(_band_result("martingale_mean", est - 1.0, 3.0 * se,
-                                    f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se",
-                                    estimate=est, se=se))
+                                    f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se"))
 
     log_target = -0.5 * theta * theta * params.T
     log_est, log_se = _mean_and_se(log_vals)
     results.append(_band_result(
         "log_density_mean", log_est - log_target, 3.0 * log_se,
         f"E[log Gamma_T]={log_est:.6e} target={log_target:.6e} band=3se",
-        estimate=log_est, target=log_target, se=log_se,
     ))
 
     weak_est, weak_se = _mean_and_se(gamma_T * x_T)
@@ -617,13 +613,11 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     results.append(_band_result(
         "reweighted_mean_vs_analytic", weak_est - analytic, 3.0 * weak_se,
         f"weak={weak_est:.6e} analytic={analytic:.6e} se={weak_se:.2e} band=3se",
-        estimate=weak_est, target=analytic, se=weak_se,
     ))
     band = 3.0 * math.sqrt(weak_se**2 + strong_se**2)
     results.append(_band_result(
         "weak_strong_agreement", weak_est - strong_est, band,
         f"weak={weak_est:.6e} strong={strong_est:.6e} band={band:.2e}",
-        weak=weak_est, strong=strong_est, se=(weak_se, strong_se),
     ))
 
     plain = float(x_T.mean())

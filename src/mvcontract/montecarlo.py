@@ -32,18 +32,20 @@ array, 8 numpy calls per step, and a caller that reads more than x(T)
 passes a fold, which reads (x, R) at every node and keeps only per-block
 statistics; ``simulate_costs`` folds the costs (``_cost_fold``, 5 calls).
 
-The noise is drawn in parallel and the blocks are stepped one at a time.
-Drawing a block is a few long Philox and ``ndtri`` calls, which release the
-interpreter lock; stepping it is many short calls, each dispatched under
-that lock, so two workers that step at once mostly trade it.  Each worker
-therefore draws its block with no lock held and runs the parts on it under
-one lock of the ``read_blocks`` call, while the other workers keep drawing.
-On two workers one ``check`` steps its parts in 77 ms of thread CPU (69 ms
-on one), where two workers stepping at once took 108 ms, and its wall falls
-from 156 to 140 ms (2 vCPUs, numpy 2.4.6, scipy 1.17.1; ``BENCH_21.json``).
-Stepping is about 32% of the CPU of ``check`` and 23% of a ``simulate``
-point, so a lone stepper stops paying off beyond about 3 to 4 workers;
-nothing above 2 CPUs was measured.
+The noise is drawn in parallel and one worker fewer than the pool steps at
+once: one on two workers.  Drawing a block is a few long Philox and
+``ndtri`` calls, which release the interpreter lock; stepping it is many
+short calls, each dispatched under that lock, so two workers that step at
+once mostly trade it.  Each worker therefore draws its block with no lock
+held and runs the parts on it under a semaphore of the ``read_blocks`` call,
+while the others keep drawing.  On two workers one ``check`` steps its
+parts in 77 ms of thread CPU (69 ms on one), where two workers stepping at
+once took 108 ms, and its wall falls from 156 to 140 ms (2 vCPUs, numpy
+2.4.6, scipy 1.17.1; ``BENCH_21.json``).  Stepping is about 32% of the CPU
+of ``check`` and 23% of a ``simulate`` point, so a single stepper would
+bound the wall beyond about 3 to 4 workers; on more than two workers the
+semaphore therefore lets all but one of them step at once.  Nothing above
+2 CPUs was measured.
 """
 
 import math
@@ -209,13 +211,13 @@ def read_blocks(seed: int, parts: dict) -> dict:
     blocks left.  Each block is drawn by ``sample_noise_block``, into the
     one buffer its worker reuses and keeps, of ``BLOCK_DRAWS`` draws or one
     path where a path is longer, with no lock held; its worker then runs
-    the parts on it under one lock that this call creates, so at most one
-    worker steps at a time while the others draw, and under the caller's
-    numpy error state.  A part that diverges does not stop the others; once
-    every block has run, the first part in ``parts`` that diverged raises its
-    ``SimulationDivergedError`` at its earliest step, on the lowest such
-    path, so the error depends neither on the blocking nor on the other
-    parts.
+    the parts on it under a semaphore that this call creates, so at most
+    one worker fewer than the pool steps at once (one on two workers) while
+    the others draw, and under the caller's numpy error state.  A part that
+    diverges does not stop the others; once every block has run, the first
+    part in ``parts`` that diverged raises its ``SimulationDivergedError``
+    at its earliest step, on the lowest such path, so the error depends
+    neither on the blocking nor on the other parts.
     """
     groups = {}
     for name, part in parts.items():
@@ -229,7 +231,6 @@ def read_blocks(seed: int, parts: dict) -> dict:
     queue = [block for stream in sorted(streams, key=len) for block in stream]
     # numpy's floating-point error state is per thread; carry the caller's
     errstate = np.geterr()
-    stepping = threading.Lock()
 
     def task(grid, group, n_paths, lo, hi):
         size = (hi - lo) * grid.n_steps
@@ -259,6 +260,9 @@ def read_blocks(seed: int, parts: dict) -> dict:
 
     workers = min(_cpu_count(), len(queue))
     del _buffers[max(workers, 1):]
+    # one stepper at a time on two workers; on more, a single stepper would
+    # bound the wall at the total stepping time, so all but one may step
+    stepping = threading.Semaphore(max(1, workers - 1))
     if workers <= 1:
         done = [task(*block) for block in queue]
     else:

@@ -402,23 +402,24 @@ def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):
     ({"MVCONTRACT_SIGMA": "1e160"}, "check", [
         "PASS density_martingale: E[Gamma_T]=0.999629 se=5.53e-04 target=1 band=3se",
         "FAIL b0_variance_oracle: var=inf target=inf se=nan band=3se "
-        "not_finite=estimate,target,se,band",
-        "FAIL mean_trajectory: max_gap=3.544e+157 worst_gap_over_se=0.00 not_finite=se,band",
+        "not_finite=gap,band",
+        "FAIL mean_trajectory: max_gap=3.544e+157 worst_gap_over_se=0.00 not_finite=band",
     ]),
     ({"MVCONTRACT_SIGMA": "1e300", "MVCONTRACT_WEAK_EFFORT": "1e10", "MVCONTRACT_B": "1e-5"},
      "weakcheck", [
         "PASS martingale_mean: E[Gamma_T]=1.000000 se=0.00e+00 target=1 band=3se",
         "FAIL log_density_mean: E[log Gamma_T]=-4.378929e-299 target=-0.000000e+00 band=3se",
         "FAIL reweighted_mean_vs_analytic: weak=-4.378929e+296 analytic=3.000000e+03 se=inf "
-        "band=3se not_finite=se,band",
+        "band=3se not_finite=band",
         "FAIL weak_strong_agreement: weak=-4.378929e+296 strong=1.244237e+297 band=inf "
-        "not_finite=se,band",
+        "not_finite=band",
     ]),
 ], ids=["check_sigma_1e160", "weakcheck_sigma_1e300"])
 def test_band_lines_on_non_finite_statistics_fail(monkeypatch, capsys, env, command, lines):
     # the node SEs of the mean trajectory and the SE of the reweighted mean
     # overflow to inf: a band that wide would pass anything, so each such
-    # line fails and names what is not finite; finite band lines are as before
+    # line fails and says whether its gap, its band or both are not finite;
+    # finite band lines are as before
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     with np.errstate(all="ignore"):

@@ -429,12 +429,15 @@ def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, mo
 
 
 @pytest.mark.parametrize("cpus", [2, 4, 8])
-def test_one_worker_runs_parts_at_a_time(ref_params, corner_triple, monkeypatch, cpus):
+def test_one_worker_fewer_than_the_pool_runs_parts_at_once(ref_params, corner_triple,
+                                                           monkeypatch, cpus):
     # workers draw their blocks' noise in parallel but run the parts on them
-    # under one lock: instrumented runs never overlap, although each pauses
-    # long enough for another worker to reach its own, and every value
-    # carries the bits of the one-worker run.  A part that raises on one
-    # block releases the lock: the call ends, with the error of one worker
+    # under a semaphore of one fewer than the pool: on two workers the runs
+    # never overlap, although each pauses long enough for another worker to
+    # reach its own, and on more no more than that many do, but more than
+    # one; every value carries the bits of the one-worker run.  A part that
+    # raises on one block releases the semaphore: the call ends, with the
+    # error of one worker
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 97 * 16)
     fields = {"16": ClosedLoopField(integrate_riccati(ref_params, corner_triple,
                                                       make_grid(ref_params.T, 16), ETA_EQUALS_X)),
@@ -481,7 +484,8 @@ def test_one_worker_runs_parts_at_a_time(ref_params, corner_triple, monkeypatch,
     one, one_outputs = read(1)
     peaks.clear()
     many, many_outputs = read(cpus)
-    assert len(peaks) == 31 + 11 and max(peaks) == 1
+    assert len(peaks) == 31 + 11
+    assert max(peaks) == 1 if cpus == 2 else 1 < max(peaks) < cpus
     for name in fields:
         assert len(many[name]) == len(one[name])
         assert all(np.array_equal(g, w) for g, w in zip(many[name], one[name]))
@@ -490,7 +494,7 @@ def test_one_worker_runs_parts_at_a_time(ref_params, corner_triple, monkeypatch,
     errors = [read(workers, raise_at=291)[0] for workers in (1, cpus)]
     assert all(isinstance(exc, SimulationDivergedError) for exc in errors)
     assert [(exc.path, exc.step, exc.label) for exc in errors] == [(296, 3, "x")] * 2
-    assert running[0] == 0 and max(peaks) == 1
+    assert running[0] == 0 and max(peaks) <= max(1, cpus - 1)
 
 
 def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple, monkeypatch):
