@@ -12,6 +12,7 @@ from .errors import (
     ConfigError,
     DegenerateMultiplierError,
     DegenerateSensitivityError,
+    NonFiniteEstimateError,
     RiccatiBlowUpError,
     SimulationDivergedError,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "LqParams",
     "MultiplierTriple",
     "NoiseEnsemble",
+    "NonFiniteEstimateError",
     "RiccatiBlowUpError",
     "RiccatiSolution",
     "SimulationDivergedError",

@@ -48,7 +48,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .config import RunConfig
-from .errors import DegenerateSensitivityError, RiccatiBlowUpError, SimulationDivergedError
+from .errors import DegenerateSensitivityError, RiccatiBlowUpError
 from .model import (
     AS_PRINTED,
     ETA_EQUALS_X,
@@ -57,7 +57,14 @@ from .model import (
     optimal_effort,
     principal_hamiltonian,
 )
-from .montecarlo import Part, _mean_and_se, _step_block, _variance_and_se, read_blocks
+from .montecarlo import (
+    Part,
+    _mean_and_se,
+    _raise_first_divergence,
+    _step_block,
+    _variance_and_se,
+    read_blocks,
+)
 from .multipliers import sweep_grid
 from .riccati import (
     ClosedLoopField,
@@ -184,18 +191,25 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
 
 
 def _fold_x(x: np.ndarray, dW: np.ndarray, sigma: float, drift_dt: float) -> None:
-    """Fold ``x = (x + drift dt) + sigma dW`` from 0; raises where x first goes non-finite."""
-    x[...] = 0.0
+    """Fold ``x = (x + drift dt) + sigma dW`` from 0; raises where x first goes non-finite.
+
+    x is screened once, at the end: only a non-finite end steps the block
+    again to find the first step and path (``_raise_first_divergence``).
+    """
     sigma_dW = np.empty_like(x)
-    for k, row in enumerate(dW):
-        np.multiply(row, sigma, out=sigma_dW)
-        x += drift_dt
-        x += sigma_dW
-        # a step whose sum is finite has no non-finite x
-        if not math.isfinite(x.sum()):
-            bad = ~np.isfinite(x)
-            if bad.any():
-                raise SimulationDivergedError(path=int(bad.argmax()), step=k + 1, label="x")
+
+    def steps():
+        x[...] = 0.0
+        yield 0
+        for k, row in enumerate(dW, 1):
+            np.multiply(row, sigma, out=sigma_dW)
+            np.add(x, drift_dt, out=x)
+            np.add(x, sigma_dW, out=x)
+            yield k
+
+    for _ in steps():
+        pass
+    _raise_first_divergence(x, steps, "x")
 
 
 def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,

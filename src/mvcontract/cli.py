@@ -5,7 +5,8 @@ Subcommands
     riccati    solve the backward coefficient system in closed form, write
                riccati.csv; a pole of the system (named by its time t*) or
                a coefficient above blow_up_bound exits 3
-    simulate   sweep the multiplier grid, evaluate contracts, write eval.csv
+    simulate   sweep the multiplier grid, evaluate contracts, write eval.csv;
+               a non-finite estimate or standard error exits 3
     check      run the oracle battery (terminal values, residuals, argmax,
                martingale, variance oracle, mean trajectory, explicit R);
                nonzero exit on any failure
@@ -14,7 +15,7 @@ Subcommands
 Flags override environment variables (MVCONTRACT_<KEY>), which override the
 config file, which overrides built-in defaults; the merged configuration is
 validated once.  Exit codes: 0 success, 2 configuration error, 3 numerical
-blow-up or divergence, 4 oracle failure.
+blow-up, divergence or non-finite estimate, 4 oracle failure.
 
 CSV outputs are byte-stable for identical configurations: plain LF line
 endings, full-precision repr floats, no timestamps.
@@ -34,6 +35,7 @@ from .errors import (
     ConfigError,
     DegenerateMultiplierError,
     DegenerateSensitivityError,
+    NonFiniteEstimateError,
     RiccatiBlowUpError,
     SimulationDivergedError,
 )
@@ -312,7 +314,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RiccatiBlowUpError, SimulationDivergedError) as exc:
+    except (RiccatiBlowUpError, SimulationDivergedError, NonFiniteEstimateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -19,6 +19,23 @@ class SimulationDivergedError(RuntimeError):
         )
 
 
+class NonFiniteEstimateError(RuntimeError):
+    """A Monte-Carlo estimate or standard error of one grid point is not finite.
+
+    ``statistics`` maps the eval.csv name of each such statistic (``J_A``,
+    ``J_A_se``, ..., ``var_xT_se``) to its value; no feasibility verdict can
+    be read from it.
+    """
+
+    def __init__(self, statistics: dict, lam_P: float, theta: Optional[float]):
+        self.statistics = statistics
+        self.lam_P = lam_P
+        self.theta = theta
+        point = f"lambda_P = {lam_P:.6g}" + ("" if theta is None else f", theta = {theta:.6g}")
+        values = ", ".join(f"{name} = {value!r}" for name, value in statistics.items())
+        super().__init__(f"non-finite estimate at {point}: {values}")
+
+
 class RiccatiBlowUpError(RuntimeError):
     """The backward coefficient system blew up at grid time ``t``.
 

@@ -28,9 +28,15 @@ blocks or how many workers run them; the final reductions run on the
 calling thread in a fixed order.
 
 One kernel steps every block (``_step_block``): (x, R) is one (2, paths)
-array, 8 numpy calls per step, and a caller that reads more than x(T)
+array, 7 numpy calls per step, and a caller that reads more than x(T)
 passes a fold, which reads (x, R) at every node and keeps only per-block
 statistics; ``simulate_costs`` folds the costs (``_cost_fold``, 5 calls).
+A non-finite element stays non-finite under the step's adds and
+multiplies, so the state is screened for divergence once, at the end of
+each block (``_raise_first_divergence``); only a block that fails it is
+stepped again, without its fold, and searched at every node, so the
+reported step and path are those of a per-step search.  The folds of a
+diverging block therefore see its non-finite nodes before the raise.
 
 The noise is drawn in parallel and one worker fewer than the pool steps at
 once: one on two workers.  Drawing a block is a few long Philox and
@@ -45,7 +51,15 @@ once took 108 ms, and its wall falls from 156 to 140 ms (2 vCPUs, numpy
 of ``check`` and 23% of a ``simulate`` point, so a single stepper would
 bound the wall beyond about 3 to 4 workers; on more than two workers the
 semaphore therefore lets all but one of them step at once.  Nothing above
-2 CPUs was measured.
+2 CPUs was measured.  The blocks are queued smallest first, so a stream's
+ragged last block is drawn and stepped first, and the workers start out of
+phase rather than both waiting on the semaphore behind one first step.
+
+On import, one block-sized array is freed unread.  glibc then raises its
+dynamic mmap threshold to a block (mallopt(3)), so the per-call arrays
+(costs, x_T, work rows, reductions), each under a block, reuse heap pages;
+before, each was mapped and zero-filled afresh, about 1,700 minor faults per
+1e5 x 64 ``evaluate_contract`` call, where now a repeated call takes a few.
 """
 
 import math
@@ -60,13 +74,16 @@ from .model import AS_PRINTED, LqParams, check_mode, terminal_costs
 from .multipliers import MultiplierTriple
 from .noise import sample_noise_block
 from .riccati import DEFAULT_BLOW_UP_BOUND, ClosedLoopField, integrate_riccati
-from .errors import SimulationDivergedError
+from .errors import NonFiniteEstimateError, SimulationDivergedError
 from .timegrid import TimeGrid, make_grid
 
 #: Noise draws per block (16,384 paths at 64 steps, 4,096 at 256: 8 MB), and
 #: the size of the noise buffer each worker keeps.
 BLOCK_DRAWS = 2**20
 _buffers: list = []  # free noise buffers, shared unlocked: list.pop and append are atomic
+# a block freed unread, before any noise buffer is kept, raises glibc's mmap
+# threshold to a block (module docstring); no page of it is touched
+np.empty(BLOCK_DRAWS)
 
 
 @dataclass(frozen=True)
@@ -114,6 +131,26 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _raise_first_divergence(state, restep, label: str = "state") -> None:
+    """Raise where ``state`` first went non-finite, if it is non-finite now.
+
+    A non-finite element stays non-finite under a step's adds and
+    multiplies, so a block whose final state is finite never diverged, and
+    one screen per block finds every divergence.  Only when it fails,
+    ``restep()`` steps the same noise again from node 0, yielding each node
+    k once ``state`` holds it, and the first node with a non-finite element
+    raises a ``SimulationDivergedError`` with its lowest such path (a column
+    of a (2, paths) state).
+    """
+    if np.isfinite(state).all():
+        return
+    for k in restep():
+        bad = ~np.isfinite(state)
+        if bad.any():
+            raise SimulationDivergedError(path=int(np.atleast_2d(bad).any(axis=0).argmax()),
+                                          step=k, label=label)
+
+
 def _step_block(field, dW, x, fold=None, work=None) -> None:
     """Step one block of paths through every node of the grid.
 
@@ -128,22 +165,34 @@ def _step_block(field, dW, x, fold=None, work=None) -> None:
 
     in ``out=`` ufuncs on the two (2, paths) arrays of ``work`` (new ones if
     None), which a fold may overwrite: each step writes them before reading.
-    That is 8 numpy calls per step, with the element operations of a
-    per-row step in the same order, so the same bits.  Raises a
-    ``SimulationDivergedError`` at the first non-finite state, with its path
-    index within the block, before the fold sees that node: a step whose
-    state sum is finite has no non-finite element, so only a non-finite sum
-    is searched.
+    That is 7 numpy calls per step, with the element operations of a
+    per-row step in the same order, so the same bits.  The state is screened
+    for non-finite values once, at the end of the block: if it fails, the
+    block is stepped again without the fold and searched at every node
+    (``_raise_first_divergence``), which raises a ``SimulationDivergedError``
+    at the first non-finite state, with its path index within the block.
+    A fold of a diverging block therefore sees its non-finite nodes before
+    the raise, and may warn of them.
     """
+    z = np.empty((2, x.size))
+    work = np.empty((2,) + z.shape) if work is None else work
+    for k in _steps(field, dW, z, work):
+        if fold is not None:
+            fold(k, z)
+    _raise_first_divergence(z, lambda: _steps(field, dW, z, work))
+    x[...] = z[0]
+
+
+def _steps(field, dW, z, work):
+    """The steps of ``_step_block``: set z to 0 and step it, yielding each node k once z holds it."""
     dt = field.sol.grid.dt
     sigma = field.sol.params.sigma
-    z = np.zeros((2, x.size))
     x_row, R_row = z
-    w, w2 = np.empty((2,) + z.shape) if work is None else work
+    w, w2 = work
     sigma_dW = w2[0]
     rows = field.rows[:, :, None]
-    if fold is not None:
-        fold(0, z)
+    z[...] = 0.0
+    yield 0
     for k, (dW_k, drift_x, drift_R) in enumerate(zip(dW, rows[:, 4::2], rows[:, 5::2]), 1):
         np.multiply(x_row, drift_x, out=w)
         np.multiply(R_row, drift_R, out=w2)
@@ -152,13 +201,7 @@ def _step_block(field, dW, x, fold=None, work=None) -> None:
         z += w
         np.multiply(dW_k, sigma, out=sigma_dW)
         x_row += sigma_dW
-        if not math.isfinite(z.sum()):
-            bad = ~np.isfinite(z)
-            if bad.any():
-                raise SimulationDivergedError(path=int(bad.any(axis=0).argmax()), step=k)
-        if fold is not None:
-            fold(k, z)
-    x[...] = x_row
+        yield k
 
 
 def _cost_fold(field, j, work):
@@ -206,14 +249,17 @@ def read_blocks(seed: int, parts: dict) -> dict:
     reads, in blocks of ``max(1, BLOCK_DRAWS // n_steps)`` paths, and each
     part runs on the head of every block that lies within its own paths.
     The blocks of every stream run on one pool of one worker per CPU the
-    process may use (inline for one), the streams with the fewest blocks
-    first, so no worker idles at the end of one stream while another has
-    blocks left.  Each block is drawn by ``sample_noise_block``, into the
+    process may use (inline for one), the smallest first, so each stream's
+    ragged last block runs ahead of the full ones and the workers start out
+    of phase; among blocks of one size, the streams with the fewest blocks
+    go first.  Each block is drawn by ``sample_noise_block``, into the
     one buffer its worker reuses and keeps, of ``BLOCK_DRAWS`` draws or one
     path where a path is longer, with no lock held; its worker then runs
     the parts on it under a semaphore that this call creates, so at most
     one worker fewer than the pool steps at once (one on two workers) while
-    the others draw, and under the caller's numpy error state.  A part that
+    the others draw, and under the caller's numpy error state.  Kept
+    buffers beyond one per worker, or too short for this call's largest
+    block, are dropped first.  A part that
     diverges does not stop the others; once every block has run, the first
     part in ``parts`` that diverged raises its ``SimulationDivergedError``
     at its earliest step, on the lowest such path, so the error depends
@@ -228,7 +274,15 @@ def read_blocks(seed: int, parts: dict) -> dict:
         block_paths = max(1, BLOCK_DRAWS // grid.n_steps)
         streams.append([(grid, group, n_paths, lo, min(lo + block_paths, n_paths))
                         for lo in range(0, n_paths, block_paths)])
-    queue = [block for stream in sorted(streams, key=len) for block in stream]
+    blocks = [block for stream in sorted(streams, key=len) for block in stream]
+
+    def draws(i):
+        grid, _, _, lo, hi = blocks[i]
+        return (hi - lo) * grid.n_steps
+
+    # the smallest (ragged) blocks first, so the workers start out of phase;
+    # ``blocks`` keeps each stream's blocks in block order
+    queue = sorted(range(len(blocks)), key=draws)
     # numpy's floating-point error state is per thread; carry the caller's
     errstate = np.geterr()
 
@@ -259,22 +313,26 @@ def read_blocks(seed: int, parts: dict) -> dict:
             _buffers.append(buffer)
 
     workers = min(_cpu_count(), len(queue))
-    del _buffers[max(workers, 1):]
+    largest = max(map(draws, queue), default=0)
+    # one kept buffer per worker, and none too short for the largest block
+    _buffers[:] = [b for b in _buffers[:max(workers, 1)] if b.size >= largest]
     # one stepper at a time on two workers; on more, a single stepper would
     # bound the wall at the total stepping time, so all but one may step
     stepping = threading.Semaphore(max(1, workers - 1))
+    done = [None] * len(blocks)
     if workers <= 1:
-        done = [task(*block) for block in queue]
+        for i in queue:
+            done[i] = task(*blocks[i])
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(task, *block) for block in queue]
-            done = [future.result() for future in futures]
+            futures = {i: pool.submit(task, *blocks[i]) for i in queue}
+            for i, future in futures.items():
+                done[i] = future.result()
         finally:
             pool.shutdown(cancel_futures=True)
-    # each stream's blocks sit in the queue in block order
     read = {name: [] for name in parts}
     for values in done:
         for name, value in values.items():
@@ -319,7 +377,9 @@ def evaluate_contract(
     """Estimate J_A, J_P and Var(x(T)) along the optimal closed loop.
 
     Fully determined by (params, mult, n_paths, n_steps, seed, mode): the
-    same inputs reproduce every estimate bit-exactly.
+    same inputs reproduce every estimate bit-exactly.  Raises a
+    ``NonFiniteEstimateError`` if an estimate or standard error is not
+    finite, so no feasibility verdict is read from it.
     """
     check_mode(p2_drift_mode)
     if n_paths < 2:
@@ -333,6 +393,11 @@ def evaluate_contract(
     j_a, j_a_se = _mean_and_se(ja_int + agent_term)
     j_p, j_p_se = _mean_and_se(jp_int + principal_term)
     var_xt, var_xt_se = _variance_and_se(x_T)
+    stats = {"J_A": j_a, "J_A_se": j_a_se, "J_P": j_p, "J_P_se": j_p_se,
+             "var_xT": var_xt, "var_xT_se": var_xt_se}
+    not_finite = {name: value for name, value in stats.items() if not math.isfinite(value)}
+    if not_finite:
+        raise NonFiniteEstimateError(not_finite, mult.lam_P, mult.theta)
 
     return ContractEvaluation(
         j_a=j_a,

@@ -375,6 +375,25 @@ def test_cmd_simulate_grid_and_byte_stability(tmp_path):
     assert len(b1.splitlines()) == 2 + 4  # 2x2 grid
 
 
+@pytest.mark.parametrize("sigma, statistics", [
+    ("1e160", "J_A = nan, J_A_se = nan, J_P = nan, J_P_se = nan, var_xT = inf, var_xT_se = nan"),
+    ("1e150", "J_A_se = inf, J_P_se = inf, var_xT_se = nan"),
+], ids=["sigma_1e160", "sigma_1e150"])
+def test_cmd_simulate_non_finite_estimate_exits_3(tmp_path, monkeypatch, capsys, sigma,
+                                                  statistics):
+    # no verdict from a non-finite number: at sigma = 1e160 the costs
+    # overflow and the point was written as nan and inf, "feasible,feasible";
+    # at 1e150 var_xT = 8.3e298 is finite but its SE is not, and it was
+    # marked feasible.  Both now end the sweep at the point, named with every
+    # non-finite statistic, before its row is written
+    monkeypatch.setenv("MVCONTRACT_SIGMA", sigma)
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--paths", "2000", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: non-finite estimate at lambda_P = 0.1, theta = 1.5708: {statistics}\n")
+    assert len((tmp_path / "eval.csv").read_text().splitlines()) == 2  # comment and header
+
+
 def test_cmd_check_passes_and_fails(tmp_path):
     cfg = _write_fig_config(
         tmp_path, out_dir=str(tmp_path / "out"), n_paths=4000, n_steps=64

@@ -4,10 +4,12 @@
 package, resolving a config and running ``riccati`` must not load scipy;
 each of those is checked in a fresh interpreter.  The draws themselves are
 pinned bit for bit to the noise spec, including a first draw made
-concurrently by two pool workers.
+concurrently by two pool workers.  A repeated evaluation, also in a fresh
+interpreter, must reuse the heap pages of the first.
 """
 
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -108,3 +110,30 @@ def test_first_draw_on_a_worker_pool_is_bit_identical():
     # one block: 2**20 draws hold 65,536 16-step paths
     ja, jp, x_T = simulate_costs(ClosedLoopField(sol), 3_000, 41)
     assert pooled == ja.tobytes() + jp.tobytes() + x_T.tobytes()
+
+
+REPEATED_EVALUATION = """
+import math, resource
+from mvcontract import ETA_EQUALS_X, LqParams, evaluate_contract, from_case, montecarlo
+
+montecarlo._cpu_count = lambda: 1
+params = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
+mult = from_case("iv", 0.1, math.pi / 2)
+evaluate_contract(params, mult, 100_000, 64, 1, ETA_EQUALS_X)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evaluate_contract(params, mult, 100_000, 64, 1, ETA_EQUALS_X)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc"
+    or any(key.startswith("MALLOC_") or key == "GLIBC_TUNABLES" for key in os.environ),
+    reason="needs glibc's dynamic mmap threshold")
+def test_repeated_evaluation_reuses_heap_pages():
+    # a block-sized array freed on import raises glibc's mmap threshold to
+    # a block, so the per-call arrays of a second 1e5 x 64 evaluation
+    # (costs, x_T, work rows, reductions) reuse the heap pages of the first:
+    # a few minor faults, where mapping them afresh took about 1,300.  On
+    # one worker, since a pool thread may start on a new glibc arena
+    assert int(_run_fresh(REPEATED_EVALUATION)) < 100

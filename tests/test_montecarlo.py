@@ -174,8 +174,8 @@ def test_paths_longer_than_a_block_run_one_per_block(ref_params, corner_triple, 
                                                       cpus):
     # with fewer draws per block than a path has steps, each block is one
     # path, drawn into a buffer one path long.  Eight buffers kept by an
-    # earlier call on eight workers are too short for a path: each worker
-    # drops the ones it takes, and the call keeps one buffer per worker
+    # earlier call on eight workers are too short for a path: the call drops
+    # them, and keeps one buffer per worker
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "_buffers", [np.empty(16) for _ in range(8)])
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 20)
@@ -388,8 +388,8 @@ def _x_T_part(field, n_paths):
 
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, monkeypatch, cpus):
-    # two streams on different grids share one pool, the one with fewer
-    # blocks first: in blocks of 97 x 16 draws, 3,000 16-step paths are 31
+    # two streams on different grids share one pool, the ragged blocks
+    # first, then the one with fewer blocks: in blocks of 97 x 16 draws, 3,000 16-step paths are 31
     # blocks of 97 and 2,000 8-step paths 11 blocks of 194.  Each must carry
     # the bits of a call of its own, and a divergence in either must be
     # reported where that stream alone meets it, whichever part comes first
@@ -497,6 +497,102 @@ def test_one_worker_fewer_than_the_pool_runs_parts_at_once(ref_params, corner_tr
     assert running[0] == 0 and max(peaks) <= max(1, cpus - 1)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ragged_blocks_are_drawn_first(ref_params, corner_triple, monkeypatch, cpus):
+    # in blocks of 97 x 16 draws, 3,000 16-step paths end in a ragged block
+    # of 90 paths (1,440 draws) and 2,000 8-step paths in one of 60 (480):
+    # both are drawn before any full block.  On two workers a full block's
+    # draw waits for both ragged draws to start, which a queue that put a
+    # full block ahead of them would make it give up on.  Each part's values
+    # still come in block order, with the bits of the one-worker run
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 97 * 16)
+    fields = {"16": ClosedLoopField(integrate_riccati(ref_params, corner_triple,
+                                                      make_grid(ref_params.T, 16), ETA_EQUALS_X)),
+              "8": ClosedLoopField(integrate_riccati(ref_params, from_case("iv", 0.3, 1.0),
+                                                     make_grid(ref_params.T, 8), ETA_EQUALS_X))}
+    ragged = {(16, 2_910, 3_000), (8, 1_940, 2_000)}
+    draw = montecarlo.sample_noise_block
+    guard, started, all_ragged, gave_up = threading.Lock(), [], threading.Event(), []
+
+    def spy(grid, n_paths, seed, lo, hi, out=None):
+        block = (grid.n_steps, lo, hi)
+        with guard:
+            started.append(block)
+            if ragged <= set(started):
+                all_ragged.set()
+        if block not in ragged and not all_ragged.wait(timeout=10):
+            gave_up.append(block)
+            all_ragged.set()
+        return draw(grid, n_paths, seed, lo, hi, out=out)
+
+    def read(workers):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+        parts, outputs = {}, {}
+        for name, n_paths in (("16", 3_000), ("8", 2_000)):
+            part, outputs[name] = _x_T_part(fields[name], n_paths)
+            parts[name] = part._replace(run=lambda lo, hi, dW, run=part.run: (lo, run(lo, hi, dW)))
+        return montecarlo.read_blocks(41, parts), outputs
+
+    one, one_outputs = read(1)
+    started.clear()
+    all_ragged.clear()
+    monkeypatch.setattr(montecarlo, "sample_noise_block", spy)
+    got, outputs = read(cpus)
+    assert gave_up == [] and len(started) == 31 + 11
+    if cpus == 1:
+        assert started[:2] == [(8, 1_940, 2_000), (16, 2_910, 3_000)]
+    for name, block_paths in (("16", 97), ("8", 194)):
+        assert [lo for lo, _ in got[name]] == [lo for lo, _ in one[name]]
+        assert [lo for lo, _ in got[name]] == list(range(0, len(outputs[name][2]), block_paths))
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got[name], one[name]))
+        assert all(np.array_equal(g, w) for g, w in zip(outputs[name], one_outputs[name]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_divergence_at_the_last_step_of_a_ragged_block(ref_params, corner_triple, monkeypatch,
+                                                       cpus):
+    # x = x + sigma dW from 0 on 4 steps of seed 20 (T = 1e4, so sigma is
+    # finite), with sigma between max_float over the largest |x| of any
+    # step and path and over the next largest: x overflows once, at step 4,
+    # on a path of the ragged third block of 1,100-path blocks over 3,000
+    # paths, which runs first.
+    # A screen at the end of a block must still see it, and the closed-loop
+    # step (a = 0 and zero coefficients leave x + sigma dW) and the checks'
+    # terminal fold must report the step and path of the whole-ensemble loop
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1_100 * 4)
+    n_paths, n_steps, seed, T = 3_000, 4, 20, 1e4
+    grid = make_grid(T, n_steps)
+    dW = sample_noise(grid, n_paths, seed).increments.T
+    walk = np.abs(np.cumsum(dW, axis=0))
+    last, second = walk[-1].max(), max(walk[:-1].max(), np.sort(walk[-1])[-2])
+    sigma = np.finfo(float).max / math.sqrt(second * last)
+    x = np.zeros(n_paths)
+    with np.errstate(over="ignore"):
+        for k, row in enumerate(dW, 1):
+            x = x + sigma * row
+            if not np.isfinite(x).all():
+                break
+    expected = (k, int((~np.isfinite(x)).argmax()))
+    assert expected[0] == n_steps and expected[1] >= 2_200
+    params = dataclasses.replace(ref_params, a=0.0, sigma=sigma, T=T)
+    field = ClosedLoopField(RiccatiSolution(grid, params, corner_triple,
+                                            np.zeros((grid.n_points, 12)), ETA_EQUALS_X))
+    config = dataclasses.replace(default_config(), params=params, n_paths=n_paths,
+                                 n_steps=n_steps, seed=seed)
+    firsts = []
+    draw = montecarlo.sample_noise_block
+    monkeypatch.setattr(montecarlo, "sample_noise_block",
+                        lambda *args, **kw: firsts.append(args[3:5]) or draw(*args, **kw))
+    for run in (lambda: simulate_costs(field, n_paths, seed),
+                lambda: checks._terminal_values(config, seed, drift=0.0)):
+        firsts.clear()
+        with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
+            run()
+        assert (excinfo.value.step, excinfo.value.path) == expected
+        assert cpus > 1 or firsts[0] == (2_200, 3_000)
+
+
 def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple, monkeypatch):
     # hand-built as_printed coefficients (b = 1, so s = (P1 + 2 P2) / lambda_P):
     # A12 = -2 A13 at node 1 cancels every loading of x on the coefficients,
@@ -532,8 +628,8 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
                                                                   row_closed_loop):
     # the same R-only overflow, stepped by the reference loop on the field's
     # rows: x stays finite where R does not, and the stacked step, with or
-    # without a fold, stops at the same (step, path), before the fold reads
-    # the diverged node
+    # without a fold, stops at the same (step, path).  The block is screened
+    # once, at its end, so the fold has read every node of it, in order
     params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
@@ -562,7 +658,7 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
                 montecarlo._step_block(field, dW.T, np.empty(n_paths), fold=fold)
             got.append((excinfo.value.step, excinfo.value.path))
     assert got == [expected, expected]
-    assert folded == list(range(expected[0]))
+    assert folded == list(range(grid.n_steps + 1))
 
 
 def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_triple,
