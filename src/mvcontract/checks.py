@@ -421,8 +421,7 @@ class _ExplicitRFold:
         return np.max(self._diffs), np.max(self._scales)
 
 
-def check_density_martingale(gamma_T: np.ndarray) -> CheckResult:
-    name = "density_martingale"
+def check_density_martingale(gamma_T: np.ndarray, name: str = "density_martingale") -> CheckResult:
     est, se = _mean_and_se(gamma_T)
     return _band_result(name, est - 1.0, 3.0 * se,
                         f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
@@ -603,16 +602,17 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         f"min Gamma_T={gamma_T.min():.3e}",
     ))
 
-    est, se = _mean_and_se(gamma_T)
     if theta == 0.0:
-        ok = est == 1.0 and float(np.abs(gamma_T - 1.0).max()) == 0.0
+        ok = np.all(gamma_T == 1.0)
         results.append(_result("martingale_mean", ok, "theta=0: Gamma identically 1"))
     else:
-        results.append(_band_result("martingale_mean", est - 1.0, 3.0 * se,
-                                    f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se"))
+        results.append(check_density_martingale(gamma_T, "martingale_mean"))
 
     log_target = -0.5 * theta * theta * params.T
-    log_est, log_se = _mean_and_se(log_vals)
+    # scaled by a power of two, exactly, so that the squared deviations of a
+    # tiny theta do not underflow to an SE of 0
+    scale = int(np.frexp(np.abs(log_vals).max())[1])
+    log_est, log_se = (np.ldexp(v, scale) for v in _mean_and_se(np.ldexp(log_vals, -scale)))
     results.append(_band_result(
         "log_density_mean", log_est - log_target, 3.0 * log_se,
         f"E[log Gamma_T]={log_est:.6e} target={log_target:.6e} band=3se",

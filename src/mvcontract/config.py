@@ -2,8 +2,8 @@
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Unknown keys are errors, so a sweep cannot silently run with a misspelled
-override.  Values round-trip losslessly: floats are written with repr and
-parsed back to the same bits.
+override.  Floats are parsed with ``float``, so a value written with
+``repr`` reads back to the same bits.
 
 Point lists for the multiplier sweep accept three spellings:
 
@@ -29,7 +29,7 @@ _CASE_CHOICES = ("i", "ii", "iii", "iv", "v")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs, serializable to the flat file format.
+    """Everything a CLI run needs, as read from the flat file format.
 
     The field defaults are the shipped configuration: the bounded
     closed-loop example instance.
@@ -50,11 +50,6 @@ class RunConfig:
     coeffs_csv: Optional[str] = None
     weak_effort: float = 1.0
     weak_cashflow: float = 0.5
-
-
-def default_config() -> RunConfig:
-    """Reference configuration: the bounded closed-loop example instance."""
-    return RunConfig()
 
 
 def _parse_points(text: str, key: str) -> Tuple[float, ...]:
@@ -78,10 +73,6 @@ def _parse_points(text: str, key: str) -> Tuple[float, ...]:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"{key}: bad point list {text!r}: {exc}") from None
-
-
-def _format_points(points) -> str:
-    return ",".join(repr(float(p)) for p in points)
 
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(LqParams))
@@ -210,27 +201,6 @@ def _file_values(path: str) -> dict:
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return _build(_parse_layer(_text_items(text, source)))
-
-
-def config_to_text(config: RunConfig) -> str:
-    """Serialize to the file format; parsing the output reproduces the config.
-
-    A string value that could not be read back unchanged, one holding ``#``
-    or a line break or with surrounding whitespace, is a ``ConfigError``.
-    """
-    lines = []
-    for key, (field, kind) in _KEYS.items():
-        value = getattr(config.params if key in _PARAM_KEYS else config, field)
-        if value is None:  # an unset theta or coeffs_csv
-            continue
-        if kind is tuple:
-            value = _format_points(value)
-        elif kind is not str:
-            value = repr(value)
-        elif "#" in value or value != value.strip() or len(value.splitlines()) > 1:
-            raise ConfigError(f"{key} = {value!r} cannot be written to a config file")
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 #: flag-style spellings of config keys, for the CLI flags and, alongside

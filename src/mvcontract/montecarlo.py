@@ -96,14 +96,6 @@ class ContractEvaluation:
     j_p_se: float
     var_xt: float
     var_xt_se: float
-    j_a_integral: float  # running-cost part of J_A, before the terminal term
-    j_p_integral: float
-    n_paths: int
-    n_steps: int
-    seed: int
-    multipliers: MultiplierTriple
-    params: LqParams
-    p2_drift_mode: str
 
 
 def _mean_and_se(values: np.ndarray):
@@ -399,19 +391,4 @@ def evaluate_contract(
     if not_finite:
         raise NonFiniteEstimateError(not_finite, mult.lam_P, mult.theta)
 
-    return ContractEvaluation(
-        j_a=j_a,
-        j_a_se=j_a_se,
-        j_p=j_p,
-        j_p_se=j_p_se,
-        var_xt=var_xt,
-        var_xt_se=var_xt_se,
-        j_a_integral=float(ja_int.mean()),
-        j_p_integral=float(jp_int.mean()),
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-        multipliers=mult,
-        params=params,
-        p2_drift_mode=p2_drift_mode,
-    )
+    return ContractEvaluation(j_a, j_a_se, j_p, j_p_se, var_xt, var_xt_se)

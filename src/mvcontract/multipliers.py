@@ -118,20 +118,15 @@ def sweep_grid(
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Per-constraint verdicts plus the transversality case they indicate.
+    """Per-constraint verdicts against the participation bounds.
 
-    ``agent_cost`` and ``variance`` are one of feasible / boundary /
-    infeasible, where boundary means within ``tol * |bound| + 2 SE`` of the
-    bound.  ``consistent_case`` names the case whose activation pattern
-    matches the boundary contacts (``interior`` when nothing is active,
-    which is consistent only with lambda_P = 1).
+    ``agent_cost`` (J_A against W0) and ``variance`` (Var(x(T)) against R0)
+    are each one of feasible / boundary / infeasible, where boundary means
+    within ``tol * |bound| + 2 SE`` of the bound.
     """
 
     agent_cost: str
     variance: str
-    consistent_case: str
-    agent_cost_band: float
-    variance_band: float
 
 
 def _verdict(value: float, bound: float, band: float) -> str:
@@ -149,33 +144,9 @@ def classify_feasibility(evaluation, params: LqParams, tol: float = 1e-3) -> Fea
     includes twice the estimate's standard error, since a point estimate
     cannot certify a strict inequality.
     """
-    band_ja = tol * abs(params.W0) + 2.0 * evaluation.j_a_se
-    band_var = tol * params.R0 + 2.0 * evaluation.var_xt_se
-
-    ja = _verdict(evaluation.j_a, params.W0, band_ja)
-    var = _verdict(evaluation.var_xt, params.R0, band_var)
-
-    ja_active = abs(evaluation.j_a - params.W0) <= band_ja
-    var_at_r0 = abs(evaluation.var_xt - params.R0) <= band_var
-    var_at_zero = evaluation.var_xt <= band_var
-
-    if ja_active and var_at_r0:
-        case = "iv"
-    elif ja_active and var_at_zero:
-        case = "iii"
-    elif ja_active:
-        case = "v"
-    elif var_at_r0:
-        case = "ii"
-    elif var_at_zero:
-        case = "i"
-    else:
-        case = "interior"
-
     return FeasibilityVerdict(
-        agent_cost=ja,
-        variance=var,
-        consistent_case=case,
-        agent_cost_band=band_ja,
-        variance_band=band_var,
+        agent_cost=_verdict(evaluation.j_a, params.W0,
+                            tol * abs(params.W0) + 2.0 * evaluation.j_a_se),
+        variance=_verdict(evaluation.var_xt, params.R0,
+                          tol * params.R0 + 2.0 * evaluation.var_xt_se),
     )

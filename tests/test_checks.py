@@ -19,7 +19,7 @@ from mvcontract import (
 )
 from mvcontract import checks, montecarlo
 from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ORACLE, load_riccati_csv, main
-from mvcontract.config import default_config
+from mvcontract.config import RunConfig
 from reference_schemes import (
     ansatz_residual,
     closed_loop_paths,
@@ -34,7 +34,7 @@ def test_b0_oracle_targets_the_euler_chain(n_steps, target):
     # against the continuous-time variance, the scheme's discretisation bias
     # failed the 4-step oracle at z = -3.5; the chain's own variance is the
     # recursion v_{k+1} = (1 + a dt)^2 v_k + sigma^2 dt from v_0 = 0
-    config = dataclasses.replace(default_config(), n_steps=n_steps)
+    config = dataclasses.replace(RunConfig(), n_steps=n_steps)
     a, sigma, dt = config.params.a, config.params.sigma, config.params.T / n_steps
     v = 0.0
     for _ in range(n_steps):
@@ -54,7 +54,7 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     # interleave the workers' writes.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
-    config = dataclasses.replace(default_config(), n_paths=10_001, seed=23, weak_effort=0.7)
+    config = dataclasses.replace(RunConfig(), n_paths=10_001, seed=23, weak_effort=0.7)
     params = config.params
     n, seed = config.n_paths, config.seed
     assert n // (montecarlo.BLOCK_DRAWS // config.n_steps) >= 2
@@ -103,7 +103,7 @@ def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_
     # whole ensemble, the public schemes, the plain mean and SE formulas and
     # the optimality residuals over full effort arrays; 20,000 64-step paths
     # are a 16,384-path block and a ragged one
-    base = default_config()
+    base = RunConfig()
     config = dataclasses.replace(base, params=dataclasses.replace(base.params, b=b),
                                  n_paths=20_000, weak_effort=weak_effort,
                                  weak_cashflow=weak_cashflow)
@@ -175,7 +175,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     # another solution, stepped on the same draws as the config's.
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
-    config = dataclasses.replace(default_config(), n_paths=n_paths, n_steps=n_steps, seed=23)
+    config = dataclasses.replace(RunConfig(), n_paths=n_paths, n_steps=n_steps, seed=23)
     params, seed, mult = config.params, config.seed, checks._first_triple(config)
     sol = checks._solve(config, config.n_steps)
     coeff_sol = integrate_riccati(
@@ -315,7 +315,7 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
     monkeypatch.setattr(montecarlo, "sample_noise_block", draw)
     assert paths == {64: 100_000, checks.RESIDUAL_CHECK_STEPS: 10_000}
     assert sum(n * steps for steps, n in paths.items()) == 8_960_000
-    config, sol = default_config(), load_riccati_csv(csv)
+    config, sol = RunConfig(), load_riccati_csv(csv)
     own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
         sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS), fold=checks._ResidualFold)})["file"]
     separate = checks._residual_result("file_riccati_residual", config, sol, own)
@@ -335,7 +335,7 @@ def test_table_of_the_residual_solve_reads_its_blocks(tmp_path, monkeypatch, cap
     printed = capsys.readouterr().out.splitlines()
     (_, parts), read = seen["read_blocks"]
     assert sorted(parts) == ["b0", "density", "explicit", "mean", "residual"]
-    config, sol = dataclasses.replace(default_config(), n_paths=10_000), load_riccati_csv(csv)
+    config, sol = dataclasses.replace(RunConfig(), n_paths=10_000), load_riccati_csv(csv)
     own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
         sol, 10_000, fold=checks._ResidualFold)})["file"]
     assert len(own) == 3
@@ -349,7 +349,7 @@ def test_table_unlike_the_residual_solve_keeps_its_own_part(monkeypatch, table):
     # a table that differs from the battery's residual solve in one
     # coefficient's last bit, in the sign of a zero or in lambda_P, or any
     # table when that solve blows up, steps a part of its own
-    config = dataclasses.replace(default_config(), n_paths=2_000)
+    config = dataclasses.replace(RunConfig(), n_paths=2_000)
     sol = checks._solve(config, checks.RESIDUAL_CHECK_STEPS)
     coeffs = sol.coeffs.copy()
     b11, b12 = (COEFF_NAMES.index(name) for name in ("B11", "B12"))
@@ -408,7 +408,7 @@ def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):
     ({"MVCONTRACT_SIGMA": "1e300", "MVCONTRACT_WEAK_EFFORT": "1e10", "MVCONTRACT_B": "1e-5"},
      "weakcheck", [
         "PASS martingale_mean: E[Gamma_T]=1.000000 se=0.00e+00 target=1 band=3se",
-        "FAIL log_density_mean: E[log Gamma_T]=-4.378929e-299 target=-0.000000e+00 band=3se",
+        "PASS log_density_mean: E[log Gamma_T]=-4.378929e-299 target=-0.000000e+00 band=3se",
         "FAIL reweighted_mean_vs_analytic: weak=-4.378929e+296 analytic=3.000000e+03 se=inf "
         "band=3se not_finite=band",
         "FAIL weak_strong_agreement: weak=-4.378929e+296 strong=1.244237e+297 band=inf "
@@ -427,6 +427,19 @@ def test_band_lines_on_non_finite_statistics_fail(monkeypatch, capsys, env, comm
     printed = capsys.readouterr().out.splitlines()
     names = [line.split(":")[0] for line in lines]
     assert [line for line in printed if line.split(":")[0] in names] == lines
+
+
+@pytest.mark.parametrize("effort", [1e10, 1e2], ids=["theta_1e-295", "theta_1e-303"])
+def test_log_density_mean_of_a_tiny_theta_has_a_non_zero_se(effort):
+    # theta = b e0 / sigma: every squared deviation of log Gamma_T from its
+    # mean underflows to 0, so unscaled values give an SE of 0 and a band
+    # that no gap fits; scaled by a power of two, the SE is theta sqrt(T / n)
+    base = RunConfig()
+    config = dataclasses.replace(base, params=dataclasses.replace(base.params, sigma=1e300, b=1e-5),
+                                 weak_effort=effort, n_paths=10_000)
+    with np.errstate(all="ignore"):
+        results = {r.name: r for r in checks.run_weak_battery(config)}
+    assert results["log_density_mean"].passed, results["log_density_mean"].detail
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -453,7 +466,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
     # of 2**18 draws), while the first block diverges only at step 2
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
-    base = default_config()
+    base = RunConfig()
     params = dataclasses.replace(base.params, sigma=3.7e306, T=1e4)
     config = dataclasses.replace(base, params=params, n_paths=10_001, seed=42)
     noise = sample_noise(make_grid(params.T, config.n_steps), config.n_paths, config.seed)
@@ -469,7 +482,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
 
 def test_non_finite_theta_is_a_configuration_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="non-finite theta"):
-        checks._terminal_values(default_config(), 1, drift=0.0, theta=math.inf)
+        checks._terminal_values(RunConfig(), 1, drift=0.0, theta=math.inf)
     # theta = b e0 / sigma overflows
     path = tmp_path / "theta.cfg"
     path.write_text("b = 1e300\nweak_effort = 1e300\n")
@@ -525,7 +538,7 @@ def test_battery_memory_does_not_scale_with_paths(monkeypatch, battery, limit_mb
     # mean-trajectory paths and 10,000 residual paths; full path matrices of
     # the density and residual ensembles took 198-302 MB of traced memory
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-    results, peak_mb = _traced_peak_mb(lambda: battery(default_config()))
+    results, peak_mb = _traced_peak_mb(lambda: battery(RunConfig()))
     assert all(r.passed for r in results)
     assert peak_mb < limit_mb
 
@@ -538,7 +551,7 @@ def test_check_battery_holds_one_noise_block(monkeypatch):
     # recorded mean-trajectory and explicit-R sets and the residual's
     # recorded states peaked at 30.9 MiB
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
-    config = default_config()
+    config = RunConfig()
     checks.run_weak_battery(config)  # scipy is imported outside the trace
     results, peak_mb = _traced_peak_mb(lambda: checks.run_check_battery(config))
     assert all(r.passed for r in results)
@@ -557,7 +570,7 @@ def test_folds_match_their_references(monkeypatch, cpus):
     # and 2,500 256-step paths 1024, 1024 and 452
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
-    config, seed = default_config(), 29
+    config, seed = RunConfig(), 29
     sol, residual_sol = (checks._solve(config, n) for n in (config.n_steps,
                                                             checks.RESIDUAL_CHECK_STEPS))
     n, n_residual = 10_001, 2_500

@@ -15,13 +15,7 @@ from mvcontract.cli import (
     main,
     point_seed,
 )
-from mvcontract.config import (
-    RunConfig,
-    config_to_text,
-    default_config,
-    parse_config_text,
-    resolve,
-)
+from mvcontract.config import RunConfig, parse_config_text, resolve
 
 FIG_CONFIG = """
 # reference instance
@@ -44,33 +38,55 @@ p2_drift_mode = eta_equals_x
 def test_config_round_trip(tmp_path):
     config = parse_config_text(FIG_CONFIG)
     path = tmp_path / "run.cfg"
-    path.write_text(config_to_text(config), encoding="utf-8")
+    path.write_text(FIG_CONFIG, encoding="utf-8")
     assert resolve(str(path), {}, environ={}) == config
 
 
 def test_default_config_round_trips():
-    config = default_config()
-    assert parse_config_text(config_to_text(config)) == config
+    # the shipped instance, every float written with repr
+    text = (
+        "a = 1.0\nb = 1.0\nsigma = 1.0\nalpha = 0.2\nbeta = 1.0\nT = 0.03\n"
+        "W0 = -0.005\nR0 = 0.06\ncase = iv\nlambda_P = 0.1\n"
+        f"theta = {math.pi / 2!r}\nn_paths = 100000\nn_steps = 64\nseed = 1\n"
+        "p2_drift_mode = eta_equals_x\nout_dir = out\nblow_up_bound = 100000000.0\n"
+        "residual_tol = 0.001\nfeasibility_tol = 0.001\n"
+        "weak_effort = 1.0\nweak_cashflow = 0.5\n"
+    )
+    assert parse_config_text(text) == RunConfig()
 
 
 def test_config_text_round_trips_every_key():
     # no theta in case v, a coefficient file, and string values with inner
     # spaces and an equals sign
-    config = dataclasses.replace(
-        parse_config_text("case = v\nlambda_P = 0.2,0.7"),
-        out_dir="runs = 1 dir", coeffs_csv="my coeffs.csv",
+    text = (
+        "a = 0.5\nb = -0.6\nsigma = 2.0\nalpha = 0.1\nbeta = 3.0\nT = 0.25\n"
+        "W0 = -0.1\nR0 = 0.2\ncase = v\nlambda_P = 0.2,0.7\n"
+        "n_paths = 1234\nn_steps = 8\nseed = 18446744073709551615\n"
+        "p2_drift_mode = as_printed\nout_dir = runs = 1 dir\nblow_up_bound = 50.0\n"
+        "residual_tol = 0.01\nfeasibility_tol = 0.0\ncoeffs_csv = my coeffs.csv\n"
+        "weak_effort = 0.7\nweak_cashflow = -0.3\n"
     )
+    config = parse_config_text(text)
     assert config.theta_points is None
-    assert parse_config_text(config_to_text(config)) == config
+    assert dataclasses.asdict(config) == {
+        "params": {"a": 0.5, "b": -0.6, "sigma": 2.0, "alpha": 0.1, "beta": 3.0,
+                   "T": 0.25, "W0": -0.1, "R0": 0.2},
+        "case_tag": "v", "lam_P_points": (0.2, 0.7), "theta_points": None,
+        "n_paths": 1234, "n_steps": 8, "seed": 2**64 - 1, "p2_drift_mode": "as_printed",
+        "out_dir": "runs = 1 dir", "blow_up_bound": 50.0, "residual_tol": 0.01,
+        "feasibility_tol": 0.0, "coeffs_csv": "my coeffs.csv",
+        "weak_effort": 0.7, "weak_cashflow": -0.3,
+    }
 
 
 @pytest.mark.parametrize("out_dir", ["runs#1", " runs", "runs ", "a\nb", "a\rb"])
 def test_string_that_cannot_round_trip_is_a_config_error(out_dir):
-    # "#" would start a comment, a line break a new line, and surrounding
+    # "#" starts a comment, a line break a new line, and surrounding
     # whitespace is stripped on parsing: none reads back as written
-    config = dataclasses.replace(default_config(), out_dir=out_dir)
-    with pytest.raises(ConfigError, match="out_dir"):
-        config_to_text(config)
+    try:
+        assert parse_config_text(f"out_dir = {out_dir}").out_dir != out_dir
+    except ConfigError as exc:
+        assert "expected key = value" in str(exc)
 
 
 def test_unknown_key_rejected():
@@ -153,9 +169,7 @@ def test_resolve_overrides():
 
 
 def test_default_config_is_the_shipped_instance():
-    config = default_config()
-    assert config == RunConfig()
-    assert dataclasses.asdict(config) == {
+    assert dataclasses.asdict(RunConfig()) == {
         "params": {"a": 1.0, "b": 1.0, "sigma": 1.0, "alpha": 0.2, "beta": 1.0,
                    "T": 0.03, "W0": -0.005, "R0": 0.06},
         "case_tag": "iv", "lam_P_points": (0.1,), "theta_points": (math.pi / 2,),
@@ -164,7 +178,7 @@ def test_default_config_is_the_shipped_instance():
         "feasibility_tol": 1e-3, "coeffs_csv": None,
         "weak_effort": 1.0, "weak_cashflow": 0.5,
     }
-    assert config.blow_up_bound == riccati.DEFAULT_BLOW_UP_BOUND
+    assert RunConfig().blow_up_bound == riccati.DEFAULT_BLOW_UP_BOUND
 
 
 def _riccati(tmp_path, capsys, *argv):

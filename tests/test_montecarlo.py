@@ -26,7 +26,7 @@ from mvcontract import (
     sample_noise_block,
 )
 from mvcontract import checks, montecarlo
-from mvcontract.config import default_config
+from mvcontract.config import RunConfig
 from mvcontract.montecarlo import simulate_costs
 from reference_schemes import closed_loop_paths, step_costs
 
@@ -39,8 +39,11 @@ def test_b0_variance_matches_closed_form(ref_params, corner_triple):
     a, sigma, T = params.a, params.sigma, params.T
     target = sigma**2 * (math.exp(2 * a * T) - 1.0) / (2 * a)
     assert abs(ev.var_xt - target) <= 3 * ev.var_xt_se
-    # effort equals cash-flow when the effort gain vanishes
-    assert ev.j_a_integral == 0.0
+    # effort equals cash-flow when the effort gain vanishes: no path has an
+    # agent running cost
+    sol = integrate_riccati(params, corner_triple, make_grid(T, 64), ETA_EQUALS_X)
+    ja, _, _ = simulate_costs(ClosedLoopField(sol), n, 5)
+    assert np.all(ja == 0.0)
 
 
 def test_reproducibility_bitwise(ref_params, corner_triple):
@@ -261,10 +264,13 @@ def test_variance_estimator_matches_two_pass(ref_params, corner_triple):
 def test_cost_parts_nonnegative_and_terminal_negative(ref_params, corner_triple):
     ev = evaluate_contract(ref_params, corner_triple, 2_000, 32, seed=23,
                            p2_drift_mode=ETA_EQUALS_X)
-    assert ev.j_a_integral >= 0.0
-    assert ev.j_p_integral >= 0.0
-    assert ev.j_a <= ev.j_a_integral
-    assert ev.j_p <= ev.j_p_integral
+    sol = integrate_riccati(ref_params, corner_triple, make_grid(ref_params.T, 32), ETA_EQUALS_X)
+    ja, jp, _ = simulate_costs(ClosedLoopField(sol), 2_000, 23)
+    # every path's running costs are sums of squares; the terminal terms
+    # -alpha x_T^2 / 2 and -beta x_T^2 / 2 only lower them
+    assert np.all(ja >= 0.0) and np.all(jp >= 0.0)
+    assert ev.j_a <= ja.mean()
+    assert ev.j_p <= jp.mean()
 
 
 def test_standard_errors_scale_with_paths(ref_params, corner_triple):
@@ -357,7 +363,7 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
     runs = [lambda block=block: _simulate_in_blocks(monkeypatch, block, field, n_paths, seed)
             for block in (None, 1_000, 777)]
     runs.append(lambda: closed_loop_paths(field, sample_noise(grid, n_paths, seed)))
-    config = dataclasses.replace(default_config(), n_paths=n_paths, seed=seed)
+    config = dataclasses.replace(RunConfig(), n_paths=n_paths, seed=seed)
 
     def battery():
         monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 777 * grid.n_steps)
@@ -578,7 +584,7 @@ def test_divergence_at_the_last_step_of_a_ragged_block(ref_params, corner_triple
     params = dataclasses.replace(ref_params, a=0.0, sigma=sigma, T=T)
     field = ClosedLoopField(RiccatiSolution(grid, params, corner_triple,
                                             np.zeros((grid.n_points, 12)), ETA_EQUALS_X))
-    config = dataclasses.replace(default_config(), params=params, n_paths=n_paths,
+    config = dataclasses.replace(RunConfig(), params=params, n_paths=n_paths,
                                  n_steps=n_steps, seed=seed)
     firsts = []
     draw = montecarlo.sample_noise_block

@@ -14,11 +14,7 @@ from mvcontract.montecarlo import ContractEvaluation
 
 
 def _fake_eval(params, j_a, var_xt, se=1e-6):
-    return ContractEvaluation(
-        j_a=j_a, j_a_se=se, j_p=0.0, j_p_se=se, var_xt=var_xt, var_xt_se=se,
-        j_a_integral=0.0, j_p_integral=0.0, n_paths=1000, n_steps=64, seed=0,
-        multipliers=from_case("ii", 0.5), params=params, p2_drift_mode="as_printed",
-    )
+    return ContractEvaluation(j_a=j_a, j_a_se=se, j_p=0.0, j_p_se=se, var_xt=var_xt, var_xt_se=se)
 
 
 def test_case_ii_values():
@@ -116,7 +112,6 @@ def test_classify_interior_point():
     verdict = classify_feasibility(_fake_eval(params, params.W0 - 1.0, params.R0 / 2), params)
     assert verdict.agent_cost == "feasible"
     assert verdict.variance == "feasible"
-    assert verdict.consistent_case == "interior"
 
 
 def test_classify_double_boundary_is_case_iv():
@@ -124,7 +119,6 @@ def test_classify_double_boundary_is_case_iv():
     verdict = classify_feasibility(_fake_eval(params, params.W0, params.R0), params)
     assert verdict.agent_cost == "boundary"
     assert verdict.variance == "boundary"
-    assert verdict.consistent_case == "iv"
 
 
 def test_classify_violated_variance():
@@ -138,15 +132,13 @@ def test_classify_violated_variance():
 
 def test_classify_single_boundaries():
     params = LqParams(a=1, b=1, sigma=1, alpha=0.2, beta=1, T=0.03, W0=-0.01, R0=0.05)
-    assert classify_feasibility(
-        _fake_eval(params, params.W0, params.R0 / 2), params
-    ).consistent_case == "v"
-    assert classify_feasibility(
-        _fake_eval(params, params.W0 - 1, params.R0), params
-    ).consistent_case == "ii"
-    assert classify_feasibility(
-        _fake_eval(params, params.W0 - 1, 0.0), params
-    ).consistent_case == "i"
-    assert classify_feasibility(
-        _fake_eval(params, params.W0, 0.0), params
-    ).consistent_case == "iii"
+
+    def verdicts(j_a, var_xt):
+        verdict = classify_feasibility(_fake_eval(params, j_a, var_xt), params)
+        return verdict.agent_cost, verdict.variance
+
+    assert verdicts(params.W0, params.R0 / 2) == ("boundary", "feasible")
+    assert verdicts(params.W0 - 1, params.R0) == ("feasible", "boundary")
+    # a variance at 0 is far inside its bound R0
+    assert verdicts(params.W0 - 1, 0.0) == ("feasible", "feasible")
+    assert verdicts(params.W0, 0.0) == ("boundary", "feasible")
