@@ -36,7 +36,7 @@ from .multipliers import (
     from_case,
     sweep_grid,
 )
-from .noise import NoiseEnsemble, sample_noise, sample_noise_block
+from .noise import NoiseEnsemble, sample_noise_block
 from .riccati import (
     COEFF_NAMES,
     ClosedLoopField,
@@ -75,7 +75,6 @@ __all__ = [
     "optimal_cashflow",
     "optimal_effort",
     "principal_hamiltonian",
-    "sample_noise",
     "sample_noise_block",
     "sweep_grid",
     "terminal_conditions",

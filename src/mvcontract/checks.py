@@ -13,14 +13,14 @@ density and the hidden-action optimality condition) lives in
 ``run_weak_battery`` alone.
 
 Every check that reads paths is a part (``montecarlo.Part``): a grid, a
-path count and a ``run(lo, hi, dW)`` for each block of its paths.  The
-battery reads all of its parts in one call of ``montecarlo.read_blocks``,
-the reader ``simulate`` steps its costs on: the parts on one grid share one
-stream of the seed, in blocks of ``montecarlo.BLOCK_DRAWS`` noise draws, so
-each (grid, seed) stream is drawn once, and the blocks of every grid run on
-one thread pool with no barrier between grids, whose workers draw their
-blocks' noise in parallel and run the parts on them one worker fewer than
-the pool at a time (one on two workers).
+seed, a path count and a ``run(lo, hi, dW)`` for each block of its paths.
+Each battery reads all of its parts in one ``montecarlo.read_blocks`` call,
+the reader ``simulate`` steps its costs on: a stream is a grid and a seed,
+drawn once in blocks of ``montecarlo.BLOCK_DRAWS`` draws for all the parts
+on it (``check`` reads the seed on two grids, ``weakcheck`` two seeds on
+one), and the blocks of every stream run on one thread pool, whose workers
+draw their blocks' noise in parallel and run the parts on them one worker
+fewer than the pool at a time (one on two workers).
 No part records a path.  The density fold and the b = 0 loop keep terminal
 values; the residual oracle, the mean trajectory and explicit R are folds
 (``_ResidualFold``, ``_MeanFold``, ``_ExplicitRFold``) that
@@ -162,8 +162,9 @@ def check_argmax_agent(config: RunConfig, n_draws: int = 200) -> CheckResult:
     for _ in range(n_draws):
         p, s, x, q = rng.uniform(-1.0, 1.0, size=4)
         e_bar = optimal_effort(params.b, p, s)
+        # x and q enter only terms constant in e, which swamp the rest at a large sigma
         e_hat = _grid_argmax(
-            lambda e: agent_hamiltonian(params, x, e, p, q, s), e_bar, 2.0, step
+            lambda e: agent_hamiltonian(params, 0.0, e, p, 0.0, s), e_bar, 2.0, step
         )
         worst = max(worst, abs(e_hat - e_bar))
     return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
@@ -180,9 +181,10 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
         lam_P = rng.uniform(0.05, 1.0)
         lam_E = rng.uniform(-1.0, 1.0)
         s_bar = optimal_cashflow(params.b, P1, P2, lam_P, mode)
+        # x, p, R, Q1 and Q2 enter only terms constant in s
         s_hat = _grid_argmax(
             lambda s: principal_hamiltonian(
-                params, x, p, s, R, P1, P2, Q1, Q2, lam_E, lam_P, mode
+                params, 0.0, 0.0, s, 0.0, P1, P2, 0.0, 0.0, lam_E, lam_P, mode
             ),
             s_bar, 2.0, step,
         )
@@ -225,12 +227,12 @@ def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
     np.exp(log_gamma, out=gamma)
 
 
-def _fold_part(config: RunConfig, drift: float, theta: Optional[float] = None,
+def _fold_part(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None,
                x_T=None, gamma_T=None, log_gamma_T=None) -> Part:
     """The fold of dx = drift dt + sigma dW, x(0) = 0, and, given ``theta``, of its density.
 
-    Runs on the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the
-    ``n_steps`` grid and writes x_T, Gamma_T and log Gamma_T into those of
+    Runs on the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's
+    ``n_steps`` stream and writes x_T, Gamma_T and log Gamma_T into those of
     the arrays that are given; the others are folded in scratch rows.  A
     block raises where x goes non-finite.
 
@@ -251,35 +253,15 @@ def _fold_part(config: RunConfig, drift: float, theta: Optional[float] = None,
         if theta is not None:
             _fold_density(gamma, log_gamma, dW, theta, grid.dt)
 
-    return Part(grid, min(config.n_paths, PASS_MAX_PATHS), run)
+    return Part(grid, seed, min(config.n_paths, PASS_MAX_PATHS), run)
 
 
-def _terminal_values(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None):
-    """The terminal values of ``_fold_part`` over the seed's stream.
-
-    Returns ``(x_T, gamma_T, log_gamma_T)``, the last two None without ``theta``.
-
-    Raises
-    ------
-    ValueError
-        If ``theta`` is not finite.
-    SimulationDivergedError
-        At the earliest step any x goes non-finite, on the lowest such path.
-    """
-    n_paths = min(config.n_paths, PASS_MAX_PATHS)
-    x_T = np.empty(n_paths)
-    gamma_T, log_gamma_T = (None, None) if theta is None else (np.empty(n_paths), np.empty(n_paths))
-    part = _fold_part(config, drift, theta, x_T, gamma_T, log_gamma_T)
-    read_blocks(seed, {"fold": part})
-    return x_T, gamma_T, log_gamma_T
-
-
-def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, fold=None) -> Part:
+def _loop_part(sol: RiccatiSolution, seed: int, n_paths: int, x_T=None, fold=None) -> Part:
     """The closed loop of ``sol``, without cost integrals, on its first ``n_paths`` paths.
 
-    Writes x_T into ``x_T``, if given.  ``fold``, if given, is a fold class:
-    each block steps ``fold(sol, dW)`` with its paths and returns its
-    ``value()``.
+    Reads the seed's stream on the grid of ``sol``.  Writes x_T into
+    ``x_T``, if given.  ``fold``, if given, is a fold class: each block
+    steps ``fold(sol, dW)`` with its paths and returns its ``value()``.
     """
     field = ClosedLoopField(sol)
 
@@ -289,7 +271,7 @@ def _loop_part(sol: RiccatiSolution, n_paths: int, x_T=None, fold=None) -> Part:
         _step_block(field, dW, x, block_fold)
         return None if fold is None else block_fold.value()
 
-    return Part(sol.grid, n_paths, run)
+    return Part(sol.grid, seed, n_paths, run)
 
 
 class _ResidualFold:
@@ -513,18 +495,19 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     sol = _solve_or_blow_up(config, config.n_steps)
     b0_sol = _solve_or_blow_up(b0_config, config.n_steps)
     residual_sol = _solve_or_blow_up(config, RESIDUAL_CHECK_STEPS)
+    seed = config.seed
     parts = {}  # in the order their divergences are raised; a blown-up solve has none
     if isinstance(sol, RiccatiSolution):
         # the explicit-R paths are the mean set's first: it diverges first
-        parts["mean"] = _loop_part(sol, n_mean, fold=_MeanFold)
-        parts["explicit"] = _loop_part(sol, n_explicit, fold=_ExplicitRFold)
+        parts["mean"] = _loop_part(sol, seed, n_mean, fold=_MeanFold)
+        parts["explicit"] = _loop_part(sol, seed, n_explicit, fold=_ExplicitRFold)
     if isinstance(residual_sol, RiccatiSolution):
-        parts["residual"] = _loop_part(residual_sol, n_residual, fold=_ResidualFold)
+        parts["residual"] = _loop_part(residual_sol, seed, n_residual, fold=_ResidualFold)
     gamma_T = np.empty(n_pass)
-    parts["density"] = _fold_part(config, 0.0, 1.0, gamma_T=gamma_T)
+    parts["density"] = _fold_part(config, seed, 0.0, 1.0, gamma_T=gamma_T)
     if isinstance(b0_sol, RiccatiSolution):
         b0_x_T = np.empty(n_pass)
-        parts["b0"] = _loop_part(b0_sol, n_pass, x_T=b0_x_T)
+        parts["b0"] = _loop_part(b0_sol, seed, n_pass, x_T=b0_x_T)
 
     def bits(s):  # the coefficients byte for byte, so -0.0 is not 0.0
         return s.grid, s.params, s.multipliers, s.p2_drift_mode, s.coeffs.tobytes()
@@ -532,8 +515,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     file_part = "residual" if coeff_sol is not None and "residual" in parts and (
         bits(coeff_sol) == bits(residual_sol)) else "file"
     if coeff_sol is not None and file_part == "file":
-        parts["file"] = _loop_part(coeff_sol, n_residual, fold=_ResidualFold)
-    read = read_blocks(config.seed, parts)
+        parts["file"] = _loop_part(coeff_sol, seed, n_residual, fold=_ResidualFold)
+    read = read_blocks(parts)
 
     if "mean" in parts:
         terminal, mean, explicit = (check_terminal_conditions(sol), check_mean_trajectory(read["mean"]),
@@ -580,10 +563,12 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     is positive by construction and cannot underflow to a negative value.
     For constant theta it is a martingale, E[Gamma(T)] = 1, and
     E[log Gamma(T)] = -theta^2 T / 2.  The strong formulation steps
-    dx = b e0 dt + sigma dW on the next seed's stream.  The hidden-action
-    optimality condition q = sigma u_e / f_e, with u_e = e - s0 and
-    f_e = b, must hold for the candidate built from it at e0 and fail at
-    e0 + 0.1.
+    dx = b e0 dt + sigma dW on the next seed's stream, in the same
+    ``read_blocks`` call.  The agent maximises H(e) = q b e / sigma -
+    (s0 - e)^2 / 2, whose first-order condition is the hidden-action
+    condition q = sigma u_e / f_e (u_e = e - s0, f_e = b): with q from e0,
+    the grid argmax of H (cell 0.004) must lie within a cell of e0, and with
+    q from e0 + 0.1 it must miss e0 by 0.1, within a cell.
     """
     params = config.params
     if abs(params.b) < 1e-12:
@@ -594,7 +579,12 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     e0 = config.weak_effort
     s0 = config.weak_cashflow
     theta = params.b * e0 / params.sigma
-    x_T, gamma_T, log_vals = _terminal_values(config, config.seed, drift=0.0, theta=theta)
+    x_T, gamma_T, log_vals, s_T = np.empty((4, min(config.n_paths, PASS_MAX_PATHS)))
+    # a non-finite theta raises before any path is read; weak paths diverge first
+    read_blocks({
+        "weak": _fold_part(config, config.seed, 0.0, theta, x_T, gamma_T, log_vals),
+        "strong": _fold_part(config, (config.seed + 1) % 2**64, params.b * e0, x_T=s_T),
+    })
     results = []
 
     results.append(_result(
@@ -620,8 +610,6 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
 
     weak_est, weak_se = _mean_and_se(gamma_T * x_T)
     analytic = params.b * e0 * params.T
-
-    s_T, _, _ = _terminal_values(config, (config.seed + 1) % 2**64, drift=params.b * e0)
     strong_est, strong_se = _mean_and_se(s_T)
 
     results.append(_band_result(
@@ -641,16 +629,20 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         f"reweighted-with-1 equals plain mean ({plain:.6e})",
     ))
 
-    # the candidate built from the optimality condition must have zero residual
-    q_exact = params.sigma * (e0 - s0) / params.b
-    resid = abs(q_exact - params.sigma * (e0 - s0) / params.b)
+    cell = 0.004
+
+    def argmax_gap(e):  # |grid argmax of H - e0|, with q from the condition at e
+        q = params.sigma * (e - s0) / params.b
+        return abs(_grid_argmax(lambda g: q * params.b * g / params.sigma - (s0 - g) ** 2 / 2.0,
+                                e0, 2.0, cell) - e0)
+
+    gap = argmax_gap(e0)
     results.append(_result(
-        "foc_exact_candidate", resid <= 1e-12, f"max_resid={resid:.3e}",
+        "foc_exact_candidate", gap <= cell, f"argmax_gap={gap:.3e} cell={cell:g}",
     ))
-    resid_off = abs(q_exact - params.sigma * ((e0 + 0.1) - s0) / params.b)
-    expected_gap = 0.1 * params.sigma / abs(params.b)
+    gap_off = argmax_gap(e0 + 0.1)
     results.append(_result(
-        "foc_perturbed_candidate", resid_off >= 0.5 * expected_gap,
-        f"max_resid={resid_off:.3e} expected~{expected_gap:.3e}",
+        "foc_perturbed_candidate", abs(gap_off - 0.1) <= cell,
+        f"argmax_gap={gap_off:.3e} expected=1.000e-01 cell={cell:g}",
     ))
     return results

@@ -15,11 +15,11 @@ Estimates are sample means with standard errors; Var(x(T)) uses the
 unbiased sample estimator with a delta-method standard error from the
 fourth central moment.
 
-Every reader of the noise is a part (``Part``: a grid, a path count and a
-``run`` for each block of its paths), and one reader runs them all
-(``read_blocks``): the parts on one grid share the seed's stream of that
-grid, cut into blocks of ``BLOCK_DRAWS`` draws (16,384 paths at 64 steps,
-sized so one block's noise and state stay near the CPU caches), each drawn
+Every reader of the noise is a part (``Part``: a grid, a seed, a path count
+and a ``run`` for each block of its paths), and one reader runs them all
+(``read_blocks``): a noise stream is a grid and a seed, and the parts on
+one stream share it, cut into blocks of ``BLOCK_DRAWS`` draws (16,384 paths
+at 64 steps, sized so one block's noise and state stay near the CPU caches), each drawn
 directly from the counter-based noise stream into a buffer that its worker
 keeps, on a thread pool with one worker per CPU the process may use.
 ``simulate_costs`` is one part; the check batteries are several.  Every
@@ -221,7 +221,7 @@ def _cost_fold(field, j, work):
 
 
 class Part(NamedTuple):
-    """A reader of the first ``n_paths`` paths of a seed's noise stream on ``grid``.
+    """A reader of the first ``n_paths`` paths of the noise stream of ``seed`` on ``grid``.
 
     ``run(lo, hi, dW)`` gets the increments of the paths ``[lo, hi)`` of each
     block that lie within them, step-major, shape (n_steps, hi - lo), valid
@@ -230,16 +230,18 @@ class Part(NamedTuple):
     """
 
     grid: TimeGrid
+    seed: int
     n_paths: int
     run: Callable
 
 
-def read_blocks(seed: int, parts: dict) -> dict:
-    """Each part's block values, in block order, over the seed's stream of its grid.
+def read_blocks(parts: dict) -> dict:
+    """Each part's block values, in block order, over the stream of its grid and seed.
 
-    The parts on one grid share one stream over the most paths any of them
-    reads, in blocks of ``max(1, BLOCK_DRAWS // n_steps)`` paths, and each
-    part runs on the head of every block that lies within its own paths.
+    A stream is a grid and a seed: the parts on one share it over the most
+    paths any of them reads, in blocks of ``max(1, BLOCK_DRAWS // n_steps)``
+    paths, and each part runs on the head of every block that lies within
+    its own paths.
     The blocks of every stream run on one pool of one worker per CPU the
     process may use (inline for one), the smallest first, so each stream's
     ragged last block runs ahead of the full ones and the workers start out
@@ -259,17 +261,17 @@ def read_blocks(seed: int, parts: dict) -> dict:
     """
     groups = {}
     for name, part in parts.items():
-        groups.setdefault(part.grid, {})[name] = part
+        groups.setdefault((part.grid, part.seed), {})[name] = part
     streams = []
-    for grid, group in groups.items():
+    for (grid, seed), group in groups.items():
         n_paths = max(part.n_paths for part in group.values())
         block_paths = max(1, BLOCK_DRAWS // grid.n_steps)
-        streams.append([(grid, group, n_paths, lo, min(lo + block_paths, n_paths))
+        streams.append([(grid, seed, group, n_paths, lo, min(lo + block_paths, n_paths))
                         for lo in range(0, n_paths, block_paths)])
     blocks = [block for stream in sorted(streams, key=len) for block in stream]
 
     def draws(i):
-        grid, _, _, lo, hi = blocks[i]
+        grid, _, _, _, lo, hi = blocks[i]
         return (hi - lo) * grid.n_steps
 
     # the smallest (ragged) blocks first, so the workers start out of phase;
@@ -278,7 +280,7 @@ def read_blocks(seed: int, parts: dict) -> dict:
     # numpy's floating-point error state is per thread; carry the caller's
     errstate = np.geterr()
 
-    def task(grid, group, n_paths, lo, hi):
+    def task(grid, seed, group, n_paths, lo, hi):
         size = (hi - lo) * grid.n_steps
         try:
             buffer = _buffers.pop()
@@ -353,7 +355,7 @@ def simulate_costs(field: ClosedLoopField, n_paths: int, seed: int):
         work = np.empty((2, 2, hi - lo))
         _step_block(field, dW, x_T[lo:hi], _cost_fold(field, j[:, lo:hi], work), work)
 
-    read_blocks(seed, {"costs": Part(field.sol.grid, n_paths, run)})
+    read_blocks({"costs": Part(field.sol.grid, seed, n_paths, run)})
     return j[0], j[1], x_T
 
 

@@ -75,18 +75,13 @@ def _raw_stream(bitgen, n: int) -> np.ndarray:
 _TILE_DRAWS = 2**14
 
 
-def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseEnsemble:
-    """Draw the full (n_paths, n_steps) increment array for a seed."""
-    return sample_noise_block(grid, n_paths, seed, 0, n_paths)
-
-
 def sample_noise_block(
     grid: TimeGrid, n_paths: int, seed: int, path_start: int, path_stop: int, out=None
 ) -> NoiseEnsemble:
     """Increments for paths [path_start, path_stop) of the same stream.
 
-    Concatenating blocks reproduces ``sample_noise(grid, n_paths, seed)``
-    bit for bit regardless of how the path range is partitioned.  The block
+    Concatenating blocks reproduces the block of all ``n_paths`` paths bit
+    for bit regardless of how the path range is partitioned.  The block
     is drawn into ``out``, if given, a writeable C-contiguous float64 array
     of shape (n_steps, path_stop - path_start); ``increments`` is its view.
     """

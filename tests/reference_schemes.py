@@ -18,8 +18,10 @@ coefficient system's right-hand side as an array, for the cross-checks
 against other integrators, and ``rk4_coefficients`` integrates it with
 classical RK4 on plain floats: the closed-form solve
 ``riccati.integrate_riccati`` must agree with it to its O(dt^4) error.
-``coarsened`` observes a noise ensemble on a coarser grid, for
-step-refinement studies on fixed driving noise.
+``sample_noise`` draws a seed's whole (n_paths, n_steps) ensemble as one
+block, the full matrix the block readers must reproduce, and ``coarsened``
+observes a noise ensemble on a coarser grid, for step-refinement studies on
+fixed driving noise.
 """
 
 import math
@@ -38,6 +40,7 @@ from mvcontract import (
     RiccatiSolution,
     SimulationDivergedError,
     TimeGrid,
+    sample_noise_block,
 )
 from mvcontract.model import cashflow_weights
 from mvcontract.riccati import COEFF_NAMES, DEFAULT_BLOW_UP_BOUND, terminal_conditions
@@ -167,6 +170,11 @@ def rk4_coefficients(
             raise RiccatiBlowUpError(t=grid.points[k - 1], bound=blow_up_bound)
         coeffs[k - 1] = y
     return coeffs
+
+
+def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseEnsemble:
+    """Draw the full (n_paths, n_steps) increment array for a seed."""
+    return sample_noise_block(grid, n_paths, seed, 0, n_paths)
 
 
 def coarsened(noise: NoiseEnsemble, factor: int) -> NoiseEnsemble:

@@ -31,7 +31,6 @@ from mvcontract import (
     optimal_cashflow,
     optimal_effort,
     principal_hamiltonian,
-    sample_noise,
     sweep_grid,
     terminal_conditions,
 )
@@ -43,6 +42,7 @@ from reference_schemes import (
     coarsened,
     euler_maruyama,
     rk4_coefficients,
+    sample_noise,
     simulate_density,
 )
 

@@ -14,7 +14,6 @@ from mvcontract import (
     from_case,
     integrate_riccati,
     make_grid,
-    sample_noise,
     sample_noise_block,
 )
 from mvcontract import checks, montecarlo
@@ -25,6 +24,7 @@ from reference_schemes import (
     closed_loop_paths,
     euler_maruyama,
     explicit_R,
+    sample_noise,
     simulate_density,
 )
 
@@ -71,15 +71,17 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if cpus > 1 else interval)
     try:
-        x_T, gamma_T, log_gamma_T = checks._terminal_values(config, seed, drift=0.0, theta=theta)
-        s_T, no_gamma, no_log = checks._terminal_values(config, seed + 1, drift=drift)
+        x_T, gamma_T, log_gamma_T, s_T = np.empty((4, n))
+        montecarlo.read_blocks({
+            "weak": checks._fold_part(config, seed, 0.0, theta, x_T, gamma_T, log_gamma_T),
+            "strong": checks._fold_part(config, seed + 1, drift, x_T=s_T),
+        })
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(gamma_T, density.terminal)
     assert np.array_equal(log_gamma_T, density.log_gamma[:, -1])
     assert np.array_equal(x_T, x_paths.states[:, -1, 0])
     assert np.array_equal(s_T, strong.states[:, -1, 0])
-    assert no_gamma is None and no_log is None
 
     # 2,500 paths at 256 steps are blocks of 1024, 1024 and a ragged 452;
     # on seed 38 the largest residual lies in the ragged block
@@ -90,8 +92,8 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     full = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_500, 38)))
     head = ansatz_residual(sol, closed_loop_paths(field, sample_noise(sol.grid, 2_048, 38)))
     assert head.max_residual < full.max_residual
-    part = checks._loop_part(sol, 2_500, fold=checks._ResidualFold)
-    read = montecarlo.read_blocks(38, {"residual": part})
+    part = checks._loop_part(sol, 38, 2_500, fold=checks._ResidualFold)
+    read = montecarlo.read_blocks({"residual": part})
     assert len(read["residual"]) == 3
     assert max(block.max() for block in read["residual"]) == full.max_residual
 
@@ -101,7 +103,7 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
 def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_cashflow):
     # every weakcheck line, formatted from one sample_noise call over the
     # whole ensemble, the public schemes, the plain mean and SE formulas and
-    # the optimality residuals over full effort arrays; 20,000 64-step paths
+    # the grid node nearest the top of each Hamiltonian; 20,000 64-step paths
     # are a 16,384-path block and a ragged one
     base = RunConfig()
     config = dataclasses.replace(base, params=dataclasses.replace(base.params, b=b),
@@ -127,11 +129,14 @@ def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_
     log_est, _ = mean_and_se(log_gamma_T)
     weak, weak_se = mean_and_se(gamma_T * x_T)
     strong_est, strong_se = mean_and_se(s_T)
-    e = np.full(n, e0)
-    q = sigma * (e - s0) / (b + 0.0 * e)
-    foc = float(np.abs(q - sigma * (e - s0) / (b + 0.0 * e)).max())
-    e_off = e + 0.1
-    foc_off = float(np.abs(q - sigma * (e_off - s0) / (b + 0.0 * e_off)).max())
+    # H(e) = q b e / sigma - (s0 - e)^2 / 2 is a parabola with its top at
+    # s0 + q b / sigma, so its grid argmax is the grid node nearest that top
+    efforts = np.arange(e0 - 2.0 + 0.004 / 3.0, e0 + 2.0, 0.004)
+
+    def argmax_gap(e):
+        q = sigma * (e - s0) / b
+        return abs(efforts[np.abs(efforts - (s0 + q * b / sigma)).argmin()] - e0)
+
     expected = [
         f"min Gamma_T={gamma_T.min():.3e}",
         "theta=0: Gamma identically 1" if theta == 0.0
@@ -141,12 +146,42 @@ def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_
         f"weak={weak:.6e} strong={strong_est:.6e} "
         f"band={3.0 * math.sqrt(weak_se**2 + strong_se**2):.2e}",
         f"reweighted-with-1 equals plain mean ({x_T.mean():.6e})",
-        f"max_resid={foc:.3e}",
-        f"max_resid={foc_off:.3e} expected~{0.1 * sigma / abs(b):.3e}",
+        f"argmax_gap={argmax_gap(e0):.3e} cell=0.004",
+        f"argmax_gap={argmax_gap(e0 + 0.1):.3e} expected=1.000e-01 cell=0.004",
     ]
     results = checks.run_weak_battery(config)
     assert [r.detail for r in results] == expected
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("e0, s0, b", [(1.0, 0.5, 1.0), (0.7, -0.3, -0.6), (0.0, 0.5, 1.0)],
+                         ids=["default", "negative_b", "zero_effort"])
+def test_foc_lines_find_the_argmax_by_brute_force(e0, s0, b):
+    # q from the optimality condition at e0 puts the grid argmax of
+    # H(e) = q b e / sigma - (s0 - e)^2 / 2 a third of a cell from e0; q from
+    # e0 + 0.1 puts it 0.1 and a third of a cell away.  Both lines pass
+    base = RunConfig()
+    config = dataclasses.replace(base, params=dataclasses.replace(base.params, b=b),
+                                 n_paths=1_000, weak_effort=e0, weak_cashflow=s0)
+    results = {r.name: r for r in checks.run_weak_battery(config)}
+    exact, perturbed = results["foc_exact_candidate"], results["foc_perturbed_candidate"]
+    assert exact.detail == "argmax_gap=1.333e-03 cell=0.004"
+    assert perturbed.detail == "argmax_gap=1.013e-01 expected=1.000e-01 cell=0.004"
+    assert exact.passed and perturbed.passed
+
+
+def test_weakcheck_reads_both_streams_in_one_call(monkeypatch):
+    # the density paths on the seed's stream and the strong paths on the
+    # next seed's are two parts of one read_blocks call, on one grid
+    calls = []
+    read = checks.read_blocks
+    monkeypatch.setattr(checks, "read_blocks", lambda parts: calls.append(parts) or read(parts))
+    config = dataclasses.replace(RunConfig(), n_paths=2_000, seed=2**64 - 1)
+    assert all(r.passed for r in checks.run_weak_battery(config))
+    assert len(calls) == 1
+    (parts,) = calls
+    assert {part.seed for part in parts.values()} == {2**64 - 1, 0}
+    assert len({part.grid for part in parts.values()}) == 1
 
 
 def _spy(monkeypatch, *names):
@@ -221,7 +256,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     for name, fold, n in (("check_mean_trajectory", checks._MeanFold, n_mean),
                           ("check_explicit_r", checks._ExplicitRFold, n_explicit)):
         blocks = seen[name][0][-1]
-        alone = montecarlo.read_blocks(seed, {"own": checks._loop_part(sol, n, fold=fold)})["own"]
+        alone = montecarlo.read_blocks({"own": checks._loop_part(sol, seed, n, fold=fold)})["own"]
         assert len(blocks) == len(alone) >= 2
         for got, want in zip(blocks, alone):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -235,12 +270,13 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     x, R = spec.component("x")[:n_explicit], spec.component("R")[:n_explicit]
     diff = max(d for d, _ in seen["check_explicit_r"][0][1])
     assert diff == np.abs(explicit_R(sol, x) - R).max()
-    _, gamma_T, _ = checks._terminal_values(config, seed, drift=0.0, theta=1.0)
+    gamma_T = np.empty(n_paths)
+    montecarlo.read_blocks({"density": checks._fold_part(config, seed, 0.0, 1.0, gamma_T=gamma_T)})
     assert np.array_equal(seen["check_density_martingale"][0][0], gamma_T)
 
     def own_max(sol):
-        part = checks._loop_part(sol, n_residual, fold=checks._ResidualFold)
-        return max(block.max() for block in montecarlo.read_blocks(seed, {"own": part})["own"])
+        part = checks._loop_part(sol, seed, n_residual, fold=checks._ResidualFold)
+        return max(block.max() for block in montecarlo.read_blocks({"own": part})["own"])
 
     def block_max(blocks):
         return max(block.max() for block in blocks)
@@ -316,8 +352,9 @@ def test_coefficient_file_on_the_pass_grid_is_stepped_in_the_noise_pass(tmp_path
     assert paths == {64: 100_000, checks.RESIDUAL_CHECK_STEPS: 10_000}
     assert sum(n * steps for steps, n in paths.items()) == 8_960_000
     config, sol = RunConfig(), load_riccati_csv(csv)
-    own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
-        sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS), fold=checks._ResidualFold)})["file"]
+    own = montecarlo.read_blocks({"file": checks._loop_part(
+        sol, config.seed, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS),
+        fold=checks._ResidualFold)})["file"]
     separate = checks._residual_result("file_riccati_residual", config, sol, own)
     assert f"PASS file_riccati_residual: {separate.detail}" in printed
 
@@ -333,11 +370,11 @@ def test_table_of_the_residual_solve_reads_its_blocks(tmp_path, monkeypatch, cap
     capsys.readouterr()
     assert main(["check", "--paths", "10000", "--coeffs", csv]) == 0
     printed = capsys.readouterr().out.splitlines()
-    (_, parts), read = seen["read_blocks"]
+    (parts,), read = seen["read_blocks"]
     assert sorted(parts) == ["b0", "density", "explicit", "mean", "residual"]
     config, sol = dataclasses.replace(RunConfig(), n_paths=10_000), load_riccati_csv(csv)
-    own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
-        sol, 10_000, fold=checks._ResidualFold)})["file"]
+    own = montecarlo.read_blocks({"file": checks._loop_part(
+        sol, config.seed, 10_000, fold=checks._ResidualFold)})["file"]
     assert len(own) == 3
     assert [block.tobytes() for block in read["residual"]] == [block.tobytes() for block in own]
     separate = checks._residual_result("file_riccati_residual", config, sol, own)
@@ -366,10 +403,10 @@ def test_table_unlike_the_residual_solve_keeps_its_own_part(monkeypatch, table):
         config = dataclasses.replace(config, blow_up_bound=0.5)
     seen = _spy(monkeypatch, "read_blocks")
     results = {r.name: r for r in checks.run_check_battery(config, coeff_sol)}
-    (_, parts), read = seen["read_blocks"]
+    (parts,), read = seen["read_blocks"]
     assert "file" in parts and ("residual" in parts) == (table != "blown_up_solve")
-    own = montecarlo.read_blocks(config.seed, {"file": checks._loop_part(
-        coeff_sol, 2_000, fold=checks._ResidualFold)})["file"]
+    own = montecarlo.read_blocks({"file": checks._loop_part(
+        coeff_sol, config.seed, 2_000, fold=checks._ResidualFold)})["file"]
     assert [block.tobytes() for block in read["file"]] == [block.tobytes() for block in own]
     separate = checks._residual_result("file_riccati_residual", config, coeff_sol, own)
     assert results["file_riccati_residual"] == separate
@@ -429,6 +466,22 @@ def test_band_lines_on_non_finite_statistics_fail(monkeypatch, capsys, env, comm
     assert [line for line in printed if line.split(":")[0] in names] == lines
 
 
+def test_argmax_lines_pass_at_a_large_sigma(monkeypatch, capsys):
+    # q sigma and sigma (Q1 + Q2) are constant in the control; at sigma =
+    # 1e160 they swamped the terms that are not, and every argmax line
+    # printed max_gap=1.999e+00.  The check still exits 4 on its non-finite
+    # band lines
+    monkeypatch.setenv("MVCONTRACT_SIGMA", "1e160")
+    with np.errstate(all="ignore"):
+        assert main(["check", "--paths", "2000"]) == EXIT_ORACLE
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if "argmax_" in line.split(":")[0]] == [
+        "PASS argmax_agent_effort: max_gap=1.333e-03 cell=0.004",
+        "PASS argmax_principal_cashflow_as_printed: max_gap=1.333e-03 cell=0.004",
+        "PASS argmax_principal_cashflow_eta_equals_x: max_gap=1.333e-03 cell=0.004",
+    ]
+
+
 @pytest.mark.parametrize("effort", [1e10, 1e2], ids=["theta_1e-295", "theta_1e-303"])
 def test_log_density_mean_of_a_tiny_theta_has_a_non_zero_se(effort):
     # theta = b e0 / sigma: every squared deviation of log Gamma_T from its
@@ -474,7 +527,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
         with pytest.raises(SimulationDivergedError) as spec:
             euler_maruyama(lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise)
         with pytest.raises(SimulationDivergedError) as excinfo:
-            checks._terminal_values(config, config.seed, drift=0.0, theta=1.0)
+            montecarlo.read_blocks({"density": checks._fold_part(config, config.seed, 0.0, 1.0)})
     assert spec.value.path >= 2 * (montecarlo.BLOCK_DRAWS // config.n_steps)
     assert (excinfo.value.path, excinfo.value.step, excinfo.value.label) == (
         spec.value.path, spec.value.step, spec.value.label)
@@ -482,7 +535,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
 
 def test_non_finite_theta_is_a_configuration_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="non-finite theta"):
-        checks._terminal_values(RunConfig(), 1, drift=0.0, theta=math.inf)
+        checks._fold_part(RunConfig(), 1, 0.0, math.inf)
     # theta = b e0 / sigma overflows
     path = tmp_path / "theta.cfg"
     path.write_text("b = 1e300\nweak_effort = 1e300\n")
@@ -508,11 +561,12 @@ def _noise_pass_checks(config):
     b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
     sol, b0_sol = (checks._solve(c, config.n_steps) for c in (config, b0_config))
     gamma_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
-    read = montecarlo.read_blocks(config.seed, {
-        "mean": checks._loop_part(sol, n_mean, fold=checks._MeanFold),
-        "explicit": checks._loop_part(sol, n_explicit, fold=checks._ExplicitRFold),
-        "density": checks._fold_part(config, 0.0, 1.0, gamma_T=gamma_T),
-        "b0": checks._loop_part(b0_sol, n_pass, x_T=b0_x_T),
+    seed = config.seed
+    read = montecarlo.read_blocks({
+        "mean": checks._loop_part(sol, seed, n_mean, fold=checks._MeanFold),
+        "explicit": checks._loop_part(sol, seed, n_explicit, fold=checks._ExplicitRFold),
+        "density": checks._fold_part(config, seed, 0.0, 1.0, gamma_T=gamma_T),
+        "b0": checks._loop_part(b0_sol, seed, n_pass, x_T=b0_x_T),
     })
     return [checks.check_density_martingale(gamma_T),
             checks.check_b0_variance(config, b0_x_T),
@@ -522,9 +576,9 @@ def _noise_pass_checks(config):
 
 def _residual_check(config):
     sol = checks._solve(config, checks.RESIDUAL_CHECK_STEPS)
-    part = checks._loop_part(sol, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS),
+    part = checks._loop_part(sol, config.seed, min(config.n_paths, checks.RESIDUAL_CHECK_MAX_PATHS),
                              fold=checks._ResidualFold)
-    read = montecarlo.read_blocks(config.seed, {"residual": part})["residual"]
+    read = montecarlo.read_blocks({"residual": part})["residual"]
     return [checks._residual_result("riccati_residual", config, sol, read)]
 
 
@@ -574,10 +628,10 @@ def test_folds_match_their_references(monkeypatch, cpus):
     sol, residual_sol = (checks._solve(config, n) for n in (config.n_steps,
                                                             checks.RESIDUAL_CHECK_STEPS))
     n, n_residual = 10_001, 2_500
-    read = montecarlo.read_blocks(seed, {
-        "mean": checks._loop_part(sol, n, fold=checks._MeanFold),
-        "explicit": checks._loop_part(sol, n, fold=checks._ExplicitRFold),
-        "residual": checks._loop_part(residual_sol, n_residual, fold=checks._ResidualFold),
+    read = montecarlo.read_blocks({
+        "mean": checks._loop_part(sol, seed, n, fold=checks._MeanFold),
+        "explicit": checks._loop_part(sol, seed, n, fold=checks._ExplicitRFold),
+        "residual": checks._loop_part(residual_sol, seed, n_residual, fold=checks._ResidualFold),
     })
     assert [len(read[name]) for name in ("mean", "explicit", "residual")] == [3, 3, 3]
 

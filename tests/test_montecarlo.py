@@ -22,13 +22,12 @@ from mvcontract import (
     from_case,
     integrate_riccati,
     make_grid,
-    sample_noise,
     sample_noise_block,
 )
 from mvcontract import checks, montecarlo
 from mvcontract.config import RunConfig
 from mvcontract.montecarlo import simulate_costs
-from reference_schemes import closed_loop_paths, step_costs
+from reference_schemes import closed_loop_paths, sample_noise, step_costs
 
 
 def test_b0_variance_matches_closed_form(ref_params, corner_triple):
@@ -146,9 +145,9 @@ def test_reused_noise_buffers_carry_fresh_draws(monkeypatch, cpus):
             fresh = sample_noise_block(grid, n_paths, seed, lo, hi)
             return dW.tobytes() == fresh.increments.T.tobytes()
 
-        return montecarlo.Part(grid, n_paths, run)
+        return montecarlo.Part(grid, seed, n_paths, run)
 
-    results = montecarlo.read_blocks(seed, {"64": part(64, 40_000), "256": part(256, 5_000)})
+    results = montecarlo.read_blocks({"64": part(64, 40_000), "256": part(256, 5_000)})
     assert results == {"64": [True] * 3, "256": [True] * 2}
     assert len(buffers) <= cpus
     assert len(montecarlo._buffers) <= cpus
@@ -167,7 +166,7 @@ def test_raising_run_returns_its_buffer(monkeypatch, cpus):
 
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1_000 * 16)
     with pytest.raises(RuntimeError, match="run failed"):
-        montecarlo.read_blocks(3, {"run": montecarlo.Part(make_grid(0.03, 16), 3_000, run)})
+        montecarlo.read_blocks({"run": montecarlo.Part(make_grid(0.03, 16), 3, 3_000, run)})
     kept = [b.__array_interface__["data"][0] for b in montecarlo._buffers]
     assert seen[1_000] in kept and len(kept) <= cpus
 
@@ -376,10 +375,11 @@ def test_divergence_reported_independent_of_chunking(ref_params, corner_triple, 
         assert (excinfo.value.path, excinfo.value.step) == (target, 2)
 
 
-def _x_T_part(field, n_paths):
+def _x_T_part(field, n_paths, seed):
     """A ``read_blocks`` part that writes x_T and the cost integrals of ``field``.
 
-    Returns (part, (ja, jp, x_T)); each block's value is a copy of its x_T.
+    It reads the seed's stream.  Returns (part, (ja, jp, x_T)); each
+    block's value is a copy of its x_T.
     """
     j, x_T = np.zeros((2, n_paths)), np.empty(n_paths)
 
@@ -389,7 +389,7 @@ def _x_T_part(field, n_paths):
         montecarlo._step_block(field, dW, x_T[lo:hi], fold, work)
         return x_T[lo:hi].copy()
 
-    return montecarlo.Part(field.sol.grid, n_paths, run), (j[0], j[1], x_T)
+    return montecarlo.Part(field.sol.grid, seed, n_paths, run), (j[0], j[1], x_T)
 
 
 @pytest.mark.parametrize("cpus", [1, 8])
@@ -411,11 +411,11 @@ def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, mo
     sys.setswitchinterval(1e-6 if cpus > 1 else interval)
     try:
         specs = {"16": (field16, 3_000), "8": (field8, 2_000)}
-        alone = {name: _x_T_part(*spec) for name, spec in specs.items()}
-        own = {name: montecarlo.read_blocks(seed, {name: part})[name]
+        alone = {name: _x_T_part(*spec, seed) for name, spec in specs.items()}
+        own = {name: montecarlo.read_blocks({name: part})[name]
                for name, (part, _) in alone.items()}
-        shared = {name: _x_T_part(*spec) for name, spec in specs.items()}
-        together = montecarlo.read_blocks(seed, {name: part for name, (part, _) in shared.items()})
+        shared = {name: _x_T_part(*spec, seed) for name, spec in specs.items()}
+        together = montecarlo.read_blocks({name: part for name, (part, _) in shared.items()})
         assert [len(together[name]) for name in specs] == [31, 11]
         for name in specs:
             (_, want), (_, got), want_blocks, got_blocks = (
@@ -427,8 +427,8 @@ def test_streams_on_one_pool_match_their_own_calls(ref_params, corner_triple, mo
             for order in (["spiked", "16"], ["16", "spiked"]):
                 specs = {"spiked": (spiked, n_spiked), "16": (field16, 3_000)}
                 with pytest.raises(SimulationDivergedError) as excinfo:
-                    montecarlo.read_blocks(seed, {name: _x_T_part(*specs[name])[0]
-                                                  for name in order})
+                    montecarlo.read_blocks({name: _x_T_part(*specs[name], seed)[0]
+                                            for name in order})
                 assert (excinfo.value.path, excinfo.value.step) == (target, 2)
     finally:
         sys.setswitchinterval(interval)
@@ -469,7 +469,7 @@ def test_one_worker_fewer_than_the_pool_runs_parts_at_once(ref_params, corner_tr
 
     def outcome(parts):
         try:
-            return montecarlo.read_blocks(41, parts)
+            return montecarlo.read_blocks(parts)
         except SimulationDivergedError as exc:
             return exc
 
@@ -478,7 +478,7 @@ def test_one_worker_fewer_than_the_pool_runs_parts_at_once(ref_params, corner_tr
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
         parts, outputs = {}, {}
         for name, n_paths in (("16", 3_000), ("8", 2_000)):
-            part, outputs[name] = _x_T_part(fields[name], n_paths)
+            part, outputs[name] = _x_T_part(fields[name], n_paths, 41)
             parts[name] = instrumented(part, raise_at if name == "16" else None)
         got = []
         reader = threading.Thread(target=lambda: got.append(outcome(parts)), daemon=True)
@@ -535,9 +535,9 @@ def test_ragged_blocks_are_drawn_first(ref_params, corner_triple, monkeypatch, c
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
         parts, outputs = {}, {}
         for name, n_paths in (("16", 3_000), ("8", 2_000)):
-            part, outputs[name] = _x_T_part(fields[name], n_paths)
+            part, outputs[name] = _x_T_part(fields[name], n_paths, 41)
             parts[name] = part._replace(run=lambda lo, hi, dW, run=part.run: (lo, run(lo, hi, dW)))
-        return montecarlo.read_blocks(41, parts), outputs
+        return montecarlo.read_blocks(parts), outputs
 
     one, one_outputs = read(1)
     started.clear()
@@ -591,7 +591,7 @@ def test_divergence_at_the_last_step_of_a_ragged_block(ref_params, corner_triple
     monkeypatch.setattr(montecarlo, "sample_noise_block",
                         lambda *args, **kw: firsts.append(args[3:5]) or draw(*args, **kw))
     for run in (lambda: simulate_costs(field, n_paths, seed),
-                lambda: checks._terminal_values(config, seed, drift=0.0)):
+                lambda: montecarlo.read_blocks({"x": checks._fold_part(config, seed, 0.0)})):
         firsts.clear()
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()

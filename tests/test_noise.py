@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mvcontract import make_grid, sample_noise, sample_noise_block
-from reference_schemes import coarsened
+from mvcontract import make_grid, sample_noise_block
+from reference_schemes import coarsened, sample_noise
 
 
 def test_same_seed_bit_identical():

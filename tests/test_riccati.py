@@ -19,7 +19,6 @@ from mvcontract import (
     from_case,
     integrate_riccati,
     make_grid,
-    sample_noise,
     terminal_conditions,
 )
 from mvcontract import checks
@@ -29,6 +28,7 @@ from reference_schemes import (
     coefficient_rhs,
     explicit_R,
     rk4_coefficients,
+    sample_noise,
 )
 
 IDX = {name: i for i, name in enumerate(COEFF_NAMES)}

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mvcontract import SimulationDivergedError, make_grid, sample_noise
-from reference_schemes import coarsened, euler_maruyama
+from mvcontract import SimulationDivergedError, make_grid
+from reference_schemes import coarsened, euler_maruyama, sample_noise
 
 
 def _terminal_second_moment_discrete(a, sigma, T, n_steps):

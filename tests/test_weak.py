@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mvcontract import make_grid, montecarlo, sample_noise
-from reference_schemes import euler_maruyama, simulate_density
+from mvcontract import make_grid, montecarlo
+from reference_schemes import euler_maruyama, sample_noise, simulate_density
 
 
 def _driftless_output(sigma, T, n_steps, n_paths, seed):
