@@ -153,65 +153,48 @@ def _residual_result(name: str, config: RunConfig, sol: RiccatiSolution, blocks:
                              f"n_steps={sol.grid.n_steps} n_paths={n_paths}")
 
 
+def _argmax_result(name: str, draws) -> CheckResult:
+    """Passes when the grid argmax of each ``(H, optimum)`` of ``draws`` lies within a cell of it.
+
+    An optimum at which float64 cannot resolve a cell fails the line, and says so.
+    """
+    step, worst = 0.004, 0.0
+    for fn, optimum in draws:
+        if not abs(np.spacing(optimum)) <= step:
+            return _result(name, False, f"cell={step:g} unresolved by float64 at {optimum:.3e}")
+        worst = max(worst, abs(_grid_argmax(fn, optimum, 2.0, step) - optimum))
+    return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
+
+
 def check_argmax_agent(config: RunConfig, n_draws: int = 200) -> CheckResult:
-    name = "argmax_agent_effort"
     params = config.params
     rng = np.random.default_rng(config.seed)
-    step = 0.004
-    worst = 0.0
-    for _ in range(n_draws):
-        p, s, x, q = rng.uniform(-1.0, 1.0, size=4)
-        e_bar = optimal_effort(params.b, p, s)
-        # x and q enter only terms constant in e, which swamp the rest at a large sigma
-        e_hat = _grid_argmax(
-            lambda e: agent_hamiltonian(params, 0.0, e, p, 0.0, s), e_bar, 2.0, step
-        )
-        worst = max(worst, abs(e_hat - e_bar))
-    return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
+
+    def draws():
+        for _ in range(n_draws):
+            p, s, x, q = rng.uniform(-1.0, 1.0, size=4)
+            # x and q enter only terms constant in e
+            yield (lambda e: agent_hamiltonian(params, 0.0, e, p, 0.0, s),
+                   optimal_effort(params.b, p, s))
+
+    return _argmax_result("argmax_agent_effort", draws())
 
 
 def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> CheckResult:
-    name = f"argmax_principal_cashflow_{mode}"
     params = config.params
     rng = np.random.default_rng(config.seed + 1)
-    step = 0.004
-    worst = 0.0
-    for _ in range(n_draws):
-        x, p, R, P1, P2, Q1, Q2 = rng.uniform(-1.0, 1.0, size=7)
-        lam_P = rng.uniform(0.05, 1.0)
-        lam_E = rng.uniform(-1.0, 1.0)
-        s_bar = optimal_cashflow(params.b, P1, P2, lam_P, mode)
-        # x, p, R, Q1 and Q2 enter only terms constant in s
-        s_hat = _grid_argmax(
-            lambda s: principal_hamiltonian(
-                params, 0.0, 0.0, s, 0.0, P1, P2, 0.0, 0.0, lam_E, lam_P, mode
-            ),
-            s_bar, 2.0, step,
-        )
-        worst = max(worst, abs(s_hat - s_bar))
-    return _result(name, worst <= step, f"max_gap={worst:.3e} cell={step:g}")
 
+    def draws():
+        for _ in range(n_draws):
+            x, p, R, P1, P2, Q1, Q2 = rng.uniform(-1.0, 1.0, size=7)
+            lam_P = rng.uniform(0.05, 1.0)
+            lam_E = rng.uniform(-1.0, 1.0)
+            # x, p, R, Q1 and Q2 enter only terms constant in s
+            yield (lambda s: principal_hamiltonian(params, 0.0, 0.0, s, 0.0, P1, P2, 0.0, 0.0,
+                                                   lam_E, lam_P, mode),
+                   optimal_cashflow(params.b, P1, P2, lam_P, mode))
 
-def _fold_x(x: np.ndarray, dW: np.ndarray, sigma: float, drift_dt: float) -> None:
-    """Fold ``x = (x + drift dt) + sigma dW`` from 0; raises where x first goes non-finite.
-
-    x is screened once, at the end: only a non-finite end steps the block
-    again to find the first step and path (``_raise_first_divergence``).
-    """
-    sigma_dW = np.empty_like(x)
-
-    def steps():
-        x[...] = 0.0
-        yield 0
-        for k, row in enumerate(dW, 1):
-            np.multiply(row, sigma, out=sigma_dW)
-            np.add(x, drift_dt, out=x)
-            np.add(x, sigma_dW, out=x)
-            yield k
-
-    for _ in steps():
-        pass
-    _raise_first_divergence(x, steps, "x")
+    return _argmax_result(f"argmax_principal_cashflow_{mode}", draws())
 
 
 def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
@@ -229,12 +212,14 @@ def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
 
 def _fold_part(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None,
                x_T=None, gamma_T=None, log_gamma_T=None) -> Part:
-    """The fold of dx = drift dt + sigma dW, x(0) = 0, and, given ``theta``, of its density.
+    """The fold of x = (x + drift dt) + dW from 0 and, given ``theta``, of its density.
 
-    Runs on the first ``min(n_paths, PASS_MAX_PATHS)`` paths of the seed's
-    ``n_steps`` stream and writes x_T, Gamma_T and log Gamma_T into those of
-    the arrays that are given; the others are folded in scratch rows.  A
-    block raises where x goes non-finite.
+    x and the drift are in units of sigma.  Runs on the first ``min(n_paths,
+    PASS_MAX_PATHS)`` paths of the seed's ``n_steps`` stream and writes x_T,
+    Gamma_T and log Gamma_T into those of the arrays that are given; the
+    others are folded in scratch rows.  x is screened once, at the end of a
+    block: only a non-finite end steps it again to raise where x first went
+    non-finite (``_raise_first_divergence``).
 
     Raises
     ------
@@ -243,13 +228,24 @@ def _fold_part(config: RunConfig, seed: int, drift: float, theta: Optional[float
     """
     if theta is not None and not math.isfinite(theta):
         raise ValueError("non-finite theta at step 0")
-    sigma = config.params.sigma
     grid = make_grid(config.params.T, config.n_steps)
+    drift_dt = drift * grid.dt
 
     def run(lo, hi, dW):
         x, gamma, log_gamma = (np.empty(hi - lo) if out is None else out[lo:hi]
                                for out in (x_T, gamma_T, log_gamma_T))
-        _fold_x(x, dW, sigma, drift * grid.dt)
+
+        def steps():
+            x[...] = 0.0
+            yield 0
+            for k, row in enumerate(dW, 1):
+                np.add(x, drift_dt, out=x)
+                np.add(x, row, out=x)
+                yield k
+
+        for _ in steps():
+            pass
+        _raise_first_divergence(x, steps, "x")
         if theta is not None:
             _fold_density(gamma, log_gamma, dW, theta, grid.dt)
 
@@ -283,12 +279,12 @@ class _ResidualFold:
 
         r_k = (Z_{k+1} - Z_k - D_{k+1} dW_k) / dt - prescribed_k,
 
-    with D the dW-matched loading (A11, A12, A13 times sigma at the right
-    endpoint, which cancels the increment contribution exactly), is compared
-    with the drift the backward equations prescribe at the left endpoint
-    (-a p, -a (P1 + P2), 0).  If the twelve equations are the correct
-    coefficient matching, r is O(dt); a wrong coefficient trajectory leaves
-    an O(1) mismatch.  Residuals are in drift units (state per time).  The
+    with D the dW-matched loading (A11, A12, A13 at the right endpoint, which
+    cancels the increment contribution exactly), is compared with the drift
+    the backward equations prescribe at the left endpoint (-a p,
+    -a (P1 + P2), 0).  If the twelve equations are the correct coefficient
+    matching, r is O(dt); a wrong coefficient trajectory leaves an O(1)
+    mismatch.  Residuals are in drift units per unit sigma.  The
     fold keeps Z and the drift of the last node only; ``value()`` is the
     per-component max |r| over the block, a (3,) array in (p, P1, P2) order.
     """
@@ -296,7 +292,6 @@ class _ResidualFold:
     def __init__(self, sol: RiccatiSolution, dW: np.ndarray):
         self._A, self._B = (np.stack([sol.column(f"{ab}1{j}") for j in (1, 2, 3)], 1)[:, :, None]
                             for ab in "AB")
-        self._load = self._A[1:] * sol.params.sigma
         self._minus_a, self._dt, self._dW = -sol.params.a, sol.grid.dt, dW
         # Z and the prescribed drift at the last node and this one; the
         # drift's P2 row stays 0, and subtracting 0 changes no residual
@@ -315,7 +310,7 @@ class _ResidualFold:
         drift1[:2] *= self._minus_a
         if k:
             np.subtract(Z1, self._Z, out=r)
-            np.multiply(self._load[k - 1], self._dW[k - 1], out=t)
+            np.multiply(self._A[k], self._dW[k - 1], out=t)
             r -= t
             r /= self._dt
             r -= self._drift
@@ -410,18 +405,19 @@ def check_density_martingale(gamma_T: np.ndarray, name: str = "density_martingal
 
 
 def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
-    """Var(x_T) of the b = 0 closed loop against its exact value."""
+    """Var(x_T) of the b = 0 closed loop, x_T in units of sigma, against its exact value."""
     name = "b0_variance_oracle"
     var, se = _variance_and_se(x_T)
-    # the exact variance of the Euler chain x_{k+1} = (1 + a dt) x_k + sigma dW_k,
+    # the exact variance of the Euler chain x_{k+1} = (1 + a dt) x_k + dW_k,
     # so the scheme's discretisation bias is not read as an oracle failure
     params = config.params
-    sigma, T, n = params.sigma, params.T, config.n_steps
+    T, n = params.T, config.n_steps
     dt = T / n
     g = (1.0 + params.a * dt) ** 2
-    target = sigma * sigma * (T if g == 1.0 else dt * (g**n - 1.0) / (g - 1.0))
+    target = T if g == 1.0 else dt * (g**n - 1.0) / (g - 1.0)
+    s2 = params.sigma * params.sigma
     return _band_result(name, var - target, 3.0 * se,
-                        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se")
+                        f"var={var * s2:.6e} target={target * s2:.6e} se={se * s2:.2e} band=3se")
 
 
 def _node_moments(blocks: list):
@@ -441,8 +437,8 @@ def _node_moments(blocks: list):
     return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
-def check_mean_trajectory(blocks: list) -> CheckResult:
-    """The MC mean of x against its exact value: E[x] = 0 at every node."""
+def check_mean_trajectory(sol: RiccatiSolution, blocks: list) -> CheckResult:
+    """The MC mean of x (``_MeanFold`` blocks) against its exact value: E[x] = 0 at every node."""
     name = "mean_trajectory"
     mc_mean, mc_se = _node_moments(blocks)
     gaps = np.abs(mc_mean)
@@ -450,8 +446,8 @@ def check_mean_trajectory(blocks: list) -> CheckResult:
     band = 3.0 * mc_se
     band[0] = 0.0
     worst = float(np.max(gaps[1:] / np.maximum(mc_se[1:], 1e-300)))
-    return _band_result(name, gaps, band,
-                        f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}")
+    return _band_result(name, gaps, band, f"max_gap={gaps.max() * sol.params.sigma:.3e} "
+                                          f"worst_gap_over_se={worst:.2f}")
 
 
 def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
@@ -463,7 +459,7 @@ def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
     name = "explicit_R_consistency"
     diff, scale = (float(np.max(values)) for values in zip(*blocks))
     # both schemes are first order; their gap scales with dt times the
-    # forcing magnitude seen along the ensemble
+    # forcing magnitude seen along the ensemble, both per unit sigma
     tol = 5.0 * sol.grid.dt * max(scale, 1.0)
     return _result(name, diff <= tol, f"max_diff={diff:.3e} tol={tol:.3e} (dt-scaled)")
 
@@ -519,7 +515,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     read = read_blocks(parts)
 
     if "mean" in parts:
-        terminal, mean, explicit = (check_terminal_conditions(sol), check_mean_trajectory(read["mean"]),
+        terminal, mean, explicit = (check_terminal_conditions(sol),
+                                    check_mean_trajectory(sol, read["mean"]),
                                     check_explicit_r(sol, read["explicit"]))
     else:
         terminal, mean, explicit = (
@@ -564,11 +561,13 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     For constant theta it is a martingale, E[Gamma(T)] = 1, and
     E[log Gamma(T)] = -theta^2 T / 2.  The strong formulation steps
     dx = b e0 dt + sigma dW on the next seed's stream, in the same
-    ``read_blocks`` call.  The agent maximises H(e) = q b e / sigma -
-    (s0 - e)^2 / 2, whose first-order condition is the hidden-action
-    condition q = sigma u_e / f_e (u_e = e - s0, f_e = b): with q from e0,
-    the grid argmax of H (cell 0.004) must lie within a cell of e0, and with
-    q from e0 + 0.1 it must miss e0 by 0.1, within a cell.
+    ``read_blocks`` call.  Both step in units of sigma (drifts 0 and theta),
+    and the band lines compare in them.  The agent maximises H(e) =
+    q b e / sigma - (s0 - e)^2 / 2, whose first-order condition is the
+    hidden-action condition q = sigma u_e / f_e (u_e = e - s0, f_e = b), so
+    q b / sigma is the slope u_e: with the slope at e0, the grid argmax of
+    H (cell 0.004, on offsets from e0) must lie within a cell of e0, and
+    with the slope at e0 + 0.1 it must miss e0 by 0.1, within a cell.
     """
     params = config.params
     if abs(params.b) < 1e-12:
@@ -576,14 +575,13 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
             "the production rate's effort sensitivity is b, which is zero; "
             "the optimality-condition check divides by it"
         )
-    e0 = config.weak_effort
-    s0 = config.weak_cashflow
-    theta = params.b * e0 / params.sigma
+    e0, s0, sigma = config.weak_effort, config.weak_cashflow, params.sigma
+    theta = params.b * e0 / sigma
     x_T, gamma_T, log_vals, s_T = np.empty((4, min(config.n_paths, PASS_MAX_PATHS)))
-    # a non-finite theta raises before any path is read; weak paths diverge first
+    # a non-finite theta raises before any path is read; only the strong drift can diverge
     read_blocks({
         "weak": _fold_part(config, config.seed, 0.0, theta, x_T, gamma_T, log_vals),
-        "strong": _fold_part(config, (config.seed + 1) % 2**64, params.b * e0, x_T=s_T),
+        "strong": _fold_part(config, (config.seed + 1) % 2**64, theta, x_T=s_T),
     })
     results = []
 
@@ -609,32 +607,32 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     ))
 
     weak_est, weak_se = _mean_and_se(gamma_T * x_T)
-    analytic = params.b * e0 * params.T
+    analytic = theta * params.T
     strong_est, strong_se = _mean_and_se(s_T)
 
     results.append(_band_result(
         "reweighted_mean_vs_analytic", weak_est - analytic, 3.0 * weak_se,
-        f"weak={weak_est:.6e} analytic={analytic:.6e} se={weak_se:.2e} band=3se",
+        f"weak={weak_est * sigma:.6e} analytic={analytic * sigma:.6e} "
+        f"se={weak_se * sigma:.2e} band=3se",
     ))
     band = 3.0 * math.sqrt(weak_se**2 + strong_se**2)
     results.append(_band_result(
         "weak_strong_agreement", weak_est - strong_est, band,
-        f"weak={weak_est:.6e} strong={strong_est:.6e} band={band:.2e}",
+        f"weak={weak_est * sigma:.6e} strong={strong_est * sigma:.6e} band={band * sigma:.2e}",
     ))
 
     plain = float(x_T.mean())
     ident, _ = _mean_and_se(np.ones(x_T.size) * x_T)
     results.append(_result(
         "unit_weight_identity", ident == plain,
-        f"reweighted-with-1 equals plain mean ({plain:.6e})",
+        f"reweighted-with-1 equals plain mean ({plain * sigma:.6e})",
     ))
 
     cell = 0.004
 
-    def argmax_gap(e):  # |grid argmax of H - e0|, with q from the condition at e
-        q = params.sigma * (e - s0) / params.b
-        return abs(_grid_argmax(lambda g: q * params.b * g / params.sigma - (s0 - g) ** 2 / 2.0,
-                                e0, 2.0, cell) - e0)
+    def argmax_gap(e):  # |grid argmax of H(e0 + d) - H(e0) over d|, with the slope u_e at e
+        # (s0 - e0) d - d^2 / 2 is -(s0 - e0 - d)^2 / 2 less its value at d = 0
+        return abs(_grid_argmax(lambda d: ((e - s0) + (s0 - e0)) * d - d * d / 2.0, 0.0, 2.0, cell))
 
     gap = argmax_gap(e0)
     results.append(_result(

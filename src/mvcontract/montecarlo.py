@@ -13,7 +13,10 @@ path,
 with left-endpoint Riemann sums matching the order of the forward scheme.
 Estimates are sample means with standard errors; Var(x(T)) uses the
 unbiased sample estimator with a delta-method standard error from the
-fourth central moment.
+fourth central moment.  Neither the coefficients nor the rows depend on
+sigma, so the paths are stepped in units of sigma and ``evaluate_contract``
+scales its six statistics by sigma^2 once, at the end: the bits of stepping
+sigma dW at any power-of-two sigma, with no overflow inside the estimators.
 
 Every reader of the noise is a part (``Part``: a grid, a seed, a path count
 and a ``run`` for each block of its paths), and one reader runs them all
@@ -28,7 +31,7 @@ blocks or how many workers run them; the final reductions run on the
 calling thread in a fixed order.
 
 One kernel steps every block (``_step_block``): (x, R) is one (2, paths)
-array, 7 numpy calls per step, and a caller that reads more than x(T)
+array, 6 numpy calls per step, and a caller that reads more than x(T)
 passes a fold, which reads (x, R) at every node and keeps only per-block
 statistics; ``simulate_costs`` folds the costs (``_cost_fold``, 5 calls).
 A non-finite element stays non-finite under the step's adds and
@@ -150,14 +153,15 @@ def _step_block(field, dW, x, fold=None, work=None) -> None:
     as ``NoiseEnsemble.increments.T`` reads them, and the state ends in
     ``x`` (a view of the caller's output array).  If given, ``fold(k, z)``
     is called at every node k, from 0, with the (2, paths) state (x, R)
-    there; it must not write to z.  The step holds (x, R) as z and reads the
-    x- and R-loadings of both drifts in row k of ``field.rows`` as columns:
+    there; it must not write to z.  The step holds (x, R) in units of sigma
+    as z and reads the x- and R-loadings of both drifts in row k of
+    ``field.rows`` as columns:
 
-        z += dt (x (Fxx, GRx) + R (FxR, GRR)),   x += sigma dW,
+        z += dt (x (Fxx, GRx) + R (FxR, GRR)),   x += dW,
 
     in ``out=`` ufuncs on the two (2, paths) arrays of ``work`` (new ones if
     None), which a fold may overwrite: each step writes them before reading.
-    That is 7 numpy calls per step, with the element operations of a
+    That is 6 numpy calls per step, with the element operations of a
     per-row step in the same order, so the same bits.  The state is screened
     for non-finite values once, at the end of the block: if it fails, the
     block is stepped again without the fold and searched at every node
@@ -178,10 +182,8 @@ def _step_block(field, dW, x, fold=None, work=None) -> None:
 def _steps(field, dW, z, work):
     """The steps of ``_step_block``: set z to 0 and step it, yielding each node k once z holds it."""
     dt = field.sol.grid.dt
-    sigma = field.sol.params.sigma
     x_row, R_row = z
     w, w2 = work
-    sigma_dW = w2[0]
     rows = field.rows[:, :, None]
     z[...] = 0.0
     yield 0
@@ -191,8 +193,7 @@ def _steps(field, dW, z, work):
         w += w2
         w *= dt
         z += w
-        np.multiply(dW_k, sigma, out=sigma_dW)
-        x_row += sigma_dW
+        x_row += dW_k
         yield k
 
 
@@ -339,7 +340,7 @@ def read_blocks(parts: dict) -> dict:
 
 
 def simulate_costs(field: ClosedLoopField, n_paths: int, seed: int):
-    """Per-path cost integrals and terminal state under the closed loop.
+    """Per-path cost integrals (per unit sigma^2) and x_T (per unit sigma) under the closed loop.
 
     Returns arrays (ja_integral, jp_integral, x_T) of length n_paths.  The
     dynamics are stepped without retaining full trajectories, as one part of
@@ -384,13 +385,13 @@ def evaluate_contract(
     ja_int, jp_int, x_T = simulate_costs(field, n_paths, seed)
 
     agent_term, principal_term = terminal_costs(x_T, params.alpha, params.beta)
-    j_a, j_a_se = _mean_and_se(ja_int + agent_term)
-    j_p, j_p_se = _mean_and_se(jp_int + principal_term)
-    var_xt, var_xt_se = _variance_and_se(x_T)
-    stats = {"J_A": j_a, "J_A_se": j_a_se, "J_P": j_p, "J_P_se": j_p_se,
-             "var_xT": var_xt, "var_xT_se": var_xt_se}
+    per_unit = (*_mean_and_se(ja_int + agent_term), *_mean_and_se(jp_int + principal_term),
+                *_variance_and_se(x_T))
+    scale = params.sigma * params.sigma  # inf where sigma ** 2 raises OverflowError
+    stats = dict(zip(("J_A", "J_A_se", "J_P", "J_P_se", "var_xT", "var_xT_se"),
+                     (value * scale for value in per_unit)))
     not_finite = {name: value for name, value in stats.items() if not math.isfinite(value)}
     if not_finite:
         raise NonFiniteEstimateError(not_finite, mult.lam_P, mult.theta)
 
-    return ContractEvaluation(j_a, j_a_se, j_p, j_p_se, var_xt, var_xt_se)
+    return ContractEvaluation(*stats.values())

@@ -19,7 +19,8 @@ against other integrators, and ``rk4_coefficients`` integrates it with
 classical RK4 on plain floats: the closed-form solve
 ``riccati.integrate_riccati`` must agree with it to its O(dt^4) error.
 ``sample_noise`` draws a seed's whole (n_paths, n_steps) ensemble as one
-block, the full matrix the block readers must reproduce, and ``coarsened``
+block, the full matrix the block readers must reproduce, and
+``scaled_noise_block`` scales the blocks they read.  ``coarsened``
 observes a noise ensemble on a coarser grid, for step-refinement studies on
 fixed driving noise.
 """
@@ -175,6 +176,25 @@ def rk4_coefficients(
 def sample_noise(grid: TimeGrid, n_paths: int, seed: int) -> NoiseEnsemble:
     """Draw the full (n_paths, n_steps) increment array for a seed."""
     return sample_noise_block(grid, n_paths, seed, 0, n_paths)
+
+
+def scaled_noise_block(scale: float, draw: Callable = sample_noise_block) -> Callable:
+    """``draw`` (``sample_noise_block`` by default) with every increment times ``scale``.
+
+    The package steps its paths in units of sigma, so no sigma makes the
+    driftless folds large; patched into ``montecarlo``, this makes every
+    stepped state ``scale`` times the one at sigma = 1, as a sigma of
+    ``scale`` once did.  An increment past the largest float becomes inf,
+    where sigma dW once overflowed in the step.
+    """
+    def sample(*args, **kw):
+        noise = draw(*args, **kw)
+        # a pool worker does not run under the caller's numpy error state
+        with np.errstate(over="ignore"):
+            increments = noise.increments * scale
+        return NoiseEnsemble(noise.grid, noise.seed, noise.n_paths, increments, noise.path_offset)
+
+    return sample
 
 
 def coarsened(noise: NoiseEnsemble, factor: int) -> NoiseEnsemble:

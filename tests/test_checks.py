@@ -17,7 +17,7 @@ from mvcontract import (
     sample_noise_block,
 )
 from mvcontract import checks, montecarlo
-from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ORACLE, load_riccati_csv, main
+from mvcontract.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_ORACLE, load_riccati_csv, main
 from mvcontract.config import RunConfig
 from reference_schemes import (
     ansatz_residual,
@@ -25,6 +25,7 @@ from reference_schemes import (
     euler_maruyama,
     explicit_R,
     sample_noise,
+    scaled_noise_block,
     simulate_density,
 )
 
@@ -154,16 +155,23 @@ def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_
     assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("e0, s0, b", [(1.0, 0.5, 1.0), (0.7, -0.3, -0.6), (0.0, 0.5, 1.0)],
-                         ids=["default", "negative_b", "zero_effort"])
-def test_foc_lines_find_the_argmax_by_brute_force(e0, s0, b):
+@pytest.mark.parametrize("e0, s0, b, sigma", [
+    (1.0, 0.5, 1.0, 1.0), (0.7, -0.3, -0.6, 1.0), (0.0, 0.5, 1.0, 1.0),
+    (1e10, 0.5, 1.0, 1.0), (1e8, 0.5, 1e-8, 1.0), (1e10, 0.5, 1e-5, 1e300),
+], ids=["default", "negative_b", "zero_effort", "effort_1e10", "effort_1e8", "sigma_1e300"])
+def test_foc_lines_find_the_argmax_by_brute_force(e0, s0, b, sigma):
     # q from the optimality condition at e0 puts the grid argmax of
     # H(e) = q b e / sigma - (s0 - e)^2 / 2 a third of a cell from e0; q from
-    # e0 + 0.1 puts it 0.1 and a third of a cell away.  Both lines pass
+    # e0 + 0.1 puts it 0.1 and a third of a cell away.  Both lines pass.
+    # H is evaluated on offsets from e0, less H(e0), with the slope
+    # q b / sigma = e - s0: (s0 - g)^2 / 2 at |g| ~ 1e10 cancelled to
+    # argmax_gap=1.987e+00 (7.747e-01 at 1e8 with b = 1e-8), and
+    # q = sigma (e0 - s0) / b overflowed at sigma = 1e300
     base = RunConfig()
-    config = dataclasses.replace(base, params=dataclasses.replace(base.params, b=b),
+    config = dataclasses.replace(base, params=dataclasses.replace(base.params, b=b, sigma=sigma),
                                  n_paths=1_000, weak_effort=e0, weak_cashflow=s0)
-    results = {r.name: r for r in checks.run_weak_battery(config)}
+    with np.errstate(all="ignore"):
+        results = {r.name: r for r in checks.run_weak_battery(config)}
     exact, perturbed = results["foc_exact_candidate"], results["foc_perturbed_candidate"]
     assert exact.detail == "argmax_gap=1.333e-03 cell=0.004"
     assert perturbed.detail == "argmax_gap=1.013e-01 expected=1.000e-01 cell=0.004"
@@ -260,7 +268,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
         assert len(blocks) == len(alone) >= 2
         for got, want in zip(blocks, alone):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    mean, se = checks._node_moments(seen["check_mean_trajectory"][0][0])
+    mean, se = checks._node_moments(seen["check_mean_trajectory"][0][1])
     x = spec.component("x")
     eps = np.finfo(float).eps
     np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0,
@@ -427,36 +435,40 @@ def test_b0_oracle_fails_on_the_blow_up_bound(tmp_path, capsys):
 
 
 def test_density_battery_divergence_keeps_its_exit_code(tmp_path, capsys):
-    # sigma sqrt(dt) = 1.25e308, so sigma dW overflows wherever |dW| > 1.44 sqrt(dt)
+    # theta = b e0 / sigma = 1e308, so the strong part's drift theta dt
+    # overflows at step 1; it is the same on every path, so path 0 is the first
     path = tmp_path / "diverge.cfg"
-    path.write_text("sigma = 1e307\nT = 10000\n")
+    path.write_text("b = 1e300\nsigma = 1e-8\nT = 10000\n")
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["weakcheck", "--config", str(path), "--paths", "1000"]) == EXIT_NUMERICAL
-    assert "non-finite x on path 8 at step 1" in capsys.readouterr().err
+    assert "non-finite x on path 0 at step 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("env, command, lines", [
-    ({"MVCONTRACT_SIGMA": "1e160"}, "check", [
-        "PASS density_martingale: E[Gamma_T]=0.999629 se=5.53e-04 target=1 band=3se",
-        "FAIL b0_variance_oracle: var=inf target=inf se=nan band=3se "
+    ({"MVCONTRACT_A": "0", "MVCONTRACT_T": "1e305", "MVCONTRACT_B": "1e-200"}, "check", [
+        "FAIL density_martingale: E[Gamma_T]=0.000000 se=0.00e+00 target=1 band=3se",
+        "FAIL b0_variance_oracle: var=inf target=1.000000e+305 se=nan band=3se "
         "not_finite=gap,band",
-        "FAIL mean_trajectory: max_gap=3.544e+157 worst_gap_over_se=0.00 not_finite=band",
+        "FAIL mean_trajectory: max_gap=3.559e+150 worst_gap_over_se=2.53 not_finite=band",
     ]),
-    ({"MVCONTRACT_SIGMA": "1e300", "MVCONTRACT_WEAK_EFFORT": "1e10", "MVCONTRACT_B": "1e-5"},
+    ({"MVCONTRACT_T": "1e308", "MVCONTRACT_WEAK_EFFORT": "1e-150", "MVCONTRACT_B": "1e-5"},
      "weakcheck", [
-        "PASS martingale_mean: E[Gamma_T]=1.000000 se=0.00e+00 target=1 band=3se",
-        "PASS log_density_mean: E[log Gamma_T]=-4.378929e-299 target=-0.000000e+00 band=3se",
-        "FAIL reweighted_mean_vs_analytic: weak=-4.378929e+296 analytic=3.000000e+03 se=inf "
+        "PASS martingale_mean: E[Gamma_T]=0.999770 se=3.18e-04 target=1 band=3se",
+        "PASS log_density_mean: E[log Gamma_T]=-5.252818e-03 target=-5.000000e-03 band=3se",
+        "FAIL reweighted_mean_vs_analytic: weak=9.789668e+152 analytic=1.000000e+153 se=inf "
         "band=3se not_finite=band",
-        "FAIL weak_strong_agreement: weak=-4.378929e+296 strong=1.244237e+297 band=inf "
+        "FAIL weak_strong_agreement: weak=9.789668e+152 strong=1.071836e+153 band=inf "
         "not_finite=band",
     ]),
-], ids=["check_sigma_1e160", "weakcheck_sigma_1e300"])
+], ids=["check_T_1e305", "weakcheck_T_1e308"])
 def test_band_lines_on_non_finite_statistics_fail(monkeypatch, capsys, env, command, lines):
-    # the node SEs of the mean trajectory and the SE of the reweighted mean
-    # overflow to inf: a band that wide would pass anything, so each such
-    # line fails and says whether its gap, its band or both are not finite;
-    # finite band lines are as before
+    # the paths are in units of sigma, so a long horizon is what makes them
+    # large: at T = 1e305 or 1e308 the increments reach about 1e152, and the
+    # node SEs of the mean trajectory and the SE of the reweighted mean
+    # overflow to inf (a = 0 and a tiny b keep the coefficient solves
+    # finite; a tiny effort keeps theta^2 T small).  A band that wide would
+    # pass anything, so each such line fails and says whether its gap, its
+    # band or both are not finite; finite band lines are as before
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     with np.errstate(all="ignore"):
@@ -469,17 +481,62 @@ def test_band_lines_on_non_finite_statistics_fail(monkeypatch, capsys, env, comm
 def test_argmax_lines_pass_at_a_large_sigma(monkeypatch, capsys):
     # q sigma and sigma (Q1 + Q2) are constant in the control; at sigma =
     # 1e160 they swamped the terms that are not, and every argmax line
-    # printed max_gap=1.999e+00.  The check still exits 4 on its non-finite
-    # band lines
+    # printed max_gap=1.999e+00.  The band lines compare in units of sigma,
+    # so none of them overflows and the check passes
     monkeypatch.setenv("MVCONTRACT_SIGMA", "1e160")
     with np.errstate(all="ignore"):
-        assert main(["check", "--paths", "2000"]) == EXIT_ORACLE
+        assert main(["check", "--paths", "2000"]) == EXIT_OK
     printed = capsys.readouterr().out.splitlines()
     assert [line for line in printed if "argmax_" in line.split(":")[0]] == [
         "PASS argmax_agent_effort: max_gap=1.333e-03 cell=0.004",
         "PASS argmax_principal_cashflow_as_printed: max_gap=1.333e-03 cell=0.004",
         "PASS argmax_principal_cashflow_eta_equals_x: max_gap=1.333e-03 cell=0.004",
     ]
+
+
+def test_per_unit_sigma_lines_do_not_change_with_sigma(monkeypatch, capsys):
+    # the paths are stepped in units of sigma, so the drift residual and the
+    # explicit-R gap, and their tolerances, read per unit sigma: their lines
+    # at sigma = 4 and 1e160 are those at sigma = 1.  In drift units the
+    # residual failed at 1e160 with max_residual=1.430e+156
+    printed = {}
+    for sigma in ("1", "4", "1e160"):
+        monkeypatch.setenv("MVCONTRACT_SIGMA", sigma)
+        with np.errstate(all="ignore"):
+            assert main(["check", "--paths", "2000"]) == EXIT_OK
+        printed[sigma] = [line for line in capsys.readouterr().out.splitlines()
+                          if line.split(":")[0] in ("PASS riccati_residual",
+                                                    "PASS explicit_R_consistency")]
+    assert len(printed["1"]) == 2
+    assert printed["4"] == printed["1"] and printed["1e160"] == printed["1"]
+
+
+@pytest.mark.parametrize("b", ["1e15", "1e17", "1e100"])
+def test_argmax_lines_fail_where_float64_cannot_resolve_a_cell(monkeypatch, capsys, b):
+    # each argmax grid is centred on an optimum of the order of b, or b^2 for
+    # the cash flow; above about 1.8e13 float64 is coarser than the 0.004
+    # cell there, and the grid around the optimum came out empty: argmax
+    # raised a ValueError and the run printed a configuration error (exit 2)
+    monkeypatch.setenv("MVCONTRACT_B", b)
+    with np.errstate(all="ignore"):
+        assert main(["check", "--paths", "2000"]) == EXIT_ORACLE
+    out, err = capsys.readouterr()
+    lines = [line for line in out.splitlines() if "argmax_" in line.split(":")[0]]
+    assert len(lines) == 3
+    for line in lines:
+        assert line.startswith("FAIL ") and ": cell=0.004 unresolved by float64 at " in line
+    assert "configuration error" not in err
+
+
+@pytest.mark.parametrize("optimum, passed", [
+    (1e13, True), (4e13, False), (-4e13, False), (math.inf, False), (math.nan, False),
+], ids=["1e13", "4e13", "-4e13", "inf", "nan"])
+def test_argmax_line_at_the_resolution_of_float64(optimum, passed):
+    # float64 spacing is 0.002 at 1e13, 0.008 at 4e13 and not finite at inf
+    # or nan: past a cell, no grid node can be told from the next
+    result = checks._argmax_result("line", [(lambda g: -(g - optimum) ** 2, optimum)])
+    assert result.passed == passed
+    assert ("unresolved by float64" in result.detail) != passed
 
 
 @pytest.mark.parametrize("effort", [1e10, 1e2], ids=["theta_1e-295", "theta_1e-303"])
@@ -495,16 +552,21 @@ def test_log_density_mean_of_a_tiny_theta_has_a_non_zero_se(effort):
     assert results["log_density_mean"].passed, results["log_density_mean"].detail
 
 
-@pytest.mark.parametrize("cfg, message", [
-    ("sigma = 1e307\nT = 10000\n", "non-finite x on path 8 at step 1"),
-    ("sigma = 1e308\n", "non-finite state on path 8 at step 2"),
+@pytest.mark.parametrize("cfg, scale, message", [
+    ("T = 10000\n", 1e307, "non-finite x on path 8 at step 1"),
+    ("a = -3e156\n", None, "non-finite state on path 16 at step 3"),
 ], ids=["density_before_b0_solve", "mean_set_before_residual"])
-def test_check_reports_the_failure_of_its_earliest_check(tmp_path, capsys, cfg, message):
+def test_check_reports_the_failure_of_its_earliest_check(tmp_path, capsys, monkeypatch, cfg,
+                                                         scale, message):
     # the first config blows up every coefficient solve, the b = 0 one
-    # included, and its density fold diverges; in the second the mean-set
-    # and residual paths both diverge (the residual's first on path 90).
-    # The one noise pass meets all of these at once, and the run must still
-    # end with the failure of the check that comes first
+    # included, and its density fold diverges: the paths are stepped in
+    # units of sigma, so its increments are scaled as a sigma of 1e307 once
+    # scaled them.  In the second the mean-set and residual paths both
+    # diverge (the residual's first on path 0, at step 4).  The one noise
+    # pass meets all of these at once, and the run must still end with the
+    # failure of the check that comes first
+    if scale is not None:
+        monkeypatch.setattr(montecarlo, "sample_noise_block", scaled_noise_block(scale))
     path = tmp_path / "diverge.cfg"
     path.write_text(cfg)
     with np.errstate(all="ignore"):
@@ -516,11 +578,13 @@ def test_check_reports_the_failure_of_its_earliest_check(tmp_path, capsys, cfg, 
 def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
     # sigma dW overflows where |dW| > 3.9 sqrt(dt): on seed 42 the earliest
     # overflow is at step 1 in the ragged third block of 4096 paths (blocks
-    # of 2**18 draws), while the first block diverges only at step 2
+    # of 2**18 draws), while the first block diverges only at step 2.  The
+    # fold steps in units of sigma, so the blocks it reads are scaled by sigma
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 2**18)
     base = RunConfig()
     params = dataclasses.replace(base.params, sigma=3.7e306, T=1e4)
+    monkeypatch.setattr(montecarlo, "sample_noise_block", scaled_noise_block(params.sigma))
     config = dataclasses.replace(base, params=params, n_paths=10_001, seed=42)
     noise = sample_noise(make_grid(params.T, config.n_steps), config.n_paths, config.seed)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -570,7 +634,7 @@ def _noise_pass_checks(config):
     })
     return [checks.check_density_martingale(gamma_T),
             checks.check_b0_variance(config, b0_x_T),
-            checks.check_mean_trajectory(read["mean"]),
+            checks.check_mean_trajectory(sol, read["mean"]),
             checks.check_explicit_r(sol, read["explicit"])]
 
 

@@ -389,23 +389,49 @@ def test_cmd_simulate_grid_and_byte_stability(tmp_path):
     assert len(b1.splitlines()) == 2 + 4  # 2x2 grid
 
 
-@pytest.mark.parametrize("sigma, statistics", [
-    ("1e160", "J_A = nan, J_A_se = nan, J_P = nan, J_P_se = nan, var_xT = inf, var_xT_se = nan"),
-    ("1e150", "J_A_se = inf, J_P_se = inf, var_xT_se = nan"),
-], ids=["sigma_1e160", "sigma_1e150"])
-def test_cmd_simulate_non_finite_estimate_exits_3(tmp_path, monkeypatch, capsys, sigma,
+@pytest.mark.parametrize("env, statistics", [
+    ({"MVCONTRACT_SIGMA": "1e160"},
+     "J_A = -inf, J_A_se = inf, J_P = inf, J_P_se = inf, var_xT = inf, var_xT_se = inf"),
+    ({"MVCONTRACT_A": "0", "MVCONTRACT_T": "1e200", "MVCONTRACT_B": "1e-200"},
+     "J_A_se = inf, J_P_se = inf, var_xT_se = nan"),
+], ids=["sigma_1e160", "T_1e200"])
+def test_cmd_simulate_non_finite_estimate_exits_3(tmp_path, monkeypatch, capsys, env,
                                                   statistics):
     # no verdict from a non-finite number: at sigma = 1e160 the costs
-    # overflow and the point was written as nan and inf, "feasible,feasible";
-    # at 1e150 var_xT = 8.3e298 is finite but its SE is not, and it was
-    # marked feasible.  Both now end the sweep at the point, named with every
-    # non-finite statistic, before its row is written
-    monkeypatch.setenv("MVCONTRACT_SIGMA", sigma)
+    # overflowed and the point was written as nan and inf, "feasible,feasible";
+    # now each statistic is finite per unit sigma^2 and overflows when it is
+    # scaled by sigma^2 = 1e320.  At T = 1e200 (a = 0 and a tiny b keep the
+    # coefficients finite) the paths reach 1e100, var_xT = 1e200 is finite
+    # but its SE is not, and it was marked feasible.  Both now end the sweep
+    # at the point, named with every non-finite statistic, before its row is
+    # written
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     with np.errstate(all="ignore"):
         assert main(["simulate", "--paths", "2000", "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         f"numerical failure: non-finite estimate at lambda_P = 0.1, theta = 1.5708: {statistics}\n")
     assert len((tmp_path / "eval.csv").read_text().splitlines()) == 2  # comment and header
+
+
+@pytest.mark.parametrize("sigma", ["1", "2", repr(2.0**500), "1e150"])
+def test_cmd_simulate_scales_its_statistics_by_sigma_squared(tmp_path, monkeypatch, sigma):
+    # the paths are stepped in units of sigma and each statistic is scaled
+    # by sigma^2 once: at sigma = 2^k the six statistics of eval.csv are 4^k
+    # times those at sigma = 1, bit for bit.  At 2^500 and 1e150 every
+    # statistic can be represented (J_A is about -9e298 and -8e297), where
+    # stepping sigma dW overflowed the squares inside std and exited 3
+    def statistics(value, out):
+        monkeypatch.setenv("MVCONTRACT_SIGMA", value)
+        assert main(["simulate", "--paths", "2000", "--out", str(tmp_path / out)]) == EXIT_OK
+        row = (tmp_path / out / "eval.csv").read_text().splitlines()[2].split(",")
+        return [float(v) for v in row[4:10]]
+
+    unit, scaled = statistics("1", "unit"), statistics(sigma, "scaled")
+    assert all(math.isfinite(v) for v in scaled)
+    mantissa, k = math.frexp(float(sigma))
+    if mantissa == 0.5:
+        assert scaled == [math.ldexp(v, 2 * (k - 1)) for v in unit]
 
 
 def test_cmd_check_passes_and_fails(tmp_path):

@@ -27,7 +27,7 @@ from mvcontract import (
 from mvcontract import checks, montecarlo
 from mvcontract.config import RunConfig
 from mvcontract.montecarlo import simulate_costs
-from reference_schemes import closed_loop_paths, sample_noise, step_costs
+from reference_schemes import closed_loop_paths, sample_noise, scaled_noise_block, step_costs
 
 
 def test_b0_variance_matches_closed_form(ref_params, corner_triple):
@@ -57,6 +57,22 @@ def _simulate_in_blocks(monkeypatch, block_paths, field, n_paths, seed):
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS",
                         (block_paths or n_paths) * field.sol.grid.n_steps)
     return simulate_costs(field, n_paths, seed)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_statistics_scale_exactly_with_sigma_squared(ref_params, corner_triple, sigma):
+    # neither the coefficients nor the rows depend on sigma, and the paths are
+    # stepped in units of it: at 2^k sigma each of the six statistics is 4^k
+    # times the one at sigma, bit for bit.  At 2^500, J_A is about -9e298,
+    # and stepping sigma dW overflowed the squares inside std
+    def evaluate(s):
+        return dataclasses.astuple(evaluate_contract(
+            dataclasses.replace(ref_params, sigma=s), corner_triple, 2_000, 16, seed=5,
+            p2_drift_mode=ETA_EQUALS_X))
+
+    base = evaluate(sigma)
+    for k in (1, 5, 40, 200, 500):
+        assert evaluate(math.ldexp(sigma, k)) == tuple(math.ldexp(v, 2 * k) for v in base)
 
 
 def test_chunking_never_changes_results(ref_params, corner_triple, monkeypatch):
@@ -336,12 +352,14 @@ def _spiked_field(ref_params, corner_triple):
 
     Hand-built coefficients on 8 steps: the spike overflows only the path
     with the largest first increment of 3,000 on seed 3, one at node 4
-    every path.  Returns (field, n_paths, seed, that path).
+    every path.  Returns (field, n_paths, seed, that path).  The paths are
+    stepped in units of sigma, and T = 8 makes dt = 1, so the largest
+    increments exceed 1 and the spike that overflows one path is finite.
     """
-    params = dataclasses.replace(ref_params, sigma=100.0)
+    params = dataclasses.replace(ref_params, T=8.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
-    x1 = params.sigma * sample_noise(grid, n_paths, seed).increments[:, 0]
+    x1 = sample_noise(grid, n_paths, seed).increments[:, 0]
     order = np.argsort(np.abs(x1))
     first, second = np.abs(x1[order[-1]]), np.abs(x1[order[-2]])
     coeffs = np.zeros((grid.n_points, 12))
@@ -564,7 +582,8 @@ def test_divergence_at_the_last_step_of_a_ragged_block(ref_params, corner_triple
     # paths, which runs first.
     # A screen at the end of a block must still see it, and the closed-loop
     # step (a = 0 and zero coefficients leave x + sigma dW) and the checks'
-    # terminal fold must report the step and path of the whole-ensemble loop
+    # terminal fold must report the step and path of the whole-ensemble loop.
+    # Both step in units of sigma, so the blocks they read are scaled by it
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1_100 * 4)
     n_paths, n_steps, seed, T = 3_000, 4, 20, 1e4
@@ -587,7 +606,7 @@ def test_divergence_at_the_last_step_of_a_ragged_block(ref_params, corner_triple
     config = dataclasses.replace(RunConfig(), params=params, n_paths=n_paths,
                                  n_steps=n_steps, seed=seed)
     firsts = []
-    draw = montecarlo.sample_noise_block
+    draw = scaled_noise_block(sigma)
     monkeypatch.setattr(montecarlo, "sample_noise_block",
                         lambda *args, **kw: firsts.append(args[3:5]) or draw(*args, **kw))
     for run in (lambda: simulate_costs(field, n_paths, seed),
@@ -605,11 +624,12 @@ def test_divergence_in_R_alone_reported_exactly(ref_params, corner_triple, monke
     # so x stays finite, while the R-drift loading A13 overflows only the
     # path with the largest first increment; R alone goes non-finite there,
     # at step 2, and each chunking and the recorded reference paths must
-    # report it
-    params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
+    # report it.  T = 8 makes dt = 1, so the largest first increments, in
+    # units of sigma, exceed 1 (as in _spiked_field)
+    params = dataclasses.replace(ref_params, T=8.0, b=1.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
-    x1 = params.sigma * sample_noise(grid, n_paths, seed).increments[:, 0]
+    x1 = sample_noise(grid, n_paths, seed).increments[:, 0]
     order = np.argsort(np.abs(x1))
     first, second = np.abs(x1[order[-1]]), np.abs(x1[order[-2]])
     assert first * second > 4.0
@@ -636,12 +656,12 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
     # rows: x stays finite where R does not, and the stacked step, with or
     # without a fold, stops at the same (step, path).  The block is screened
     # once, at its end, so the fold has read every node of it, in order
-    params = dataclasses.replace(ref_params, sigma=100.0, b=1.0)
+    params = dataclasses.replace(ref_params, T=8.0, b=1.0)
     n_paths, seed = 3_000, 3
     grid = make_grid(params.T, 8)
     dW = sample_noise(grid, n_paths, seed).increments
     order = np.argsort(np.abs(dW[:, 0]))
-    first, second = params.sigma * np.abs(dW[order[-2:], 0])
+    first, second = np.abs(dW[order[-2:], 0])
     spike = np.finfo(float).max / np.sqrt(first * second)
     coeffs = np.zeros((grid.n_points, 12))
     coeffs[1, COEFF_NAMES.index("A12")] = -2.0 * spike
@@ -651,7 +671,7 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
     with np.errstate(all="ignore"):
         for k in range(grid.n_steps):
             _, _, fx, fR = row_closed_loop(field, k, x, R)
-            x = x + fx * grid.dt + params.sigma * dW[:, k]
+            x = x + fx * grid.dt + dW[:, k]
             R = R + fR * grid.dt
             bad = ~(np.isfinite(x) & np.isfinite(R))
             if bad.any():
@@ -669,19 +689,20 @@ def test_stacked_step_reports_R_divergence_as_the_reference_loop(ref_params, cor
 
 def test_finite_states_whose_sum_overflows_do_not_diverge(ref_params, corner_triple,
                                                          monkeypatch):
-    # every path takes the same large increments: each state stays finite
-    # while its sum over the paths overflows, which is no divergence
-    params = dataclasses.replace(ref_params, sigma=5e307, b=0.0)
+    # every path takes the same large increments, of 5e307 (the paths are
+    # stepped in units of sigma): each state stays finite while its sum over
+    # the paths overflows, which is no divergence
+    params = dataclasses.replace(ref_params, b=0.0)
     grid = make_grid(params.T, 2)
     sol = integrate_riccati(params, corner_triple, grid, ETA_EQUALS_X)
     field = ClosedLoopField(sol)
 
-    def ones(grid, n_paths, seed, lo, hi, out=None):
-        return NoiseEnsemble(grid, seed, hi - lo, np.ones((hi - lo, grid.n_steps)), lo)
+    def large(grid, n_paths, seed, lo, hi, out=None):
+        return NoiseEnsemble(grid, seed, hi - lo, np.full((hi - lo, grid.n_steps), 5e307), lo)
 
-    monkeypatch.setattr(montecarlo, "sample_noise_block", ones)
+    monkeypatch.setattr(montecarlo, "sample_noise_block", large)
     with np.errstate(over="ignore"):
-        paths = closed_loop_paths(field, ones(grid, 8, 0, 0, 8))
+        paths = closed_loop_paths(field, large(grid, 8, 0, 0, 8))
         runs = [_simulate_in_blocks(monkeypatch, block, field, 8, 0) for block in (None, 3)]
         x = paths.component("x")
         assert not math.isfinite(x[:, 1].sum()) and not math.isfinite(x[:, 2].sum())
