@@ -399,13 +399,14 @@ class _ExplicitRFold:
 
 
 def check_density_martingale(gamma_T: np.ndarray, name: str = "density_martingale") -> CheckResult:
+    """E[Gamma_T] = 1: Gamma_T reads the increments alone, so the line tests the noise, not the model."""
     est, se = _mean_and_se(gamma_T)
     return _band_result(name, est - 1.0, 3.0 * se,
                         f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se")
 
 
 def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
-    """Var(x_T) of the b = 0 closed loop, x_T in units of sigma, against its exact value."""
+    """Var(x_T) of the b = 0 closed loop against its exact value, both per unit sigma^2."""
     name = "b0_variance_oracle"
     var, se = _variance_and_se(x_T)
     # the exact variance of the Euler chain x_{k+1} = (1 + a dt) x_k + dW_k,
@@ -415,9 +416,8 @@ def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
     dt = T / n
     g = (1.0 + params.a * dt) ** 2
     target = T if g == 1.0 else dt * (g**n - 1.0) / (g - 1.0)
-    s2 = params.sigma * params.sigma
     return _band_result(name, var - target, 3.0 * se,
-                        f"var={var * s2:.6e} target={target * s2:.6e} se={se * s2:.2e} band=3se")
+                        f"var={var:.6e} target={target:.6e} se={se:.2e} band=3se")
 
 
 def _node_moments(blocks: list):
@@ -437,8 +437,10 @@ def _node_moments(blocks: list):
     return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
-def check_mean_trajectory(sol: RiccatiSolution, blocks: list) -> CheckResult:
-    """The MC mean of x (``_MeanFold`` blocks) against its exact value: E[x] = 0 at every node."""
+def check_mean_trajectory(blocks: list) -> CheckResult:
+    """The MC mean of x per unit sigma (``_MeanFold`` blocks) against E[x] = 0 at every node.
+
+    Every linear homogeneous loop has a zero mean: the line tests the noise, not the model."""
     name = "mean_trajectory"
     mc_mean, mc_se = _node_moments(blocks)
     gaps = np.abs(mc_mean)
@@ -446,8 +448,7 @@ def check_mean_trajectory(sol: RiccatiSolution, blocks: list) -> CheckResult:
     band = 3.0 * mc_se
     band[0] = 0.0
     worst = float(np.max(gaps[1:] / np.maximum(mc_se[1:], 1e-300)))
-    return _band_result(name, gaps, band, f"max_gap={gaps.max() * sol.params.sigma:.3e} "
-                                          f"worst_gap_over_se={worst:.2f}")
+    return _band_result(name, gaps, band, f"max_gap={gaps.max():.3e} worst_gap_over_se={worst:.2f}")
 
 
 def check_explicit_r(sol: RiccatiSolution, blocks: list) -> CheckResult:
@@ -516,7 +517,7 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
 
     if "mean" in parts:
         terminal, mean, explicit = (check_terminal_conditions(sol),
-                                    check_mean_trajectory(sol, read["mean"]),
+                                    check_mean_trajectory(read["mean"]),
                                     check_explicit_r(sol, read["explicit"]))
     else:
         terminal, mean, explicit = (
@@ -562,21 +563,23 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
     E[log Gamma(T)] = -theta^2 T / 2.  The strong formulation steps
     dx = b e0 dt + sigma dW on the next seed's stream, in the same
     ``read_blocks`` call.  Both step in units of sigma (drifts 0 and theta),
-    and the band lines compare in them.  The agent maximises H(e) =
-    q b e / sigma - (s0 - e)^2 / 2, whose first-order condition is the
-    hidden-action condition q = sigma u_e / f_e (u_e = e - s0, f_e = b), so
-    q b / sigma is the slope u_e: with the slope at e0, the grid argmax of
-    H (cell 0.004, on offsets from e0) must lie within a cell of e0, and
-    with the slope at e0 + 0.1 it must miss e0 by 0.1, within a cell.
+    and every line compares and prints in them: sigma enters through theta
+    alone.  The agent maximises H(e) = q b e / sigma - (s0 - e)^2 / 2, whose
+    first-order condition is the hidden-action condition q = sigma u_e / f_e
+    (u_e = e - s0, f_e = b; at b = 0 it has no solution, which raises
+    ``DegenerateSensitivityError``), so q b / sigma is the slope u_e: with
+    the slope at e0, the grid argmax of H (cell 0.004, on offsets from e0)
+    must lie within a cell of e0, and with the slope at e0 + 0.1 it must
+    miss e0 by 0.1, within a cell.
     """
     params = config.params
-    if abs(params.b) < 1e-12:
+    if params.b == 0.0:
         raise DegenerateSensitivityError(
-            "the production rate's effort sensitivity is b, which is zero; "
-            "the optimality-condition check divides by it"
+            "the effort sensitivity f_e = b is zero, so the hidden-action "
+            "condition q = sigma u_e / f_e has no solution"
         )
-    e0, s0, sigma = config.weak_effort, config.weak_cashflow, params.sigma
-    theta = params.b * e0 / sigma
+    e0, s0 = config.weak_effort, config.weak_cashflow
+    theta = params.b * e0 / params.sigma
     x_T, gamma_T, log_vals, s_T = np.empty((4, min(config.n_paths, PASS_MAX_PATHS)))
     # a non-finite theta raises before any path is read; only the strong drift can diverge
     read_blocks({
@@ -612,20 +615,19 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
 
     results.append(_band_result(
         "reweighted_mean_vs_analytic", weak_est - analytic, 3.0 * weak_se,
-        f"weak={weak_est * sigma:.6e} analytic={analytic * sigma:.6e} "
-        f"se={weak_se * sigma:.2e} band=3se",
+        f"weak={weak_est:.6e} analytic={analytic:.6e} se={weak_se:.2e} band=3se",
     ))
     band = 3.0 * math.sqrt(weak_se**2 + strong_se**2)
     results.append(_band_result(
         "weak_strong_agreement", weak_est - strong_est, band,
-        f"weak={weak_est * sigma:.6e} strong={strong_est * sigma:.6e} band={band * sigma:.2e}",
+        f"weak={weak_est:.6e} strong={strong_est:.6e} band={band:.2e}",
     ))
 
     plain = float(x_T.mean())
     ident, _ = _mean_and_se(np.ones(x_T.size) * x_T)
     results.append(_result(
         "unit_weight_identity", ident == plain,
-        f"reweighted-with-1 equals plain mean ({plain * sigma:.6e})",
+        f"reweighted-with-1 equals plain mean ({plain:.6e})",
     ))
 
     cell = 0.004

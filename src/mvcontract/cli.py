@@ -33,8 +33,6 @@ from .checks import run_check_battery, run_weak_battery
 from .config import RunConfig, resolve
 from .errors import (
     ConfigError,
-    DegenerateMultiplierError,
-    DegenerateSensitivityError,
     NonFiniteEstimateError,
     RiccatiBlowUpError,
     SimulationDivergedError,
@@ -310,8 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "weakcheck": cmd_weakcheck,
         }[args.command]
         return handler(config)
-    except (ConfigError, DegenerateMultiplierError, DegenerateSensitivityError,
-            ValueError) as exc:
+    except ValueError as exc:  # ConfigError and the Degenerate*Error types among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RiccatiBlowUpError, SimulationDivergedError, NonFiniteEstimateError) as exc:

@@ -3,7 +3,9 @@
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Unknown keys are errors, so a sweep cannot silently run with a misspelled
 override.  Floats are parsed with ``float``, so a value written with
-``repr`` reads back to the same bits.
+``repr`` reads back to the same bits.  A range is checked where it is
+stated, by building what a run builds (``LqParams``, the time grid, the
+multiplier sweep, the P2 mode); a ``ValueError`` is a ``ConfigError``.
 
 Point lists for the multiplier sweep accept three spellings:
 
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import ConfigError
-from .model import ETA_EQUALS_X, MIN_LAMBDA_P, LqParams, P2_DRIFT_MODES
+from .model import ETA_EQUALS_X, LqParams, check_mode
+from .multipliers import sweep_grid
 from .riccati import DEFAULT_BLOW_UP_BOUND
+from .timegrid import make_grid
 
 ENV_PREFIX = "MVCONTRACT_"
-
-_CASE_CHOICES = ("i", "ii", "iii", "iv", "v")
 
 
 @dataclass(frozen=True)
@@ -128,19 +130,15 @@ def _build(values: dict) -> RunConfig:
         params = dataclasses.replace(
             base.params, **{name: given.pop(name) for name in _PARAM_KEYS if name in given}
         )
+        config = dataclasses.replace(base, params=params, **given)
+        # theta is read in cases iii and iv only, which default to the base points
+        if config.case_tag not in ("iii", "iv"):
+            config = dataclasses.replace(config, theta_points=None)
+        make_grid(params.T, config.n_steps)
+        sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)
+        check_mode(config.p2_drift_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    config = dataclasses.replace(base, params=params, **given)
-
-    if config.case_tag not in _CASE_CHOICES:
-        raise ConfigError(f"case must be one of {_CASE_CHOICES}, got {config.case_tag!r}")
-    if config.p2_drift_mode not in P2_DRIFT_MODES:
-        raise ConfigError(
-            f"p2_drift_mode must be one of {P2_DRIFT_MODES}, got {config.p2_drift_mode!r}"
-        )
-    # theta is read in cases iii and iv only, which default to the base points
-    if config.case_tag not in ("iii", "iv"):
-        config = dataclasses.replace(config, theta_points=None)
     _validate(config)
     return config
 
@@ -148,8 +146,6 @@ def _build(values: dict) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.n_paths < 2:
         raise ConfigError(f"n_paths must be >= 2, got {config.n_paths}")
-    if config.n_steps < 2:
-        raise ConfigError(f"n_steps must be >= 2, got {config.n_steps}")
     if not 0 <= config.seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     for key in ("blow_up_bound", "residual_tol"):
@@ -163,20 +159,6 @@ def _validate(config: RunConfig) -> None:
     for key in ("weak_effort", "weak_cashflow"):
         if not math.isfinite(getattr(config, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(config, key)!r}")
-    for lp in config.lam_P_points:
-        if not MIN_LAMBDA_P <= lp <= 1.0:
-            raise ConfigError(
-                f"lambda_P points must lie in [{MIN_LAMBDA_P:g}, 1], got {lp:g}"
-            )
-    if config.case_tag in ("iii", "iv"):
-        if not config.theta_points:
-            raise ConfigError(f"case {config.case_tag} requires theta points")
-        lo, hi = (-math.pi / 2, 0.0) if config.case_tag == "iii" else (0.0, math.pi / 2)
-        for th in config.theta_points:
-            if not lo <= th <= hi:
-                raise ConfigError(
-                    f"case {config.case_tag} requires theta in [{lo:g}, {hi:g}], got {th:g}"
-                )
 
 
 def _text_items(text: str, source: str):

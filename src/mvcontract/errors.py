@@ -57,7 +57,7 @@ class DegenerateMultiplierError(ValueError):
 
 
 class DegenerateSensitivityError(ValueError):
-    """Effort sensitivity f_e is numerically zero; the first-order condition divides by it."""
+    """f_e = b is zero: the hidden-action condition q = sigma u_e / f_e has no solution."""
 
 
 class ConfigError(ValueError):

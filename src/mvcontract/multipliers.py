@@ -25,6 +25,9 @@ CASE_TAGS = ("i", "ii", "iii", "iv", "v", "explicit")
 
 _NORMALIZATION_TOL = 1e-12
 
+#: case -> (low, high, printed interval) of its angle theta
+_THETA_RANGES = {"iii": (-math.pi / 2, 0.0, "[-pi/2, 0]"), "iv": (0.0, math.pi / 2, "[0, pi/2]")}
+
 
 @dataclass(frozen=True)
 class MultiplierTriple:
@@ -44,35 +47,30 @@ class MultiplierTriple:
             raise ValueError(
                 f"multiplier triple is not unit-normalized: |lambda|^2 = {norm!r}"
             )
-        if self.case_tag == "iii":
-            if self.theta is None or not -math.pi / 2 <= self.theta <= 0.0:
-                raise ValueError(
-                    f"case iii requires theta in [-pi/2, 0], got {self.theta}"
-                )
-        elif self.case_tag == "iv":
-            if self.theta is None or not 0.0 <= self.theta <= math.pi / 2:
-                raise ValueError(
-                    f"case iv requires theta in [0, pi/2], got {self.theta}"
-                )
+        if self.case_tag in _THETA_RANGES:
+            lo, hi, interval = _THETA_RANGES[self.case_tag]
+            if self.theta is None or not lo <= self.theta <= hi:
+                raise ValueError(f"case {self.case_tag} requires theta in {interval}, "
+                                 f"got {self.theta}")
 
 
 def from_case(case_tag: str, lam_P: float, theta: Optional[float] = None) -> MultiplierTriple:
     """Build the multiplier triple for one transversality case.
 
     ``theta`` must be supplied exactly for cases iii and iv, inside that
-    case's angular interval.
+    case's angular interval; ``MultiplierTriple`` checks it and ``lam_P``.
     """
-    if case_tag not in ("i", "ii", "iii", "iv", "v"):
-        raise ValueError(f"unknown case tag {case_tag!r}")
+    if case_tag not in CASE_TAGS[:-1]:  # every tag but "explicit"
+        raise ValueError(f"case must be one of {CASE_TAGS[:-1]}, got {case_tag!r}")
     lam_P = float(lam_P)
-    if not 0.0 <= lam_P <= 1.0:
-        raise ValueError(f"lambda_P must lie in [0, 1], got {lam_P}")
     root = math.sqrt(max(0.0, 1.0 - lam_P * lam_P))
 
-    if case_tag in ("iii", "iv"):
+    if case_tag in _THETA_RANGES:
         if theta is None:
             raise ValueError(f"case {case_tag} requires an angle theta")
         theta = float(theta)
+        if math.isinf(theta):  # where cos and sin raise
+            raise ValueError(f"case {case_tag} requires a finite theta, got {theta}")
         lam_E = -root * math.cos(theta)
         lam_V = -root * math.sin(theta)
         return MultiplierTriple(lam_P, lam_E, lam_V, case_tag, theta)
@@ -104,7 +102,7 @@ def sweep_grid(
             raise ValueError(
                 f"lambda_P = {lp:g} is below the sweep floor {MIN_LAMBDA_P:g}"
             )
-    if case_tag in ("iii", "iv"):
+    if case_tag in _THETA_RANGES:
         if not theta_points:
             raise ValueError(f"case {case_tag} requires a non-empty theta point list")
         theta_points = list(theta_points)

@@ -268,7 +268,7 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
         assert len(blocks) == len(alone) >= 2
         for got, want in zip(blocks, alone):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    mean, se = checks._node_moments(seen["check_mean_trajectory"][0][1])
+    mean, se = checks._node_moments(seen["check_mean_trajectory"][0][0])
     x = spec.component("x")
     eps = np.finfo(float).eps
     np.testing.assert_allclose(mean, x.mean(axis=0), rtol=0,
@@ -495,20 +495,48 @@ def test_argmax_lines_pass_at_a_large_sigma(monkeypatch, capsys):
 
 
 def test_per_unit_sigma_lines_do_not_change_with_sigma(monkeypatch, capsys):
-    # the paths are stepped in units of sigma, so the drift residual and the
-    # explicit-R gap, and their tolerances, read per unit sigma: their lines
-    # at sigma = 4 and 1e160 are those at sigma = 1.  In drift units the
-    # residual failed at 1e160 with max_residual=1.430e+156
+    # the paths are stepped in units of sigma, and every line compares and
+    # prints per unit sigma, so the whole output at any sigma is the one at
+    # sigma = 1.  In drift units the residual failed at 1e160 with
+    # max_residual=1.430e+156, and b0_variance_oracle printed var=inf
     printed = {}
-    for sigma in ("1", "4", "1e160"):
+    for sigma in ("1", "0.3", "4", "1e160", "1e-150"):
         monkeypatch.setenv("MVCONTRACT_SIGMA", sigma)
         with np.errstate(all="ignore"):
             assert main(["check", "--paths", "2000"]) == EXIT_OK
-        printed[sigma] = [line for line in capsys.readouterr().out.splitlines()
-                          if line.split(":")[0] in ("PASS riccati_residual",
-                                                    "PASS explicit_R_consistency")]
-    assert len(printed["1"]) == 2
-    assert printed["4"] == printed["1"] and printed["1e160"] == printed["1"]
+        printed[sigma] = capsys.readouterr().out
+    assert printed["1"].endswith("\n9/9 checks passed\n") and "inf" not in printed["1"]
+    assert all(out == printed["1"] for out in printed.values())
+
+
+def test_weakcheck_reads_sigma_through_theta_alone(monkeypatch, capsys):
+    # theta = b e0 / sigma is 1 at each (b, sigma); the reweighted and strong
+    # means printed sigma times their per-unit values, 2.968125e+148 at 1e150
+    printed = {}
+    for b, sigma in (("1", "1"), ("2", "2"), ("1e150", "1e150")):
+        monkeypatch.setenv("MVCONTRACT_B", b)
+        monkeypatch.setenv("MVCONTRACT_SIGMA", sigma)
+        assert main(["weakcheck", "--paths", "2000"]) == EXIT_OK
+        printed[b] = capsys.readouterr().out
+    assert printed["1"].endswith("\n8/8 checks passed\n")
+    assert printed["2"] == printed["1"] and printed["1e150"] == printed["1"]
+
+
+@pytest.mark.parametrize("b, code", [
+    ("0", EXIT_CONFIG), ("-0.0", EXIT_CONFIG), ("1e-13", EXIT_OK), ("-1e-13", EXIT_OK),
+    ("1e-300", EXIT_OK),
+])
+def test_weakcheck_rejects_a_zero_effort_sensitivity_only(monkeypatch, capsys, b, code):
+    # no line divides by b; at b = 0 the hidden-action condition has no
+    # solution.  The guard was |b| < 1e-12, which rejected 1e-13 and 1e-300
+    monkeypatch.setenv("MVCONTRACT_B", b)
+    assert main(["weakcheck", "--paths", "2000"]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_CONFIG:
+        assert err == ("configuration error: the effort sensitivity f_e = b is zero, so the "
+                       "hidden-action condition q = sigma u_e / f_e has no solution\n")
+    else:
+        assert out.endswith("\n8/8 checks passed\n")
 
 
 @pytest.mark.parametrize("b", ["1e15", "1e17", "1e100"])
@@ -634,7 +662,7 @@ def _noise_pass_checks(config):
     })
     return [checks.check_density_martingale(gamma_T),
             checks.check_b0_variance(config, b0_x_T),
-            checks.check_mean_trajectory(sol, read["mean"]),
+            checks.check_mean_trajectory(read["mean"]),
             checks.check_explicit_r(sol, read["explicit"])]
 
 

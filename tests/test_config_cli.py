@@ -134,16 +134,43 @@ def test_range_endpoint_is_exact():
     assert len(config.theta_points) == 26 and config.theta_points[-1] == math.pi / 2
 
 
+def _resolved(**flags):
+    return resolve(None, flags, environ={})
+
+
 def test_theta_points_validated():
     with pytest.raises(ConfigError):
         parse_config_text("case = iv\ntheta = -0.5")
     with pytest.raises(ConfigError):
         parse_config_text("case = iii\ntheta = 0.5")
+    # the multiplier sweep states these ranges; the config builds it
+    for case, theta in (("iii", "0.1"), ("iii", "-1.6"), ("iv", "-0.1"), ("iv", "1.6"),
+                        ("iii", "nan"), ("iv", "nan"), ("iv", "inf")):
+        with pytest.raises(ConfigError, match="theta"):
+            _resolved(case=case, theta=theta)
+    for case in ("vi", "explicit"):
+        with pytest.raises(ConfigError, match=r"case must be one of \('i', 'ii', 'iii', 'iv', 'v'\)"):
+            _resolved(case=case)
+    for case, theta in (("iii", "0"), ("iii", repr(-math.pi / 2)),
+                        ("iv", "0"), ("iv", repr(math.pi / 2))):
+        assert _resolved(case=case, theta=theta).theta_points == (float(theta),)
 
 
 def test_lambda_floor_validated():
     with pytest.raises(ConfigError, match="lambda_P"):
         parse_config_text("case = ii\nlambda_P = 0.0")
+    # like the grid and the P2 mode, the sweep is built when the config resolves
+    for lam_P in ("0", "1e-7", "-0.1", "1.5", "nan", "inf"):
+        for case in ("ii", "iv"):
+            with pytest.raises(ConfigError, match="lambda_P"):
+                _resolved(case=case, lambda_P=lam_P)
+    for lam_P in ("1e-6", "1"):
+        assert _resolved(case="ii", lambda_P=lam_P).lam_P_points == (float(lam_P),)
+    for steps in ("0", "1"):
+        with pytest.raises(ConfigError, match="n_steps must be >= 2"):
+            _resolved(steps=steps)
+    with pytest.raises(ConfigError, match="p2_drift_mode must be one of"):
+        _resolved(p2_drift_mode="x")
 
 
 @pytest.mark.parametrize("key, value", [
