@@ -21,7 +21,7 @@ on it (``check`` reads the seed on two grids, ``weakcheck`` two seeds on
 one), and the blocks of every stream run on one thread pool, whose workers
 draw their blocks' noise in parallel and run the parts on them one worker
 fewer than the pool at a time (one on two workers).
-No part records a path.  The density fold and the b = 0 loop keep terminal
+No part records a path.  The W_T fold and the b = 0 loop keep terminal
 values; the residual oracle, the mean trajectory and explicit R are folds
 (``_ResidualFold``, ``_MeanFold``, ``_ExplicitRFold``) that
 ``montecarlo._step_block`` calls at every node of the closed loop, and each
@@ -35,9 +35,9 @@ explicit-R element with the operations of their whole-ensemble formulas,
 whose maxima are order-free: every number is the one a separate pass over
 the whole ensemble gives, up to the summation order of the mean
 trajectory's moments.  Every part reads the step rows of a block's
-step-major increments in place.  The density fold keeps the operation order
-of the generic Euler scheme and the log-density recursion, which the tests
-pin it against.
+step-major increments in place.  The x fold keeps the operation order of
+the generic Euler scheme, which the tests pin it against; the density is
+exp(theta W_T - theta^2 T / 2), the closed form at a constant theta.
 """
 
 import dataclasses
@@ -76,7 +76,7 @@ from .timegrid import make_grid
 
 RESIDUAL_CHECK_STEPS = 256
 RESIDUAL_CHECK_MAX_PATHS = 10_000
-#: Paths of the density folds and of the b = 0 oracle; the first
+#: Paths of the x folds and of the b = 0 oracle; the first
 #: ``MEAN_CHECK_MAX_PATHS`` of them are the mean-trajectory set and the first
 #: ``EXPLICIT_R_MAX_PATHS`` the explicit-R set.
 PASS_MAX_PATHS = 100_000
@@ -197,43 +197,23 @@ def check_argmax_principal(config: RunConfig, mode: str, n_draws: int = 200) -> 
     return _argmax_result(f"argmax_principal_cashflow_{mode}", draws())
 
 
-def _fold_density(gamma: np.ndarray, log_gamma: np.ndarray, dW: np.ndarray,
-                  theta: float, dt: float) -> None:
-    """Fold ``lg = (lg + theta dW) - (0.5 theta^2) dt`` from 0; ``gamma = exp(lg)``."""
-    half_theta2_dt = 0.5 * (theta * theta) * dt
-    log_gamma[...] = 0.0
-    # gamma is the work row for theta dW until it receives exp(lg)
-    for row in dW:
-        np.multiply(row, theta, out=gamma)
-        log_gamma += gamma
-        log_gamma -= half_theta2_dt
-    np.exp(log_gamma, out=gamma)
+def _fold_part(config: RunConfig, seed: int, drift: float, x_T: np.ndarray) -> Part:
+    """The fold of x = (x + drift dt) + dW from 0 into ``x_T``.
 
-
-def _fold_part(config: RunConfig, seed: int, drift: float, theta: Optional[float] = None,
-               x_T=None, gamma_T=None, log_gamma_T=None) -> Part:
-    """The fold of x = (x + drift dt) + dW from 0 and, given ``theta``, of its density.
-
-    x and the drift are in units of sigma.  Runs on the first ``min(n_paths,
-    PASS_MAX_PATHS)`` paths of the seed's ``n_steps`` stream and writes x_T,
-    Gamma_T and log Gamma_T into those of the arrays that are given; the
-    others are folded in scratch rows.  x is screened once, at the end of a
-    block: only a non-finite end steps it again to raise where x first went
-    non-finite (``_raise_first_divergence``).
-
-    Raises
-    ------
-    ValueError
-        If ``theta`` is not finite.
+    x and the drift are in units of sigma (a drift b e0 is theta), and a
+    driftless x_T is W_T.  Runs on the first ``min(n_paths,
+    PASS_MAX_PATHS)`` paths of the seed's ``n_steps`` stream.  A non-finite
+    drift raises ``ValueError`` before any path is read.  x is screened
+    once, at the end of a block: only a non-finite end steps it again to
+    raise where x first went non-finite (``_raise_first_divergence``).
     """
-    if theta is not None and not math.isfinite(theta):
+    if not math.isfinite(drift):
         raise ValueError("non-finite theta at step 0")
     grid = make_grid(config.params.T, config.n_steps)
     drift_dt = drift * grid.dt
 
     def run(lo, hi, dW):
-        x, gamma, log_gamma = (np.empty(hi - lo) if out is None else out[lo:hi]
-                               for out in (x_T, gamma_T, log_gamma_T))
+        x = x_T[lo:hi]
 
         def steps():
             x[...] = 0.0
@@ -246,8 +226,6 @@ def _fold_part(config: RunConfig, seed: int, drift: float, theta: Optional[float
         for _ in steps():
             pass
         _raise_first_divergence(x, steps, "x")
-        if theta is not None:
-            _fold_density(gamma, log_gamma, dW, theta, grid.dt)
 
     return Part(grid, seed, min(config.n_paths, PASS_MAX_PATHS), run)
 
@@ -469,11 +447,11 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     """The full oracle suite behind ``mvcontract check``.
 
     Its path-reading checks are parts, read in one ``read_blocks`` call,
-    so checks that read the same grid share one stream.  The density fold
-    and the b = 0 closed loop read the first ``min(n_paths, PASS_MAX_PATHS)``
-    paths of the ``n_steps`` stream, the mean-trajectory fold the first
-    ``MEAN_CHECK_MAX_PATHS`` of them and the explicit-R fold the first
-    ``EXPLICIT_R_MAX_PATHS``; the residual oracle reads the first
+    so checks that read the same grid share one stream.  The density's W_T
+    fold and the b = 0 closed loop read the first ``min(n_paths,
+    PASS_MAX_PATHS)`` paths of the ``n_steps`` stream, the mean-trajectory
+    fold the first ``MEAN_CHECK_MAX_PATHS`` of them and the explicit-R fold
+    the first ``EXPLICIT_R_MAX_PATHS``; the residual oracle reads the first
     ``RESIDUAL_CHECK_MAX_PATHS`` paths of the ``RESIDUAL_CHECK_STEPS``
     stream, and a coefficient file as many of its own grid's, unless it has
     every bit of the residual's solve and reads that solve's blocks.  The
@@ -482,7 +460,7 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
     the residual and b = 0 oracles do so with theirs.  A divergence ends the
     run once every stream has run, as the earliest check meets it: in the
     mean-trajectory set, the residual paths (and so a table that reads
-    them), the density fold, the b = 0 paths, then the file's own paths.
+    them), the W_T fold, the b = 0 paths, then the file's own paths.
     """
     n_pass = min(config.n_paths, PASS_MAX_PATHS)
     n_mean = min(config.n_paths, MEAN_CHECK_MAX_PATHS)
@@ -500,8 +478,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         parts["explicit"] = _loop_part(sol, seed, n_explicit, fold=_ExplicitRFold)
     if isinstance(residual_sol, RiccatiSolution):
         parts["residual"] = _loop_part(residual_sol, seed, n_residual, fold=_ResidualFold)
-    gamma_T = np.empty(n_pass)
-    parts["density"] = _fold_part(config, seed, 0.0, 1.0, gamma_T=gamma_T)
+    W_T = np.empty(n_pass)
+    parts["density"] = _fold_part(config, seed, 0.0, W_T)
     if isinstance(b0_sol, RiccatiSolution):
         b0_x_T = np.empty(n_pass)
         parts["b0"] = _loop_part(b0_sol, seed, n_pass, x_T=b0_x_T)
@@ -531,7 +509,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         check_argmax_agent(config),
         check_argmax_principal(config, AS_PRINTED),
         check_argmax_principal(config, ETA_EQUALS_X),
-        check_density_martingale(gamma_T),
+        # Gamma_T at theta = 1
+        check_density_martingale(np.exp(W_T - 0.5 * config.params.T)),
         check_b0_variance(config, b0_x_T)
         if "b0" in parts else _result("b0_variance_oracle", False, str(b0_sol)),
         mean,
@@ -553,13 +532,12 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         dGamma = Gamma * theta dW,   Gamma(0) = 1,   theta = b e0 / sigma,
 
     whose terminal value reweights expectations: the mean of a payoff under
-    the effort is E[Gamma(T) * payoff].  Gamma is folded in log space,
+    the effort is E[Gamma(T) * payoff].  At constant theta it is exactly
 
-        log Gamma_{k+1} = log Gamma_k + theta dW_k - theta^2 dt / 2,
+        Gamma_T = exp(theta W_T - theta^2 T / 2),
 
-    the exact discrete exponential of the Euler integrand, so the density
-    is positive by construction and cannot underflow to a negative value.
-    For constant theta it is a martingale, E[Gamma(T)] = 1, and
+    formed from the weak paths' x_T = W_T in units of sigma, so the density
+    is positive by construction.  It is a martingale, E[Gamma(T)] = 1, and
     E[log Gamma(T)] = -theta^2 T / 2.  The strong formulation steps
     dx = b e0 dt + sigma dW on the next seed's stream, in the same
     ``read_blocks`` call.  Both step in units of sigma (drifts 0 and theta),
@@ -580,12 +558,14 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         )
     e0, s0 = config.weak_effort, config.weak_cashflow
     theta = params.b * e0 / params.sigma
-    x_T, gamma_T, log_vals, s_T = np.empty((4, min(config.n_paths, PASS_MAX_PATHS)))
-    # a non-finite theta raises before any path is read; only the strong drift can diverge
+    x_T, s_T = np.empty((2, min(config.n_paths, PASS_MAX_PATHS)))
+    # a non-finite theta raises before any path is read
     read_blocks({
-        "weak": _fold_part(config, config.seed, 0.0, theta, x_T, gamma_T, log_vals),
-        "strong": _fold_part(config, (config.seed + 1) % 2**64, theta, x_T=s_T),
+        "weak": _fold_part(config, config.seed, 0.0, x_T),
+        "strong": _fold_part(config, (config.seed + 1) % 2**64, theta, s_T),
     })
+    log_vals = theta * x_T - 0.5 * (theta * theta) * params.T
+    gamma_T = np.exp(log_vals)
     results = []
 
     results.append(_result(
@@ -593,11 +573,7 @@ def run_weak_battery(config: RunConfig) -> List[CheckResult]:
         f"min Gamma_T={gamma_T.min():.3e}",
     ))
 
-    if theta == 0.0:
-        ok = np.all(gamma_T == 1.0)
-        results.append(_result("martingale_mean", ok, "theta=0: Gamma identically 1"))
-    else:
-        results.append(check_density_martingale(gamma_T, "martingale_mean"))
+    results.append(check_density_martingale(gamma_T, "martingale_mean"))
 
     log_target = -0.5 * theta * theta * params.T
     # scaled by a power of two, exactly, so that the squared deviations of a

@@ -4,8 +4,8 @@ Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Unknown keys are errors, so a sweep cannot silently run with a misspelled
 override.  Floats are parsed with ``float``, so a value written with
 ``repr`` reads back to the same bits.  A range is checked where it is
-stated, by building what a run builds (``LqParams``, the time grid, the
-multiplier sweep, the P2 mode); a ``ValueError`` is a ``ConfigError``.
+stated, by building what a run builds (``LqParams``, time grid, multiplier
+sweep, P2 mode, path count, seed); a ``ValueError`` is a ``ConfigError``.
 
 Point lists for the multiplier sweep accept three spellings:
 
@@ -22,7 +22,9 @@ from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .model import ETA_EQUALS_X, LqParams, check_mode
+from .montecarlo import check_paths
 from .multipliers import sweep_grid
+from .noise import check_seed
 from .riccati import DEFAULT_BLOW_UP_BOUND
 from .timegrid import make_grid
 
@@ -137,6 +139,8 @@ def _build(values: dict) -> RunConfig:
         make_grid(params.T, config.n_steps)
         sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)
         check_mode(config.p2_drift_mode)
+        check_paths(config.n_paths)
+        check_seed(config.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _validate(config)
@@ -144,10 +148,6 @@ def _build(values: dict) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.n_paths < 2:
-        raise ConfigError(f"n_paths must be >= 2, got {config.n_paths}")
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     for key in ("blow_up_bound", "residual_tol"):
         value = getattr(config, key)
         if not (math.isfinite(value) and value > 0.0):

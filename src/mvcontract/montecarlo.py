@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import AS_PRINTED, LqParams, check_mode, terminal_costs
+from .model import AS_PRINTED, LqParams, terminal_costs
 from .multipliers import MultiplierTriple
 from .noise import sample_noise_block
 from .riccati import DEFAULT_BLOW_UP_BOUND, ClosedLoopField, integrate_riccati
@@ -99,6 +99,12 @@ class ContractEvaluation:
     j_p_se: float
     var_xt: float
     var_xt_se: float
+
+
+def check_paths(n_paths: int) -> None:
+    """Raise ``ValueError`` unless ``n_paths`` is at least the 2 a standard error needs."""
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 to form standard errors, got {n_paths}")
 
 
 def _mean_and_se(values: np.ndarray):
@@ -376,9 +382,7 @@ def evaluate_contract(
     ``NonFiniteEstimateError`` if an estimate or standard error is not
     finite, so no feasibility verdict is read from it.
     """
-    check_mode(p2_drift_mode)
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2 to form standard errors")
+    check_paths(n_paths)
     grid = make_grid(params.T, n_steps)
     sol = integrate_riccati(params, mult, grid, p2_drift_mode, blow_up_bound)
     field = ClosedLoopField(sol)

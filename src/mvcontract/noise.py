@@ -48,6 +48,14 @@ class NoiseEnsemble:
         self.increments.flags.writeable = False
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int, if it is a Philox key: 0 <= seed < 2**64."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def _first_ndtri(x, out=None):
     """``scipy.special.ndtri``, imported on the first call.
 
@@ -85,9 +93,7 @@ def sample_noise_block(
     is drawn into ``out``, if given, a writeable C-contiguous float64 array
     of shape (n_steps, path_stop - path_start); ``increments`` is its view.
     """
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    seed = check_seed(seed)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if not 0 <= path_start < path_stop <= n_paths:

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMultiplierError, RiccatiBlowUpError
-from .model import AS_PRINTED, MIN_LAMBDA_P, LqParams, cashflow_weights, check_mode
+from .model import AS_PRINTED, MIN_LAMBDA_P, LqParams, cashflow_weights, optimal_cashflow
 from .multipliers import MultiplierTriple
 from .timegrid import TimeGrid
 
@@ -253,7 +253,6 @@ def integrate_riccati(
     cash-flow feedback (small lambda_P in ``as_printed`` mode) the system
     has a genuine finite-time blow-up and must fail loudly rather than clip.
     """
-    check_mode(p2_drift_mode)
     if not blow_up_bound > 0.0:
         raise ValueError(f"blow_up_bound must be positive, got {blow_up_bound!r}")
     if mult.lam_P < MIN_LAMBDA_P:
@@ -312,11 +311,13 @@ class ClosedLoopField:
          Fxx, FxR,                             x-drift a x + b^2 p + b s_bar,
          GRx, GRR)                             R-drift a R - b^2 (P1 + P2) + lambda_E b^2 p,
 
-    with s_bar = Sx x + SR R.  Along the optimal pair s - e = -b p, so the
-    agent's running cost (s - e)^2 dt / 2 is the square of the first pair's
-    combination.  ``rows`` is one read-only (n_steps, 8) array, so row k's
-    x-loadings are ``rows[k, 0::2]`` and its R-loadings ``rows[k, 1::2]``;
-    ``montecarlo`` steps the paths on them.
+    with s_bar = Sx x + SR R, where Sx and SR are ``model.optimal_cashflow``
+    of (A12, A13) and (B12, B13), so a lambda_P below its floor raises
+    ``DegenerateMultiplierError`` here.  Along the optimal pair s - e = -b p,
+    so the agent's running cost (s - e)^2 dt / 2 is the square of the first
+    pair's combination.  ``rows`` is one read-only (n_steps, 8) array, so
+    row k's x-loadings are ``rows[k, 0::2]`` and its R-loadings
+    ``rows[k, 1::2]``; ``montecarlo`` steps the paths on them.
     """
 
     sol: RiccatiSolution
@@ -326,15 +327,14 @@ class ClosedLoopField:
         sol = self.sol
         a, b = sol.params.a, sol.params.b
         b2 = b * b
-        c1, c2 = cashflow_weights(b, sol.p2_drift_mode)
         lam_P, lam_E = sol.multipliers.lam_P, sol.multipliers.lam_E
         n = sol.grid.n_steps
         A11, B11, A12, B12, A13, B13 = (
             sol.column(name)[:n] for name in ("A11", "B11", "A12", "B12", "A13", "B13")
         )
         h = math.sqrt(0.5 * sol.grid.dt)
-        Sx = (c1 * A12 + c2 * A13) / lam_P
-        SR = (c1 * B12 + c2 * B13) / lam_P
+        Sx, SR = (optimal_cashflow(b, P1, P2, lam_P, sol.p2_drift_mode)
+                  for P1, P2 in ((A12, A13), (B12, B13)))
         rows = np.column_stack((
             h * b * A11, h * b * B11, h * Sx, h * SR,
             a + b2 * A11 + b * Sx, b2 * B11 + b * SR,

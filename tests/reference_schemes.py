@@ -3,12 +3,14 @@
 ``euler_maruyama`` is the generic Euler scheme for arbitrary drift and
 diffusion, ``simulate_density`` the log-space density recursion along its
 paths, and the two cost integrands the running costs written out from the
-model.  The check batteries fold the same terminal values per path block
-(``checks._fold_part``), in the operation order of these schemes, and the
-tests require equal bits.  ``closed_loop_paths`` records the closed loop
-(x, R) at every node in a ``PathEnsemble``; ``step_costs`` steps it with
-the running cost integrals one scalar row at a time, and ``simulate_costs``
-(the stacked step with a cost fold) must reproduce its bits.
+model.  The check batteries fold the same x_T per path block
+(``checks._fold_part``), in the operation order of the Euler scheme, and
+the tests require equal bits; the density they form in closed form from
+x_T must agree with the recursion to within rounding.
+``closed_loop_paths`` records the closed loop (x, R) at every node in a
+``PathEnsemble``; ``step_costs`` steps it with the running cost integrals
+one scalar row at a time, and ``simulate_costs`` (the stacked step with a
+cost fold) must reproduce its bits.
 ``ansatz_residual`` and ``explicit_R`` evaluate the residual oracle and the
 integrating-factor R over such recorded paths, as whole-ensemble formulas.
 The checks fold both into the closed-loop step (``checks._ResidualFold``,

@@ -69,20 +69,33 @@ def test_streamed_batteries_match_full_ensemble(monkeypatch, cpus):
     strong = euler_maruyama(lambda X, t: drift, lambda X, t: params.sigma, 0.0,
                             sample_noise(grid, n, seed + 1))
 
+    # the weak battery's estimator inputs, among them Gamma_T and log Gamma_T
+    # (scaled by a power of two)
+    estimated = []
+    mean_and_se = checks._mean_and_se
+    monkeypatch.setattr(checks, "_mean_and_se", lambda v: estimated.append(v) or mean_and_se(v))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if cpus > 1 else interval)
     try:
-        x_T, gamma_T, log_gamma_T, s_T = np.empty((4, n))
+        x_T, s_T = np.empty((2, n))
         montecarlo.read_blocks({
-            "weak": checks._fold_part(config, seed, 0.0, theta, x_T, gamma_T, log_gamma_T),
-            "strong": checks._fold_part(config, seed + 1, drift, x_T=s_T),
+            "weak": checks._fold_part(config, seed, 0.0, x_T),
+            "strong": checks._fold_part(config, seed + 1, drift, s_T),
         })
+        checks.run_weak_battery(config)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(gamma_T, density.terminal)
-    assert np.array_equal(log_gamma_T, density.log_gamma[:, -1])
     assert np.array_equal(x_T, x_paths.states[:, -1, 0])
     assert np.array_equal(s_T, strong.states[:, -1, 0])
+    # the density is the closed form on x_T = W_T, bit for bit, and the
+    # log-space recursion along the paths to within rounding
+    log_gamma_T = theta * x_T - 0.5 * (theta * theta) * params.T
+    gamma_T = np.exp(log_gamma_T)
+    scale = int(np.frexp(np.abs(log_gamma_T).max())[1])
+    assert any(np.array_equal(v, gamma_T) for v in estimated)
+    assert any(np.array_equal(v, np.ldexp(log_gamma_T, -scale)) for v in estimated)
+    np.testing.assert_allclose(log_gamma_T, density.log_gamma[:, -1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(gamma_T, density.terminal, rtol=1e-14, atol=0)
 
     # 2,500 paths at 256 steps are blocks of 1024, 1024 and a ragged 452;
     # on seed 38 the largest residual lies in the ragged block
@@ -140,8 +153,7 @@ def test_weak_battery_prints_the_whole_ensemble_statistics(b, weak_effort, weak_
 
     expected = [
         f"min Gamma_T={gamma_T.min():.3e}",
-        "theta=0: Gamma identically 1" if theta == 0.0
-        else f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se",
+        f"E[Gamma_T]={est:.6f} se={se:.2e} target=1 band=3se",
         f"E[log Gamma_T]={log_est:.6e} target={-0.5 * theta * theta * T:.6e} band=3se",
         f"weak={weak:.6e} analytic={b * e0 * T:.6e} se={weak_se:.2e} band=3se",
         f"weak={weak:.6e} strong={strong_est:.6e} "
@@ -278,9 +290,9 @@ def test_noise_pass_matches_separate_passes(monkeypatch, cpus, n_paths, n_steps)
     x, R = spec.component("x")[:n_explicit], spec.component("R")[:n_explicit]
     diff = max(d for d, _ in seen["check_explicit_r"][0][1])
     assert diff == np.abs(explicit_R(sol, x) - R).max()
-    gamma_T = np.empty(n_paths)
-    montecarlo.read_blocks({"density": checks._fold_part(config, seed, 0.0, 1.0, gamma_T=gamma_T)})
-    assert np.array_equal(seen["check_density_martingale"][0][0], gamma_T)
+    W_T = np.empty(n_paths)
+    montecarlo.read_blocks({"density": checks._fold_part(config, seed, 0.0, W_T)})
+    assert np.array_equal(seen["check_density_martingale"][0][0], np.exp(W_T - 0.5 * params.T))
 
     def own_max(sol):
         part = checks._loop_part(sol, seed, n_residual, fold=checks._ResidualFold)
@@ -619,7 +631,8 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
         with pytest.raises(SimulationDivergedError) as spec:
             euler_maruyama(lambda X, t: 0.0, lambda X, t: params.sigma, 0.0, noise)
         with pytest.raises(SimulationDivergedError) as excinfo:
-            montecarlo.read_blocks({"density": checks._fold_part(config, config.seed, 0.0, 1.0)})
+            montecarlo.read_blocks({"density": checks._fold_part(config, config.seed, 0.0,
+                                                                 np.empty(config.n_paths))})
     assert spec.value.path >= 2 * (montecarlo.BLOCK_DRAWS // config.n_steps)
     assert (excinfo.value.path, excinfo.value.step, excinfo.value.label) == (
         spec.value.path, spec.value.step, spec.value.label)
@@ -627,7 +640,7 @@ def test_terminal_fold_diverges_where_euler_maruyama_does(monkeypatch, cpus):
 
 def test_non_finite_theta_is_a_configuration_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="non-finite theta"):
-        checks._fold_part(RunConfig(), 1, 0.0, math.inf)
+        checks._fold_part(RunConfig(), 1, math.inf, np.empty(RunConfig().n_paths))
     # theta = b e0 / sigma overflows
     path = tmp_path / "theta.cfg"
     path.write_text("b = 1e300\nweak_effort = 1e300\n")
@@ -652,15 +665,15 @@ def _noise_pass_checks(config):
     n_explicit = min(config.n_paths, checks.EXPLICIT_R_MAX_PATHS)
     b0_config = dataclasses.replace(config, params=dataclasses.replace(config.params, b=0.0))
     sol, b0_sol = (checks._solve(c, config.n_steps) for c in (config, b0_config))
-    gamma_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
+    W_T, b0_x_T = np.empty(n_pass), np.empty(n_pass)
     seed = config.seed
     read = montecarlo.read_blocks({
         "mean": checks._loop_part(sol, seed, n_mean, fold=checks._MeanFold),
         "explicit": checks._loop_part(sol, seed, n_explicit, fold=checks._ExplicitRFold),
-        "density": checks._fold_part(config, seed, 0.0, 1.0, gamma_T=gamma_T),
+        "density": checks._fold_part(config, seed, 0.0, W_T),
         "b0": checks._loop_part(b0_sol, seed, n_pass, x_T=b0_x_T),
     })
-    return [checks.check_density_martingale(gamma_T),
+    return [checks.check_density_martingale(np.exp(W_T - 0.5 * config.params.T)),
             checks.check_b0_variance(config, b0_x_T),
             checks.check_mean_trajectory(read["mean"]),
             checks.check_explicit_r(sol, read["explicit"])]

@@ -1,11 +1,18 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from mvcontract import ConfigError, riccati, terminal_conditions
+from mvcontract import (
+    ClosedLoopField,
+    ConfigError,
+    DegenerateMultiplierError,
+    riccati,
+    terminal_conditions,
+)
 from mvcontract.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -539,6 +546,30 @@ def test_load_riccati_csv_needs_a_grid(tmp_path):
         load_riccati_csv(str(csv_path))
 
 
+def test_cmd_check_rejects_a_table_below_the_lambda_P_floor(tmp_path, capsys):
+    # the table's multipliers lie on the unit sphere, but its closed loop
+    # divides by lambda_P = 1e-9: the cash-flow map's floor rejects it before
+    # any path is stepped, where stepping it overflowed (exit 3, at step 54)
+    out = tmp_path / "out"
+    assert main(["riccati", "--steps", "256", "--out", str(out)]) == EXIT_OK
+    csv_path = out / "riccati.csv"
+    lines = csv_path.read_text().splitlines()
+    for key, value in (("lambda_P", "1e-09"), ("lambda_E", "-6.123233995736766e-17"),
+                       ("lambda_V", "-1.0")):
+        lines[0] = re.sub(rf" {key}=\S+ ", f" {key}={value} ", lines[0])
+    assert " lambda_P=1e-09 theta=1.5707963267948966 lambda_E=-6.123233995736766e-17 " \
+           "lambda_V=-1.0 " in lines[0]
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", "--coeffs", str(csv_path)]) == EXIT_CONFIG
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "lambda_P = 1e-09 is below the floor 1e-06" in capsys.readouterr().err
+    with pytest.raises(DegenerateMultiplierError, match="below the floor"):
+        ClosedLoopField(load_riccati_csv(str(csv_path)))
+
+
 def test_cmd_check_blow_up_fails_the_coefficient_checks(capsys):
     # the as_printed corner blows up: the checks that need the coefficient
     # solution fail, naming the blow-up once each; the others still run
@@ -570,7 +601,8 @@ def test_cmd_weakcheck_largest_seed():
 def test_cmd_weakcheck_zero_effort_density_is_unit(tmp_path, capsys):
     cfg = _write_fig_config(tmp_path, n_paths=2000, weak_effort=0.0)
     assert main(["weakcheck", "--config", cfg]) == EXIT_OK
-    assert "Gamma identically 1" in capsys.readouterr().out
+    assert ("PASS martingale_mean: E[Gamma_T]=1.000000 se=0.00e+00 target=1 band=3se"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_cmd_weakcheck_degenerate_sensitivity(tmp_path, capsys):

@@ -610,7 +610,8 @@ def test_divergence_at_the_last_step_of_a_ragged_block(ref_params, corner_triple
     monkeypatch.setattr(montecarlo, "sample_noise_block",
                         lambda *args, **kw: firsts.append(args[3:5]) or draw(*args, **kw))
     for run in (lambda: simulate_costs(field, n_paths, seed),
-                lambda: montecarlo.read_blocks({"x": checks._fold_part(config, seed, 0.0)})):
+                lambda: montecarlo.read_blocks({"x": checks._fold_part(config, seed, 0.0,
+                                                                     np.empty(n_paths))})):
         firsts.clear()
         with pytest.raises(SimulationDivergedError) as excinfo, np.errstate(all="ignore"):
             run()
