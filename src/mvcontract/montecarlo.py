@@ -24,7 +24,7 @@ and a ``run`` for each block of its paths), and one reader runs them all
 one stream share it, cut into blocks of ``BLOCK_DRAWS`` draws (16,384 paths
 at 64 steps, sized so one block's noise and state stay near the CPU caches), each drawn
 directly from the counter-based noise stream into a buffer that its worker
-keeps, on a thread pool with one worker per CPU the process may use.
+keeps, on the process's thread pool of one worker per CPU it may use.
 ``simulate_costs`` is one part; the check batteries are several.  Every
 per-path value is bit-identical no matter how the path range is split into
 blocks or how many workers run them; the final reductions run on the
@@ -83,7 +83,8 @@ from .timegrid import TimeGrid, make_grid
 #: Noise draws per block (16,384 paths at 64 steps, 4,096 at 256: 8 MB), and
 #: the size of the noise buffer each worker keeps.
 BLOCK_DRAWS = 2**20
-_buffers: list = []  # free noise buffers, shared unlocked: list.pop and append are atomic
+_pool = None  # ((pid, CPUs), executor): the process's worker pool, built by _executor
+_worker = threading.local()  # each worker's noise buffer, as its attribute ``buffer``
 # a block freed unread, before any noise buffer is kept, raises glibc's mmap
 # threshold to a block (module docstring); no page of it is touched
 np.empty(BLOCK_DRAWS)
@@ -130,6 +131,18 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _executor():
+    """The process's thread pool of ``_cpu_count()`` workers, rebuilt when that count changes
+    or in a forked child, which has none of its parent's threads."""
+    global _pool
+    key = (os.getpid(), _cpu_count())
+    if _pool is None or _pool[0] != key:
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
+
+        _pool = key, ThreadPoolExecutor(max_workers=key[1])
+    return _pool[1]
 
 
 def _raise_first_divergence(state, restep, label: str = "state") -> None:
@@ -249,22 +262,21 @@ def read_blocks(parts: dict) -> dict:
     paths any of them reads, in blocks of ``max(1, BLOCK_DRAWS // n_steps)``
     paths, and each part runs on the head of every block that lies within
     its own paths.
-    The blocks of every stream run on one pool of one worker per CPU the
-    process may use (inline for one), the smallest first, so each stream's
+    The blocks of every stream run on the process's pool of one worker per
+    CPU it may use (``_executor``), the smallest first, so each stream's
     ragged last block runs ahead of the full ones and the workers start out
     of phase; among blocks of one size, the streams with the fewest blocks
-    go first.  Each block is drawn by ``sample_noise_block``, into the
-    one buffer its worker reuses and keeps, of ``BLOCK_DRAWS`` draws or one
-    path where a path is longer, with no lock held; its worker then runs
-    the parts on it under a semaphore that this call creates, so at most
-    one worker fewer than the pool steps at once (one on two workers) while
-    the others draw, and under the caller's numpy error state.  Kept
-    buffers beyond one per worker, or too short for this call's largest
-    block, are dropped first.  A part that
-    diverges does not stop the others; once every block has run, the first
-    part in ``parts`` that diverged raises its ``SimulationDivergedError``
-    at its earliest step, on the lowest such path, so the error depends
-    neither on the blocking nor on the other parts.
+    go first.  Each block is drawn by ``sample_noise_block``, with no lock
+    held, into the buffer its worker keeps across calls, grown when a block
+    needs more than it holds; the worker then runs the parts on it under a
+    semaphore that this call creates, so at most one worker fewer than the
+    pool steps at once (one on two workers) while the others draw, and
+    under the caller's numpy error state.  A part that diverges does not
+    stop the others; once every block has run, the first part in ``parts``
+    that diverged raises its ``SimulationDivergedError`` at its earliest
+    step, on the lowest such path, so the error depends neither on the
+    blocking nor on the other parts.  Any other error is raised once no
+    block runs, so no worker writes to the caller's arrays after the call.
     """
     groups = {}
     for name, part in parts.items():
@@ -289,51 +301,37 @@ def read_blocks(parts: dict) -> dict:
 
     def task(grid, seed, group, n_paths, lo, hi):
         size = (hi - lo) * grid.n_steps
-        try:
-            buffer = _buffers.pop()
-        except IndexError:
-            buffer = None
-        if buffer is None or buffer.size < size:
-            buffer = np.empty(max(BLOCK_DRAWS, size))
-        try:
-            out = buffer[:size].reshape(grid.n_steps, hi - lo)
-            dW = sample_noise_block(grid, n_paths, seed, lo, hi, out=out).increments.T
-            values = {}
-            with stepping, np.errstate(**errstate):
-                for name, part in group.items():
-                    m = min(hi, part.n_paths) - lo
-                    if m <= 0:
-                        continue
-                    try:
-                        values[name] = part.run(lo, lo + m, dW[:, :m])
-                    except SimulationDivergedError as exc:
-                        values[name] = SimulationDivergedError(path=lo + exc.path, step=exc.step,
-                                                               label=exc.label)
-            return values
-        finally:
-            _buffers.append(buffer)
+        if getattr(_worker, "buffer", np.empty(0)).size < size:
+            _worker.buffer = np.empty(max(BLOCK_DRAWS, size))
+        out = _worker.buffer[:size].reshape(grid.n_steps, hi - lo)
+        dW = sample_noise_block(grid, n_paths, seed, lo, hi, out=out).increments.T
+        values = {}
+        with stepping, np.errstate(**errstate):
+            for name, part in group.items():
+                m = min(hi, part.n_paths) - lo
+                if m <= 0:
+                    continue
+                try:
+                    values[name] = part.run(lo, lo + m, dW[:, :m])
+                except SimulationDivergedError as exc:
+                    values[name] = SimulationDivergedError(path=lo + exc.path, step=exc.step,
+                                                           label=exc.label)
+        return values
 
-    workers = min(_cpu_count(), len(queue))
-    largest = max(map(draws, queue), default=0)
-    # one kept buffer per worker, and none too short for the largest block
-    _buffers[:] = [b for b in _buffers[:max(workers, 1)] if b.size >= largest]
     # one stepper at a time on two workers; on more, a single stepper would
     # bound the wall at the total stepping time, so all but one may step
-    stepping = threading.Semaphore(max(1, workers - 1))
+    stepping = threading.Semaphore(max(1, min(_cpu_count(), len(queue)) - 1))
+    pool = _executor()
+    futures = {i: pool.submit(task, *blocks[i]) for i in queue}
     done = [None] * len(blocks)
-    if workers <= 1:
-        for i in queue:
-            done[i] = task(*blocks[i])
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = {i: pool.submit(task, *blocks[i]) for i in queue}
-            for i, future in futures.items():
-                done[i] = future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    try:
+        for i, future in futures.items():
+            done[i] = future.result()
+    finally:
+        # after an error, cancel the queued blocks (the last first, so none starts
+        # meanwhile) and wait out the running ones, which write to the caller's arrays
+        for future in reversed(futures.values()):
+            future.cancel() or future.exception()
     read = {name: [] for name in parts}
     for values in done:
         for name, value in values.items():

@@ -534,6 +534,17 @@ def test_weakcheck_reads_sigma_through_theta_alone(monkeypatch, capsys):
     assert printed["2"] == printed["1"] and printed["1e150"] == printed["1"]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "weakcheck fails its reweighting lines on a correct model once theta^2 T is large: at "
+    "b = 20 (theta^2 T = 12) martingale_mean reads E[Gamma_T]=0.755436 se=7.74e-02, and "
+    "reweighted_mean_vs_analytic and weak_strong_agreement fail too, exit 4; the mean of the "
+    "lognormal Gamma_T rests on paths the sample rarely holds, so its sample SE understates "
+    "the error"))
+def test_weakcheck_passes_at_a_large_theta_squared_T(monkeypatch):
+    monkeypatch.setenv("MVCONTRACT_B", "20")
+    assert main(["weakcheck"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("b, code", [
     ("0", EXIT_CONFIG), ("-0.0", EXIT_CONFIG), ("1e-13", EXIT_OK), ("-1e-13", EXIT_OK),
     ("1e-300", EXIT_OK),

@@ -113,10 +113,10 @@ def test_first_draw_on_a_worker_pool_is_bit_identical():
 
 
 REPEATED_EVALUATION = """
-import math, resource
+import math, resource, sys
 from mvcontract import ETA_EQUALS_X, LqParams, evaluate_contract, from_case, montecarlo
 
-montecarlo._cpu_count = lambda: 1
+montecarlo._cpu_count = lambda: int(sys.argv[1])
 params = LqParams(a=1.0, b=1.0, sigma=1.0, alpha=0.2, beta=1.0, T=0.03)
 mult = from_case("iv", 0.1, math.pi / 2)
 evaluate_contract(params, mult, 100_000, 64, 1, ETA_EQUALS_X)
@@ -130,10 +130,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     sys.platform != "linux" or platform.libc_ver()[0] != "glibc"
     or any(key.startswith("MALLOC_") or key == "GLIBC_TUNABLES" for key in os.environ),
     reason="needs glibc's dynamic mmap threshold")
-def test_repeated_evaluation_reuses_heap_pages():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_evaluation_reuses_heap_pages(workers):
     # a block-sized array freed on import raises glibc's mmap threshold to
     # a block, so the per-call arrays of a second 1e5 x 64 evaluation
     # (costs, x_T, work rows, reductions) reuse the heap pages of the first:
-    # a few minor faults, where mapping them afresh took about 1,300.  On
-    # one worker, since a pool thread may start on a new glibc arena
-    assert int(_run_fresh(REPEATED_EVALUATION)) < 100
+    # a few minor faults, where mapping them afresh took about 1,300.  The
+    # second call runs on the workers of the first, with their buffers
+    assert int(_run_fresh(REPEATED_EVALUATION, str(workers))) < 100

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import sys
 import threading
 import time
@@ -92,15 +93,16 @@ def test_simulate_costs_holds_one_noise_block(monkeypatch, ref_params, corner_tr
     # block and the three per-path outputs, plus 10% for tiles and work rows
     # (the stepper's three (2, paths) arrays, two of which the cost fold
     # shares).  Raw words, float draws and a step-major copy per block peaked
-    # at 19.7 MB.  The worker keeps its buffer, so a second call draws no new
-    # block: its peak is the outputs and the work rows
+    # at 19.7 MB.  The first call runs on a new worker, which draws a new
+    # buffer; it keeps it, so a second call draws no new block: its peak is
+    # the outputs and the work rows
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
     n_paths, n_steps = 100_000, 64
     sol = integrate_riccati(ref_params, corner_triple, make_grid(ref_params.T, n_steps),
                             ETA_EQUALS_X)
     field = ClosedLoopField(sol)
     simulate_costs(field, 1_000, 1)  # scipy is imported outside the trace
-    monkeypatch.setattr(montecarlo, "_buffers", [])
+    monkeypatch.setattr(montecarlo, "_pool", None)
     peaks = []
     for _ in range(2):
         tracemalloc.start()
@@ -114,7 +116,6 @@ def test_simulate_costs_holds_one_noise_block(monkeypatch, ref_params, corner_tr
     assert block_paths == 16_384 and block_bytes == montecarlo.BLOCK_DRAWS * 8
     assert block_bytes < peaks[0] <= 1.1 * (block_bytes + 3 * n_paths * 8)
     assert peaks[1] <= 1.1 * (3 * n_paths * 8 + 3 * 2 * block_paths * 8)
-    assert len(montecarlo._buffers) == 1
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -150,7 +151,6 @@ def test_reused_noise_buffers_carry_fresh_draws(monkeypatch, cpus):
     # blocks of both shapes into the one buffer it keeps, and every run must
     # see the bytes of a fresh draw of its block
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_buffers", [])
     seed, buffers = 5, set()
 
     def part(n_steps, n_paths):
@@ -166,13 +166,14 @@ def test_reused_noise_buffers_carry_fresh_draws(monkeypatch, cpus):
     results = montecarlo.read_blocks({"64": part(64, 40_000), "256": part(256, 5_000)})
     assert results == {"64": [True] * 3, "256": [True] * 2}
     assert len(buffers) <= cpus
-    assert len(montecarlo._buffers) <= cpus
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_raising_run_returns_its_buffer(monkeypatch, cpus):
+    # the worker whose run raised keeps its buffer: the next call's runs,
+    # which pause so that every worker takes a block, see it among at most
+    # one buffer per worker
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_buffers", [])
     seen = {}
 
     def run(lo, hi, dW):
@@ -181,36 +182,127 @@ def test_raising_run_returns_its_buffer(monkeypatch, cpus):
             raise RuntimeError("run failed")
 
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 1_000 * 16)
+    grid = make_grid(0.03, 16)
     with pytest.raises(RuntimeError, match="run failed"):
-        montecarlo.read_blocks({"run": montecarlo.Part(make_grid(0.03, 16), 3, 3_000, run)})
-    kept = [b.__array_interface__["data"][0] for b in montecarlo._buffers]
-    assert seen[1_000] in kept and len(kept) <= cpus
+        montecarlo.read_blocks({"run": montecarlo.Part(grid, 3, 3_000, run)})
+    raised, kept = seen[1_000], set()
+
+    def pause(lo, hi, dW):
+        kept.add(dW.__array_interface__["data"][0])
+        time.sleep(2e-3)
+
+    montecarlo.read_blocks({"pause": montecarlo.Part(grid, 3, 20_000, pause)})
+    assert raised in kept and len(kept) <= cpus
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_error_is_raised_once_no_block_runs(monkeypatch, cpus):
+    # a run that raises cancels the queue of 100 blocks: the error comes once
+    # the blocks that the workers had started have ended, and no block
+    # starts after it, so no worker writes to the caller's arrays
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 100 * 16)
+    guard, running, started = threading.Lock(), [0], []
+
+    def run(lo, hi, dW):
+        with guard:
+            running[0] += 1
+            started.append(lo)
+        try:
+            time.sleep(5e-3)
+            if lo == 300:
+                raise RuntimeError("run failed")
+        finally:
+            with guard:
+                running[0] -= 1
+
+    with pytest.raises(RuntimeError, match="run failed"):
+        montecarlo.read_blocks({"run": montecarlo.Part(make_grid(0.03, 16), 3, 10_000, run)})
+    assert running[0] == 0
+    ran = len(started)
+    time.sleep(0.05)
+    assert len(started) == ran < 100
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_paths_longer_than_a_block_run_one_per_block(ref_params, corner_triple, monkeypatch,
                                                       cpus):
     # with fewer draws per block than a path has steps, each block is one
-    # path, drawn into a buffer one path long.  Eight buffers kept by an
-    # earlier call on eight workers are too short for a path: the call drops
-    # them, and keeps one buffer per worker
+    # path, drawn into the buffer its worker keeps: at most one per worker
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_buffers", [np.empty(16) for _ in range(8)])
     monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 20)
     n_paths, seed = 300, 7
     grid = make_grid(ref_params.T, 32)
     field = ClosedLoopField(integrate_riccati(ref_params, corner_triple, grid, ETA_EQUALS_X))
-    draws = []
+    draws, buffers = [], set()
     draw = montecarlo.sample_noise_block
-    monkeypatch.setattr(montecarlo, "sample_noise_block",
-                        lambda *args, **kw: draws.append(args[4] - args[3]) or draw(*args, **kw))
+
+    def spy(*args, out):
+        draws.append(args[4] - args[3])
+        buffers.add(out.__array_interface__["data"][0])
+        return draw(*args, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_noise_block", spy)
     got = simulate_costs(field, n_paths, seed)
     assert draws == [1] * n_paths
     ja, jp, x_T = (np.empty(n_paths) for _ in range(3))
     assert step_costs(field, sample_noise(grid, n_paths, seed).increments.T, x_T, ja, jp) is None
     assert all(np.array_equal(g, w) for g, w in zip(got, (ja, jp, x_T)))
-    assert 1 <= len(montecarlo._buffers) <= cpus
-    assert all(b.size == grid.n_steps for b in montecarlo._buffers)
+    assert 1 <= len(buffers) <= cpus
+
+
+def test_blocks_run_on_the_process_pool_of_its_cpu_count(monkeypatch):
+    # every block runs on a worker of the process's pool, never on the
+    # calling thread, even at one CPU; a second call runs on the workers of
+    # the first, and a changed CPU count on new ones.  Workers are told
+    # apart by thread name, since thread idents are reused.  Each run pauses
+    # so that every worker of a new pool takes a block of its first call
+    monkeypatch.setattr(montecarlo, "_pool", None)
+    monkeypatch.setattr(montecarlo, "BLOCK_DRAWS", 100 * 16)
+    grid = make_grid(0.03, 16)
+
+    def workers(cpus):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        names = set()
+
+        def run(lo, hi, dW):
+            names.add(threading.current_thread().name)
+            time.sleep(2e-3)
+
+        montecarlo.read_blocks({"names": montecarlo.Part(grid, 3, 2_000, run)})
+        return names
+
+    caller = threading.current_thread().name
+    one = workers(1)
+    assert len(one) == 1 and caller not in one
+    assert workers(1) == one
+    two = workers(2)
+    assert len(two) == 2 and caller not in two and not two & one
+    assert workers(2) <= two
+    assert not workers(1) & (one | two)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_runs_on_a_pool_of_its_own(ref_params, corner_triple, monkeypatch):
+    # a forked child inherits the parent's pool but none of its threads, so
+    # a pool kept by CPU count alone would take the child's blocks and never
+    # run them
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+
+    def evaluate():
+        return evaluate_contract(ref_params, corner_triple, 3_000, 16, seed=23,
+                                 p2_drift_mode=ETA_EQUALS_X)
+
+    parent = evaluate()
+    child = multiprocessing.get_context("fork").Process(
+        target=lambda: sys.exit(0 if evaluate() == parent else 1))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_agent_integral_identity(ref_params, corner_triple, raw_closed_loop, row_closed_loop,
