@@ -126,15 +126,23 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-@pytest.mark.skipif(
+needs_glibc_mmap_threshold = pytest.mark.skipif(
     sys.platform != "linux" or platform.libc_ver()[0] != "glibc"
     or any(key.startswith("MALLOC_") or key == "GLIBC_TUNABLES" for key in os.environ),
     reason="needs glibc's dynamic mmap threshold")
-@pytest.mark.parametrize("workers", [1, 2])
-def test_repeated_evaluation_reuses_heap_pages(workers):
+
+
+@needs_glibc_mmap_threshold
+def test_repeated_evaluation_reuses_heap_pages():
     # a block-sized array freed on import raises glibc's mmap threshold to
     # a block, so the per-call arrays of a second 1e5 x 64 evaluation
     # (costs, x_T, work rows, reductions) reuse the heap pages of the first:
     # a few minor faults, where mapping them afresh took about 1,300.  The
-    # second call runs on the workers of the first, with their buffers
-    assert int(_run_fresh(REPEATED_EVALUATION, str(workers))) < 100
+    # second call runs on the worker of the first, with its buffer
+    assert int(_run_fresh(REPEATED_EVALUATION, "1")) < 100
+
+
+@needs_glibc_mmap_threshold
+def test_repeated_evaluation_on_two_workers_reuses_heap_pages():
+    # as above, with both blocks of each call on a two-worker pool
+    assert int(_run_fresh(REPEATED_EVALUATION, "2")) < 100
