@@ -29,8 +29,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .checks import run_check_battery, run_weak_battery
-from .config import RunConfig, resolve
+from .checks import _solve, run_check_battery, run_weak_battery
+from .config import _PARAM_KEYS, RunConfig, resolve
 from .errors import (
     ConfigError,
     NonFiniteEstimateError,
@@ -40,7 +40,7 @@ from .errors import (
 from .model import LqParams, check_mode
 from .montecarlo import evaluate_contract
 from .multipliers import MultiplierTriple, classify_feasibility, sweep_grid
-from .riccati import COEFF_NAMES, RiccatiSolution, integrate_riccati
+from .riccati import COEFF_NAMES, RiccatiSolution
 from .timegrid import make_grid
 
 EXIT_OK = 0
@@ -69,10 +69,7 @@ def _fmt(v: float) -> str:
 
 
 def _params_meta(params: LqParams) -> str:
-    return " ".join(
-        f"{name}={_fmt(getattr(params, name))}"
-        for name in ("a", "b", "sigma", "alpha", "beta", "T", "W0", "R0")
-    )
+    return " ".join(f"{name}={_fmt(getattr(params, name))}" for name in _PARAM_KEYS)
 
 
 def _mult_meta(mult: MultiplierTriple) -> str:
@@ -115,8 +112,7 @@ def load_riccati_csv(path: str) -> RiccatiSolution:
         key, _, val = token.partition("=")
         meta[key] = val
     try:
-        params = LqParams(**{k: float(meta[k]) for k in
-                             ("a", "b", "sigma", "alpha", "beta", "T", "W0", "R0")})
+        params = LqParams(**{k: float(meta[k]) for k in _PARAM_KEYS})
         theta = None if meta["theta"] == "none" else float(meta["theta"])
         mult = MultiplierTriple(
             lam_P=float(meta["lambda_P"]), lam_E=float(meta["lambda_E"]),
@@ -180,15 +176,10 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 
 def cmd_riccati(config: RunConfig) -> int:
-    triples = sweep_grid(config.case_tag, config.lam_P_points, config.theta_points)
-    mult = triples[0]
-    grid = make_grid(config.params.T, config.n_steps)
-    sol = integrate_riccati(
-        config.params, mult, grid, config.p2_drift_mode, config.blow_up_bound
-    )
+    sol = _solve(config, config.n_steps)
     out_path = _out_path(config, "riccati.csv")
     write_riccati_csv(out_path, sol)
-    print(f"wrote {out_path} ({grid.n_points} rows, {_mult_meta(mult)})")
+    print(f"wrote {out_path} ({sol.grid.n_points} rows, {_mult_meta(sol.multipliers)})")
     return EXIT_OK
 
 

@@ -115,11 +115,11 @@ def _mean_and_se(values: np.ndarray):
 
 def _variance_and_se(values: np.ndarray):
     n = values.size
-    var = float(values.var(ddof=1))
     # squared in place twice: numpy's ``**4`` calls pow per element
     squares = values - values.mean()
     squares *= squares
-    m2 = float(np.mean(squares))
+    total = float(squares.sum())
+    var, m2 = total / (n - 1), total / n
     squares *= squares
     m4 = float(np.mean(squares))
     se = float(np.sqrt(max(m4 - m2 * m2, 0.0) / n))

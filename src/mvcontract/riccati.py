@@ -35,16 +35,20 @@ so K = V U^-1 with V' = -M V and U' = a U + B V, from V(T) = K(T) and
 U(T) = I.  Both are linear with constant coefficients; with tau = T - t,
 
     V = exp(M tau) K(T),   exp(M tau) = [[e, 0, 0], [0, e, e - 1], [0, 0, 1]],
-    U = (I - B J K(T)) / e,        J = [[I2, 0, 0], [0, I2, I2 - I1], [0, 0, I1]],
+    U = exp(-a tau) (I - I2 P - I1 Q),   P = B J2 K(T),   Q = B J1 K(T),
+    J2 = [[1, 0, 0], [0, 1, 1], [0, 0, 0]],   J1 = [[0, 0, 0], [0, 0, -1], [0, 0, 1]],
 
 where e = exp(a tau), I1 = expm1(a tau) / a and I2 = expm1(2 a tau) / (2 a),
-both tau when a = 0.  ``integrate_riccati`` multiplies V and U by
-exp(-|a| tau), which changes neither K nor the sign of det U and keeps every
-entry near the size of the data at any |a| T; I1 and I2 are then taken at
--|a|.  U is divided by its largest entry before the 2x2 inverse, so that
-det U cannot underflow where K is finite.  The sums of the state and mean
-blocks, K_s + K_m, solve the same equation from K_s(T) + K_m(T), so the
-mean blocks (A2j, B2j) are the difference of two such solutions.
+both tau when a = 0; J = I2 J2 + I1 J1 is the integral of exp(a s) exp(M s)
+over [0, tau].  P and Q are formed once per terminal block, and the node
+solve and the pole search read U in this one form.  ``integrate_riccati``
+multiplies V and U by exp(-|a| tau), which changes neither K nor the sign of
+det U and keeps every entry near the size of the data at any |a| T; I1 and I2
+are then taken at -|a|.  U is divided by its largest entry before the 2x2
+inverse, so that det U cannot underflow where K is finite.  The sums of the
+state and mean blocks, K_s + K_m, solve the same equation from
+K_s(T) + K_m(T), so the mean blocks (A2j, B2j) are the difference of two
+such solutions.
 
 The solution exists back to t only while det U stays positive on [t, T]:
 where det U vanishes, K has a pole.  With u = I1 (taken at -|a|), which
@@ -99,39 +103,26 @@ def terminal_conditions(params: LqParams, mult: MultiplierTriple) -> np.ndarray:
 
 
 def _scaled_terms(a, tau):
-    """I1 at -|a| and the terms of V and U at backward times ``tau``.
+    """The terms of V and of U at backward times ``tau``, nodes or one float.
 
     V has (g, h, w) in the places of (e, e - 1, 1) in exp(M tau), and U is
-    ``_u_factor`` of (d, I2, j1): both times exp(-|a| tau), as the module
-    docstring describes.  ``tau`` is an array of nodes or one float.
+    ``_u`` of (d, I2, j1), both times exp(-|a| tau); (d, I2, j1) come with
+    their first two derivatives in u = I1 at -|a|, where w = 1 - |a| u.
     """
-    i1, i2 = (np.expm1(-m * abs(a) * tau) / (-m * abs(a)) if a else tau for m in (1.0, 2.0))
+    u, i2 = (np.expm1(-m * abs(a) * tau) / (-m * abs(a)) if a else tau for m in (1.0, 2.0))
     w = np.exp(-abs(a) * tau)
-    if a > 0.0:  # times 1 / e
-        return i1, (1.0, a * i1, w), (w * w, i2, w * i1)
-    return i1, (w * w, a * w * i1, w), (1.0, i2, i1)  # times e
+    if a > 0.0:  # times 1 / e: d = w^2, j1 = w u
+        return (1.0, a * u, w), ((w * w, i2, w * u), (-2.0 * a * w, w, w - a * u),
+                                 (2.0 * a * a, -a, -2.0 * a))
+    return (w * w, a * w * u, w), ((1.0, i2, u), (0.0, w, 1.0), (0.0, a, 0.0))  # times e
 
 
-def _u_factor(B, KT, d, i2, j1):
-    """U = d I - B J KT, with J = [[i2, 0, 0], [0, i2, i2 - j1], [0, 0, j1]].
-
-    ``B`` is the 2x3 coupling and ``KT`` a 3x2 terminal block, as nested
-    floats; ``d``, ``i2`` and ``j1`` are anything that adds and scales:
-    node columns, floats or polynomial coefficients.
-    """
-    (k00, k01), (k10, k11), (k20, k21) = KT
-    i21 = i2 - j1
-    JK = ((i2 * k00, i2 * k01), (i2 * k10 + i21 * k20, i2 * k11 + i21 * k21),
-          (j1 * k20, j1 * k21))
-    return tuple(
-        tuple((d if r == c else 0.0)
-              - (B[r][0] * JK[0][c] + B[r][1] * JK[1][c] + B[r][2] * JK[2][c])
-              for c in (0, 1))
-        for r in (0, 1)
-    )
+def _u(P, Q, d, i2, j1):
+    """U = d I - i2 P - j1 Q, for node columns or floats (d, i2, j1)."""
+    return [[d * (r == c) - i2 * P[r][c] - j1 * Q[r][c] for c in (0, 1)] for r in (0, 1)]
 
 
-def _radon_solve(B, KT, exp_terms, j_terms):
+def _radon_solve(P, Q, KT, exp_terms, u_terms):
     """K = V U^-1 from the terminal block ``KT``, as rows of (A, B) columns.
 
     U is divided by its largest entry first, so that det U cannot underflow
@@ -140,7 +131,7 @@ def _radon_solve(B, KT, exp_terms, j_terms):
     g, h, w = exp_terms
     (k00, k01), (k10, k11), (k20, k21) = KT
     V = ((g * k00, g * k01), (g * k10 + h * k20, g * k11 + h * k21), (w * k20, w * k21))
-    (u00, u01), (u10, u11) = U = _u_factor(B, KT, *j_terms)
+    (u00, u01), (u10, u11) = U = _u(P, Q, *u_terms)
     scale = np.maximum(np.maximum(abs(u00), abs(u01)), np.maximum(abs(u10), abs(u11)))
     for row in U:
         for u in row:
@@ -169,32 +160,19 @@ def _sign_changes(fs, lo, hi):
     return changes
 
 
-def _first_pole(a, B, KT, tau_end):
+def _first_pole(a, P, Q, tau_end):
     """The smallest tau in [0, tau_end] where det U < 0, or None.
 
-    In u = I1 (taken at -|a|), which grows with tau, w = 1 - |a| u and
-    I2 = u - |a| u^2 / 2, so the terms (d, I2, j1) of U are quadratics in
-    u, and so are its entries: U = d I - I2 P - j1 Q.  So det U is a
-    quartic in u, and its m-th u-derivative follows from the first two of
-    the terms by Leibniz' rule; the fifth vanishes.  Each is formed from
-    w and u at tau, never from expanded coefficients, which would cancel
-    where det U is small.
+    In u = I1 (taken at -|a|), which grows with tau, the terms (d, I2, j1)
+    of U = d I - I2 P - j1 Q are quadratics, and so are its entries.  So
+    det U is a quartic in u, and its m-th u-derivative follows from the
+    first two of the terms by Leibniz' rule; the fifth vanishes.  Each is
+    formed from w and u at tau, never from expanded coefficients, which
+    would cancel where det U is small.
     """
-    P, Q = (tuple(tuple(-x for x in row) for row in _u_factor(B, KT, 0.0, *e))
-            for e in ((1.0, 0.0), (0.0, 1.0)))
-
-    def u_factors(tau):  # U and its first two u-derivatives
-        u, (_, _, w), terms = _scaled_terms(a, tau)
-        if a > 0.0:  # d = w^2, j1 = w u
-            terms = (terms, (-2.0 * a * w, w, w - a * u), (2.0 * a * a, -a, -2.0 * a))
-        else:  # d = 1, j1 = u
-            terms = (terms, (0.0, w, 1.0), (0.0, a, 0.0))
-        return [[[d * (r == s) - i * P[r][s] - j * Q[r][s] for s in (0, 1)] for r in (0, 1)]
-                for d, i, j in terms]
-
     def det_derivative(m):
         def f(tau):
-            U = u_factors(tau)
+            U = [_u(P, Q, *terms) for terms in _scaled_terms(a, tau)[1]]  # and its u-derivatives
             return sum(math.comb(m, k) * (U[k][0][0] * U[m - k][1][1]
                                           - U[k][0][1] * U[m - k][1][0])
                        for k in range(max(0, m - 2), min(m, 2) + 1))
@@ -267,18 +245,21 @@ def integrate_riccati(
     KT_s = [[yT[_IDX[f"{ab}1{j}"]] for ab in "AB"] for j in (1, 2, 3)]
     KT_tot = [[yT[_IDX[f"{ab}1{j}"]] + yT[_IDX[f"{ab}2{j}"]] for ab in "AB"] for j in (1, 2, 3)]
     tau = np.arange(grid.n_steps, -1, -1) * grid.dt
-    _, exp_terms, j_terms = _scaled_terms(a, tau)
+    exp_terms, (u_terms, *_) = _scaled_terms(a, tau)
     coeffs = np.empty((grid.n_points, 12))
+    poles = []
     with np.errstate(all="ignore"):
         for block, KT in ((1, KT_s), (2, KT_tot)):
-            for j, row in enumerate(_radon_solve(B, KT, exp_terms, j_terms), 1):
+            # P = B J2 KT and Q = B J1 KT, over the columns (k0, k1, k2) of KT
+            P = [[Br[0] * k0 + Br[1] * (k1 + k2) for k0, k1, k2 in zip(*KT)] for Br in B]
+            Q = [[Br[1] * -k2 + Br[2] * k2 for _, _, k2 in zip(*KT)] for Br in B]
+            for j, row in enumerate(_radon_solve(P, Q, KT, exp_terms, u_terms), 1):
                 for ab, K in zip("AB", row):
                     if block == 2:  # the mean block: K_tot - K_s
                         K -= coeffs[:, _IDX[f"{ab}1{j}"]]
                     coeffs[:, _IDX[f"{ab}{block}{j}"]] = K
-        poles = [p for p in (_first_pole(a, B, KT, tau[0]) for KT in (KT_s, KT_tot))
-                 if p is not None]
-    tau_star = min(poles, default=math.inf)
+            poles.append(_first_pole(a, P, Q, tau[0]))
+    tau_star = min((p for p in poles if p is not None), default=math.inf)
     body = coeffs[:-1]
     # NaN and inf fail no comparison with an infinite bound
     failed = (~np.isfinite(body).all(axis=1) | (body > blow_up_bound).any(axis=1)

@@ -22,6 +22,7 @@ from mvcontract import (
     terminal_conditions,
 )
 from mvcontract import checks
+from mvcontract.model import cashflow_weights
 from reference_schemes import (
     ansatz_residual,
     closed_loop_paths,
@@ -313,6 +314,40 @@ def test_closed_form_agrees_with_rk4_at_large_a_T(ref_params, a):
                 assert np.abs(got - ref[7200]).max() <= bound, (lam_P, theta, mode)
     # a = 30 blows up everywhere, a = -30 only at the as_printed corner
     assert outcomes == ({True} if a > 0 else {True, False})
+
+
+@pytest.mark.parametrize("mode", [AS_PRINTED, ETA_EQUALS_X])
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+def test_closed_form_matches_the_unscaled_matrix_form(ref_params, a, mode):
+    # the module docstring's K = V U^-1, with V = exp(M tau) K(T) and
+    # U = (I - B J K(T)) / e, as plain numpy matrix products at every node:
+    # no exp(-|a| tau) scaling, no P and Q.  The state blocks start from
+    # K_s(T), the state-plus-mean sums from K_s(T) + K_m(T)
+    params = dataclasses.replace(ref_params, a=a)
+    b = params.b
+    c1, c2 = cashflow_weights(b, mode)
+    grid = make_grid(params.T, 256)
+    tau = (params.T - grid.points)[:, None, None]
+    e = np.exp(a * tau)
+    i1, i2 = ((np.expm1(m * a * tau) / (m * a) if a else tau) for m in (1.0, 2.0))
+    zero, one = np.zeros_like(tau), np.ones_like(tau)
+    expM = np.block([[e, zero, zero], [zero, e, e - 1.0], [zero, zero, one]])
+    J = np.block([[i2, zero, zero], [zero, i2, i2 - i1], [zero, zero, i1]])
+    state = [IDX[f"{ab}1{j}"] for j in (1, 2, 3) for ab in "AB"]
+    mean = [IDX[f"{ab}2{j}"] for j in (1, 2, 3) for ab in "AB"]
+    for lam_P, theta in ((0.3, 1.2), (0.5, 0.7), (0.9, 0.0)):
+        mult = from_case("iv", lam_P, theta)
+        B = np.array([[b * b, b * c1 / lam_P, b * c2 / lam_P],
+                      [mult.lam_E * b * b, -b * b, -b * b]])
+        coeffs = integrate_riccati(params, mult, grid, mode).coeffs
+        yT = terminal_conditions(params, mult)
+        for cols, KT in ((coeffs[:, state], yT[state]),
+                         (coeffs[:, state] + coeffs[:, mean], yT[state] + yT[mean])):
+            KT = KT.reshape(3, 2)
+            U = (np.eye(2) - B @ J @ KT) / e
+            expected = (expM @ KT @ np.linalg.inv(U)).reshape(-1, 6)
+            tol = 1e-13 * np.abs(expected).max(axis=0)
+            assert (np.abs(cols - expected) <= tol).all(), (lam_P, theta)
 
 
 @pytest.mark.parametrize("n_steps", [256, 4096])
