@@ -8,9 +8,9 @@ and its detail ends in ``not_finite=`` and which (``_band_result``), since
 an overflowed SE would pass anything.  Each
 mean with a standard error over one array of paths comes from
 ``montecarlo._mean_and_se``, the estimator of ``simulate``; the mean
-trajectory combines block moments.  The weak formulation (the output
-density and the hidden-action optimality condition) lives in
-``run_weak_battery`` alone.
+trajectory adds each node's sums of x and x^2 over the blocks.  The weak
+formulation (the output density and the hidden-action optimality
+condition) lives in ``run_weak_battery`` alone.
 
 Every check that reads paths is a part (``montecarlo.Part``): a grid, a
 seed, a path count and a ``run(lo, hi, dW)`` for each block of its paths.
@@ -34,7 +34,7 @@ not depend on the blocking, and the folds form each residual and
 explicit-R element with the operations of their whole-ensemble formulas,
 whose maxima are order-free: every number is the one a separate pass over
 the whole ensemble gives, up to the summation order of the mean
-trajectory's moments.  Every part reads the step rows of a block's
+trajectory's sums.  Every part reads the step rows of a block's
 step-major increments in place.  The x fold keeps the operation order of
 the generic Euler scheme, which the tests pin it against; the density is
 exp(theta W_T - theta^2 T / 2), the closed form at a constant theta.
@@ -301,21 +301,20 @@ class _ResidualFold:
 
 
 class _MeanFold:
-    """Each node's mean of x over a block of paths and its sum of squared deviations (M2)."""
+    """Each node's sums of x and of x^2 over a block of paths."""
 
     def __init__(self, sol: RiccatiSolution, dW: np.ndarray):
         self._n = dW.shape[1]
-        self._mean, self._m2 = np.empty((2, sol.grid.n_points))
-        self._d = np.empty(self._n)
+        self._s1, self._s2 = np.empty((2, sol.grid.n_points))
+        self._sq = np.empty(self._n)
 
     def __call__(self, k: int, z: np.ndarray) -> None:
-        self._mean[k] = mean = z[0].mean()
-        np.subtract(z[0], mean, out=self._d)
-        np.square(self._d, out=self._d)
-        self._m2[k] = self._d.sum()
+        self._s1[k] = z[0].sum()
+        np.square(z[0], out=self._sq)
+        self._s2[k] = self._sq.sum()
 
     def value(self):
-        return self._n, self._mean, self._m2
+        return self._n, self._s1, self._s2
 
 
 class _ExplicitRFold:
@@ -399,20 +398,13 @@ def check_b0_variance(config: RunConfig, x_T: np.ndarray) -> CheckResult:
 
 
 def _node_moments(blocks: list):
-    """Each node's mean and standard error of x from the ``_MeanFold`` values of the blocks.
+    """Each node's mean and standard error of x from the ``_MeanFold`` sums of the blocks.
 
-    The blocks are combined in block order by the pairwise update of Chan,
-    Golub and LeVeque, "Updating formulae and a pairwise algorithm for
-    computing sample variances" (1979).
+    E[x] = 0, so s1 * mean is about 1/n of s2: the sums lose no digits.
     """
-    n, mean, m2 = blocks[0]
-    for n_b, mean_b, m2_b in blocks[1:]:
-        delta = mean_b - mean
-        total = n + n_b
-        mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + delta * delta * (n * n_b / total)
-        n = total
-    return mean, np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    n, s1, s2 = (sum(values) for values in zip(*blocks))
+    mean = s1 / n
+    return mean, np.sqrt((s2 - s1 * mean) / (n - 1) / n)
 
 
 def check_mean_trajectory(blocks: list) -> CheckResult:
@@ -493,28 +485,20 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         parts["file"] = _loop_part(coeff_sol, seed, n_residual, fold=_ResidualFold)
     read = read_blocks(parts)
 
-    if "mean" in parts:
-        terminal, mean, explicit = (check_terminal_conditions(sol),
-                                    check_mean_trajectory(read["mean"]),
-                                    check_explicit_r(sol, read["explicit"]))
-    else:
-        terminal, mean, explicit = (
-            _result(name, False, str(sol))
-            for name in ("terminal_conditions", "mean_trajectory", "explicit_R_consistency")
-        )
+    def line(name, sol, check):  # check(), or the failure of a blown-up solve
+        return check() if isinstance(sol, RiccatiSolution) else _result(name, False, str(sol))
     results = [
-        terminal,
-        _residual_result("riccati_residual", config, residual_sol, read["residual"])
-        if "residual" in parts else _result("riccati_residual", False, str(residual_sol)),
+        line("terminal_conditions", sol, lambda: check_terminal_conditions(sol)),
+        line("riccati_residual", residual_sol, lambda: _residual_result(
+            "riccati_residual", config, residual_sol, read["residual"])),
         check_argmax_agent(config),
         check_argmax_principal(config, AS_PRINTED),
         check_argmax_principal(config, ETA_EQUALS_X),
         # Gamma_T at theta = 1
         check_density_martingale(np.exp(W_T - 0.5 * config.params.T)),
-        check_b0_variance(config, b0_x_T)
-        if "b0" in parts else _result("b0_variance_oracle", False, str(b0_sol)),
-        mean,
-        explicit,
+        line("b0_variance_oracle", b0_sol, lambda: check_b0_variance(config, b0_x_T)),
+        line("mean_trajectory", sol, lambda: check_mean_trajectory(read["mean"])),
+        line("explicit_R_consistency", sol, lambda: check_explicit_r(sol, read["explicit"])),
     ]
     if coeff_sol is not None:
         results.append(check_terminal_conditions(coeff_sol, "file_terminal_conditions", 1e-12))

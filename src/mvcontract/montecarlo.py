@@ -47,16 +47,13 @@ once: one on two workers.  Drawing a block is a few long Philox and
 short calls, each dispatched under that lock, so two workers that step at
 once mostly trade it.  Each worker therefore draws its block with no lock
 held and runs the parts on it under a semaphore of the ``read_blocks`` call,
-while the others keep drawing.  On two workers one ``check`` steps its
-parts in 77 ms of thread CPU (69 ms on one), where two workers stepping at
-once took 108 ms, and its wall falls from 156 to 140 ms (2 vCPUs, numpy
-2.4.6, scipy 1.17.1; ``BENCH_21.json``).  Stepping is about 32% of the CPU
-of ``check`` and 23% of a ``simulate`` point, so a single stepper would
-bound the wall beyond about 3 to 4 workers; on more than two workers the
-semaphore therefore lets all but one of them step at once.  Nothing above
-2 CPUs was measured.  The blocks are queued smallest first, so a stream's
-ragged last block is drawn and stepped first, and the workers start out of
-phase rather than both waiting on the semaphore behind one first step.
+while the others keep drawing.  Stepping is only a part of each block's
+CPU, so a single stepper would bound the wall beyond a few workers: on more
+than two workers the semaphore lets all but one of them step at once.
+Nothing above 2 CPUs was measured.  The blocks are queued smallest first,
+so a stream's ragged last block is drawn and stepped first, and the
+workers start out of phase rather than both waiting on the semaphore
+behind one first step.
 
 On import, one block-sized array is freed unread.  glibc then raises its
 dynamic mmap threshold to a block (mallopt(3)), so the per-call arrays

@@ -21,7 +21,8 @@ from mvcontract import (
     make_grid,
     terminal_conditions,
 )
-from mvcontract import checks
+from mvcontract import checks, riccati
+from mvcontract.config import RunConfig
 from mvcontract.model import cashflow_weights
 from reference_schemes import (
     ansatz_residual,
@@ -348,6 +349,29 @@ def test_closed_form_matches_the_unscaled_matrix_form(ref_params, a, mode):
             expected = (expM @ KT @ np.linalg.inv(U)).reshape(-1, 6)
             tol = 1e-13 * np.abs(expected).max(axis=0)
             assert (np.abs(cols - expected) <= tol).all(), (lam_P, theta)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+def test_radon_solve_at_a_float_tau_matches_the_node_rows(monkeypatch, a):
+    # the node solve's P, Q and K(T) of each block, with each node's tau as
+    # a Python float, must give the table's row: U is scaled by its largest
+    # entry as at the node columns (an in-place division of a float only
+    # rebinds it, which left K divided by that entry)
+    config = RunConfig()
+    params = dataclasses.replace(config.params, a=a)
+    solve, calls = riccati._radon_solve, []
+    monkeypatch.setattr(riccati, "_radon_solve", lambda *args: calls.append(args) or solve(*args))
+    coeffs = integrate_riccati(params, checks._first_triple(config), make_grid(params.T, 64),
+                               config.p2_drift_mode).coeffs
+    state = [IDX[f"{ab}1{j}"] for j in (1, 2, 3) for ab in "AB"]
+    mean = [IDX[f"{ab}2{j}"] for j in (1, 2, 3) for ab in "AB"]
+    assert len(calls) == 2
+    for (a_, P, Q, KT, tau), cols in zip(calls, (state, mean)):
+        got = np.array([np.ravel(solve(a_, P, Q, KT, t)) for t in tau.tolist()])
+        if cols is mean:  # K_tot - K_s, as the node solve forms the mean block
+            got -= coeffs[:, state]
+        expected = coeffs[:, cols]
+        assert (np.abs(got - expected) <= 1e-15 * np.abs(expected).max(axis=0)).all(), cols
 
 
 @pytest.mark.parametrize("n_steps", [256, 4096])
