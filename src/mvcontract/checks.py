@@ -485,8 +485,8 @@ def run_check_battery(config: RunConfig, coeff_sol: Optional[RiccatiSolution] = 
         parts["file"] = _loop_part(coeff_sol, seed, n_residual, fold=_ResidualFold)
     read = read_blocks(parts)
 
-    def line(name, sol, check):  # check(), or the failure of a blown-up solve
-        return check() if isinstance(sol, RiccatiSolution) else _result(name, False, str(sol))
+    def line(name, solved, check):  # check(), or the failure of a blown-up solve
+        return check() if isinstance(solved, RiccatiSolution) else _result(name, False, str(solved))
     results = [
         line("terminal_conditions", sol, lambda: check_terminal_conditions(sol)),
         line("riccati_residual", residual_sol, lambda: _residual_result(

@@ -122,14 +122,14 @@ def _u(P, Q, d, i2, j1):
     return [[d * (r == c) - i2 * P[r][c] - j1 * Q[r][c] for c in (0, 1)] for r in (0, 1)]
 
 
-def _radon_solve(a, P, Q, KT, tau):
+def _radon_solve(P, Q, KT, exp_terms, u_terms):
     """K = V U^-1 from the terminal block ``KT``, as rows of (A, B) columns.
 
-    At backward times ``tau``, the node column or one float.  U is divided
-    by its largest entry first, so that det U cannot underflow where K is
-    finite (with b = 0, U is exp(-2 a tau) I for a > 0).
+    The terms come from ``_scaled_terms`` at the node column or one float
+    tau.  U is divided by its largest entry first, so that det U cannot
+    underflow where K is finite (with b = 0, U is exp(-2 a tau) I for a > 0).
     """
-    (g, h, w), (u_terms, *_) = _scaled_terms(a, tau)
+    g, h, w = exp_terms
     (k00, k01), (k10, k11), (k20, k21) = KT
     V = ((g * k00, g * k01), (g * k10 + h * k20, g * k11 + h * k21), (w * k20, w * k21))
     (u00, u01), (u10, u11) = U = _u(P, Q, *u_terms)
@@ -244,6 +244,7 @@ def integrate_riccati(
     KT_s = [[yT[_IDX[f"{ab}1{j}"]] for ab in "AB"] for j in (1, 2, 3)]
     KT_tot = [[yT[_IDX[f"{ab}1{j}"]] + yT[_IDX[f"{ab}2{j}"]] for ab in "AB"] for j in (1, 2, 3)]
     tau = np.arange(grid.n_steps, -1, -1) * grid.dt
+    exp_terms, (u_terms, *_) = _scaled_terms(a, tau)
     coeffs = np.empty((grid.n_points, 12))
     poles = []
     with np.errstate(all="ignore"):
@@ -251,7 +252,7 @@ def integrate_riccati(
             # P = B J2 KT and Q = B J1 KT, over the columns (k0, k1, k2) of KT
             P = [[Br[0] * k0 + Br[1] * (k1 + k2) for k0, k1, k2 in zip(*KT)] for Br in B]
             Q = [[Br[1] * -k2 + Br[2] * k2 for _, _, k2 in zip(*KT)] for Br in B]
-            for j, row in enumerate(_radon_solve(a, P, Q, KT, tau), 1):
+            for j, row in enumerate(_radon_solve(P, Q, KT, exp_terms, u_terms), 1):
                 for ab, K in zip("AB", row):
                     if block == 2:  # the mean block: K_tot - K_s
                         K -= coeffs[:, _IDX[f"{ab}1{j}"]]

@@ -812,8 +812,8 @@ def test_folds_match_their_references(monkeypatch, cpus):
     assert max(d for d, _ in read["explicit"]) == diff
     assert 5.0 * sol.grid.dt * max(max(s for _, s in read["explicit"]), 1.0) == tol
 
-    # mean trajectory: the block moments combine to the whole-ensemble ones,
-    # up to summation order
+    # mean trajectory: the blocks' sums of x and x^2 give the whole-ensemble
+    # mean and SE, up to summation order
     mean, se = checks._node_moments(read["mean"])
     eps = np.finfo(float).eps
     assert mean[0] == 0.0

@@ -359,15 +359,15 @@ def test_radon_solve_at_a_float_tau_matches_the_node_rows(monkeypatch, a):
     # rebinds it, which left K divided by that entry)
     config = RunConfig()
     params = dataclasses.replace(config.params, a=a)
-    solve, calls = riccati._radon_solve, []
+    grid, solve, calls = make_grid(params.T, 64), riccati._radon_solve, []
     monkeypatch.setattr(riccati, "_radon_solve", lambda *args: calls.append(args) or solve(*args))
-    coeffs = integrate_riccati(params, checks._first_triple(config), make_grid(params.T, 64),
-                               config.p2_drift_mode).coeffs
+    coeffs = integrate_riccati(params, checks._first_triple(config), grid, config.p2_drift_mode).coeffs
     state = [IDX[f"{ab}1{j}"] for j in (1, 2, 3) for ab in "AB"]
     mean = [IDX[f"{ab}2{j}"] for j in (1, 2, 3) for ab in "AB"]
     assert len(calls) == 2
-    for (a_, P, Q, KT, tau), cols in zip(calls, (state, mean)):
-        got = np.array([np.ravel(solve(a_, P, Q, KT, t)) for t in tau.tolist()])
+    terms = [riccati._scaled_terms(a, t) for t in (np.arange(64, -1, -1) * grid.dt).tolist()]
+    for (P, Q, KT, *_), cols in zip(calls, (state, mean)):
+        got = np.array([np.ravel(solve(P, Q, KT, e, u)) for e, (u, *_) in terms])
         if cols is mean:  # K_tot - K_s, as the node solve forms the mean block
             got -= coeffs[:, state]
         expected = coeffs[:, cols]
